@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race bench benchgate campaign faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
+.PHONY: check fmt build vet test race fuzz bench benchgate campaign faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
 
 check: fmt vet build race faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
 
@@ -25,6 +25,14 @@ test:
 # always exercise it (and the attack substrates under it) with -race.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# Native fuzzing of the two decoders that read untrusted bytes, 60 s each:
+# the record log's open and scan (internal/recordlog) and the cminor parser.
+# Their seed inputs already run under plain `go test`; this target searches
+# past them and stays out of `make check` so CI time does not grow.
+fuzz:
+	$(GO) test ./internal/recordlog -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 60s
+	$(GO) test ./internal/cminor -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s
 
 # One pass over every benchmark, teed through cmd/benchjson into a
 # benchstat-comparable JSON artifact. -benchtime=3x keeps it minutes, not

@@ -34,7 +34,7 @@ func BenchmarkAblationD1FlushQueue(b *testing.B) {
 			var window sim.Nanos
 			var perOp sim.Nanos
 			for i := 0; i < b.N; i++ {
-				sys, err := core.NewSystem(core.Config{Seed: 1, KASLR: true, Mode: iommu.Deferred})
+				sys, err := core.New(core.WithSeed(1), core.WithIOMMUMode(iommu.Deferred))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -86,7 +86,7 @@ func BenchmarkAblationD1FlushQueue(b *testing.B) {
 // bounce buffering for RX-buffer provisioning: co-location exposure vs cost.
 func BenchmarkAblationD2PageFrag(b *testing.B) {
 	b.Run("page_frag", func(b *testing.B) {
-		sys, _ := core.NewSystem(core.Config{Seed: 1, KASLR: true, Mode: iommu.Strict})
+		sys, _ := core.New(core.WithSeed(1), core.WithIOMMUMode(iommu.Strict))
 		if _, err := sys.IOMMU.CreateDomain("nic", 1); err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func BenchmarkAblationD2PageFrag(b *testing.B) {
 		b.ReportMetric(float64(shared)/float64(b.N), "exposure")
 	})
 	b.Run("bounce", func(b *testing.B) {
-		sys, _ := core.NewSystem(core.Config{Seed: 1, KASLR: true, Mode: iommu.Strict})
+		sys, _ := core.New(core.WithSeed(1), core.WithIOMMUMode(iommu.Strict))
 		if _, err := sys.IOMMU.CreateDomain("nic", 1); err != nil {
 			b.Fatal(err)
 		}
@@ -141,13 +141,15 @@ func BenchmarkAblationD2PageFrag(b *testing.B) {
 func BenchmarkAblationD3SharedInfo(b *testing.B) {
 	for _, outOfLine := range []bool{false, true} {
 		name := "inline"
+		opts := []core.Option{core.WithSeed(7), core.WithIOMMUMode(iommu.Deferred)}
 		if outOfLine {
 			name = "out-of-line"
+			opts = append(opts, core.WithOutOfLineSharedInfo())
 		}
 		b.Run(name, func(b *testing.B) {
 			succ := 0
 			for i := 0; i < b.N; i++ {
-				sys, err := core.NewSystem(core.Config{Seed: 7, KASLR: true, Mode: iommu.Deferred, OutOfLineSharedInfo: outOfLine})
+				sys, err := core.New(opts...)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -74,7 +74,7 @@ func BenchmarkSec7_Mitigations(b *testing.B)        { runExperiment(b, "S7") }
 
 func newBenchSystem(b *testing.B, mode iommu.Mode) *core.System {
 	b.Helper()
-	sys, err := core.NewSystem(core.Config{Seed: 1, KASLR: true, Mode: mode})
+	sys, err := core.New(core.WithSeed(1), core.WithIOMMUMode(mode))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -340,9 +340,9 @@ func BenchmarkCampaignObsOverhead(b *testing.B) {
 // layer costs on a clean (no injected faults) campaign: the panic-isolation
 // goroutine per attempt, the context plumbing, the nil-injector checks on
 // every DMA write / translation / refill / allocation, and optionally the
-// JSONL journal append per scenario. The acceptance budget is <5% vs the
+// journal record append per scenario. The acceptance budget is <5% vs the
 // pre-hardening engine — the guards are a goroutine spawn and a handful of
-// nil checks per scenario, and the journal is one buffered write. Numbers
+// nil checks per scenario, and the journal is one write per record. Numbers
 // are recorded in EXPERIMENTS.md.
 func BenchmarkCampaignHardeningOverhead(b *testing.B) {
 	set := campaign.MixedPreset(8, 2021)

@@ -62,14 +62,14 @@ func main() {
 	save := flag.String("save", "", "write the scenario set to this JSON file before running")
 	list := flag.Bool("list", false, "list presets and scenario kinds, then exit")
 	faultSpec := flag.String("fault", "", "fault-injection spec applied to scenarios without their own (e.g. \"dma-corrupt:0.01,alloc-fail@3\")")
-	journalPath := flag.String("journal", "", "record completed scenarios to this JSONL journal")
+	journalPath := flag.String("journal", "", "record completed scenarios to this journal")
 	resume := flag.Bool("resume", false, "with -journal: skip scenarios the journal already records and append new ones")
 	spansOut := flag.String("spans", "", "write the run's wall-clock spans (campaign/scenario/attempt) to this JSONL file")
 	fuzzMode := flag.Bool("fuzz", false, "run a coverage-guided fuzz campaign instead of a fixed scenario set")
 	fuzzAttempts := flag.Int("fuzz-attempts", 0, "fuzz execution budget (0: default, unless -fuzz-time is set)")
 	fuzzTime := flag.Duration("fuzz-time", 0, "bound the fuzz run by wall clock instead of attempts")
 	fuzzBatch := flag.Int("fuzz-batch", 0, "scenarios per fuzz round (0: default)")
-	fuzzCorpus := flag.String("fuzz-corpus", "", "persist the fuzz corpus to this JSONL file (-resume continues it)")
+	fuzzCorpus := flag.String("fuzz-corpus", "", "persist the fuzz corpus to this file (-resume continues it)")
 	fuzzMinimize := flag.Int("fuzz-minimize", 0, "per-entry minimization budget (0: default; negative: skip minimization)")
 	watch := flag.String("watch", "", "tail a running dmafaultd job over SSE instead of running locally (job URL, e.g. http://localhost:8077/v1/campaigns/1)")
 	coordinator := flag.Bool("coordinator", false, "run as a fabric coordinator: shard the campaign across dmafaultd workers and merge the results")

@@ -31,13 +31,12 @@ func watchJob(w io.Writer, jobURL string) (string, error) {
 	})
 }
 
-// parseJobURL splits a job URL — /v1/campaigns/{id}, the legacy unversioned
-// form, or either with a trailing /events — into the service base and the
-// job ID.
+// parseJobURL splits a job URL — /v1/campaigns/{id}, optionally with a
+// trailing /events — into the service base and the job ID.
 func parseJobURL(jobURL string) (base string, id int, err error) {
 	u := strings.TrimRight(jobURL, "/")
 	u = strings.TrimSuffix(u, "/events")
-	base, rest, ok := strings.Cut(u, "/campaigns/")
+	base, rest, ok := strings.Cut(u, "/v1/campaigns/")
 	if !ok {
 		return "", 0, fmt.Errorf("watch %s: not a job URL (want .../v1/campaigns/<id>)", jobURL)
 	}
@@ -45,5 +44,5 @@ func parseJobURL(jobURL string) (base string, id int, err error) {
 	if err != nil || id < 1 {
 		return "", 0, fmt.Errorf("watch %s: bad job id %q", jobURL, rest)
 	}
-	return strings.TrimSuffix(base, "/v1"), id, nil
+	return base, id, nil
 }

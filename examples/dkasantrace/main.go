@@ -15,7 +15,7 @@ import (
 
 func main() {
 	dk := dkasan.New()
-	sys, err := core.NewSystem(core.Config{Seed: 7, KASLR: true, Mode: iommu.Deferred, Tracer: dk})
+	sys, err := core.New(core.WithSeed(7), core.WithIOMMUMode(iommu.Deferred), core.WithTracer(dk))
 	if err != nil {
 		log.Fatal(err)
 	}

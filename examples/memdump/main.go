@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	sys, err := core.NewSystem(core.Config{Seed: 4242, KASLR: true, Mode: iommu.Deferred, Forwarding: true})
+	sys, err := core.New(core.WithSeed(4242), core.WithIOMMUMode(iommu.Deferred), core.WithForwarding())
 	if err != nil {
 		log.Fatal(err)
 	}

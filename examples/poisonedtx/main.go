@@ -18,7 +18,7 @@ func main() {
 	// The victim: a server running an echo-style service (proxy, KV store,
 	// streaming — §5.4 lists the usual suspects). IOMMU protection is on,
 	// in the default deferred mode.
-	sys, err := core.NewSystem(core.Config{Seed: 1337, KASLR: true, Mode: iommu.Deferred})
+	sys, err := core.New(core.WithSeed(1337), core.WithIOMMUMode(iommu.Deferred))
 	if err != nil {
 		log.Fatal(err)
 	}

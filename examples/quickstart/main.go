@@ -14,7 +14,7 @@ import (
 
 func main() {
 	// Boot: KASLR on, deferred IOTLB invalidation (the Linux default).
-	sys, err := core.NewSystem(core.Config{Seed: 42, KASLR: true, Mode: iommu.Deferred})
+	sys, err := core.New(core.WithSeed(42), core.WithIOMMUMode(iommu.Deferred))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func BootOnceOpts(version KernelVersion, seed int64, o BootOptions) (*core.Syste
 			memBytes *= 2
 		}
 	}
-	sys, err := core.NewSystem(core.Config{Seed: seed, KASLR: true, Mode: iommu.Deferred, CPUs: maxInt(queues, 2), MemBytes: memBytes, FaultPlan: o.FaultPlan})
+	sys, err := core.New(core.WithSeed(seed), core.WithIOMMUMode(iommu.Deferred), core.WithCPUs(maxInt(queues, 2)), core.WithMemBytes(memBytes), core.WithFaultPlan(o.FaultPlan))
 	if err != nil {
 		return nil, nil, nil, err
 	}

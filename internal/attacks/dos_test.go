@@ -28,7 +28,7 @@ func TestOutOfLineSharedInfoDefeatsPoisonedTX(t *testing.T) {
 	// D3 ablation: segregating skb_shared_info from I/O memory (§9.2's
 	// proposed direction) breaks the compound attacks, because the window
 	// writes land in payload padding instead of metadata.
-	sys, err := core.NewSystem(core.Config{Seed: 1234, KASLR: true, Mode: iommu.Deferred, OutOfLineSharedInfo: true})
+	sys, err := core.New(core.WithSeed(1234), core.WithIOMMUMode(iommu.Deferred), core.WithOutOfLineSharedInfo())
 	if err != nil {
 		t.Fatal(err)
 	}

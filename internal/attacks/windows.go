@@ -129,7 +129,7 @@ func WindowMatrix(seed int64) ([]WindowCell, error) {
 	var out []WindowCell
 	for _, model := range []netstack.DriverModel{netstack.DriverI40E, netstack.DriverCorrect} {
 		for _, mode := range []iommu.Mode{iommu.Deferred, iommu.Strict} {
-			sys, err := core.NewSystem(core.Config{Seed: seed, KASLR: true, Mode: mode})
+			sys, err := core.New(core.WithSeed(seed), core.WithIOMMUMode(mode))
 			if err != nil {
 				return nil, err
 			}

@@ -4,7 +4,7 @@
 // hardware configurations). It has four parts:
 //
 //   - Scenario: a serializable spec covering every knob the substrates
-//     expose (core.Config fields, kernel version, driver model, ring-queue
+//     expose (core.New options, kernel version, driver model, ring-queue
 //     count, boot jitter) plus which attack or probe to run;
 //   - Engine: a worker pool that shards scenarios across goroutines, each
 //     booting an isolated core.System (built on internal/par, so results

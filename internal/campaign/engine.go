@@ -78,8 +78,8 @@ type Engine struct {
 	// Hit/miss tallies live here and in the Store — never in the Summary,
 	// which must stay byte-identical between cached and uncached runs.
 	OnCacheHit func(index int)
-	// Journal, if set, records each completed scenario as a durable JSONL
-	// line, enabling crash/kill resume (see OpenJournal). Cancelled
+	// Journal, if set, records each completed scenario as a durable record,
+	// enabling crash/kill resume (see OpenJournal). Cancelled
 	// scenarios are never journaled — on resume they re-execute.
 	Journal *Journal
 	// Completed seeds results for already-finished scenario indexes (from

@@ -1,38 +1,36 @@
 package campaign
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sync"
+	"io/fs"
+
+	"dmafault/internal/recordlog"
 )
 
-// Campaign journal: a JSONL file recording each completed scenario so a
-// killed campaign can resume without re-executing finished work. Line 1 is
-// a header binding the journal to its scenario set (a hash over the
+// Campaign journal: an internal/recordlog log recording each completed
+// scenario so a killed campaign can resume without re-executing finished
+// work. The header binds the journal to its scenario set (a hash over the
 // normalized specs — resuming against a different set is an error); every
-// further line is one {index, result} record, appended atomically under a
-// mutex in whatever order workers finish. Because results are deterministic
-// per scenario, replay order never matters: LoadJournal keys records by
-// index, and a resumed run's summary is byte-identical to an uninterrupted
-// run's. A torn final line (the crash case) is tolerated on read and
-// truncated away on resume-for-append.
+// record is one JSON {index, result}, appended atomically in whatever order
+// workers finish. Because results are deterministic per scenario, replay
+// order never matters: LoadJournal keys records by index, and a resumed
+// run's summary is byte-identical to an uninterrupted run's. A torn final
+// record (the crash case) is ignored on read and truncated away on
+// resume-for-append.
 
-// journalVersion gates the on-disk format.
-const journalVersion = 1
+// journalKind is the journal's record-log kind tag.
+const journalKind = "campaign-journal"
 
 type journalHeader struct {
-	V         int    `json:"v"`
 	Scenarios int    `json:"scenarios"`
 	Hash      string `json:"hash"`
-	// Set is the normalized scenario set itself (added for service crash
-	// recovery: a restarted daemon can rediscover what a journal was running
-	// without any out-of-band spec). Optional on read — journals written
-	// before the field are still resumable by callers that hold the set —
+	// Set is the normalized scenario set itself, so a restarted daemon can
+	// rediscover what a journal was running without any out-of-band spec.
+	// Optional on read — callers that hold the set can resume without it —
 	// but required by ScanJournal.
 	Set []Scenario `json:"set,omitempty"`
 }
@@ -52,9 +50,10 @@ func normalizeSet(scs []Scenario) []Scenario {
 	return norm
 }
 
-// scenarioSetHash fingerprints the normalized scenario set so a journal can
-// only resume the campaign it was written for.
-func scenarioSetHash(scs []Scenario) string {
+// SetHash fingerprints a whole normalized scenario set — the identity a
+// campaign journal (and the fabric coordinator's state log) binds itself to,
+// so a journal can only ever resume the campaign it was written for.
+func SetHash(scs []Scenario) string {
 	data, err := json.Marshal(normalizeSet(scs))
 	if err != nil {
 		// Scenario is a plain struct of scalars; Marshal cannot fail.
@@ -107,13 +106,6 @@ func ScenarioDigest(s Scenario) Digest {
 	return d
 }
 
-// SetHash fingerprints a whole normalized scenario set — the identity a
-// campaign journal (and the fabric coordinator's state log) binds itself to,
-// so a journal can only ever resume the campaign it was written for.
-func SetHash(scs []Scenario) string {
-	return scenarioSetHash(scs)
-}
-
 // ScenarioKey is the short display form of ScenarioDigest — the identity
 // the service's quarantine circuit breaker tracks panicking scenarios by
 // and the fuzzer dedups mutants by, where 64 bits is plenty and log lines
@@ -122,170 +114,102 @@ func ScenarioKey(s Scenario) string {
 	return ScenarioDigest(s).Short()
 }
 
-// Journal appends completed-scenario records to an open JSONL file.
+// Journal appends completed-scenario records to an open journal file.
 type Journal struct {
-	mu sync.Mutex
-	f  *os.File
+	log *recordlog.Log
 }
 
 // OpenJournal creates (resume=false) or reopens (resume=true) the journal
 // at path for the given scenario set. A fresh open truncates and writes the
-// header; a resume validates the header against the set, truncates any torn
-// final line, and positions for append. Resuming a path that does not exist
-// falls back to a fresh journal, so `--resume` on a first run just works.
+// header; a resume validates the header and records against the set,
+// truncates any torn final record, and positions for append. Resuming a
+// path that does not exist falls back to a fresh journal, so `--resume` on
+// a first run just works.
 func OpenJournal(path string, scs []Scenario, resume bool) (*Journal, error) {
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			return reopenJournal(path, scs)
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("campaign: journal: %w", err)
-		}
-	}
-	f, err := os.Create(path)
+	jr := newJournalReader(scs)
+	hdr, err := json.Marshal(journalHeader{Scenarios: len(scs), Hash: jr.hash, Set: normalizeSet(scs)})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	hdr, err := json.Marshal(journalHeader{V: journalVersion, Scenarios: len(scs),
-		Hash: scenarioSetHash(scs), Set: normalizeSet(scs)})
+	l, err := recordlog.Open(path, journalKind, hdr, !resume, jr.header, jr.record)
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	return &Journal{f: f}, nil
+	return &Journal{log: l}, nil
 }
 
-// reopenJournal validates an existing journal and prepares it for append,
-// truncating a torn tail left by a crash.
-func reopenJournal(path string, scs []Scenario) (*Journal, error) {
-	_, good, err := readJournal(path, scs)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	return &Journal{f: f}, nil
-}
-
-// Record appends one completed scenario. Each record is marshalled to a
-// single line and written with one Write call under the journal mutex, so
-// concurrent workers never interleave bytes.
+// Record appends one completed scenario. Each record is one append to the
+// record log, so concurrent workers never interleave bytes.
 func (j *Journal) Record(index int, r *Result) error {
-	line, err := json.Marshal(journalRecord{Index: index, Result: r})
+	rec, err := json.Marshal(journalRecord{Index: index, Result: r})
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err = j.f.Write(append(line, '\n'))
+	_, err = j.log.Append(rec)
 	return err
 }
 
-// Close flushes and closes the underlying file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+// Close closes the underlying file.
+func (j *Journal) Close() error { return j.log.Close() }
 
 // LoadJournal reads the completed-scenario records of a previous run,
 // validated against the scenario set, keyed by index — the value for
 // Engine.Completed. A missing file yields an empty map (nothing restored);
-// a torn final line is ignored.
+// a torn final record is ignored.
 func LoadJournal(path string, scs []Scenario) (map[int]*Result, error) {
-	if _, err := os.Stat(path); os.IsNotExist(err) {
+	jr := newJournalReader(scs)
+	if err := recordlog.Scan(path, journalKind, jr.header, jr.record); errors.Is(err, fs.ErrNotExist) {
 		return map[int]*Result{}, nil
+	} else if err != nil {
+		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	restored, _, err := readJournal(path, scs)
-	return restored, err
+	return jr.restored, nil
 }
 
-// readJournal parses the journal, returning the restored results and the
-// byte offset just past the last intact line. Parsing stops (without error)
-// at the first torn or unparseable line — the expected shape of a crash
-// mid-append; header mismatches and out-of-range indexes are real errors.
-func readJournal(path string, scs []Scenario) (map[int]*Result, int64, error) {
-	hdr, br, f, err := openJournalHeader(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	if hdr.Scenarios != len(scs) {
-		return nil, 0, fmt.Errorf("campaign: journal %s: %d scenarios, campaign has %d", path, hdr.Scenarios, len(scs))
-	}
-	if want := scenarioSetHash(scs); hdr.Hash != want {
-		return nil, 0, fmt.Errorf("campaign: journal %s: scenario set hash %s, campaign is %s", path, hdr.Hash, want)
-	}
-	return readRecords(path, br, hdr.offset, len(scs))
+// journalReader validates a journal and restores its records by index.
+// Built from a scenario set it checks the header against that set; built
+// empty it adopts the header's embedded set, which must match the header.
+type journalReader struct {
+	n        int
+	hash     string
+	set      []Scenario
+	restored map[int]*Result
 }
 
-// openJournalHeader opens the file and parses+validates the version header.
-// On success the caller owns closing f; br is positioned at the first record
-// and hdr.offset is the header's byte length.
-func openJournalHeader(path string) (*journalHeaderAt, *bufio.Reader, *os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("campaign: journal %s: missing header", path)
-	}
+func newJournalReader(scs []Scenario) *journalReader {
+	return &journalReader{n: len(scs), hash: SetHash(scs), restored: map[int]*Result{}}
+}
+
+func (jr *journalReader) header(b []byte) error {
 	var hdr journalHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("campaign: journal %s: bad header: %w", path, err)
+	if err := json.Unmarshal(b, &hdr); err != nil {
+		return fmt.Errorf("bad header: %w", err)
 	}
-	if hdr.V != journalVersion {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("campaign: journal %s: version %d, want %d", path, hdr.V, journalVersion)
+	if jr.hash == "" {
+		if len(hdr.Set) == 0 {
+			return errors.New("no embedded scenario set")
+		}
+		jr.n, jr.hash, jr.set = len(hdr.Set), SetHash(hdr.Set), hdr.Set
 	}
-	return &journalHeaderAt{journalHeader: hdr, offset: int64(len(line))}, br, f, nil
+	if hdr.Scenarios != jr.n {
+		return fmt.Errorf("%d scenarios, campaign has %d", hdr.Scenarios, jr.n)
+	}
+	if hdr.Hash != jr.hash {
+		return fmt.Errorf("scenario set hash %s, campaign is %s", hdr.Hash, jr.hash)
+	}
+	return nil
 }
 
-type journalHeaderAt struct {
-	journalHeader
-	offset int64
-}
-
-// readRecords consumes {index,result} lines until EOF or the first torn
-// line, returning the restored map and the offset just past the last intact
-// line.
-func readRecords(path string, br *bufio.Reader, offset int64, n int) (map[int]*Result, int64, error) {
-	restored := map[int]*Result{}
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			// EOF without newline: a torn tail from a crash — drop it.
-			break
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Result == nil {
-			// Corrupt line: treat it and everything after as torn.
-			break
-		}
-		if rec.Index < 0 || rec.Index >= n {
-			return nil, 0, fmt.Errorf("campaign: journal %s: record index %d out of range", path, rec.Index)
-		}
-		restored[rec.Index] = rec.Result
-		offset += int64(len(line))
+func (jr *journalReader) record(_ int64, b []byte) error {
+	var rec journalRecord
+	if err := json.Unmarshal(b, &rec); err != nil || rec.Result == nil {
+		return fmt.Errorf("bad record: %v", err)
 	}
-	return restored, offset, nil
+	if rec.Index < 0 || rec.Index >= jr.n {
+		return fmt.Errorf("record index %d out of range", rec.Index)
+	}
+	jr.restored[rec.Index] = rec.Result
+	return nil
 }
 
 // JournalState is what ScanJournal recovers from a journal file without any
@@ -305,26 +229,12 @@ func (st *JournalState) Unfinished() bool { return len(st.Restored) < len(st.Sce
 // ScanJournal reads a journal knowing nothing but its path — the boot-time
 // crash-recovery primitive. The scenario set comes from the header's
 // embedded copy (validated against the header hash, so a hand-edited set
-// cannot silently resume); journals written before sets were embedded return
-// an error and are left for out-of-band resume via LoadJournal.
+// cannot silently resume); journals without an embedded set return an error
+// and are left for out-of-band resume via LoadJournal.
 func ScanJournal(path string) (*JournalState, error) {
-	hdr, br, f, err := openJournalHeader(path)
-	if err != nil {
-		return nil, err
+	jr := &journalReader{restored: map[int]*Result{}}
+	if err := recordlog.Scan(path, journalKind, jr.header, jr.record); err != nil {
+		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	defer f.Close()
-	if len(hdr.Set) == 0 {
-		return nil, fmt.Errorf("campaign: journal %s: no embedded scenario set (written by an older version?)", path)
-	}
-	if len(hdr.Set) != hdr.Scenarios {
-		return nil, fmt.Errorf("campaign: journal %s: embedded set has %d scenarios, header says %d", path, len(hdr.Set), hdr.Scenarios)
-	}
-	if got := scenarioSetHash(hdr.Set); got != hdr.Hash {
-		return nil, fmt.Errorf("campaign: journal %s: embedded set hash %s, header says %s", path, got, hdr.Hash)
-	}
-	restored, _, err := readRecords(path, br, hdr.offset, hdr.Scenarios)
-	if err != nil {
-		return nil, err
-	}
-	return &JournalState{Path: path, Scenarios: hdr.Set, Restored: restored}, nil
+	return &JournalState{Path: path, Scenarios: jr.set, Restored: jr.restored}, nil
 }

@@ -2,11 +2,14 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"dmafault/internal/recordlog"
 )
 
 // TestScanJournalRecoversStateFromPathAlone: the boot-recovery primitive —
@@ -74,44 +77,41 @@ func TestScanJournalDetectsFinishedSets(t *testing.T) {
 	}
 }
 
+// writeJournalHeader writes a journal holding only the given header, built
+// through the record log so its framing and checksum are valid.
+func writeJournalHeader(t *testing.T, path string, hdr journalHeader) {
+	t.Helper()
+	b, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := recordlog.Open(path, journalKind, b, true, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+}
+
 // TestScanJournalRejectsTamperedEmbeddedSet: editing the embedded set breaks
 // the header hash, so a hand-modified journal cannot silently resume.
 func TestScanJournalRejectsTamperedEmbeddedSet(t *testing.T) {
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "tampered.jsonl")
 	set := journalSet()
-	path := filepath.Join(dir, "tampered.jsonl")
-	j, err := OpenJournal(path, set, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited := bytes.Replace(data, []byte(`"seed":500`), []byte(`"seed":501`), 1)
-	if bytes.Equal(edited, data) {
-		t.Fatal("test did not find the seed to tamper with")
-	}
-	if err := os.WriteFile(path, edited, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	hdr := journalHeader{Scenarios: len(set), Hash: SetHash(set), Set: normalizeSet(set)}
+	hdr.Set[0].Seed = 501
+	writeJournalHeader(t, path, hdr)
 	if _, err := ScanJournal(path); err == nil || !strings.Contains(err.Error(), "hash") {
 		t.Fatalf("tampered journal scanned: err=%v", err)
 	}
 }
 
-// TestScanJournalRejectsJournalsWithoutEmbeddedSet: pre-Set-era journals
-// (header without the set copy) are an explicit error, not a silent skip.
+// TestScanJournalRejectsJournalsWithoutEmbeddedSet: a header without the
+// set copy is an explicit error, not a silent skip.
 func TestScanJournalRejectsJournalsWithoutEmbeddedSet(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "old.jsonl")
-	hdr := `{"v":1,"scenarios":2,"hash":"deadbeefdeadbeef"}` + "\n"
-	if err := os.WriteFile(path, []byte(hdr), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "old.jsonl")
+	writeJournalHeader(t, path, journalHeader{Scenarios: 2, Hash: "deadbeefdeadbeef"})
 	if _, err := ScanJournal(path); err == nil || !strings.Contains(err.Error(), "no embedded scenario set") {
-		t.Fatalf("old-format journal scanned: err=%v", err)
+		t.Fatalf("journal without a set scanned: err=%v", err)
 	}
 }
 

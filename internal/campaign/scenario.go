@@ -68,7 +68,7 @@ type Scenario struct {
 	// Seed drives KASLR, text image, boot jitter, and any attack RNG.
 	Seed int64 `json:"seed"`
 
-	// --- machine knobs (core.Config) ---
+	// --- machine knobs (core.New options) ---
 
 	// NoKASLR disables layout randomization (KASLR is on by default).
 	NoKASLR bool `json:"no_kaslr,omitempty"`

@@ -12,10 +12,10 @@ import (
 // forwarding, and the metrics registry attached.
 type Option func(*settings)
 
-// settings is the resolved boot configuration: the legacy Config plus the
-// knobs that only exist on the options surface.
+// settings is the resolved boot configuration: the machine config plus the
+// knobs that only affect the System wrapper.
 type settings struct {
-	cfg       Config
+	cfg       config
 	tracing   bool
 	traceCap  int
 	noMetrics bool

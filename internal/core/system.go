@@ -29,10 +29,9 @@ import (
 	"dmafault/internal/trace"
 )
 
-// Config describes one simulated machine boot. It is the legacy positional
-// surface consumed by NewSystem and the carrier the options of New resolve
-// into; new call sites should prefer New.
-type Config struct {
+// config describes one simulated machine boot: the carrier the options of
+// New resolve into.
+type config struct {
 	// Seed drives every randomized component (KASLR draw, text image,
 	// boot-order jitter). Equal seeds boot identical machines.
 	Seed int64
@@ -80,7 +79,7 @@ type System struct {
 	traceHooked bool
 }
 
-// Defaults used when Config fields are zero.
+// Defaults used when config fields are zero.
 const (
 	DefaultCPUs     = 4
 	DefaultMemBytes = 128 << 20
@@ -90,7 +89,7 @@ const (
 // IOMMU invalidation, DefaultCPUs cores, DefaultMemBytes of memory, metrics
 // registry attached, tracing off.
 func New(opts ...Option) (*System, error) {
-	st := settings{cfg: Config{KASLR: true}}
+	st := settings{cfg: config{KASLR: true}}
 	for _, o := range opts {
 		o(&st)
 	}
@@ -107,22 +106,8 @@ func New(opts ...Option) (*System, error) {
 	return s, nil
 }
 
-// NewSystem boots a machine from the legacy positional Config.
-//
-// Deprecated: use New with Options. NewSystem remains as a shim so call
-// sites can migrate incrementally; unlike New it keeps Config's zero-value
-// semantics (KASLR off unless set).
-func NewSystem(cfg Config) (*System, error) {
-	s, err := boot(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.initMetrics()
-	return s, nil
-}
-
 // boot assembles the substrates.
-func boot(cfg Config) (*System, error) {
+func boot(cfg config) (*System, error) {
 	if cfg.CPUs <= 0 {
 		cfg.CPUs = DefaultCPUs
 	}

@@ -7,8 +7,8 @@ import (
 	"dmafault/internal/netstack"
 )
 
-func TestNewSystemDefaults(t *testing.T) {
-	s, err := NewSystem(Config{Seed: 1, KASLR: true})
+func TestNewDefaults(t *testing.T) {
+	s, err := New(WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,9 +24,9 @@ func TestNewSystemDefaults(t *testing.T) {
 }
 
 func TestSystemDeterministicPerSeed(t *testing.T) {
-	a, _ := NewSystem(Config{Seed: 7, KASLR: true})
-	b, _ := NewSystem(Config{Seed: 7, KASLR: true})
-	c, _ := NewSystem(Config{Seed: 8, KASLR: true})
+	a, _ := New(WithSeed(7))
+	b, _ := New(WithSeed(7))
+	c, _ := New(WithSeed(8))
 	if a.Layout.TextBase != b.Layout.TextBase {
 		t.Error("same seed, different layout")
 	}
@@ -36,7 +36,7 @@ func TestSystemDeterministicPerSeed(t *testing.T) {
 }
 
 func TestAddNICAndSharedDomain(t *testing.T) {
-	s, err := NewSystem(Config{Seed: 2, KASLR: true})
+	s, err := New(WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}

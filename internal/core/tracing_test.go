@@ -10,7 +10,7 @@ import (
 )
 
 func TestEnableTracingCapturesLifecycle(t *testing.T) {
-	s, err := NewSystem(Config{Seed: 4, KASLR: true, Mode: iommu.Strict})
+	s, err := New(WithSeed(4), WithIOMMUMode(iommu.Strict))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestEnableTracingCapturesLifecycle(t *testing.T) {
 }
 
 func TestTracingRecordsEscalation(t *testing.T) {
-	s, err := NewSystem(Config{Seed: 4, KASLR: true, Mode: iommu.Strict})
+	s, err := New(WithSeed(4), WithIOMMUMode(iommu.Strict))
 	if err != nil {
 		t.Fatal(err)
 	}

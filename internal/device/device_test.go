@@ -14,7 +14,7 @@ const nicDev iommu.DeviceID = 1
 
 func newVictim(t *testing.T, mode iommu.Mode) (*core.System, *netstack.NIC, *Attacker) {
 	t.Helper()
-	sys, err := core.NewSystem(core.Config{Seed: 99, KASLR: true, Mode: mode})
+	sys, err := core.New(core.WithSeed(99), core.WithIOMMUMode(mode))
 	if err != nil {
 		t.Fatal(err)
 	}

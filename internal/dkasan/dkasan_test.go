@@ -16,7 +16,7 @@ const nicDev iommu.DeviceID = 1
 func newSanitizedSystem(t *testing.T) (*core.System, *Sanitizer) {
 	t.Helper()
 	dk := New()
-	sys, err := core.NewSystem(core.Config{Seed: 51, KASLR: true, Mode: iommu.Deferred, Tracer: dk})
+	sys, err := core.New(core.WithSeed(51), core.WithIOMMUMode(iommu.Deferred), core.WithTracer(dk))
 	if err != nil {
 		t.Fatal(err)
 	}

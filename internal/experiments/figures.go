@@ -22,7 +22,11 @@ import (
 const nicDev iommu.DeviceID = 1
 
 func bootSystem(cfg Config, mode iommu.Mode, forwarding bool) (*core.System, *netstack.NIC, error) {
-	sys, err := core.NewSystem(core.Config{Seed: cfg.Seed, KASLR: true, Mode: mode, Forwarding: forwarding})
+	opts := []core.Option{core.WithSeed(cfg.Seed), core.WithIOMMUMode(mode)}
+	if forwarding {
+		opts = append(opts, core.WithForwarding())
+	}
+	sys, err := core.New(opts...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -159,7 +163,7 @@ func Figure2(cfg Config) (*Outcome, error) {
 func Figure3(cfg Config) (*Outcome, error) {
 	o := newOutcome("F3", "D-KASAN report under build+ping workload (Figure 3)")
 	dk := dkasan.New()
-	sys, err := core.NewSystem(core.Config{Seed: cfg.Seed, KASLR: true, Mode: iommu.Deferred, Tracer: dk})
+	sys, err := core.New(core.WithSeed(cfg.Seed), core.WithIOMMUMode(iommu.Deferred), core.WithTracer(dk))
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +278,7 @@ func Figure5(cfg Config) (*Outcome, error) {
 func Figure6(cfg Config) (*Outcome, error) {
 	o := newOutcome("F6", "Strict vs deferred IOTLB invalidation window (Figure 6)")
 	measure := func(mode iommu.Mode) (sim.Nanos, error) {
-		sys, err := core.NewSystem(core.Config{Seed: cfg.Seed, KASLR: true, Mode: mode})
+		sys, err := core.New(core.WithSeed(cfg.Seed), core.WithIOMMUMode(mode))
 		if err != nil {
 			return 0, err
 		}

@@ -61,7 +61,7 @@ func Sec521(cfg Config) (*Outcome, error) {
 	o := newOutcome("S5.2.1", "IOTLB invalidation cost: strict vs deferred (§5.2.1)")
 	const ops = 2048
 	run := func(mode iommu.Mode) (perOp sim.Nanos, flushes uint64, err error) {
-		sys, err := core.NewSystem(core.Config{Seed: cfg.Seed, KASLR: true, Mode: mode})
+		sys, err := core.New(core.WithSeed(cfg.Seed), core.WithIOMMUMode(mode))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -299,7 +299,7 @@ func Sec7(cfg Config) (*Outcome, error) {
 	//    macOS blinding stops single-step but falls to one XOR once the
 	//    attacker holds a known plaintext/ciphertext pair.
 	osRow := func(os otheros.OS, blindWithCookie bool) (bool, error) {
-		sys, err := core.NewSystem(core.Config{Seed: cfg.Seed + 50, KASLR: true, Mode: iommu.Strict})
+		sys, err := core.New(core.WithSeed(cfg.Seed+50), core.WithIOMMUMode(iommu.Strict))
 		if err != nil {
 			return false, err
 		}

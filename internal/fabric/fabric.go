@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand/v2"
 	"net/http"
 	"sync"
 	"time"
@@ -395,11 +394,23 @@ func (c *Coordinator) Run(ctx context.Context, scenarios []campaign.Scenario) (*
 	shards := c.partition(len(scs))
 	c.m.ShardsTotal.Set(float64(len(shards)))
 
+	// The heartbeat and fleet scrape loops stop with the run and are waited
+	// for, so nothing touches registry or fleet state after Run returns.
 	hbCtx, stopHB := context.WithCancel(ctx)
+	var loops sync.WaitGroup
+	defer loops.Wait()
 	defer stopHB()
-	go c.reg.Heartbeat(hbCtx, c.cfg.heartbeat())
+	loops.Add(1)
+	go func() {
+		defer loops.Done()
+		c.reg.Heartbeat(hbCtx, c.cfg.heartbeat())
+	}()
 	if c.fleet != nil {
-		go c.fleet.Run(hbCtx)
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			c.fleet.Run(hbCtx)
+		}()
 	}
 
 	err := par.ForEachCtx(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
@@ -586,7 +597,7 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 		// Back off before the re-lease, jittered so failed shards do not
 		// stampede the survivors, honoring a worker's Retry-After when the
 		// failure carried one (the server knows its drain schedule).
-		next := jitter(c.nextBackoff(sh.Idx))
+		next := faultdclient.Jitter(c.nextBackoff(sh.Idx))
 		var ae *faultdclient.APIError
 		if errors.As(err, &ae) && ae.RetryAfter > next {
 			next = ae.RetryAfter
@@ -942,14 +953,6 @@ func (c *Coordinator) runLocal(ctx context.Context, sh shard) error {
 		}
 	}
 	return nil
-}
-
-// jitter spreads a backoff over [3/4·d, 5/4·d).
-func jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	return d*3/4 + time.Duration(rand.Int64N(int64(d)/2+1))
 }
 
 // sleepCtx waits d or until ctx is done.

@@ -1,31 +1,28 @@
 package fabric
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sync"
+	"io/fs"
 
 	"dmafault/internal/campaign"
+	"dmafault/internal/recordlog"
 )
 
-// Coordinator state log: a JSONL file recording everything the coordinator
-// must not forget across a kill — lease grants, expiries, re-leases, and
-// every delivered result — in the same torn-tail-tolerant idiom as the
-// campaign journal and the result store's log. Line 1 binds the log to its
-// campaign (scenario-set hash + shard size); every further line is exactly
-// one event. A resumed coordinator replays the log to pre-fill delivered
+// Coordinator state log: an internal/recordlog log recording everything the
+// coordinator must not forget across a kill — lease grants, expiries,
+// re-leases, and every delivered result. The header binds the log to its
+// campaign (scenario-set hash + shard size); every record is exactly one
+// JSON event. A resumed coordinator replays the log to pre-fill delivered
 // results (those scenarios never re-execute) and to restore the journaled
 // lease counters, so fabric_releases_total reflects the whole campaign even
 // after a coordinator kill -9 and restart.
 
-// stateVersion gates the on-disk format.
-const stateVersion = 1
+// stateKind is the state log's record-log kind tag.
+const stateKind = "fabric-state"
 
 type stateHeader struct {
-	V         int    `json:"v"`
 	Scenarios int    `json:"scenarios"`
 	Hash      string `json:"hash"`
 	ShardSize int    `json:"shard_size"`
@@ -39,7 +36,7 @@ type LeaseEvent struct {
 	Attempt int    `json:"attempt"`
 }
 
-// stateRecord is one log line past the header. Exactly one field is set:
+// stateRecord is one log record past the header. Exactly one field is set:
 // a lease-lifecycle event, or a delivered result (Result non-nil, Index
 // meaningful). Sharing the {index,result} shape with the campaign journal
 // keeps the two logs grep-compatible.
@@ -51,12 +48,11 @@ type stateRecord struct {
 	Result   *campaign.Result `json:"result,omitempty"`
 }
 
-// StateLog appends coordinator events to an open JSONL file. Each record is
-// marshalled to a single line and written with one Write under the mutex,
-// so concurrent shard goroutines never interleave bytes.
+// StateLog appends coordinator events to an open state log. Each record
+// is one append to the record log, so concurrent shard goroutines never
+// interleave bytes.
 type StateLog struct {
-	mu sync.Mutex
-	f  *os.File
+	log *recordlog.Log
 }
 
 // JournalState is what a resumed coordinator recovers from its state log:
@@ -73,143 +69,95 @@ type JournalState struct {
 // coordinator state log at path for the given normalized scenario set and
 // shard size. A fresh open truncates and writes the header; a resume
 // validates the header (set hash and shard size — shard boundaries must not
-// move under recorded lease events), truncates any torn final line, and
+// move under recorded lease events), truncates any torn final record, and
 // returns the recovered state. Resuming a path that does not exist falls
 // back to a fresh log, so -resume on a first run just works.
 func OpenStateLog(path string, scs []campaign.Scenario, shardSize int, resume bool) (*StateLog, *JournalState, error) {
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			return reopenStateLog(path, scs, shardSize)
-		} else if !os.IsNotExist(err) {
-			return nil, nil, fmt.Errorf("fabric: state log: %w", err)
-		}
-	}
-	f, err := os.Create(path)
+	sr := newStateReader(scs, shardSize)
+	hdr, err := json.Marshal(stateHeader{Scenarios: sr.n, Hash: sr.hash, ShardSize: shardSize})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
 	}
-	hdr, err := json.Marshal(stateHeader{V: stateVersion, Scenarios: len(scs),
-		Hash: campaign.SetHash(scs), ShardSize: shardSize})
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
-	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
-	}
-	return &StateLog{f: f}, &JournalState{Restored: map[int]*campaign.Result{}}, nil
-}
-
-// reopenStateLog validates an existing log, truncates a torn tail, and
-// positions for append.
-func reopenStateLog(path string, scs []campaign.Scenario, shardSize int) (*StateLog, *JournalState, error) {
-	st, good, err := readStateLog(path, scs, shardSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	l, err := recordlog.Open(path, stateKind, hdr, !resume, sr.header, sr.record)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
 	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
-	}
-	return &StateLog{f: f}, st, nil
+	return &StateLog{log: l}, &sr.st, nil
 }
 
 // ReadStateLog recovers the state of a log without opening it for append —
-// what the fabric soak greps for a "released" record, and what tests
-// inspect. A missing file yields empty state.
+// what tests inspect. A missing file yields empty state.
 func ReadStateLog(path string, scs []campaign.Scenario, shardSize int) (*JournalState, error) {
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		return &JournalState{Restored: map[int]*campaign.Result{}}, nil
+	sr := newStateReader(scs, shardSize)
+	if err := recordlog.Scan(path, stateKind, sr.header, sr.record); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("fabric: state log: %w", err)
 	}
-	st, _, err := readStateLog(path, scs, shardSize)
-	return st, err
+	return &sr.st, nil
 }
 
-// readStateLog parses the log, returning the recovered state and the byte
-// offset just past the last intact line. Parsing stops (without error) at
-// the first torn or unparseable line — the expected shape of a kill
-// mid-append; header mismatches and out-of-range indexes are real errors.
-func readStateLog(path string, scs []campaign.Scenario, shardSize int) (*JournalState, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("fabric: state log: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return nil, 0, fmt.Errorf("fabric: state log %s: missing header", path)
-	}
+// stateReader validates a state log against its campaign binding and
+// replays its records into the recovered state.
+type stateReader struct {
+	n, shardSize int
+	hash         string
+	st           JournalState
+}
+
+func newStateReader(scs []campaign.Scenario, shardSize int) *stateReader {
+	return &stateReader{n: len(scs), shardSize: shardSize, hash: campaign.SetHash(scs),
+		st: JournalState{Restored: map[int]*campaign.Result{}}}
+}
+
+func (sr *stateReader) header(b []byte) error {
 	var hdr stateHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return nil, 0, fmt.Errorf("fabric: state log %s: bad header: %w", path, err)
+	if err := json.Unmarshal(b, &hdr); err != nil {
+		return fmt.Errorf("bad header: %w", err)
 	}
-	if hdr.V != stateVersion {
-		return nil, 0, fmt.Errorf("fabric: state log %s: version %d, want %d", path, hdr.V, stateVersion)
+	if hdr.Scenarios != sr.n {
+		return fmt.Errorf("%d scenarios, campaign has %d", hdr.Scenarios, sr.n)
 	}
-	if hdr.Scenarios != len(scs) {
-		return nil, 0, fmt.Errorf("fabric: state log %s: %d scenarios, campaign has %d", path, hdr.Scenarios, len(scs))
+	if hdr.Hash != sr.hash {
+		return fmt.Errorf("scenario set hash %s, campaign is %s", hdr.Hash, sr.hash)
 	}
-	if want := campaign.SetHash(scs); hdr.Hash != want {
-		return nil, 0, fmt.Errorf("fabric: state log %s: scenario set hash %s, campaign is %s", path, hdr.Hash, want)
+	if hdr.ShardSize != sr.shardSize {
+		return fmt.Errorf("shard size %d, coordinator uses %d", hdr.ShardSize, sr.shardSize)
 	}
-	if hdr.ShardSize != shardSize {
-		return nil, 0, fmt.Errorf("fabric: state log %s: shard size %d, coordinator uses %d", path, hdr.ShardSize, shardSize)
-	}
-	st := &JournalState{Restored: map[int]*campaign.Result{}}
-	offset := int64(len(line))
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			break // torn tail from a kill — drop it
-		}
-		var rec stateRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // corrupt line: treat it and everything after as torn
-		}
-		switch {
-		case rec.Lease != nil:
-			st.Granted++
-		case rec.Expired != nil:
-			st.Expired++
-		case rec.Released != nil:
-			st.Released++
-		case rec.Result != nil:
-			if rec.Index < 0 || rec.Index >= len(scs) {
-				return nil, 0, fmt.Errorf("fabric: state log %s: result index %d out of range", path, rec.Index)
-			}
-			st.Restored[rec.Index] = rec.Result
-		default:
-			// A record with no recognized field is from a future version or
-			// corruption; either way everything after is untrustworthy.
-			return st, offset, nil
-		}
-		offset += int64(len(line))
-	}
-	return st, offset, nil
+	return nil
 }
 
-// append marshals one record to a single line under the mutex.
+func (sr *stateReader) record(_ int64, b []byte) error {
+	var rec stateRecord
+	if err := json.Unmarshal(b, &rec); err != nil {
+		return fmt.Errorf("bad record: %w", err)
+	}
+	switch {
+	case rec.Lease != nil:
+		sr.st.Granted++
+	case rec.Expired != nil:
+		sr.st.Expired++
+	case rec.Released != nil:
+		sr.st.Released++
+	case rec.Result != nil:
+		if rec.Index < 0 || rec.Index >= sr.n {
+			return fmt.Errorf("result index %d out of range", rec.Index)
+		}
+		sr.st.Restored[rec.Index] = rec.Result
+	default:
+		return errors.New("record with no recognized event")
+	}
+	return nil
+}
+
+// append marshals and appends one record. Nil-safe.
 func (l *StateLog) append(rec stateRecord) error {
 	if l == nil {
 		return nil
 	}
-	line, err := json.Marshal(rec)
+	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, err = l.f.Write(append(line, '\n'))
+	_, err = l.log.Append(b)
 	return err
 }
 
@@ -228,12 +176,10 @@ func (l *StateLog) Result(index int, r *campaign.Result) error {
 	return l.append(stateRecord{Index: index, Result: r})
 }
 
-// Close flushes and closes the underlying file. Nil-safe.
+// Close closes the underlying file. Nil-safe.
 func (l *StateLog) Close() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
+	return l.log.Close()
 }

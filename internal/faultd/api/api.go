@@ -2,8 +2,7 @@
 // every request and response body the service accepts or emits, as plain
 // structs with pinned JSON encodings (api_test.go goldens the formats).
 // The service (internal/faultd) serves these types and the typed client
-// (internal/faultdclient) consumes them, so the two can never skew; legacy
-// unversioned routes alias the /v1 handlers and emit a Deprecation header.
+// (internal/faultdclient) consumes them, so the two can never skew.
 //
 // Routes:
 //

@@ -12,32 +12,27 @@ import (
 	"dmafault/internal/resultstore"
 )
 
-// Legacy unversioned routes keep answering but announce their successor:
-// Deprecation plus a machine-readable Link header. The /v1 routes carry
-// neither.
-func TestLegacyRoutesDeprecated(t *testing.T) {
+// The unversioned routes are gone: /campaigns answers 404, and the /v1
+// routes carry no deprecation headers.
+func TestLegacyRoutesRemoved(t *testing.T) {
 	srv := NewServer()
 	srv.Synchronous = true
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/campaigns")
+	for _, path := range []string{"/campaigns", "/campaigns/1", "/campaigns/1/events"} {
+		if code, _ := get(t, ts.URL+path); code != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", path, code)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/campaigns")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation header")
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /v1/campaigns: %d", resp.StatusCode)
 	}
-	if link := resp.Header.Get("Link"); link != `</v1/campaigns>; rel="successor-version"` {
-		t.Errorf("legacy Link header = %q", link)
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/campaigns")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 	if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Link") != "" {
 		t.Error("/v1 route carries deprecation headers")
 	}

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// sseEvent is one decoded frame from a GET /campaigns/{id}/events stream.
+// sseEvent is one decoded frame from a GET /v1/campaigns/{id}/events stream.
 type sseEvent struct {
 	Type string
 	Data string
@@ -59,10 +59,10 @@ func TestEventsStreamEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := post(t, ts.URL+"/campaigns", stallBody(3)); code != http.StatusAccepted {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", stallBody(3)); code != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
-	resp, err := http.Get(ts.URL + "/campaigns/1/events")
+	resp, err := http.Get(ts.URL + "/v1/campaigns/1/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestEventsFinishedJobYieldsImmediateStatus(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := post(t, ts.URL+"/campaigns", `{"preset":"ladder","n":2,"seed":7,"workers":1}`); code != http.StatusAccepted {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", `{"preset":"ladder","n":2,"seed":7,"workers":1}`); code != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
 	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(ts.URL + "/campaigns/1/events")
+	resp, err := client.Get(ts.URL + "/v1/campaigns/1/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestEventsClientDisconnectMidJob(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := post(t, ts.URL+"/campaigns", stallBody(4)); code != http.StatusAccepted {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", stallBody(4)); code != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/campaigns/1/events", nil)
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/campaigns/1/events", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestEventsClientDisconnectMidJob(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := pollJob(t, ts.URL+"/campaigns/1"); got.Status != StatusDone {
+	if got := pollJob(t, ts.URL+"/v1/campaigns/1"); got.Status != StatusDone {
 		t.Fatalf("job after subscriber disconnect: %+v", got)
 	}
 	srv.Wait()
@@ -181,10 +181,10 @@ func TestEventsRejectsUnknownAndMalformedIDs(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := get(t, ts.URL+"/campaigns/99/events"); code != http.StatusNotFound {
+	if code, _ := get(t, ts.URL+"/v1/campaigns/99/events"); code != http.StatusNotFound {
 		t.Errorf("unknown job events: %d, want 404", code)
 	}
-	if code, _ := get(t, ts.URL+"/campaigns/xyz/events"); code != http.StatusBadRequest {
+	if code, _ := get(t, ts.URL+"/v1/campaigns/xyz/events"); code != http.StatusBadRequest {
 		t.Errorf("malformed id events: %d, want 400", code)
 	}
 }

@@ -29,10 +29,6 @@
 //	DELETE /v1/cache          drop every cached result
 //	GET  /debug/pprof/...     runtime profiles
 //
-// Every /v1 job route also answers at its historical unversioned path
-// (/campaigns...), which sets a Deprecation header and a Link to the
-// successor route; new clients should speak /v1 only.
-//
 // The Cache field (dmafaultd -cache-dir) attaches a shared
 // internal/resultstore log: campaign jobs, recovered resumes, and fuzz
 // batches all consult it before executing a scenario, so re-submitting
@@ -146,7 +142,7 @@ type FuzzSpec = api.FuzzSpec
 type Server struct {
 	// Workers is the default engine pool size for jobs that don't set one.
 	Workers int
-	// Synchronous makes POST /campaigns run the job inline before
+	// Synchronous makes POST /v1/campaigns run the job inline before
 	// responding — deterministic single-request behavior for tests and
 	// scripted use. Production keeps it false and polls. Synchronous jobs
 	// bypass the queue and concurrency cap but still respect admission
@@ -325,14 +321,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/campaigns/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/cache/stats", s.handleCacheStats)
 	mux.HandleFunc("DELETE /v1/cache", s.handleCacheClear)
-	// Legacy unversioned aliases: same handlers, plus a Deprecation header
-	// and a Link to the successor route, so pre-/v1 clients keep working
-	// while announcing their own obsolescence.
-	mux.HandleFunc("POST /campaigns", deprecated("/v1/campaigns", s.handleSubmit))
-	mux.HandleFunc("GET /campaigns", deprecated("/v1/campaigns", s.handleList))
-	mux.HandleFunc("GET /campaigns/{id}", deprecated("/v1/campaigns/{id}", s.handleJob))
-	mux.HandleFunc("GET /campaigns/{id}/events", deprecated("/v1/campaigns/{id}/events", s.handleEvents))
-	mux.HandleFunc("DELETE /campaigns/{id}", deprecated("/v1/campaigns/{id}", s.handleCancel))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -347,17 +335,6 @@ func (s *Server) Handler() http.Handler {
 		defer sp.End()
 		mux.ServeHTTP(w, r)
 	})
-}
-
-// deprecated wraps a /v1 handler for its legacy unversioned alias: the
-// response carries "Deprecation: true" and a successor-version Link so
-// callers can discover the /v1 route mechanically.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // handleHealthz is the liveness probe; it always answers 200 but the body
@@ -697,7 +674,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // handleCancel aborts a queued or running job. The response is 202 (the
 // engine winds down asynchronously: claimed scenarios finish and are
-// journaled); polling GET /campaigns/{id} shows "cancelled" when it has.
+// journaled); polling GET /v1/campaigns/{id} shows "cancelled" when it has.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {

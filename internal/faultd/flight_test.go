@@ -49,10 +49,10 @@ func TestFlightDumpOnStall(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := post(t, ts.URL+"/campaigns", stallBody(2)); code != http.StatusAccepted {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", stallBody(2)); code != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
-	if job := pollJob(t, ts.URL+"/campaigns/1"); job.Status != StatusStalled {
+	if job := pollJob(t, ts.URL+"/v1/campaigns/1"); job.Status != StatusStalled {
 		t.Fatalf("job ended %q, want stalled", job.Status)
 	}
 	srv.Wait()

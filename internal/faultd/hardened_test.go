@@ -73,11 +73,11 @@ func TestCancelRunningJob(t *testing.T) {
 	defer ts.Close()
 
 	// 8 serial 250ms stalls: ~2s uncancelled, so the DELETE lands mid-run.
-	code, _ := post(t, ts.URL+"/campaigns", stallBody(8))
+	code, _ := post(t, ts.URL+"/v1/campaigns", stallBody(8))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
-	code, body := del(t, ts.URL+"/campaigns/1")
+	code, body := del(t, ts.URL+"/v1/campaigns/1")
 	if code != http.StatusAccepted {
 		t.Fatalf("cancel: %d %s", code, body)
 	}
@@ -85,7 +85,7 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatalf("cancel body: %s", body)
 	}
 
-	job := pollJob(t, ts.URL+"/campaigns/1")
+	job := pollJob(t, ts.URL+"/v1/campaigns/1")
 	if job.Status != StatusCancelled || job.Error != "cancelled" {
 		t.Fatalf("job after cancel: %+v", job)
 	}
@@ -95,13 +95,13 @@ func TestCancelRunningJob(t *testing.T) {
 	srv.Wait()
 
 	// Cancelling a finished job conflicts; bad ids behave like handleJob.
-	if code, _ := del(t, ts.URL+"/campaigns/1"); code != http.StatusConflict {
+	if code, _ := del(t, ts.URL+"/v1/campaigns/1"); code != http.StatusConflict {
 		t.Errorf("second cancel: %d, want 409", code)
 	}
-	if code, _ := del(t, ts.URL+"/campaigns/99"); code != http.StatusNotFound {
+	if code, _ := del(t, ts.URL+"/v1/campaigns/99"); code != http.StatusNotFound {
 		t.Errorf("cancel missing job: %d, want 404", code)
 	}
-	if code, _ := del(t, ts.URL+"/campaigns/xyz"); code != http.StatusBadRequest {
+	if code, _ := del(t, ts.URL+"/v1/campaigns/xyz"); code != http.StatusBadRequest {
 		t.Errorf("cancel bad id: %d, want 400", code)
 	}
 
@@ -119,7 +119,7 @@ func TestDrainLetsInFlightJobFinish(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := post(t, ts.URL+"/campaigns", `{"preset":"ladder","n":4,"seed":2021}`); code != http.StatusAccepted {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", `{"preset":"ladder","n":4,"seed":2021}`); code != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -127,7 +127,7 @@ func TestDrainLetsInFlightJobFinish(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	job := pollJob(t, ts.URL+"/campaigns/1")
+	job := pollJob(t, ts.URL+"/v1/campaigns/1")
 	if job.Status != StatusDone || job.Summary == nil {
 		t.Fatalf("drained job did not finish cleanly: %+v", job)
 	}
@@ -140,7 +140,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := post(t, ts.URL+"/campaigns", stallBody(8)); code != http.StatusAccepted {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", stallBody(8)); code != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -149,7 +149,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 		t.Fatalf("drain err = %v, want deadline exceeded", err)
 	}
 	// Drain returns only after the cancelled jobs wound down.
-	job := pollJob(t, ts.URL+"/campaigns/1")
+	job := pollJob(t, ts.URL+"/v1/campaigns/1")
 	if job.Status != StatusCancelled {
 		t.Fatalf("straggler status %q, want cancelled", job.Status)
 	}
@@ -166,10 +166,10 @@ func TestJournalDirRecordsCompletedScenarios(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := post(t, ts.URL+"/campaigns", `{"preset":"ladder","n":4,"seed":5}`); code != http.StatusAccepted {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", `{"preset":"ladder","n":4,"seed":5}`); code != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
-	job := pollJob(t, ts.URL+"/campaigns/1")
+	job := pollJob(t, ts.URL+"/v1/campaigns/1")
 	if job.Status != StatusDone {
 		t.Fatalf("job: %+v", job)
 	}

@@ -23,7 +23,10 @@ import (
 // deterministic and aggregation is order-stable, a resumed job's final
 // summary is byte-identical to an uninterrupted run's.
 
-// journalNameRE matches per-job journal files and captures the job ID.
+// journalNameRE matches per-job journal files and captures the job ID. The
+// .jsonl suffix is historical (journals are internal/recordlog files with
+// JSON payloads); it stays because journal directories, perfbench and
+// soaksmoke all name files this way.
 var journalNameRE = regexp.MustCompile(`^job-(\d+)\.jsonl$`)
 
 // RecoverJobs scans JournalDir for per-job journals and re-registers every

@@ -62,7 +62,7 @@ func TestSubmitStormBoundedConcurrency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			body := submitBody(t, Request{Name: fmt.Sprintf("storm-%d", i), Workers: 1, Scenarios: sets[i]})
-			code, resp := post(t, ts.URL+"/campaigns", body)
+			code, resp := post(t, ts.URL+"/v1/campaigns", body)
 			if code != http.StatusAccepted {
 				t.Errorf("storm submit %d: %d %s", i, code, resp)
 				return
@@ -93,7 +93,7 @@ func TestSubmitStormBoundedConcurrency(t *testing.T) {
 		if ids[i] == 0 {
 			continue // submit already failed the test above
 		}
-		_, body := get(t, fmt.Sprintf("%s/campaigns/%d", ts.URL, ids[i]))
+		_, body := get(t, fmt.Sprintf("%s/v1/campaigns/%d", ts.URL, ids[i]))
 		var job Job
 		if err := json.Unmarshal(body, &job); err != nil {
 			t.Fatal(err)
@@ -137,18 +137,18 @@ func TestQueueFullRejects429(t *testing.T) {
 	defer ts.Close()
 
 	// Wedge the only slot: 8 serial 250ms stalls.
-	code, _ := post(t, ts.URL+"/campaigns", stallBody(8))
+	code, _ := post(t, ts.URL+"/v1/campaigns", stallBody(8))
 	if code != http.StatusAccepted {
 		t.Fatalf("wedge submit: %d", code)
 	}
-	pollUntilRunning(t, ts.URL+"/campaigns/1")
+	pollUntilRunning(t, ts.URL+"/v1/campaigns/1")
 
 	// The dispatcher can hold at most one popped job (blocked on the slot)
 	// and the queue holds one more, so of a 10-burst at most 2 are accepted.
 	accepted, rejected := 0, 0
 	var acceptedIDs []int
 	for i := 0; i < 10; i++ {
-		resp := postRaw(t, ts.URL+"/campaigns", stallBody(1))
+		resp := postRaw(t, ts.URL+"/v1/campaigns", stallBody(1))
 		switch resp.StatusCode {
 		case http.StatusAccepted:
 			accepted++
@@ -178,7 +178,7 @@ func TestQueueFullRejects429(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	_ = srv.Drain(ctx)
-	_, body := get(t, ts.URL+"/campaigns")
+	_, body := get(t, ts.URL+"/v1/campaigns")
 	var list struct {
 		Jobs []Job `json:"jobs"`
 	}
@@ -245,7 +245,7 @@ func TestSubmitWhileDrainingRejected503(t *testing.T) {
 	defer ts.Close()
 
 	srv.BeginDrain()
-	resp := postRaw(t, ts.URL+"/campaigns", `{"preset":"ladder","n":4,"seed":1}`)
+	resp := postRaw(t, ts.URL+"/v1/campaigns", `{"preset":"ladder","n":4,"seed":1}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: %d, want 503", resp.StatusCode)
 	}
@@ -287,7 +287,7 @@ func TestSubmitDrainRaceNeverDropsAcceptedJobs(t *testing.T) {
 			<-start
 			body := submitBody(t, Request{Workers: 1,
 				Scenarios: []campaign.Scenario{{Kind: campaign.KindWindowLadder, Seed: int64(i)}}})
-			resp := postRaw(t, ts.URL+"/campaigns", body)
+			resp := postRaw(t, ts.URL+"/v1/campaigns", body)
 			switch resp.StatusCode {
 			case http.StatusAccepted:
 				mu.Lock()
@@ -311,7 +311,7 @@ func TestSubmitDrainRaceNeverDropsAcceptedJobs(t *testing.T) {
 
 	// Count jobs the server accepted; each must be terminal with either a
 	// summary (done) or an explicit cancellation.
-	_, body := get(t, ts.URL+"/campaigns")
+	_, body := get(t, ts.URL+"/v1/campaigns")
 	var list struct {
 		Jobs []Job `json:"jobs"`
 	}
@@ -342,10 +342,10 @@ func TestWatchdogCancelsStalledJob(t *testing.T) {
 	defer ts.Close()
 
 	// Each scenario stalls 250ms — four stall-timeouts with no heartbeat.
-	if code, _ := post(t, ts.URL+"/campaigns", stallBody(2)); code != http.StatusAccepted {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", stallBody(2)); code != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
-	job := pollJob(t, ts.URL+"/campaigns/1")
+	job := pollJob(t, ts.URL+"/v1/campaigns/1")
 	if job.Status != StatusStalled {
 		t.Fatalf("job status %q, want %q (%+v)", job.Status, StatusStalled, job)
 	}
@@ -377,10 +377,10 @@ func TestWatchdogSparesProgressingJobs(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := post(t, ts.URL+"/campaigns", stallBody(8)); code != http.StatusAccepted {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", stallBody(8)); code != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
-	job := pollJob(t, ts.URL+"/campaigns/1")
+	job := pollJob(t, ts.URL+"/v1/campaigns/1")
 	if job.Status != StatusDone {
 		t.Fatalf("progressing job ended %q: %+v", job.Status, job)
 	}
@@ -456,21 +456,21 @@ func TestCancelQueuedJob(t *testing.T) {
 	defer ts.Close()
 
 	// Wedge the slot, then queue a victim behind it.
-	if code, _ := post(t, ts.URL+"/campaigns", stallBody(8)); code != http.StatusAccepted {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", stallBody(8)); code != http.StatusAccepted {
 		t.Fatal("wedge submit failed")
 	}
-	pollUntilRunning(t, ts.URL+"/campaigns/1")
-	if code, _ := post(t, ts.URL+"/campaigns", stallBody(1)); code != http.StatusAccepted {
+	pollUntilRunning(t, ts.URL+"/v1/campaigns/1")
+	if code, _ := post(t, ts.URL+"/v1/campaigns", stallBody(1)); code != http.StatusAccepted {
 		t.Fatal("victim submit failed")
 	}
-	if code, _ := del(t, ts.URL+"/campaigns/2"); code != http.StatusAccepted {
+	if code, _ := del(t, ts.URL+"/v1/campaigns/2"); code != http.StatusAccepted {
 		t.Fatal("cancel of queued job refused")
 	}
-	if code, _ := del(t, ts.URL+"/campaigns/1"); code != http.StatusAccepted {
+	if code, _ := del(t, ts.URL+"/v1/campaigns/1"); code != http.StatusAccepted {
 		t.Fatal("cancel of running job refused")
 	}
 	srv.Wait()
-	job := pollJob(t, ts.URL+"/campaigns/2")
+	job := pollJob(t, ts.URL+"/v1/campaigns/2")
 	if job.Status != StatusCancelled || job.ScenariosDone != 0 {
 		t.Fatalf("queued victim: %+v", job)
 	}

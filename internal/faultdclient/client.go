@@ -135,10 +135,10 @@ func (c *Client) maxRetryWait() time.Duration {
 	return DefaultMaxRetryWait
 }
 
-// jitter spreads a backoff over [3/4·d, 5/4·d) so retries from many clients
+// Jitter spreads a backoff over [3/4·d, 5/4·d) so retries from many clients
 // (or many fabric leases) decorrelate instead of hammering a recovering
 // server in lockstep.
-func jitter(d time.Duration) time.Duration {
+func Jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return d
 	}
@@ -212,7 +212,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
-		next := jitter(wait)
+		next := Jitter(wait)
 		resp, err := c.httpClient().Do(req)
 		if err != nil {
 			lastErr = err

@@ -342,18 +342,18 @@ func TestBackoffHonorsContext(t *testing.T) {
 	}
 }
 
-// jitter must stay within its documented [3/4·d, 5/4·d) envelope — below it
+// Jitter must stay within its documented [3/4·d, 5/4·d) envelope — below it
 // retries hammer too fast, above it leases idle.
 func TestJitterBounds(t *testing.T) {
 	const d = 100 * time.Millisecond
 	for i := 0; i < 1000; i++ {
-		j := jitter(d)
+		j := Jitter(d)
 		if j < 3*d/4 || j > 5*d/4 {
-			t.Fatalf("jitter(%v) = %v, outside [%v, %v]", d, j, 3*d/4, 5*d/4)
+			t.Fatalf("Jitter(%v) = %v, outside [%v, %v]", d, j, 3*d/4, 5*d/4)
 		}
 	}
-	if jitter(0) != 0 {
-		t.Fatal("jitter(0) != 0")
+	if Jitter(0) != 0 {
+		t.Fatal("Jitter(0) != 0")
 	}
 }
 

@@ -1,31 +1,29 @@
 package fuzz
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 
 	"dmafault/internal/campaign"
+	"dmafault/internal/recordlog"
 )
 
-// Corpus persistence follows the campaign journal's idiom: a JSONL file
-// whose first line is a version header and whose remaining lines are
-// append-only records, written one line per Write call so concurrent
-// readers never see interleaved bytes. Three record shapes exist:
+// Corpus persistence is an internal/recordlog log whose header is the
+// ScenarioKeyVersion it was written under — a corpus written under a
+// different engine version does not resume. Every record is one JSON object
+// of one of three shapes:
 //
 //	{"add": <entry>}                     a scenario that produced a novel signature
 //	{"stat": {"key","execs","yield"}}    absolute scheduling counters for one entry
 //	{"min": {"key","scenario"}}          a minimized spec replacing an entry's scenario
 //
-// Replaying the records in order reconstructs the corpus exactly; a torn or
-// unparseable tail (the crash case) is dropped silently, matching the
-// journal's semantics. The header binds the file to ScenarioKeyVersion —
-// a corpus written under a different engine version does not resume.
+// Replaying the records in order reconstructs the corpus exactly; a torn
+// tail (the crash case) is dropped and truncated away on resume.
 
-// corpusVersion gates the on-disk format.
-const corpusVersion = 1
+// corpusKind is the corpus's record-log kind tag.
+const corpusKind = "fuzz-corpus"
 
 // Entry is one corpus member: a scenario that, when executed, produced a
 // signature no earlier execution had.
@@ -57,12 +55,6 @@ func (e *Entry) Energy() float64 {
 	return (1 + 3*float64(e.Yield)) / (1 + float64(e.Execs))
 }
 
-type corpusHeader struct {
-	V          int    `json:"v"`
-	Kind       string `json:"kind"`
-	KeyVersion string `json:"key_version"`
-}
-
 type corpusRecord struct {
 	Add  *Entry      `json:"add,omitempty"`
 	Stat *corpusStat `json:"stat,omitempty"`
@@ -86,7 +78,7 @@ type Corpus struct {
 	entries []*Entry
 	byKey   map[string]*Entry
 	sigs    map[string]bool
-	f       *os.File
+	log     *recordlog.Log
 }
 
 // NewCorpus builds an empty, memory-only corpus.
@@ -100,90 +92,43 @@ func NewCorpus() *Corpus {
 // ScenarioKeyVersion is an error (its dedup keys no longer mean anything).
 func OpenCorpus(path string, resume bool) (*Corpus, error) {
 	c := NewCorpus()
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			if err := c.load(path); err != nil {
-				return nil, err
-			}
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				return nil, fmt.Errorf("fuzz: corpus: %w", err)
-			}
-			c.f = f
-			return c, nil
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("fuzz: corpus: %w", err)
-		}
-	}
-	f, err := os.Create(path)
+	var err error
+	c.log, err = recordlog.Open(path, corpusKind, []byte(campaign.ScenarioKeyVersion), !resume,
+		checkKeyVersion, c.replay)
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: corpus: %w", err)
 	}
-	hdr, err := json.Marshal(corpusHeader{V: corpusVersion, Kind: "fuzz-corpus",
-		KeyVersion: campaign.ScenarioKeyVersion})
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fuzz: corpus: %w", err)
-	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fuzz: corpus: %w", err)
-	}
-	c.f = f
 	return c, nil
 }
 
-// load replays a corpus file into memory, stopping silently at the first
-// torn or unparseable record line.
-func (c *Corpus) load(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("fuzz: corpus: %w", err)
+func checkKeyVersion(hdr []byte) error {
+	if string(hdr) != campaign.ScenarioKeyVersion {
+		return fmt.Errorf("written under engine %q, this engine is %q", hdr, campaign.ScenarioKeyVersion)
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return fmt.Errorf("fuzz: corpus %s: missing header", path)
+	return nil
+}
+
+// replay applies one persisted record to the in-memory corpus.
+func (c *Corpus) replay(_ int64, b []byte) error {
+	var rec corpusRecord
+	if err := json.Unmarshal(b, &rec); err != nil {
+		return fmt.Errorf("bad record: %w", err)
 	}
-	var hdr corpusHeader
-	if err := json.Unmarshal(line, &hdr); err != nil || hdr.Kind != "fuzz-corpus" {
-		return fmt.Errorf("fuzz: corpus %s: bad header", path)
-	}
-	if hdr.V != corpusVersion {
-		return fmt.Errorf("fuzz: corpus %s: version %d, want %d", path, hdr.V, corpusVersion)
-	}
-	if hdr.KeyVersion != campaign.ScenarioKeyVersion {
-		return fmt.Errorf("fuzz: corpus %s: written under engine %q, this engine is %q",
-			path, hdr.KeyVersion, campaign.ScenarioKeyVersion)
-	}
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			break // torn tail: drop, like the journal
+	switch {
+	case rec.Add != nil:
+		c.insert(rec.Add)
+	case rec.Stat != nil:
+		if e := c.byKey[rec.Stat.Key]; e != nil {
+			e.Execs = rec.Stat.Execs
+			e.Yield = rec.Stat.Yield
 		}
-		var rec corpusRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // corrupt line: treat it and everything after as torn
+	case rec.Min != nil:
+		if e := c.byKey[rec.Min.Key]; e != nil {
+			e.Scenario = rec.Min.Scenario
+			e.Minimized = true
 		}
-		switch {
-		case rec.Add != nil:
-			e := *rec.Add
-			e.dirty = false
-			c.insert(&e)
-		case rec.Stat != nil:
-			if e := c.byKey[rec.Stat.Key]; e != nil {
-				e.Execs = rec.Stat.Execs
-				e.Yield = rec.Stat.Yield
-			}
-		case rec.Min != nil:
-			if e := c.byKey[rec.Min.Key]; e != nil {
-				e.Scenario = rec.Min.Scenario
-				e.Minimized = true
-			}
-		default:
-			return nil // unknown record shape: stop replaying
-		}
+	default:
+		return errors.New("record with no recognized shape")
 	}
 	return nil
 }
@@ -197,16 +142,16 @@ func (c *Corpus) insert(e *Entry) {
 	c.sigs[e.Signature] = true
 }
 
-// append writes one record line (no-op for memory-only corpora).
+// append persists one record (no-op for memory-only corpora).
 func (c *Corpus) append(rec corpusRecord) error {
-	if c.f == nil {
+	if c.log == nil {
 		return nil
 	}
-	line, err := json.Marshal(rec)
+	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	_, err = c.f.Write(append(line, '\n'))
+	_, err = c.log.Append(b)
 	return err
 }
 
@@ -260,11 +205,11 @@ func (c *Corpus) ReplaceMinimized(key string, s campaign.Scenario) error {
 
 // Close closes the backing file, if any.
 func (c *Corpus) Close() error {
-	if c.f == nil {
+	if c.log == nil {
 		return nil
 	}
-	err := c.f.Close()
-	c.f = nil
+	err := c.log.Close()
+	c.log = nil
 	return err
 }
 

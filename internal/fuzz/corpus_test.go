@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dmafault/internal/campaign"
+	"dmafault/internal/recordlog"
 )
 
 func testEntry(i int, sig string) Entry {
@@ -109,19 +110,20 @@ func TestCorpusTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer again.Close()
-	// The torn bytes are still in the file ahead of the new record, so
-	// replay stops before it: durable recovery keeps the clean prefix.
-	if again.Len() != 2 {
-		t.Fatalf("after append past torn tail: %d entries, want 2", again.Len())
+	// Resume truncated the torn bytes, so the new record follows the clean
+	// prefix and survives the next load.
+	if again.Len() != 3 {
+		t.Fatalf("after append past torn tail: %d entries, want 3", again.Len())
 	}
 }
 
 func TestCorpusRejectsForeignKeyVersion(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.jsonl")
-	if err := os.WriteFile(path,
-		[]byte(`{"v":1,"kind":"fuzz-corpus","key_version":"dmafault-engine-v1"}`+"\n"), 0o644); err != nil {
+	l, err := recordlog.Open(path, corpusKind, []byte("dmafault-engine-v1"), true, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	l.Close()
 	if _, err := OpenCorpus(path, true); err == nil {
 		t.Fatal("resuming a corpus from another engine version should fail")
 	}

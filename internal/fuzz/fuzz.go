@@ -41,7 +41,7 @@ type Config struct {
 	// Batch is the scenarios per engine round (<=0: DefaultBatch). Corpus
 	// and scheduling state advance only between rounds.
 	Batch int
-	// CorpusPath persists the corpus as JSONL (empty: memory only).
+	// CorpusPath persists the corpus as a record log (empty: memory only).
 	CorpusPath string
 	// Resume reloads an existing corpus at CorpusPath instead of truncating.
 	Resume bool

@@ -1,28 +1,22 @@
 // Package resultstore is the persistent, content-addressed scenario-result
-// cache behind incremental campaigns: an append-only binary record log
-// keyed by the full 32-byte campaign.Digest, modeled on ninja's build/deps
-// logs. Re-running a preset, resuming a campaign, or sweeping a grid that
+// cache behind incremental campaigns: an append-only record log keyed by
+// the full 32-byte campaign.Digest, modeled on ninja's build/deps logs.
+// Re-running a preset, resuming a campaign, or sweeping a grid that
 // overlaps an earlier one only executes scenarios whose digest has never
 // been recorded — everything else replays from the log byte-identically.
 //
-// On-disk format (all integers little-endian):
+// The file is an internal/recordlog log of kind "result-store" whose header
+// is campaign.ScenarioKeyVersion at creation time. Each record's payload is
 //
-//	header:  magic "dmfres\x00" + format version byte,
-//	         uint32 key-version length, key-version bytes
-//	         (campaign.ScenarioKeyVersion at creation time)
-//	record:  uint32 payload length
-//	         [8]byte engine salt (truncated SHA-256 of the key version
-//	         the record was written under)
-//	         [32]byte scenario digest
-//	         payload (canonical JSON campaign.Result, ID blanked)
-//	         uint32 CRC-32 (IEEE) over salt ‖ digest ‖ payload
+//	[8]byte engine salt (truncated SHA-256 of the key version the record
+//	        was written under)
+//	[32]byte scenario digest
+//	canonical JSON campaign.Result, ID blanked
 //
-// The log shares the journal's durability idiom: records are appended in
-// one Write under a mutex, a torn or corrupt tail (the crash shape) is
-// tolerated on open and truncated away, and the last record for a digest
-// wins. Open loads a hash-first in-memory index (digest → record offset);
-// Get reads and decodes the payload on demand, so a warm store holds one
-// map entry per record, not one decoded Result.
+// The last record for a digest wins. Open loads a hash-first in-memory
+// index (digest → record offset); Get reads and decodes the JSON on
+// demand, so a warm store holds one map entry per record, not one decoded
+// Result.
 //
 // Engine-version invalidation is belt and braces: the salt folded into
 // every digest means a stale-engine record can never be looked up, and the
@@ -31,35 +25,27 @@
 package resultstore
 
 import (
-	"bufio"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"dmafault/internal/campaign"
+	"dmafault/internal/recordlog"
 )
 
-// Format framing.
 const (
-	formatVersion = 1
-	// maxPayload bounds one record's decode buffer; anything larger is
-	// treated as corruption (a Result is a few KB of JSON, not megabytes
-	// beyond the metric snapshot).
-	maxPayload = 64 << 20
-	// recordFixed is the fixed-size prefix after the length word: salt + digest.
+	kind = "result-store"
+	// recordFixed is the fixed-size payload prefix: salt + digest.
 	recordFixed = saltLen + digestLen
 	saltLen     = 8
 	digestLen   = 32
 )
-
-var magic = [8]byte{'d', 'm', 'f', 'r', 'e', 's', 0, formatVersion}
 
 // engineSalt derives the 8-byte per-record salt for a key version.
 func engineSalt(keyVersion string) [saltLen]byte {
@@ -72,10 +58,10 @@ func engineSalt(keyVersion string) [saltLen]byte {
 // currentSalt is the salt stamped on records written by this engine build.
 var currentSalt = engineSalt(campaign.ScenarioKeyVersion)
 
-// entry locates one live record's payload inside the log.
+// entry locates one live record's JSON inside the log.
 type entry struct {
-	off int64 // payload start
-	n   int   // payload length
+	off int64 // JSON start
+	n   int   // JSON length
 }
 
 // Store is an open result log. It implements campaign.Store and is safe
@@ -83,10 +69,9 @@ type entry struct {
 // Put appending under the write lock).
 type Store struct {
 	mu    sync.RWMutex
-	f     *os.File
+	log   *recordlog.Log
 	path  string
 	index map[campaign.Digest]entry
-	size  int64 // append offset (== file size after torn-tail truncation)
 
 	stale      int // records skipped at open: engine salt mismatch
 	superseded int // records overwritten by a later record for the same digest
@@ -96,152 +81,37 @@ type Store struct {
 	stores atomic.Uint64
 }
 
-// Open creates (missing or empty path) or reopens a result log: the header
-// is validated, every intact record is indexed hash-first (last record per
-// digest wins; stale-engine records are counted but not indexed), and a
-// torn or corrupt tail is truncated so the file is append-clean.
+// Open creates (missing or empty path) or reopens a result log: every
+// intact record is indexed hash-first (last record per digest wins;
+// stale-engine records are counted but not indexed), and a torn or corrupt
+// tail is truncated so the file is append-clean.
 func Open(path string) (*Store, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	st := &Store{path: path, index: map[campaign.Digest]entry{}}
+	var err error
+	st.log, err = recordlog.Open(path, kind, []byte(campaign.ScenarioKeyVersion), false, nil,
+		func(off int64, rec []byte) error {
+			if len(rec) < recordFixed {
+				return errors.New("short result record")
+			}
+			if [saltLen]byte(rec) != currentSalt {
+				st.stale++
+				return nil
+			}
+			st.note(campaign.Digest(rec[saltLen:recordFixed]), entry{off: off + recordFixed, n: len(rec) - recordFixed})
+			return nil
+		})
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
-	}
-	st := &Store{f: f, path: path, index: map[campaign.Digest]entry{}}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("resultstore: %w", err)
-	}
-	if fi.Size() == 0 {
-		if st.size, err = writeHeader(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return st, nil
-	}
-	if err := st.load(); err != nil {
-		f.Close()
-		return nil, err
 	}
 	return st, nil
 }
 
-// writeHeader stamps a fresh log and returns the append offset.
-func writeHeader(f *os.File) (int64, error) {
-	var b []byte
-	b = append(b, magic[:]...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(campaign.ScenarioKeyVersion)))
-	b = append(b, campaign.ScenarioKeyVersion...)
-	if _, err := f.Write(b); err != nil {
-		return 0, fmt.Errorf("resultstore: write header: %w", err)
+// note indexes a current-engine record, counting the one it supersedes.
+func (st *Store) note(d campaign.Digest, e entry) {
+	if _, dup := st.index[d]; dup {
+		st.superseded++
 	}
-	return int64(len(b)), nil
-}
-
-// readHeader parses and validates the header, returning its byte length and
-// the key version the log was created under.
-func readHeader(r io.Reader, path string) (int64, string, error) {
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return 0, "", fmt.Errorf("resultstore: %s: short header: %w", path, err)
-	}
-	if string(m[:7]) != string(magic[:7]) {
-		return 0, "", fmt.Errorf("resultstore: %s: not a result store (bad magic)", path)
-	}
-	if m[7] != formatVersion {
-		return 0, "", fmt.Errorf("resultstore: %s: format version %d, want %d", path, m[7], formatVersion)
-	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, "", fmt.Errorf("resultstore: %s: short header: %w", path, err)
-	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n > 4096 {
-		return 0, "", fmt.Errorf("resultstore: %s: absurd key-version length %d", path, n)
-	}
-	kv := make([]byte, n)
-	if _, err := io.ReadFull(r, kv); err != nil {
-		return 0, "", fmt.Errorf("resultstore: %s: short header: %w", path, err)
-	}
-	return int64(len(m) + len(lenBuf) + len(kv)), string(kv), nil
-}
-
-// record is one parsed log record (scan and compaction share the walker).
-type record struct {
-	salt    [saltLen]byte
-	digest  campaign.Digest
-	payload []byte
-	off     int64 // payload offset in the file
-	end     int64 // offset just past the record's trailing CRC
-}
-
-// walkRecords parses records starting at offset, invoking fn per intact
-// record, and returns the offset just past the last intact one. Parsing
-// stops (without error) at the first torn or corrupt record — the expected
-// crash shape — mirroring the campaign journal's tolerance.
-func walkRecords(r *bufio.Reader, offset int64, fn func(rec *record) error) (int64, error) {
-	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return offset, nil // clean EOF or torn length word
-		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n > maxPayload {
-			return offset, nil // corrupt length: treat the tail as torn
-		}
-		body := make([]byte, recordFixed+int(n)+4)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return offset, nil // torn record
-		}
-		sum := crc32.ChecksumIEEE(body[:recordFixed+int(n)])
-		if binary.LittleEndian.Uint32(body[recordFixed+int(n):]) != sum {
-			return offset, nil // corrupt record: tail is untrustworthy
-		}
-		rec := record{
-			payload: body[recordFixed : recordFixed+int(n)],
-			off:     offset + 4 + recordFixed,
-			end:     offset + 4 + int64(len(body)),
-		}
-		copy(rec.salt[:], body[:saltLen])
-		copy(rec.digest[:], body[saltLen:recordFixed])
-		if err := fn(&rec); err != nil {
-			return offset, err
-		}
-		offset = rec.end
-	}
-}
-
-// load scans an existing log into the index and truncates any torn tail.
-func (st *Store) load() error {
-	if _, err := st.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	br := bufio.NewReaderSize(st.f, 1<<20)
-	hdrLen, _, err := readHeader(br, st.path)
-	if err != nil {
-		return err
-	}
-	good, err := walkRecords(br, hdrLen, func(rec *record) error {
-		if rec.salt != currentSalt {
-			st.stale++
-			return nil
-		}
-		if _, dup := st.index[rec.digest]; dup {
-			st.superseded++
-		}
-		st.index[rec.digest] = entry{off: rec.off, n: len(rec.payload)}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := st.f.Truncate(good); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if _, err := st.f.Seek(good, io.SeekStart); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	st.size = good
-	return nil
+	st.index[d] = e
 }
 
 // Get implements campaign.Store: look the digest up hash-first, then read
@@ -250,20 +120,13 @@ func (st *Store) load() error {
 func (st *Store) Get(d campaign.Digest) (*campaign.Result, bool) {
 	st.mu.RLock()
 	e, ok := st.index[d]
-	if !ok {
-		st.mu.RUnlock()
-		st.misses.Add(1)
-		return nil, false
-	}
 	buf := make([]byte, e.n)
-	_, err := st.f.ReadAt(buf, e.off)
-	st.mu.RUnlock()
-	if err != nil {
-		st.misses.Add(1)
-		return nil, false
+	if ok {
+		ok = st.log.ReadAt(buf, e.off) == nil
 	}
+	st.mu.RUnlock()
 	var r campaign.Result
-	if err := json.Unmarshal(buf, &r); err != nil {
+	if !ok || json.Unmarshal(buf, &r) != nil {
 		st.misses.Add(1)
 		return nil, false
 	}
@@ -271,30 +134,20 @@ func (st *Store) Get(d campaign.Digest) (*campaign.Result, bool) {
 	return &r, true
 }
 
-// Put implements campaign.Store: append one record (a single Write under
-// the mutex, like the journal) and point the index at it. The last record
-// for a digest wins, so overwriting is append-only too.
+// Put implements campaign.Store: append one record and point the index at
+// it. The last record for a digest wins, so overwriting is append-only too.
 func (st *Store) Put(d campaign.Digest, r *campaign.Result) error {
 	payload, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	buf := make([]byte, 0, 4+recordFixed+len(payload)+4)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, currentSalt[:]...)
-	buf = append(buf, d[:]...)
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:]))
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, err := st.f.Write(buf); err != nil {
+	off, err := st.log.Append(currentSalt[:], d[:], payload)
+	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	if _, dup := st.index[d]; dup {
-		st.superseded++
-	}
-	st.index[d] = entry{off: st.size + 4 + recordFixed, n: len(payload)}
-	st.size += int64(len(buf))
+	st.note(d, entry{off: off + recordFixed, n: len(payload)})
 	st.stores.Add(1)
 	return nil
 }
@@ -329,7 +182,7 @@ func (st *Store) Stats() Stats {
 		Records:           len(st.index),
 		StaleRecords:      st.stale,
 		SupersededRecords: st.superseded,
-		Bytes:             st.size,
+		Bytes:             st.log.Size(),
 		Hits:              st.hits.Load(),
 		Misses:            st.misses.Load(),
 		Stores:            st.stores.Load(),
@@ -341,28 +194,20 @@ func (st *Store) Stats() Stats {
 func (st *Store) Clear() (dropped int, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if err := st.log.Reset(); err != nil {
+		return 0, fmt.Errorf("resultstore: %w", err)
+	}
 	dropped = len(st.index)
-	if _, err := st.f.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("resultstore: %w", err)
-	}
-	if err := st.f.Truncate(0); err != nil {
-		return 0, fmt.Errorf("resultstore: %w", err)
-	}
-	hdrLen, werr := writeHeader(st.f)
-	if werr != nil {
-		return 0, werr
-	}
 	st.index = map[campaign.Digest]entry{}
-	st.size = hdrLen
 	st.stale, st.superseded = 0, 0
 	return dropped, nil
 }
 
-// Close flushes and closes the log file.
+// Close closes the log file.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.f.Close()
+	return st.log.Close()
 }
 
 // CompactStats reports what an offline compaction did.
@@ -383,98 +228,62 @@ type CompactStats struct {
 // leaves the original intact.
 func Compact(path string) (CompactStats, error) {
 	var cs CompactStats
-	f, err := os.Open(path)
+	fi, err := os.Stat(path)
 	if err != nil {
-		return cs, fmt.Errorf("resultstore: %w", err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
 		return cs, fmt.Errorf("resultstore: %w", err)
 	}
 	cs.BytesBefore = fi.Size()
-	br := bufio.NewReaderSize(f, 1<<20)
-	hdrLen, _, err := readHeader(br, path)
+	src, err := Open(path)
 	if err != nil {
-		f.Close()
 		return cs, err
 	}
-	// Pass 1: find the last current-salt record offset per digest.
-	last := map[campaign.Digest]int64{}
-	if _, err := walkRecords(br, hdrLen, func(rec *record) error {
-		cs.RecordsBefore++
-		if rec.salt != currentSalt {
-			cs.DroppedStale++
-			return nil
-		}
-		last[rec.digest] = rec.off
-		return nil
-	}); err != nil {
-		f.Close()
-		return cs, err
+	defer src.Close()
+	cs.DroppedStale, cs.DroppedSuperseded = src.stale, src.superseded
+	cs.RecordsBefore = len(src.index) + src.stale + src.superseded
+	cs.RecordsAfter = len(src.index)
+	digests := make([]campaign.Digest, 0, len(src.index))
+	for d := range src.index {
+		digests = append(digests, d)
 	}
-	cs.DroppedSuperseded = cs.RecordsBefore - cs.DroppedStale - len(last)
-
-	// Pass 2: stream survivors into a fresh log in old-log order.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return cs, fmt.Errorf("resultstore: %w", err)
-	}
-	br = bufio.NewReaderSize(f, 1<<20)
-	if _, _, err := readHeader(br, path); err != nil {
-		f.Close()
-		return cs, err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".compact-*")
-	if err != nil {
-		f.Close()
-		return cs, fmt.Errorf("resultstore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := writeHeader(tmp); err != nil {
-		f.Close()
-		tmp.Close()
-		return cs, err
-	}
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	_, err = walkRecords(br, hdrLen, func(rec *record) error {
-		if rec.salt != currentSalt || last[rec.digest] != rec.off {
-			return nil
-		}
-		cs.RecordsAfter++
-		var buf []byte
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.payload)))
-		buf = append(buf, rec.salt[:]...)
-		buf = append(buf, rec.digest[:]...)
-		buf = append(buf, rec.payload...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:]))
-		_, werr := bw.Write(buf)
-		return werr
-	})
-	f.Close()
-	if err != nil {
-		tmp.Close()
-		return cs, fmt.Errorf("resultstore: compact: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return cs, fmt.Errorf("resultstore: compact: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return cs, fmt.Errorf("resultstore: compact: %w", err)
-	}
-	ti, err := tmp.Stat()
-	if err != nil {
-		tmp.Close()
-		return cs, fmt.Errorf("resultstore: compact: %w", err)
-	}
-	cs.BytesAfter = ti.Size()
-	if err := tmp.Close(); err != nil {
-		return cs, fmt.Errorf("resultstore: compact: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	sort.Slice(digests, func(i, j int) bool { return src.index[digests[i]].off < src.index[digests[j]].off })
+	if cs.BytesAfter, err = src.writeLog(path, digests); err != nil {
 		return cs, fmt.Errorf("resultstore: compact: %w", err)
 	}
 	return cs, nil
+}
+
+// writeLog writes the live records for digests, in order, into a fresh log
+// beside path, renames it over path and returns its size.
+func (st *Store) writeLog(path string, digests []campaign.Digest) (int64, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".compact-*")
+	if err != nil {
+		return 0, err
+	}
+	tmp.Close()
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	out, err := recordlog.Open(tmp.Name(), kind, []byte(campaign.ScenarioKeyVersion), true, nil, nil)
+	if err != nil {
+		return 0, err
+	}
+	for _, d := range digests {
+		e := st.index[d]
+		buf := make([]byte, e.n)
+		if err = st.log.ReadAt(buf, e.off); err != nil {
+			break
+		}
+		if _, err = out.Append(currentSalt[:], d[:], buf); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = out.Sync()
+	}
+	size := out.Size()
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, err
+	}
+	return size, os.Rename(tmp.Name(), path)
 }

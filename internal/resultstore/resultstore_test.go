@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"dmafault/internal/campaign"
+	"dmafault/internal/recordlog"
 )
 
 func mustOpen(t *testing.T, path string) *Store {
@@ -188,20 +188,14 @@ func TestCorruptRecordTruncatesTail(t *testing.T) {
 // previous engine version would have left behind.
 func appendRecord(t *testing.T, path string, salt [saltLen]byte, d campaign.Digest, payload []byte) {
 	t.Helper()
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, salt[:]...)
-	buf = append(buf, d[:]...)
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:]))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	l, err := recordlog.Open(path, kind, nil, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := l.Append(salt[:], d[:], payload); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	l.Close()
 }
 
 // Records stamped by a different engine version are structurally intact but

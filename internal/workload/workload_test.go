@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunDefaults(t *testing.T) {
-	sys, err := core.NewSystem(core.Config{Seed: 3, KASLR: true, Mode: iommu.Deferred})
+	sys, err := core.New(core.WithSeed(3), core.WithIOMMUMode(iommu.Deferred))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRunDefaults(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	run := func() *Result {
-		sys, err := core.NewSystem(core.Config{Seed: 5, KASLR: true, Mode: iommu.Deferred})
+		sys, err := core.New(core.WithSeed(5), core.WithIOMMUMode(iommu.Deferred))
 		if err != nil {
 			t.Fatal(err)
 		}
