@@ -26,13 +26,16 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Native fuzzing of the two decoders that read untrusted bytes, 60 s each:
-# the record log's open and scan (internal/recordlog) and the cminor parser.
-# Their seed inputs already run under plain `go test`; this target searches
-# past them and stays out of `make check` so CI time does not grow.
+# Native fuzzing, 60 s per target: the two decoders that read untrusted
+# bytes (the record log's open and scan in internal/recordlog, and the
+# cminor parser) and sparse physical memory against a dense reference
+# (internal/mem). Their seed inputs already run under plain `go test`; this
+# target searches past them and stays out of `make check` so CI time does
+# not grow.
 fuzz:
 	$(GO) test ./internal/recordlog -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 60s
 	$(GO) test ./internal/cminor -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s
+	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 60s
 
 # One pass over every benchmark, teed through cmd/benchjson into a
 # benchstat-comparable JSON artifact. -benchtime=3x keeps it minutes, not
@@ -41,14 +44,15 @@ fuzz:
 # one-core host swing ±40% on identical code). BENCH_N numbers the
 # committed snapshots: bump it and commit BENCH_N.json when the numbers
 # move for a reason worth recording.
-BENCH_N ?= 10
+BENCH_N ?= 13
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=3x -run=^$$ . | $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_N).json
 
 # Regression gate over the two newest committed BENCH_*.json: >20% ns/op
-# regression on the fabric-throughput or cache-hit benchmarks fails. Advisory
-# in CI (single-iteration runs are noisy) — a failure means re-run `make
-# bench` and look, not an automatic veto.
+# regression on the fabric-throughput or cache-hit benchmarks fails, and so
+# does >10% more B/op or allocs/op on the boot, campaign-throughput or §5.3
+# ring-flood benchmarks. Advisory in CI (single-iteration runs are noisy) —
+# a failure means re-run `make bench` and look, not an automatic veto.
 benchgate:
 	$(GO) run ./cmd/benchgate
 

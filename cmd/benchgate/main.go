@@ -1,10 +1,16 @@
 // Command benchgate is a benchstat-style regression gate over the committed
 // benchmark artifacts (BENCH_N.json, written by `make bench` through
-// cmd/benchjson). It discovers the two newest artifacts by numeric suffix,
-// compares ns/op for the gated benchmark families — the fabric throughput
-// and campaign cache-hit paths, whose regressions are coordination-layer
-// bugs rather than simulator noise — and exits nonzero when the newer
-// artifact is more than -threshold slower on any shared sub-benchmark.
+// cmd/benchjson). It discovers the two newest artifacts by numeric suffix
+// and exits nonzero when the newer one regresses on a shared
+// sub-benchmark in either of two ways:
+//
+//   - ns/op more than -threshold slower on the fabric throughput and
+//     campaign cache-hit families, whose regressions are coordination-layer
+//     bugs rather than simulator noise;
+//   - B/op or allocs/op more than 10% higher on the boot, campaign
+//     throughput and §5.3 ring-flood benchmarks, where a simulated boot's
+//     memory footprint shows first. These counts are deterministic for a
+//     given seed, so their threshold is tight.
 //
 // The gate is advisory in CI (continue-on-error): single-iteration bench
 // runs are noisy, and the artifact pair may span machines. A failure is a
@@ -13,7 +19,7 @@
 // Usage:
 //
 //	benchgate                      # compare two newest BENCH_*.json in .
-//	benchgate -threshold 0.10      # tighter gate
+//	benchgate -threshold 0.10      # tighter ns/op gate
 //	benchgate BENCH_8.json BENCH_10.json   # explicit old new
 package main
 
@@ -21,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -29,12 +36,32 @@ import (
 	"strings"
 )
 
-// gatedPrefixes are the benchmark families the gate watches. Everything else
+// gate is one metric watched on a set of benchmark families. Everything else
 // in the artifact is simulator-shape benchmarking and drifts with content
 // changes by design.
-var gatedPrefixes = []string{
-	"BenchmarkFabricThroughput",
-	"BenchmarkCampaignCacheHit",
+type gate struct {
+	metric    string
+	families  []string
+	threshold float64 // largest tolerated relative increase
+}
+
+// memFamilies are the benchmarks whose per-op allocation the gate watches.
+var memFamilies = []string{
+	"BenchmarkBootOnce",
+	"BenchmarkCampaignThroughput",
+	"BenchmarkSec53_RingFlood",
+}
+
+// memThreshold is the allocation gates' tolerance.
+const memThreshold = 0.10
+
+// gates returns the gate set with the ns/op gate at nsThreshold.
+func gates(nsThreshold float64) []gate {
+	return []gate{
+		{"ns/op", []string{"BenchmarkFabricThroughput", "BenchmarkCampaignCacheHit"}, nsThreshold},
+		{"B/op", memFamilies, memThreshold},
+		{"allocs/op", memFamilies, memThreshold},
+	}
 }
 
 // document mirrors cmd/benchjson's artifact (the fields the gate reads).
@@ -67,37 +94,65 @@ func main() {
 		fatal(fmt.Errorf("want no args (auto-discover) or exactly two (old new), got %d", flag.NArg()))
 	}
 
-	oldNS, err := load(oldPath)
+	oldDoc, err := load(oldPath)
 	if err != nil {
 		fatal(err)
 	}
-	newNS, err := load(newPath)
+	newDoc, err := load(newPath)
 	if err != nil {
 		fatal(err)
 	}
 
-	fmt.Printf("benchgate: %s -> %s (threshold +%.0f%%)\n", oldPath, newPath, *threshold*100)
-	names := sharedGatedNames(oldNS, newNS)
-	if len(names) == 0 {
-		fatal(fmt.Errorf("no gated benchmarks (%s) shared by %s and %s",
-			strings.Join(gatedPrefixes, ", "), oldPath, newPath))
+	fmt.Printf("benchgate: %s -> %s (ns/op threshold +%.0f%%)\n", oldPath, newPath, *threshold*100)
+	rows, failed := compare(oldDoc, newDoc, gates(*threshold))
+	if len(rows) == 0 {
+		fatal(fmt.Errorf("no gated benchmarks shared by %s and %s", oldPath, newPath))
 	}
-	failed := false
-	for _, name := range names {
-		o, n := oldNS[name], newNS[name]
-		delta := (n - o) / o
-		verdict := "ok"
-		if delta > *threshold {
-			verdict = "REGRESSION"
-			failed = true
-		}
-		fmt.Printf("  %-52s %14.0f -> %14.0f ns/op  %+6.1f%%  %s\n", name, o, n, delta*100, verdict)
+	for _, r := range rows {
+		fmt.Println("  " + r.String())
 	}
 	if failed {
-		fmt.Printf("benchgate: FAIL — gated benchmark regressed past +%.0f%%\n", *threshold*100)
+		fmt.Println("benchgate: FAIL — gated benchmark regressed past its threshold")
 		os.Exit(1)
 	}
 	fmt.Println("benchgate: OK")
+}
+
+// row is one comparison of one metric of one benchmark.
+type row struct {
+	name, metric string
+	old, new     float64
+	delta        float64 // relative change, new vs old
+	threshold    float64
+}
+
+func (r row) regressed() bool { return r.delta > r.threshold }
+
+func (r row) String() string {
+	verdict := "ok"
+	if r.regressed() {
+		verdict = fmt.Sprintf("REGRESSION (> +%.0f%%)", r.threshold*100)
+	}
+	return fmt.Sprintf("%-52s %16.0f -> %16.0f %-9s %+7.1f%%  %s",
+		r.name, r.old, r.new, r.metric, r.delta*100, verdict)
+}
+
+// compare applies each gate to the benchmarks both artifacts share and
+// returns one row per comparison, and whether any regressed.
+func compare(oldDoc, newDoc metrics, gs []gate) (rows []row, failed bool) {
+	for _, g := range gs {
+		for _, name := range sharedNames(oldDoc, newDoc, g) {
+			r := row{name: name, metric: g.metric, old: oldDoc[name][g.metric], new: newDoc[name][g.metric], threshold: g.threshold}
+			if r.old != 0 {
+				r.delta = (r.new - r.old) / r.old
+			} else if r.new > 0 {
+				r.delta = math.Inf(1)
+			}
+			failed = failed || r.regressed()
+			rows = append(rows, r)
+		}
+	}
+	return rows, failed
 }
 
 func fatal(err error) {
@@ -135,38 +190,60 @@ func discover(dir string) (oldPath, newPath string, err error) {
 	return found[len(found)-2].path, found[len(found)-1].path, nil
 }
 
-// load maps benchmark name to ns/op for one artifact.
-func load(path string) (map[string]float64, error) {
+// metrics maps benchmark name to its metrics (ns/op, B/op, allocs/op, ...).
+type metrics map[string]map[string]float64
+
+// load reads one artifact.
+func load(path string) (metrics, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var doc document
-	if err := json.Unmarshal(data, &doc); err != nil {
+	m, err := parse(data)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	out := map[string]float64{}
+	return m, nil
+}
+
+// procsSuffix is the -GOMAXPROCS suffix go test appends to benchmark names
+// on multi-core hosts ("BenchmarkBootOnce-2").
+var procsSuffix = regexp.MustCompile(`-\d+$`)
+
+// parse decodes one artifact, keying benchmarks by name without the
+// GOMAXPROCS suffix so that artifacts from hosts with different core counts
+// line up. Per-op allocation counts do not depend on the core count; ns/op
+// does, which is one more reason the gate is advisory.
+func parse(data []byte) (metrics, error) {
+	var doc document
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, err
+	}
+	out := metrics{}
 	for _, b := range doc.Benchmarks {
-		if ns, ok := b.Metrics["ns/op"]; ok {
-			out[b.Name] = ns
+		if len(b.Metrics) > 0 {
+			out[procsSuffix.ReplaceAllString(b.Name, "")] = b.Metrics
 		}
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks with ns/op", path)
+		return nil, fmt.Errorf("no benchmarks with metrics")
 	}
 	return out, nil
 }
 
-// sharedGatedNames lists gated benchmarks present in both artifacts, sorted.
-// Sub-benchmarks only one side has (a family gained an arm) are not
-// comparable and are skipped rather than failed.
-func sharedGatedNames(oldNS, newNS map[string]float64) []string {
+// sharedNames lists the gate's benchmarks that report its metric in both
+// artifacts, sorted. Sub-benchmarks only one side has (a family gained an
+// arm) are not comparable and are skipped rather than failed.
+func sharedNames(oldDoc, newDoc metrics, g gate) []string {
 	var names []string
-	for name := range newNS {
-		if _, ok := oldNS[name]; !ok {
+	for name, nm := range newDoc {
+		if _, ok := nm[g.metric]; !ok {
 			continue
 		}
-		for _, p := range gatedPrefixes {
+		if _, ok := oldDoc[name][g.metric]; !ok {
+			continue
+		}
+		for _, p := range g.families {
 			if name == p || strings.HasPrefix(name, p+"/") {
 				names = append(names, name)
 				break

@@ -104,6 +104,18 @@ func BootOnceQueues(version KernelVersion, seed int64, memBytes uint64, jitterPa
 	return BootOnceOpts(version, seed, BootOptions{MemBytes: memBytes, JitterPages: jitterPages, Queues: queues})
 }
 
+// autoMemBytes sizes the memory of a boot that did not fix it: 128 MiB,
+// doubled until it holds the RX rings twice over plus 64 MiB. HW-LRO rings
+// are 32 MiB each, so 4.15 boots grow with the queue count.
+func autoMemBytes(model netstack.DriverModel, queues int) uint64 {
+	memBytes := uint64(128 << 20)
+	need := uint64(queues) * uint64(model.RingSize) * layout.PageAlignUp(netstack.TruesizeFor(model.RXBufferSize))
+	for memBytes < 2*need+(64<<20) {
+		memBytes *= 2
+	}
+	return memBytes
+}
+
 // BootOnceOpts is the general boot: every knob explicit, including an
 // optional fault plan. All other BootOnce* variants delegate here.
 func BootOnceOpts(version KernelVersion, seed int64, o BootOptions) (*core.System, *netstack.NIC, *BootRecord, error) {
@@ -113,12 +125,7 @@ func BootOnceOpts(version KernelVersion, seed int64, o BootOptions) (*core.Syste
 	}
 	model := driverFor(version)
 	if memBytes == 0 {
-		memBytes = 128 << 20
-		// HW-LRO rings are 32 MiB each; size memory to the queue count.
-		need := uint64(queues) * uint64(model.RingSize) * layout.PageAlignUp(netstack.TruesizeFor(model.RXBufferSize))
-		for memBytes < 2*need+(64<<20) {
-			memBytes *= 2
-		}
+		memBytes = autoMemBytes(model, queues)
 	}
 	sys, err := core.New(core.WithSeed(seed), core.WithIOMMUMode(iommu.Deferred), core.WithCPUs(maxInt(queues, 2)), core.WithMemBytes(memBytes), core.WithFaultPlan(o.FaultPlan))
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dmafault/internal/layout"
+	"dmafault/internal/mem"
 )
 
 // §5.3: "The memory footprint ... depends on the NIC capabilities and the
@@ -61,5 +62,18 @@ func TestMoreQueuesRaiseRepeatProbability(t *testing.T) {
 	}
 	if r8 < 0.9 {
 		t.Errorf("8-queue repeat rate %.2f below 0.9", r8)
+	}
+}
+
+// TestAutoSizedBootsFitMemoryBound keeps mem.MaxPhysBytes above every
+// auto-sized boot the presets can ask for: the mutator draws up to 4 RX
+// queues, and 4.15's HW-LRO rings are the largest.
+func TestAutoSizedBootsFitMemoryBound(t *testing.T) {
+	for _, v := range []KernelVersion{Kernel50, Kernel415} {
+		for _, queues := range []int{1, 2, 4} {
+			if got := autoMemBytes(driverFor(v), queues); got > mem.MaxPhysBytes {
+				t.Errorf("%v with %d queues auto-sizes to %d bytes, above mem.MaxPhysBytes", v, queues, got)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -102,6 +103,23 @@ func TestScenarioErrorIsCapturedNotFatal(t *testing.T) {
 	}
 	if sum.Errors != 1 || sum.Results[1].Err == "" {
 		t.Fatalf("want 1 captured error, got %d (results: %+v)", sum.Errors, sum.Results)
+	}
+}
+
+// An absurd mem_bytes used to make the boot allocate it and end the process
+// with a runtime out-of-memory error, which panic isolation cannot catch;
+// mem.New now rejects it, so it is one more captured scenario error.
+func TestHugeMemBytesIsCapturedNotFatal(t *testing.T) {
+	set := []Scenario{
+		{Kind: KindWindowLadder, Seed: 1},
+		{Kind: KindPoisonedTX, Seed: 2, MemBytes: 1 << 40},
+	}
+	sum, err := Engine{Workers: 2}.Run(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Errors != 1 || !strings.Contains(sum.Results[1].Err, "maximum") {
+		t.Fatalf("want the oversized boot captured as an error, got %d (results: %+v)", sum.Errors, sum.Results)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"dmafault/internal/mem"
 )
 
-func newKernel(t *testing.T, seed int64) (*Kernel, *mem.Memory) {
+func newKernel(t testing.TB, seed int64) (*Kernel, *mem.Memory) {
 	t.Helper()
 	l := layout.New(layout.Config{KASLR: true, Seed: seed, PhysBytes: 32 << 20})
 	m, err := mem.New(mem.Config{Layout: l, CPUs: 1})

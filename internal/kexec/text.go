@@ -16,7 +16,10 @@
 package kexec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"sync"
 
 	"dmafault/internal/layout"
 )
@@ -56,49 +59,88 @@ const (
 	PivotDisplacement = 0x10
 )
 
-// Text is the kernel's executable image plus its base address.
+// Text is the kernel's executable image plus its base address. The image is
+// a pure function of the seed and is built the first time something fetches,
+// scans or searches it; boots that never execute kernel code never pay for
+// its 16 MiB.
 type Text struct {
 	base  layout.Addr
+	seed  int64
+	once  sync.Once
 	bytes []byte
 }
 
-// NewText synthesizes a kernel text image: deterministic pseudo-random
-// "instructions" with the exploit-relevant gadgets planted at fixed offsets
-// (real kernels likewise contain such gadgets at build-determined offsets).
+// NewText returns the kernel text image for a seed: deterministic
+// pseudo-random "instructions" with the exploit-relevant gadgets planted at
+// fixed offsets (real kernels likewise contain such gadgets at
+// build-determined offsets).
 func NewText(base layout.Addr, seed int64) *Text {
-	t := &Text{base: base, bytes: make([]byte, TextSize)}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Read(t.bytes)
+	return &Text{base: base, seed: seed}
+}
+
+// image returns the image bytes, synthesizing them on first use.
+func (t *Text) image() []byte {
+	t.once.Do(func() { t.bytes = synthesize(t.seed) })
+	return t.bytes
+}
+
+// synthesize builds the image for a seed.
+func synthesize(seed int64) []byte {
+	b := make([]byte, TextSize)
+	fillRandom(b, rand.NewSource(seed))
 	// Keep accidental pivots out of the filler so gadget discovery is
-	// deterministic: break up any 48 8d 67 run.
-	for i := 0; i+2 < len(t.bytes); i++ {
-		if t.bytes[i] == opLeaPfx0 && t.bytes[i+1] == opLeaPfx1 && t.bytes[i+2] == opLeaPfx2 {
-			t.bytes[i+2] = opNop
+	// deterministic: break up any 48 8d 67 run. Runs cannot overlap, so
+	// resuming past each one sees every run.
+	pivot := []byte{opLeaPfx0, opLeaPfx1, opLeaPfx2}
+	for i := 0; ; i += len(pivot) {
+		j := bytes.Index(b[i:], pivot)
+		if j < 0 {
+			break
 		}
+		i += j
+		b[i+2] = opNop
 	}
-	plant := func(off int, bs ...byte) { copy(t.bytes[off:], bs) }
+	plant := func(off int, bs ...byte) { copy(b[off:], bs) }
 	plant(offPivot, opLeaPfx0, opLeaPfx1, opLeaPfx2, PivotDisplacement, opRet)
 	plant(offPopRDI, opPopRDI, opRet)
 	plant(offPopRAX, opPopRAX, opRet)
 	plant(offPopRSI, opPopRSI, opRet)
 	plant(offMovRDIRAX, opMovRDIRAX, opRet)
 	plant(offHalt, opHalt)
-	return t
+	return b
+}
+
+// fillRandom writes exactly what rand.New(src).Read(b) writes: seven bytes
+// per Int63, least significant first. Each group is stored as one 8-byte
+// word whose top byte the next group overwrites.
+func fillRandom(b []byte, src rand.Source) {
+	i := 0
+	for ; i+8 <= len(b); i += 7 {
+		binary.LittleEndian.PutUint64(b[i:], uint64(src.Int63()))
+	}
+	for i < len(b) {
+		v := src.Int63()
+		for j := 0; j < 7 && i < len(b); j++ {
+			b[i] = byte(v)
+			v >>= 8
+			i++
+		}
+	}
 }
 
 // Base returns the (KASLR-randomized) load address of the image.
 func (t *Text) Base() layout.Addr { return t.base }
 
 // Size returns the image size in bytes.
-func (t *Text) Size() uint64 { return uint64(len(t.bytes)) }
+func (t *Text) Size() uint64 { return TextSize }
 
 // Contains reports whether the address falls inside the image.
 func (t *Text) Contains(a layout.Addr) bool {
-	return a >= t.base && a < t.base+layout.Addr(len(t.bytes))
+	return a >= t.base && a < t.base+TextSize
 }
 
 // fetch returns the byte at the address (caller checked Contains).
-func (t *Text) fetch(a layout.Addr) byte { return t.bytes[a-t.base] }
+func (t *Text) fetch(a layout.Addr) byte { return t.image()[a-t.base] }
 
 // Gadget is one scanner finding.
 type Gadget struct {
@@ -143,16 +185,17 @@ func (k GadgetKind) String() string {
 // instruction sequences that end in a return (plus hlt terminators), the way
 // §6 located the JOP gadget "%rsp = %rdi + const".
 func (t *Text) Scan() []Gadget {
+	b := t.image()
 	var out []Gadget
-	for i := 0; i < len(t.bytes); i++ {
-		switch t.bytes[i] {
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
 		case opRet:
 			// Look backward for a recognized sequence ending here.
-			if i >= 4 && t.bytes[i-4] == opLeaPfx0 && t.bytes[i-3] == opLeaPfx1 && t.bytes[i-2] == opLeaPfx2 {
-				out = append(out, Gadget{Offset: uint64(i - 4), Kind: GadgetPivot, Imm: t.bytes[i-1]})
+			if i >= 4 && b[i-4] == opLeaPfx0 && b[i-3] == opLeaPfx1 && b[i-2] == opLeaPfx2 {
+				out = append(out, Gadget{Offset: uint64(i - 4), Kind: GadgetPivot, Imm: b[i-1]})
 			}
 			if i >= 1 {
-				switch t.bytes[i-1] {
+				switch b[i-1] {
 				case opPopRDI:
 					out = append(out, Gadget{Offset: uint64(i - 1), Kind: GadgetPopRDI})
 				case opPopRAX:
@@ -170,12 +213,35 @@ func (t *Text) Scan() []Gadget {
 	return out
 }
 
-// FindGadget returns the first gadget of the kind, as an image offset.
+// gadgetPatterns are the byte sequences FindGadget searches for, by kind.
+// The pivot's pattern is its lea prefix; the imm8 and ret follow it.
+var gadgetPatterns = [...][]byte{
+	GadgetPivot:     {opLeaPfx0, opLeaPfx1, opLeaPfx2},
+	GadgetPopRDI:    {opPopRDI, opRet},
+	GadgetPopRAX:    {opPopRAX, opRet},
+	GadgetPopRSI:    {opPopRSI, opRet},
+	GadgetMovRDIRAX: {opMovRDIRAX, opRet},
+	GadgetHalt:      {opHalt},
+}
+
+// FindGadget returns the first gadget of the kind, as an image offset: the
+// gadget Scan lists first for that kind, found without building the list.
 func (t *Text) FindGadget(kind GadgetKind) (Gadget, bool) {
-	for _, g := range t.Scan() {
-		if g.Kind == kind {
-			return g, true
+	if kind < 0 || int(kind) >= len(gadgetPatterns) {
+		return Gadget{}, false
+	}
+	b, pat := t.image(), gadgetPatterns[kind]
+	for i := 0; ; i++ {
+		j := bytes.Index(b[i:], pat)
+		if j < 0 {
+			return Gadget{}, false
+		}
+		i += j
+		if kind != GadgetPivot {
+			return Gadget{Offset: uint64(i), Kind: kind}, true
+		}
+		if i+4 < len(b) && b[i+4] == opRet {
+			return Gadget{Offset: uint64(i), Kind: kind, Imm: b[i+3]}, true
 		}
 	}
-	return Gadget{}, false
 }

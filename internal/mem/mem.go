@@ -12,10 +12,13 @@
 //     compound regions into consecutive buffers and is the root cause of
 //     type (c) vulnerabilities (multiple IOVAs mapping the same page).
 //
-// All memory is a plain byte slice; kernel virtual addresses are interpreted
-// through a layout.Layout. CPU-side accesses flow through Memory.Read/Write
-// so that a sanitizer (D-KASAN) can observe them; device-side DMA accesses
-// use the physical Read/WritePhys path via the IOMMU bus.
+// Physical memory is sparse: page frames are backed on their first write and
+// an unbacked frame reads as zeros, so a boot costs only the frames it
+// touches while every reader sees the bytes a dense array would hold. Kernel
+// virtual addresses are interpreted through a layout.Layout. CPU-side
+// accesses flow through Memory.Read/Write so that a sanitizer (D-KASAN) can
+// observe them; device-side DMA accesses use the physical Read/WritePhys
+// path via the IOMMU bus.
 package mem
 
 import (
@@ -61,10 +64,22 @@ type AllocInjector interface {
 	InjectAllocFailure() bool
 }
 
+// MaxPhysBytes bounds the simulated physical memory New accepts. The page
+// metadata stays dense, so an absurd size (a scenario's mem_bytes of 1<<40)
+// would exhaust the host before the first page is touched; the bound admits
+// every auto-sized boot (4.15 boot studies at 4 RX queues need 512 MiB) with
+// room to spare.
+const MaxPhysBytes = 4 << 30
+
+// frame is the backing store of one physical page frame.
+type frame [layout.PageSize]byte
+
 // Memory is the simulated physical memory plus its allocators.
 type Memory struct {
 	layout *layout.Layout
-	data   []byte
+	size   uint64
+	// frames[pfn] backs one page frame; nil frames read as zeros.
+	frames []*frame
 	pages  []PageInfo
 	tracer Tracer
 	inject AllocInjector
@@ -82,12 +97,16 @@ func New(cfg Config) (*Memory, error) {
 	if cfg.Layout.PhysBytes%layout.PageSize != 0 {
 		return nil, fmt.Errorf("mem: PhysBytes %d not page aligned", cfg.Layout.PhysBytes)
 	}
+	if cfg.Layout.PhysBytes > MaxPhysBytes {
+		return nil, fmt.Errorf("mem: PhysBytes %d exceeds the %d-byte maximum", cfg.Layout.PhysBytes, uint64(MaxPhysBytes))
+	}
 	if cfg.CPUs <= 0 {
 		cfg.CPUs = 1
 	}
 	m := &Memory{
 		layout: cfg.Layout,
-		data:   make([]byte, cfg.Layout.PhysBytes),
+		size:   cfg.Layout.PhysBytes,
+		frames: make([]*frame, cfg.Layout.PhysBytes/layout.PageSize),
 		pages:  make([]PageInfo, cfg.Layout.PhysBytes/layout.PageSize),
 		tracer: cfg.Tracer,
 		inject: cfg.Inject,
@@ -121,7 +140,7 @@ func (m *Memory) mustPage(p layout.PFN) *PageInfo { return &m.pages[p] }
 
 // checkPhys validates a physical range.
 func (m *Memory) checkPhys(pa, n uint64) error {
-	if pa >= uint64(len(m.data)) || n > uint64(len(m.data))-pa {
+	if pa >= m.size || n > m.size-pa {
 		return fmt.Errorf("mem: physical range [%#x,+%d) out of bounds", pa, n)
 	}
 	return nil
@@ -133,7 +152,7 @@ func (m *Memory) ReadPhys(pa uint64, buf []byte) error {
 	if err := m.checkPhys(pa, uint64(len(buf))); err != nil {
 		return err
 	}
-	copy(buf, m.data[pa:])
+	m.copyOut(pa, buf)
 	return nil
 }
 
@@ -142,7 +161,7 @@ func (m *Memory) WritePhys(pa uint64, buf []byte) error {
 	if err := m.checkPhys(pa, uint64(len(buf))); err != nil {
 		return err
 	}
-	copy(m.data[pa:], buf)
+	m.copyIn(pa, uint64(len(buf)), buf, 0)
 	return nil
 }
 
@@ -158,7 +177,7 @@ func (m *Memory) Read(a layout.Addr, buf []byte) error {
 	if m.tracer != nil {
 		m.tracer.OnCPUAccess(a, uint64(len(buf)), false)
 	}
-	copy(buf, m.data[pa:])
+	m.copyOut(pa, buf)
 	return nil
 }
 
@@ -174,7 +193,7 @@ func (m *Memory) Write(a layout.Addr, buf []byte) error {
 	if m.tracer != nil {
 		m.tracer.OnCPUAccess(a, uint64(len(buf)), true)
 	}
-	copy(m.data[pa:], buf)
+	m.copyIn(pa, uint64(len(buf)), buf, 0)
 	return nil
 }
 
@@ -238,10 +257,52 @@ func (m *Memory) Memset(a layout.Addr, v byte, n uint64) error {
 	if m.tracer != nil {
 		m.tracer.OnCPUAccess(a, n, true)
 	}
-	for i := uint64(0); i < n; i++ {
-		m.data[pa+i] = v
-	}
+	m.copyIn(pa, n, nil, v)
 	return nil
+}
+
+// copyOut copies physical memory starting at pa into buf, one page frame at
+// a time; unbacked frames read as zeros. The caller checked the range.
+func (m *Memory) copyOut(pa uint64, buf []byte) {
+	for len(buf) > 0 {
+		off := pa % layout.PageSize
+		n := min(uint64(len(buf)), layout.PageSize-off)
+		if f := m.frames[pa/layout.PageSize]; f != nil {
+			copy(buf[:n], f[off:])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		pa += n
+	}
+}
+
+// copyIn stores n bytes at physical address pa, one page frame at a time:
+// the bytes of src, or n copies of v when src is nil. A frame is backed on
+// its first store, except that filling an unbacked frame with zeros leaves
+// it unbacked, since it already reads as zeros. The caller checked the range.
+func (m *Memory) copyIn(pa, n uint64, src []byte, v byte) {
+	for n > 0 {
+		off := pa % layout.PageSize
+		c := min(n, layout.PageSize-off)
+		f := m.frames[pa/layout.PageSize]
+		if f == nil && (src != nil || v != 0) {
+			f = new(frame)
+			m.frames[pa/layout.PageSize] = f
+		}
+		switch {
+		case src != nil:
+			copy(f[off:off+c], src)
+			src = src[c:]
+		case f != nil:
+			dst := f[off : off+c]
+			for i := range dst {
+				dst[i] = v
+			}
+		}
+		pa += c
+		n -= c
+	}
 }
 
 // tracerOnKmalloc and friends centralize nil checks.
