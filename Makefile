@@ -26,9 +26,10 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Native fuzzing, 60 s per target: the two decoders that read untrusted
-# bytes (the record log's open and scan in internal/recordlog, and the
-# cminor parser) and sparse physical memory against a dense reference
+# Native fuzzing, 60 s per target: the parsers and decoders that read
+# untrusted bytes (the record log's open and scan in internal/recordlog,
+# the cminor parser, and the fault-spec grammar shared by faultinject and
+# netchaos) and sparse physical memory against a dense reference
 # (internal/mem). Their seed inputs already run under plain `go test`; this
 # target searches past them and stays out of `make check` so CI time does
 # not grow.
@@ -36,6 +37,7 @@ fuzz:
 	$(GO) test ./internal/recordlog -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 60s
 	$(GO) test ./internal/cminor -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s
 	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 60s
+	$(GO) test ./internal/faultinject -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 60s
 
 # One pass over every benchmark, teed through cmd/benchjson into a
 # benchstat-comparable JSON artifact. -benchtime=3x keeps it minutes, not

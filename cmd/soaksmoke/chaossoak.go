@@ -1,19 +1,15 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"time"
-
-	"dmafault/internal/campaign"
 )
 
 // Chaos soak (`make chaossmoke`, soaksmoke -chaos): the byzantine-fabric
@@ -44,70 +40,27 @@ var (
 
 func runChaosSoak(log *slog.Logger, keep bool) error {
 	ctx := context.Background()
-	dir, err := os.MkdirTemp("", "chaossmoke-")
+	dir, cleanup, err := scratchDir(log, "chaossmoke-", keep)
 	if err != nil {
 		return err
 	}
-	if keep {
-		log.Info("keeping scratch dir", "dir", dir)
-	} else {
-		defer os.RemoveAll(dir)
-	}
+	defer cleanup()
 
-	daemonBin := filepath.Join(dir, "dmafaultd")
-	if out, err := exec.Command("go", "build", "-o", daemonBin, "./cmd/dmafaultd").CombinedOutput(); err != nil {
-		return fmt.Errorf("build dmafaultd: %v\n%s", err, out)
-	}
-	campaignBin := filepath.Join(dir, "campaign")
-	if out, err := exec.Command("go", "build", "-o", campaignBin, "./cmd/campaign").CombinedOutput(); err != nil {
-		return fmt.Errorf("build campaign: %v\n%s", err, out)
-	}
-
-	// Stall scenarios (~250ms each) keep shards slow enough that the tail
-	// shard is always mid-flight with idle workers around — the structural
-	// guarantee that the steal path fires. 28 scenarios at -shard-size 4 is
-	// 7 shards over 3 workers: an uneven tail every time.
-	setPath := filepath.Join(dir, "set.json")
-	f, err := os.Create(setPath)
+	// Three healthy workers — the hostility lives entirely in the transport
+	// — over 28 stall scenarios: at -shard-size 4 that is 7 shards over 3
+	// workers, an uneven tail every time, so idle workers are around to
+	// steal stragglers.
+	rig, err := newFabricRig(ctx, log, dir, 28)
 	if err != nil {
 		return err
 	}
-	if err := campaign.SaveScenarios(f, stallScenarios(28)); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	// Reference: the same set on a clean single-node engine run — no fabric,
-	// no chaos. This is the byte-identity oracle.
-	singlePath := filepath.Join(dir, "single.json")
-	if out, err := exec.Command(campaignBin,
-		"-scenarios", setPath, "-out", singlePath, "-quiet").CombinedOutput(); err != nil {
-		return fmt.Errorf("single-node reference run: %v\n%s", err, out)
-	}
-
-	// Three healthy workers; the hostility lives entirely in the transport.
-	var urls []string
-	for i := 1; i <= 3; i++ {
-		w, err := startProc(log, dir, "worker", daemonBin,
-			"-addr", "127.0.0.1:0", "-workers", "1",
-			"-max-concurrent-campaigns", "2", "-job-stall-timeout", "1m")
-		if err != nil {
-			return err
-		}
-		defer w.kill()
-		urls = append(urls, w.url)
-	}
-	if err := preflightWorkers(ctx, urls, 10*time.Second); err != nil {
-		return err
-	}
+	defer rig.close()
 
 	fabricPath := filepath.Join(dir, "fabric.json")
 	metricsPath := filepath.Join(dir, "fabric-metrics.txt")
-	coord, err := startProc(log, dir, "coordinator", campaignBin,
-		"-coordinator", "-scenarios", setPath,
-		"-worker-urls", strings.Join(urls, ","),
+	coord, err := startProc(log, dir, "coordinator", rig.campaignBin,
+		"-coordinator", "-scenarios", rig.setPath,
+		"-worker-urls", strings.Join(rig.urls(), ","),
 		"-coordinator-addr", "127.0.0.1:0",
 		// -lease-attempts 6 keeps shards on the fabric through chaos-induced
 		// failures (the default 3 exhausts fast under this plan and falls
@@ -127,17 +80,9 @@ func runChaosSoak(log *slog.Logger, keep bool) error {
 		return fmt.Errorf("coordinator under chaos: %w", err)
 	}
 
-	single, err := os.ReadFile(singlePath)
+	fab, err := rig.matchSingle(fabricPath, "chaos fabric")
 	if err != nil {
 		return err
-	}
-	fab, err := os.ReadFile(fabricPath)
-	if err != nil {
-		return fmt.Errorf("fabric summary: %w", err)
-	}
-	if !bytes.Equal(single, fab) {
-		return fmt.Errorf("chaos fabric summary differs from clean single-node run (%d vs %d bytes); kept at %s / %s",
-			len(fab), len(single), fabricPath, singlePath)
 	}
 
 	// Both defenses must have actually fired: corrupted/torn deliveries

@@ -1,21 +1,16 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"dmafault/internal/campaign"
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/faultdclient"
 )
@@ -33,68 +28,27 @@ var releasesRE = regexp.MustCompile(`(?m)^fabric_releases_total ([0-9.e+]+)$`)
 
 func runFabricSoak(log *slog.Logger, keep bool) error {
 	ctx := context.Background()
-	dir, err := os.MkdirTemp("", "fabricsmoke-")
+	dir, cleanup, err := scratchDir(log, "fabricsmoke-", keep)
 	if err != nil {
 		return err
 	}
-	if keep {
-		log.Info("keeping scratch dir", "dir", dir)
-	} else {
-		defer os.RemoveAll(dir)
-	}
+	defer cleanup()
 
-	daemonBin := filepath.Join(dir, "dmafaultd")
-	if out, err := exec.Command("go", "build", "-o", daemonBin, "./cmd/dmafaultd").CombinedOutput(); err != nil {
-		return fmt.Errorf("build dmafaultd: %v\n%s", err, out)
-	}
-	campaignBin := filepath.Join(dir, "campaign")
-	if out, err := exec.Command("go", "build", "-o", campaignBin, "./cmd/campaign").CombinedOutput(); err != nil {
-		return fmt.Errorf("build campaign: %v\n%s", err, out)
-	}
-
-	// The campaign: stall-fault scenarios slow enough that the fabric is
-	// always mid-flight when the kills land, deterministic like any other.
-	setPath := filepath.Join(dir, "set.json")
-	f, err := os.Create(setPath)
+	// Three workers over 32 stall scenarios. w1 and w2 are static
+	// coordinator config, w3 registers at runtime through /v1/fabric/join.
+	rig, err := newFabricRig(ctx, log, dir, 32)
 	if err != nil {
 		return err
 	}
-	if err := campaign.SaveScenarios(f, stallScenarios(32)); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	// Reference: the same set on a plain single-node engine run.
-	singlePath := filepath.Join(dir, "single.json")
-	if out, err := exec.Command(campaignBin,
-		"-scenarios", setPath, "-out", singlePath, "-quiet").CombinedOutput(); err != nil {
-		return fmt.Errorf("single-node reference run: %v\n%s", err, out)
-	}
-
-	// Three workers; -workers 1 keeps shard jobs slow enough to be
-	// mid-flight at kill time. w1 and w2 are static coordinator config, w3
-	// registers at runtime through /v1/fabric/join.
-	var ws []*proc
-	for i := 1; i <= 3; i++ {
-		w, err := startProc(log, dir, "worker", daemonBin,
-			"-addr", "127.0.0.1:0", "-workers", "1",
-			"-max-concurrent-campaigns", "2", "-job-stall-timeout", "1m")
-		if err != nil {
-			return err
-		}
-		defer w.kill()
-		ws = append(ws, w)
-	}
-	w1, w2, w3 := ws[0], ws[1], ws[2]
+	defer rig.close()
+	w1, w2, w3 := rig.workers[0], rig.workers[1], rig.workers[2]
 
 	fabricPath := filepath.Join(dir, "fabric.json")
 	journalPath := filepath.Join(dir, "coordinator.jsonl")
 	metricsPath := filepath.Join(dir, "fabric-metrics.txt")
 	coordArgs := func(workers ...string) []string {
 		return []string{
-			"-coordinator", "-scenarios", setPath,
+			"-coordinator", "-scenarios", rig.setPath,
 			"-worker-urls", strings.Join(workers, ","),
 			"-coordinator-addr", "127.0.0.1:0",
 			"-shard-size", "4", "-lease-ttl", "20s", "-fabric-heartbeat", "200ms",
@@ -102,20 +56,14 @@ func runFabricSoak(log *slog.Logger, keep bool) error {
 			"-out", fabricPath,
 		}
 	}
-	// Fail fast on dead workers before committing the soak budget: a typo'd
-	// or crashed worker URL should be a one-line error, not a 3-minute
-	// timeout with an opaque summary mismatch at the end.
-	if err := preflightWorkers(ctx, []string{w1.url, w2.url}, 10*time.Second); err != nil {
-		return err
-	}
-	coord, err := startProc(log, dir, "coordinator", campaignBin, coordArgs(w1.url, w2.url)...)
+	coord, err := startProc(log, dir, "coordinator", rig.campaignBin, coordArgs(w1.url, w2.url)...)
 	if err != nil {
 		return err
 	}
 	defer coord.kill()
 
 	// Runtime join: w3 announces itself the way dmafaultd -join would.
-	cc := faultdclient.New(coord.url)
+	cc := coord.c
 	if _, err := cc.JoinFabric(ctx, api.JoinRequest{URL: w3.url}); err != nil {
 		return fmt.Errorf("join w3: %w", err)
 	}
@@ -146,7 +94,7 @@ func runFabricSoak(log *slog.Logger, keep bool) error {
 	// Restart against the same state log; the resumed coordinator must
 	// finish on the surviving workers with the dead one's results intact.
 	args := append(coordArgs(w2.url, w3.url), "-resume")
-	coord2, err := startProc(log, dir, "coordinator", campaignBin, args...)
+	coord2, err := startProc(log, dir, "coordinator", rig.campaignBin, args...)
 	if err != nil {
 		return fmt.Errorf("coordinator restart: %w", err)
 	}
@@ -155,17 +103,9 @@ func runFabricSoak(log *slog.Logger, keep bool) error {
 		return fmt.Errorf("resumed coordinator: %w", err)
 	}
 
-	single, err := os.ReadFile(singlePath)
+	fab, err := rig.matchSingle(fabricPath, "fabric")
 	if err != nil {
 		return err
-	}
-	fab, err := os.ReadFile(fabricPath)
-	if err != nil {
-		return fmt.Errorf("fabric summary: %w", err)
-	}
-	if !bytes.Equal(single, fab) {
-		return fmt.Errorf("fabric summary differs from single-node run (%d vs %d bytes); kept at %s / %s",
-			len(fab), len(single), fabricPath, singlePath)
 	}
 
 	// fabric_releases_total survives the coordinator kill via journal
@@ -191,46 +131,6 @@ func runFabricSoak(log *slog.Logger, keep bool) error {
 	}
 	log.Info("fabric soak finished", "releases", releases,
 		"summary_bytes", len(fab))
-	return nil
-}
-
-// preflightWorkers verifies every worker URL answers /healthz before the
-// coordinator is launched. Each unreachable worker is named in the error so
-// the operator knows exactly which endpoint to fix.
-func preflightWorkers(ctx context.Context, urls []string, budget time.Duration) error {
-	ctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-	down := make([]bool, len(urls))
-	var wg sync.WaitGroup
-	for i, u := range urls {
-		wg.Add(1)
-		go func(i int, u string) {
-			defer wg.Done()
-			cl := faultdclient.New(u)
-			for {
-				if body, err := cl.Health(ctx); err == nil && body == "ok" {
-					return
-				}
-				if ctx.Err() != nil {
-					down[i] = true
-					return
-				}
-				time.Sleep(100 * time.Millisecond)
-			}
-		}(i, u)
-	}
-	wg.Wait()
-	var dead []string
-	for i, u := range urls {
-		if down[i] {
-			dead = append(dead, u)
-		}
-	}
-	if len(dead) > 0 {
-		return fmt.Errorf("worker preflight failed: unreachable at startup: %s "+
-			"(no /healthz response within %s — check the worker URLs before soaking)",
-			strings.Join(dead, ", "), budget)
-	}
 	return nil
 }
 
@@ -263,100 +163,4 @@ func waitForJournal(path, marker string, budget time.Duration) error {
 		time.Sleep(50 * time.Millisecond)
 	}
 	return fmt.Errorf("state log %s never recorded %s", path, marker)
-}
-
-// proc is one announced child process (worker daemon or coordinator): both
-// log their resolved listener as msg=...listening addr=HOST:PORT.
-type proc struct {
-	cmd *exec.Cmd
-	url string
-}
-
-var procSeq int
-
-// startProc launches the binary, tees its stderr to <dir>/<role>-N.log for
-// post-mortems (-keep), and waits for its listener announcement.
-func startProc(log *slog.Logger, dir, role, bin string, args ...string) (*proc, error) {
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return nil, err
-	}
-	procSeq++
-	logPath := filepath.Join(dir, fmt.Sprintf("%s-%d.log", role, procSeq))
-	lf, err := os.Create(logPath)
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		lf.Close()
-		return nil, err
-	}
-	addrCh := make(chan string, 1)
-	go func() {
-		// Keep draining stderr for the process's lifetime so it never
-		// blocks on a full pipe.
-		defer lf.Close()
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(lf, line)
-			if !strings.Contains(line, "listening") {
-				continue
-			}
-			if m := addrRE.FindStringSubmatch(line); m != nil {
-				select {
-				case addrCh <- m[1]:
-				default:
-				}
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		p := &proc{cmd: cmd, url: "http://" + addr}
-		log.Info("started", "role", role, "url", p.url)
-		return p, nil
-	case <-time.After(20 * time.Second):
-		_ = cmd.Process.Kill()
-		return nil, fmt.Errorf("%s never announced its listener", role)
-	}
-}
-
-func (p *proc) kill() error {
-	if p.cmd.Process == nil {
-		return nil
-	}
-	err := p.cmd.Process.Kill()
-	_, _ = p.cmd.Process.Wait()
-	return err
-}
-
-// term sends SIGTERM and waits for a clean exit within the budget.
-func (p *proc) term(budget time.Duration) error {
-	if err := p.cmd.Process.Signal(os.Interrupt); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { _, err := p.cmd.Process.Wait(); done <- err }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(budget):
-		_ = p.cmd.Process.Kill()
-		return fmt.Errorf("did not exit within %s of signal", budget)
-	}
-}
-
-// waitExit waits for the process to finish and succeed.
-func (p *proc) waitExit(budget time.Duration) error {
-	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(budget):
-		_ = p.cmd.Process.Kill()
-		return fmt.Errorf("did not finish within %s", budget)
-	}
 }

@@ -1,17 +1,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"dmafault/internal/campaign"
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/faultdclient"
 )
@@ -36,70 +33,29 @@ const (
 
 func runFleetSoak(log *slog.Logger, keep bool) error {
 	ctx := context.Background()
-	dir, err := os.MkdirTemp("", "fleetsmoke-")
+	dir, cleanup, err := scratchDir(log, "fleetsmoke-", keep)
 	if err != nil {
 		return err
 	}
-	if keep {
-		log.Info("keeping scratch dir", "dir", dir)
-	} else {
-		defer os.RemoveAll(dir)
-	}
-
-	daemonBin := filepath.Join(dir, "dmafaultd")
-	if out, err := exec.Command("go", "build", "-o", daemonBin, "./cmd/dmafaultd").CombinedOutput(); err != nil {
-		return fmt.Errorf("build dmafaultd: %v\n%s", err, out)
-	}
-	campaignBin := filepath.Join(dir, "campaign")
-	if out, err := exec.Command("go", "build", "-o", campaignBin, "./cmd/campaign").CombinedOutput(); err != nil {
-		return fmt.Errorf("build campaign: %v\n%s", err, out)
-	}
-	topBin := filepath.Join(dir, "fabrictop")
-	if out, err := exec.Command("go", "build", "-o", topBin, "./cmd/fabrictop").CombinedOutput(); err != nil {
-		return fmt.Errorf("build fabrictop: %v\n%s", err, out)
+	defer cleanup()
+	topBin, err := build(dir, "fabrictop")
+	if err != nil {
+		return err
 	}
 
 	// Stall scenarios keep every shard ~1s, so the campaign stays up long
 	// enough for several scrape rounds and a mid-run /v1/fleet poll. 28 at
 	// -shard-size 4 is 7 shards over 3 workers: everyone executes.
-	setPath := filepath.Join(dir, "set.json")
-	f, err := os.Create(setPath)
+	rig, err := newFabricRig(ctx, log, dir, 28)
 	if err != nil {
 		return err
 	}
-	if err := campaign.SaveScenarios(f, stallScenarios(28)); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	// The byte-identity oracle: a clean single-node run, no fabric, no chaos,
-	// no fleet plane.
-	singlePath := filepath.Join(dir, "single.json")
-	if out, err := exec.Command(campaignBin,
-		"-scenarios", setPath, "-out", singlePath, "-quiet").CombinedOutput(); err != nil {
-		return fmt.Errorf("single-node reference run: %v\n%s", err, out)
-	}
-
-	var urls []string
-	for i := 1; i <= 3; i++ {
-		w, err := startProc(log, dir, "worker", daemonBin,
-			"-addr", "127.0.0.1:0", "-workers", "1",
-			"-max-concurrent-campaigns", "2", "-job-stall-timeout", "1m")
-		if err != nil {
-			return err
-		}
-		defer w.kill()
-		urls = append(urls, w.url)
-	}
-	if err := preflightWorkers(ctx, urls, 10*time.Second); err != nil {
-		return err
-	}
+	defer rig.close()
+	urls := rig.urls()
 
 	fabricPath := filepath.Join(dir, "fabric.json")
-	coord, err := startProc(log, dir, "coordinator", campaignBin,
-		"-coordinator", "-scenarios", setPath,
+	coord, err := startProc(log, dir, "coordinator", rig.campaignBin,
+		"-coordinator", "-scenarios", rig.setPath,
 		"-worker-urls", strings.Join(urls, ","),
 		"-coordinator-addr", "127.0.0.1:0",
 		"-shard-size", "4", "-lease-ttl", "20s", "-lease-attempts", "6",
@@ -143,17 +99,9 @@ func runFleetSoak(log *slog.Logger, keep bool) error {
 		}
 	}
 
-	single, err := os.ReadFile(singlePath)
+	fab, err := rig.matchSingle(fabricPath, "fleetobs fabric")
 	if err != nil {
 		return err
-	}
-	fab, err := os.ReadFile(fabricPath)
-	if err != nil {
-		return fmt.Errorf("fabric summary: %w", err)
-	}
-	if !bytes.Equal(single, fab) {
-		return fmt.Errorf("fleetobs fabric summary differs from clean single-node run (%d vs %d bytes); kept at %s / %s",
-			len(fab), len(single), fabricPath, singlePath)
 	}
 	log.Info("fleet soak finished", "workers", len(urls), "summary_bytes", len(fab))
 	return nil

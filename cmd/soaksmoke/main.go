@@ -17,18 +17,13 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"regexp"
-	"strings"
-	"syscall"
 	"time"
 
 	"dmafault/internal/campaign"
@@ -36,11 +31,6 @@ import (
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/faultdclient"
 )
-
-// The daemon announces its listener as a structured slog record
-// (msg=listening addr=HOST:PORT ...); addrRE pulls the resolved address out
-// of that line.
-var addrRE = regexp.MustCompile(`\baddr=(\S+)`)
 
 func main() {
 	keep := flag.Bool("keep", false, "keep the scratch directory for inspection")
@@ -87,27 +77,22 @@ func main() {
 func run(log *slog.Logger, seed int64, keep bool) error {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
-	dir, err := os.MkdirTemp("", "soaksmoke-")
+	dir, cleanup, err := scratchDir(log, "soaksmoke-", keep)
 	if err != nil {
 		return err
 	}
-	if keep {
-		log.Info("keeping scratch dir", "dir", dir)
-	} else {
-		defer os.RemoveAll(dir)
-	}
+	defer cleanup()
 	journalDir := filepath.Join(dir, "journals")
 	if err := os.Mkdir(journalDir, 0o755); err != nil {
 		return err
 	}
-
-	bin := filepath.Join(dir, "dmafaultd")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dmafaultd").CombinedOutput(); err != nil {
-		return fmt.Errorf("build dmafaultd: %v\n%s", err, out)
+	bin, err := build(dir, "dmafaultd")
+	if err != nil {
+		return err
 	}
 
 	// Phase 1: boot, load the job plane, chaos-cancel, then kill -9.
-	d, err := startDaemon(bin, journalDir)
+	d, err := startDaemon(log, dir, bin, journalDir)
 	if err != nil {
 		return err
 	}
@@ -164,7 +149,7 @@ func run(log *slog.Logger, seed int64, keep bool) error {
 
 	// Phase 2: restart against the same journal directory; recovery must
 	// re-register the interrupted victim and run it to completion.
-	d2, err := startDaemon(bin, journalDir)
+	d2, err := startDaemon(log, dir, bin, journalDir)
 	if err != nil {
 		return fmt.Errorf("restart: %w", err)
 	}
@@ -222,15 +207,9 @@ func stallScenarios(n int) []campaign.Scenario {
 	return scs
 }
 
-// daemon wraps one dmafaultd process and its API client.
-type daemon struct {
-	cmd *exec.Cmd
-	c   *faultdclient.Client
-}
-
 // startDaemon boots dmafaultd on an ephemeral port and waits for /healthz.
-func startDaemon(bin, journalDir string) (*daemon, error) {
-	cmd := exec.Command(bin,
+func startDaemon(log *slog.Logger, dir, bin, journalDir string) (*proc, error) {
+	d, err := startProc(log, dir, "daemon", bin,
 		"-addr", "127.0.0.1:0",
 		"-journal-dir", journalDir,
 		"-max-concurrent-campaigns", "2",
@@ -238,104 +217,12 @@ func startDaemon(bin, journalDir string) (*daemon, error) {
 		"-job-stall-timeout", "1m",
 		"-quarantine-threshold", "3",
 	)
-	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return nil, err
 	}
-	if err := cmd.Start(); err != nil {
+	if err := preflightWorkers(context.Background(), []string{d.url}, 10*time.Second); err != nil {
+		d.kill()
 		return nil, err
 	}
-	// The daemon announces its resolved address once the listener exists.
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.Contains(line, "msg=listening") {
-				continue
-			}
-			if m := addrRE.FindStringSubmatch(line); m != nil {
-				addrCh <- m[1]
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		d := &daemon{cmd: cmd, c: faultdclient.New("http://" + addr)}
-		if err := d.waitHealthy(10 * time.Second); err != nil {
-			d.kill()
-			return nil, err
-		}
-		return d, nil
-	case <-time.After(15 * time.Second):
-		_ = cmd.Process.Kill()
-		return nil, fmt.Errorf("daemon never announced its listener")
-	}
-}
-
-func (d *daemon) kill() error {
-	if d.cmd.Process == nil {
-		return nil
-	}
-	err := d.cmd.Process.Kill() // SIGKILL: no drain, no journal flush beyond appended lines
-	_, _ = d.cmd.Process.Wait()
-	return err
-}
-
-// term sends SIGTERM and waits for a clean exit within the budget.
-func (d *daemon) term(budget time.Duration) error {
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { _, err := d.cmd.Process.Wait(); done <- err }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(budget):
-		_ = d.cmd.Process.Kill()
-		return fmt.Errorf("did not exit within %s of SIGTERM", budget)
-	}
-}
-
-func (d *daemon) waitHealthy(budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) {
-		if body, err := d.c.Health(context.Background()); err == nil && body == "ok" {
-			return nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("daemon at %s never became healthy", d.c.Base)
-}
-
-// waitProgress polls until the job has completed at least n scenarios.
-func (d *daemon) waitProgress(id, n int, budget time.Duration) error {
-	ctx := context.Background()
-	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) {
-		j, err := d.c.Get(ctx, id)
-		if err != nil {
-			return err
-		}
-		if j.ScenariosDone >= n {
-			return nil
-		}
-		if j.Status.Terminal() {
-			return fmt.Errorf("job %d ended %q before making progress", id, j.Status)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return fmt.Errorf("job %d never reached %d completions", id, n)
-}
-
-// waitTerminal polls until the job leaves the queued/running states.
-func (d *daemon) waitTerminal(id int, budget time.Duration) (*api.Job, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	defer cancel()
-	job, err := d.c.WaitTerminal(ctx, id, 0)
-	if err != nil && job != nil {
-		return job, fmt.Errorf("job %d still %s after %s", id, job.Status, budget)
-	}
-	return job, err
+	return d, nil
 }

@@ -40,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"dmafault/internal/breaker"
 	"dmafault/internal/campaign"
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/faultdclient"
@@ -97,11 +98,6 @@ type Config struct {
 	LeaseTTL time.Duration
 	// Heartbeat paces readiness probes (0: DefaultHeartbeat).
 	Heartbeat time.Duration
-	// ProbeTimeout bounds one readiness probe (0: DefaultProbeTimeout).
-	ProbeTimeout time.Duration
-	// DownAfter is the consecutive probe failures that demote a worker
-	// (0: DefaultDownAfter).
-	DownAfter int
 	// AcquireTimeout bounds the wait for an up worker before a shard runs
 	// locally (0: DefaultAcquireTimeout).
 	AcquireTimeout time.Duration
@@ -125,9 +121,6 @@ type Config struct {
 	// LocalWorkers is the engine pool size for locally executed shards
 	// (0: one per CPU).
 	LocalWorkers int
-	// JobWorkers is the Workers field on submitted shard jobs (0: the
-	// worker node's default).
-	JobWorkers int
 	// Log receives coordinator diagnostics; nil discards them.
 	Log *slog.Logger
 	// Hub, when set, receives the merged shard event stream: every leased
@@ -136,12 +129,6 @@ type Config struct {
 	Hub *obs.Hub
 	// OnResult, if set, observes each delivered result (any goroutine).
 	OnResult func(index int, r *campaign.Result)
-	// Probe overrides the readiness probe (tests); nil uses the lease-aware
-	// /readyz probe through the typed client.
-	Probe ProbeFunc
-	// NewClient overrides worker client construction (tests); nil builds
-	// faultdclient.New with fabric-tuned retry caps.
-	NewClient func(url string) *faultdclient.Client
 	// Transport, when set, underlies every worker-bound HTTP exchange —
 	// leases, polls, heartbeat probes. This is the injection point for a
 	// netchaos fault plan: one deterministic transport, and every byte the
@@ -170,53 +157,26 @@ type Config struct {
 	FleetInterval time.Duration
 }
 
-func (c Config) shardSize() int {
-	if c.ShardSize > 0 {
-		return c.ShardSize
+// orDefault resolves a Config knob whose zero value means "the default".
+func orDefault[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return DefaultShardSize
+	return def
 }
 
-func (c Config) leaseTTL() time.Duration {
-	if c.LeaseTTL > 0 {
-		return c.LeaseTTL
-	}
-	return DefaultLeaseTTL
-}
+func (c Config) shardSize() int { return orDefault(c.ShardSize, DefaultShardSize) }
 
-func (c Config) heartbeat() time.Duration {
-	if c.Heartbeat > 0 {
-		return c.Heartbeat
-	}
-	return DefaultHeartbeat
-}
+func (c Config) leaseTTL() time.Duration { return orDefault(c.LeaseTTL, DefaultLeaseTTL) }
 
-func (c Config) probeTimeout() time.Duration {
-	if c.ProbeTimeout > 0 {
-		return c.ProbeTimeout
-	}
-	return DefaultProbeTimeout
-}
-
-func (c Config) downAfter() int {
-	if c.DownAfter > 0 {
-		return c.DownAfter
-	}
-	return DefaultDownAfter
-}
+func (c Config) heartbeat() time.Duration { return orDefault(c.Heartbeat, DefaultHeartbeat) }
 
 func (c Config) acquireTimeout() time.Duration {
-	if c.AcquireTimeout > 0 {
-		return c.AcquireTimeout
-	}
-	return DefaultAcquireTimeout
+	return orDefault(c.AcquireTimeout, DefaultAcquireTimeout)
 }
 
 func (c Config) maxLeaseAttempts() int {
-	if c.MaxLeaseAttempts > 0 {
-		return c.MaxLeaseAttempts
-	}
-	return DefaultMaxLeaseAttempts
+	return orDefault(c.MaxLeaseAttempts, DefaultMaxLeaseAttempts)
 }
 
 func (c Config) maxLeasesPerWorker() int {
@@ -229,18 +189,13 @@ func (c Config) maxLeasesPerWorker() int {
 	return DefaultMaxLeasesPerWorker
 }
 
-func (c Config) byzantineThreshold() int {
-	if c.ByzantineThreshold > 0 {
-		return c.ByzantineThreshold
+// breaker resolves the byzantine quarantine's policy, its wait in the
+// registry's nanosecond ticks.
+func (c Config) breaker() breaker.Policy {
+	return breaker.Policy{
+		Threshold: orDefault(c.ByzantineThreshold, DefaultByzantineAfter),
+		Wait:      int64(orDefault(c.ByzantineProbeAfter, DefaultByzantineProbeAfter)),
 	}
-	return DefaultByzantineAfter
-}
-
-func (c Config) byzantineProbeAfter() time.Duration {
-	if c.ByzantineProbeAfter > 0 {
-		return c.ByzantineProbeAfter
-	}
-	return DefaultByzantineProbeAfter
 }
 
 // shard is one contiguous global-index range [Start, End) of the scenario
@@ -283,15 +238,9 @@ func New(cfg Config) *Coordinator {
 	if log == nil {
 		log = obs.Nop()
 	}
-	probe := cfg.Probe
-	if probe == nil {
-		probe = defaultProbe(cfg.NeedCache, cfg.probeTimeout(), cfg.Transport)
-	}
-	reg := NewRegistry(cfg.Workers, probe, m, log)
+	reg := NewRegistry(cfg.Workers, defaultProbe(cfg.NeedCache, DefaultProbeTimeout, cfg.Transport), m, log)
 	reg.MaxLeases = cfg.maxLeasesPerWorker()
-	reg.DownAfter = cfg.downAfter()
-	reg.ByzantineAfter = cfg.byzantineThreshold()
-	reg.ProbeAfter = cfg.byzantineProbeAfter()
+	reg.Breaker = cfg.breaker()
 	c := &Coordinator{
 		cfg: cfg,
 		m:   m,
@@ -303,7 +252,6 @@ func New(cfg Config) *Coordinator {
 			Interval:  cfg.FleetInterval,
 			Workers:   reg.FleetState,
 			Campaign:  c.campaignState,
-			NewClient: cfg.NewClient,
 			Transport: cfg.Transport,
 			Hub:       cfg.Hub,
 			Log:       log,
@@ -341,9 +289,6 @@ func (c *Coordinator) Registry() *Registry { return c.reg }
 // client builds the /v1 client for one worker, riding the configured
 // transport so a netchaos plan sees every lease exchange.
 func (c *Coordinator) client(url string) *faultdclient.Client {
-	if c.cfg.NewClient != nil {
-		return c.cfg.NewClient(url)
-	}
 	return faultdclient.New(url).WithTransport(c.cfg.Transport)
 }
 
@@ -602,7 +547,7 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 		if errors.As(err, &ae) && ae.RetryAfter > next {
 			next = ae.RetryAfter
 		}
-		if err := sleepCtx(ctx, next); err != nil {
+		if err := faultdclient.Sleep(ctx, next); err != nil {
 			return err
 		}
 	}
@@ -665,30 +610,30 @@ func (c *Coordinator) runNotedLease(ctx context.Context, sh shard, ref *WorkerRe
 	return err
 }
 
-// runLeaseStealing waits on the primary lease but, once the steal delay
-// elapses with the lease still outstanding, speculatively re-leases the
-// range to an idle worker. Both leases then race; the exactly-once deliver
-// gate silently drops the loser's results, so whichever valid delivery
-// lands first wins and byte-identity is untouched. The thief is acquired
-// non-blocking and only when fully idle — stealing spends spare capacity on
-// tail latency and must never delay another shard's primary lease.
+// runLeaseStealing waits on the primary lease but, every steal delay it
+// stays outstanding, looks for an idle worker to speculatively re-lease the
+// range to. Both leases then race; the exactly-once deliver gate silently
+// drops the loser's results, so whichever valid delivery lands first wins
+// and byte-identity is untouched. The thief is acquired non-blocking and
+// only when fully idle — stealing spends spare capacity on tail latency and
+// must never delay another shard's primary lease — so a fleet that is busy
+// at one check is asked again at the next, until the primary resolves.
 func (c *Coordinator) runLeaseStealing(ctx context.Context, sh shard, ref *WorkerRef) error {
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	pdone := make(chan error, 1)
 	go func() { pdone <- c.runNotedLease(pctx, sh, ref) }()
 
-	timer := time.NewTimer(c.cfg.StealAfter)
-	defer timer.Stop()
-	select {
-	case err := <-pdone:
-		return err
-	case <-timer.C:
-	}
-	thief := c.reg.AcquireIdle(ref.URL)
-	if thief == nil {
-		// No spare capacity; the primary remains the only lease.
-		return <-pdone
+	ticker := time.NewTicker(c.cfg.StealAfter)
+	defer ticker.Stop()
+	var thief *WorkerRef
+	for thief == nil {
+		select {
+		case err := <-pdone:
+			return err
+		case <-ticker.C:
+		}
+		thief = c.reg.AcquireIdle(ref.URL)
 	}
 	c.m.Steals.Inc()
 	c.m.LeasesGranted.Inc()
@@ -786,7 +731,6 @@ func (c *Coordinator) runLease(ctx context.Context, sh shard, ref *WorkerRef) er
 	c.mu.Unlock()
 	acc, err := cl.Submit(leaseCtx, api.SubmitRequest{
 		Name:      fmt.Sprintf("fabric-shard-%d", sh.Idx),
-		Workers:   c.cfg.JobWorkers,
 		Scenarios: specs,
 	})
 	if err != nil {
@@ -953,18 +897,6 @@ func (c *Coordinator) runLocal(ctx context.Context, sh shard) error {
 		}
 	}
 	return nil
-}
-
-// sleepCtx waits d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // Handler serves the coordinator's supervision surface: join, worker

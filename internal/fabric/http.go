@@ -102,7 +102,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	ch, cancel := c.cfg.Hub.Subscribe(64)
 	defer cancel()
-	if writeSSE(w, "workers", c.reg.Snapshot()) != nil {
+	if obs.WriteSSE(w, "workers", c.reg.Snapshot()) != nil {
 		return
 	}
 	fl.Flush()
@@ -113,7 +113,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-tick.C:
-			if writeSSE(w, "workers", c.reg.Snapshot()) != nil {
+			if obs.WriteSSE(w, "workers", c.reg.Snapshot()) != nil {
 				return
 			}
 			fl.Flush()
@@ -121,7 +121,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			if writeSSE(w, e.Type, e.Data) != nil {
+			if obs.WriteSSE(w, e.Type, e.Data) != nil {
 				return
 			}
 			fl.Flush()
@@ -138,16 +138,6 @@ func (c *Coordinator) PublishStatus(status string) {
 	}
 	c.cfg.Hub.Publish(obs.StreamEvent{Type: "status", Data: map[string]string{"status": status}})
 	c.cfg.Hub.Close()
-}
-
-// writeSSE frames one Server-Sent Event with a JSON payload.
-func writeSSE(w io.Writer, event string, data any) error {
-	b, err := json.Marshal(data)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-	return err
 }
 
 // writeJSON marshals one response body.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"dmafault/internal/breaker"
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/faultdclient"
 )
@@ -53,13 +54,12 @@ type worker struct {
 
 	// Byzantine quarantine: a worker that repeatedly *delivers* bad results
 	// is a different failure mode from one that stops answering. It stays
-	// up (heartbeats still verify liveness) but Acquire skips it until the
-	// half-open window opens, then admits exactly one probe lease — the
-	// PR 4 scenario circuit breaker, applied to workers.
-	badDeliveries int       // strikes; reset by any verified delivery
-	quarantined   bool      // tripped at ByzantineAfter strikes
-	quarantinedAt time.Time // trip (or failed-probe re-arm) time
-	probing       bool      // a half-open probe lease is in flight
+	// up (heartbeats still verify liveness) but Acquire skips it while the
+	// breaker is open, then admits exactly one probe lease once the
+	// half-open wait has elapsed and no healthy worker is free. Strikes
+	// count consecutive bad deliveries: any verified delivery resets them.
+	// Ticks are nanoseconds since the registry was built.
+	breaker.State
 }
 
 // Registry tracks workers and arbitrates lease admission.
@@ -70,19 +70,11 @@ type Registry struct {
 	// runtime join beating the static workers' first heartbeat round —
 	// absorbs every shard.
 	MaxLeases int
-	// DownAfter is the consecutive probe failures that demote an up worker
-	// (0 or 1 = demote on the first). Demotion cancels the worker's
-	// in-flight leases, so a single slow probe must not trigger it.
-	DownAfter int
-	// ByzantineAfter is the bad deliveries that quarantine a worker
-	// (0: DefaultByzantineAfter). Like DownAfter, two strikes — a single
-	// torn body may be the network's fault, a pattern is the worker's.
-	ByzantineAfter int
-	// ProbeAfter is the quarantine half-open window: how long after the
-	// trip Acquire may hand the worker one probe lease
-	// (0: DefaultByzantineProbeAfter).
-	ProbeAfter time.Duration
+	// Breaker is the byzantine quarantine policy, its wait in nanoseconds.
+	// New sets it from Config; NewRegistry starts from Config's defaults.
+	Breaker breaker.Policy
 
+	start   time.Time // tick origin of the byzantine breakers
 	mu      sync.Mutex
 	workers map[string]*worker
 	// wait is closed and remade whenever a worker becomes acquirable
@@ -100,6 +92,8 @@ type Registry struct {
 // by definition; the next heartbeat re-verifies).
 func NewRegistry(static []string, probe ProbeFunc, m *Metrics, log *slog.Logger) *Registry {
 	r := &Registry{
+		Breaker: Config{}.breaker(),
+		start:   time.Now(),
 		workers: map[string]*worker{},
 		wait:    make(chan struct{}),
 		probe:   probe,
@@ -129,6 +123,17 @@ func (r *Registry) gaugesLocked() {
 	}
 	r.m.WorkersRegistered.Set(float64(len(r.workers)))
 	r.m.WorkersUp.Set(float64(up))
+}
+
+// urlsLocked lists the registered workers in URL order, the tie-break that
+// keeps lease admission deterministic. Callers hold r.mu.
+func (r *Registry) urlsLocked() []string {
+	urls := make([]string, 0, len(r.workers))
+	for url := range r.workers {
+		urls = append(urls, url)
+	}
+	sort.Strings(urls)
+	return urls
 }
 
 // wakeLocked signals every Acquire waiter. Callers hold r.mu.
@@ -208,7 +213,7 @@ func (r *Registry) noteFailure(url string) bool {
 		return false
 	}
 	w.fails++
-	return w.fails >= r.DownAfter
+	return w.fails >= DefaultDownAfter
 }
 
 func (r *Registry) markDown(url string, err error) {
@@ -250,10 +255,7 @@ func (r *Registry) Heartbeat(ctx context.Context, interval time.Duration) {
 // black-holed TCP connect cannot stall the verdict on the others.
 func (r *Registry) probeAll(ctx context.Context) {
 	r.mu.Lock()
-	urls := make([]string, 0, len(r.workers))
-	for url := range r.workers {
-		urls = append(urls, url)
-	}
+	urls := r.urlsLocked()
 	r.mu.Unlock()
 	var wg sync.WaitGroup
 	for _, url := range urls {
@@ -272,7 +274,7 @@ func (r *Registry) probeAll(ctx context.Context) {
 	wg.Wait()
 }
 
-// Defaults for the registry's byzantine-quarantine knobs.
+// Defaults for the byzantine quarantine's breaker policy.
 const (
 	// DefaultByzantineAfter is the bad-delivery strikes that quarantine.
 	DefaultByzantineAfter = 2
@@ -280,22 +282,12 @@ const (
 	DefaultByzantineProbeAfter = 5 * time.Second
 )
 
-func (r *Registry) byzantineAfter() int {
-	if r.ByzantineAfter > 0 {
-		return r.ByzantineAfter
-	}
-	return DefaultByzantineAfter
-}
-
-func (r *Registry) probeAfter() time.Duration {
-	if r.ProbeAfter > 0 {
-		return r.ProbeAfter
-	}
-	return DefaultByzantineProbeAfter
-}
+// tick is the byzantine breakers' clock: monotonic nanoseconds since the
+// registry was built.
+func (r *Registry) tick() int64 { return int64(time.Since(r.start)) }
 
 // NoteBadDelivery records one integrity-rejected delivery from a worker. At
-// ByzantineAfter strikes the worker is quarantined: still probed for
+// the breaker threshold the worker is quarantined: still probed for
 // liveness, but skipped by Acquire until the half-open window admits one
 // probe lease. A probe lease failing re-arms the window instead of
 // re-counting strikes.
@@ -306,26 +298,20 @@ func (r *Registry) NoteBadDelivery(url string) {
 		r.mu.Unlock()
 		return
 	}
-	if w.probing {
+	if w.Probing() {
 		// The half-open probe came back bad: back to fully open.
-		w.probing = false
-		w.quarantinedAt = time.Now()
+		w.Resolve(false, r.tick())
 		r.mu.Unlock()
 		if r.log != nil {
 			r.log.Warn("fabric byzantine probe failed", "worker", url)
 		}
 		return
 	}
-	w.badDeliveries++
-	tripped := !w.quarantined && w.badDeliveries >= r.byzantineAfter()
-	if tripped {
-		w.quarantined = true
-		w.quarantinedAt = time.Now()
-		if r.m != nil {
-			r.m.ByzantineQuarantined.Inc()
-		}
+	tripped := w.Strike(r.Breaker, r.tick())
+	if tripped && r.m != nil {
+		r.m.ByzantineQuarantined.Inc()
 	}
-	strikes := w.badDeliveries
+	strikes := w.Strikes()
 	r.mu.Unlock()
 	if r.log != nil {
 		if tripped {
@@ -345,11 +331,9 @@ func (r *Registry) NoteGoodDelivery(url string) {
 		r.mu.Unlock()
 		return
 	}
-	w.badDeliveries = 0
-	healed := w.quarantined
+	healed := w.Open()
+	w.Resolve(true, r.tick())
 	if healed {
-		w.quarantined = false
-		w.probing = false
 		r.wakeLocked() // readmitted capacity: wake Acquire waiters
 	}
 	r.mu.Unlock()
@@ -364,8 +348,8 @@ func (r *Registry) NoteGoodDelivery(url string) {
 // as it was, so the next Acquire may probe again immediately.
 func (r *Registry) AbortProbe(url string) {
 	r.mu.Lock()
-	if w := r.workers[url]; w != nil && w.probing {
-		w.probing = false
+	if w := r.workers[url]; w != nil && w.Probing() {
+		w.AbortProbe()
 		r.wakeLocked()
 	}
 	r.mu.Unlock()
@@ -414,22 +398,18 @@ func (r *Registry) Acquire(ctx context.Context) *WorkerRef {
 	for {
 		r.mu.Lock()
 		var best, probe *worker
-		minWake := time.Duration(0) // soonest half-open window opening
-		urls := make([]string, 0, len(r.workers))
-		for url := range r.workers {
-			urls = append(urls, url)
-		}
-		sort.Strings(urls)
-		for _, url := range urls {
+		minWake := int64(0) // soonest half-open window opening, in ticks
+		now := r.tick()
+		for _, url := range r.urlsLocked() {
 			w := r.workers[url]
 			if !w.up || (r.MaxLeases > 0 && w.leases >= r.MaxLeases) {
 				continue
 			}
-			if w.quarantined {
-				if w.probing {
+			if w.Open() {
+				if w.Probing() {
 					continue // one probe at a time
 				}
-				if left := r.probeAfter() - time.Since(w.quarantinedAt); left > 0 {
+				if left := w.Remaining(r.Breaker, now); left > 0 {
 					if minWake == 0 || left < minWake {
 						minWake = left
 					}
@@ -451,7 +431,7 @@ func (r *Registry) Acquire(ctx context.Context) *WorkerRef {
 			return ref
 		}
 		if probe != nil {
-			probe.probing = true
+			probe.StartProbe()
 			probe.leases++
 			ref := &WorkerRef{URL: probe.url, Probe: true, down: probe.down, r: r}
 			r.mu.Unlock()
@@ -465,7 +445,7 @@ func (r *Registry) Acquire(ctx context.Context) *WorkerRef {
 		if minWake > 0 {
 			// A quarantine window opens before anything else might wake us:
 			// re-scan then, even if no join/release/heartbeat fires.
-			t := time.NewTimer(minWake)
+			t := time.NewTimer(time.Duration(minWake))
 			select {
 			case <-ctx.Done():
 				t.Stop()
@@ -491,14 +471,9 @@ func (r *Registry) Acquire(ctx context.Context) *WorkerRef {
 func (r *Registry) AcquireIdle(exclude string) *WorkerRef {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	urls := make([]string, 0, len(r.workers))
-	for url := range r.workers {
-		urls = append(urls, url)
-	}
-	sort.Strings(urls)
-	for _, url := range urls {
+	for _, url := range r.urlsLocked() {
 		w := r.workers[url]
-		if url == exclude || !w.up || w.quarantined || w.probing || w.leases != 0 {
+		if url == exclude || !w.up || w.Open() || w.leases != 0 {
 			continue
 		}
 		w.leases++
@@ -561,7 +536,7 @@ func (r *Registry) FleetState() []api.FleetWorker {
 			URL:         w.url,
 			Up:          w.up,
 			Static:      w.static,
-			Quarantined: w.quarantined,
+			Quarantined: w.Open(),
 			Leases:      w.leases,
 			Delivered:   w.delivered,
 			Scenarios:   w.scenarios,
@@ -586,7 +561,7 @@ func (r *Registry) Snapshot() []api.WorkerInfo {
 	infos := make([]api.WorkerInfo, 0, len(r.workers))
 	for _, w := range r.workers {
 		info := api.WorkerInfo{URL: w.url, Up: w.up, Static: w.static,
-			Leases: w.leases, Quarantined: w.quarantined}
+			Leases: w.leases, Quarantined: w.Open()}
 		if !w.lastSeen.IsZero() {
 			info.LastSeenUnix = w.lastSeen.Unix()
 		}

@@ -19,7 +19,6 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 	const url = "http://worker"
 	errProbe := errors.New("probe failed")
 	r := NewRegistry([]string{url}, nil, NewMetrics(), obs.Nop())
-	r.DownAfter = 2
 
 	// Serialized phase first: the rule itself, with no concurrency noise.
 	r.markUp(url)
@@ -75,8 +74,8 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 	wg.Wait()
 
 	downs := int64(r.m.WorkerDowns.Value()) - 1 // minus the serialized phase
-	if max := failures.Load() / int64(r.DownAfter); downs > max {
+	if max := failures.Load() / DefaultDownAfter; downs > max {
 		t.Fatalf("worker went down %d times on %d failures — faster than the %d-strike rule allows (max %d)",
-			downs, failures.Load(), r.DownAfter, max)
+			downs, failures.Load(), DefaultDownAfter, max)
 	}
 }

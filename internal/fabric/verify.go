@@ -87,7 +87,7 @@ func (c *Coordinator) pollTerminal(ctx context.Context, cl *faultdclient.Client,
 		default:
 			return nil, err
 		}
-		if err := sleepCtx(ctx, faultdclient.DefaultPollInterval); err != nil {
+		if err := faultdclient.Sleep(ctx, faultdclient.DefaultPollInterval); err != nil {
 			return nil, err
 		}
 	}

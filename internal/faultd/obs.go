@@ -1,9 +1,7 @@
 package faultd
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
@@ -174,12 +172,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	view := jobView(job)
 	s.mu.Unlock()
-	if writeSSE(w, "progress", view) != nil {
+	if obs.WriteSSE(w, "progress", view) != nil {
 		return
 	}
 	fl.Flush()
 	if terminal(view.Status) {
-		_ = writeSSE(w, "status", view)
+		_ = obs.WriteSSE(w, "status", view)
 		fl.Flush()
 		return
 	}
@@ -193,7 +191,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			s.mu.Lock()
 			view := jobView(job)
 			s.mu.Unlock()
-			if writeSSE(w, "progress", view) != nil {
+			if obs.WriteSSE(w, "progress", view) != nil {
 				return
 			}
 			fl.Flush()
@@ -204,11 +202,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				s.mu.Lock()
 				view := jobView(job)
 				s.mu.Unlock()
-				_ = writeSSE(w, "status", view)
+				_ = obs.WriteSSE(w, "status", view)
 				fl.Flush()
 				return
 			}
-			if writeSSE(w, e.Type, e.Data) != nil {
+			if obs.WriteSSE(w, e.Type, e.Data) != nil {
 				return
 			}
 			fl.Flush()
@@ -217,16 +215,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-}
-
-// writeSSE frames one Server-Sent Event with a JSON data payload.
-func writeSSE(w io.Writer, event string, data any) error {
-	b, err := json.Marshal(data)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-	return err
 }
 
 // publishResult streams one finished scenario to the job's subscribers.

@@ -3,6 +3,7 @@ package faultd
 import (
 	"sync"
 
+	"dmafault/internal/breaker"
 	"dmafault/internal/campaign"
 )
 
@@ -25,18 +26,21 @@ import (
 // QuarantineProbeAfter zero.
 const DefaultProbeAfter = 2
 
+// quarantine keys one breaker per scenario. Each key's tick is its own
+// count of jobs admitted while it was tripped, so the half-open wait is
+// measured in the scenario's jobs, never in wall-clock time. Failures accumulate across
+// jobs and only a clean probe resets them; a probe is taken as soon as the
+// wait has elapsed.
 type quarantine struct {
-	mu         sync.Mutex
-	threshold  int
-	probeAfter int
-	entries    map[string]*qEntry
+	mu      sync.Mutex
+	policy  breaker.Policy
+	entries map[string]*scenarioBreaker
 }
 
-type qEntry struct {
-	failures      int  // panic/timeout outcomes observed across jobs
-	tripped       bool // short-circuiting
-	jobsSinceTrip int  // jobs admitted while tripped (drives half-open)
-	probing       bool // one probe job is in flight
+// scenarioBreaker is one key's breaker and its clock.
+type scenarioBreaker struct {
+	breaker.State
+	satOut int64 // jobs admitted while the breaker was open
 }
 
 // admission is one job's snapshot of breaker verdicts, fixed at job start.
@@ -49,18 +53,8 @@ func newQuarantine(threshold, probeAfter int) *quarantine {
 	if probeAfter <= 0 {
 		probeAfter = DefaultProbeAfter
 	}
-	return &quarantine{threshold: threshold, probeAfter: probeAfter,
-		entries: map[string]*qEntry{}}
-}
-
-// entry returns (allocating) the state for a key.
-func (q *quarantine) entry(key string) *qEntry {
-	e := q.entries[key]
-	if e == nil {
-		e = &qEntry{}
-		q.entries[key] = e
-	}
-	return e
+	return &quarantine{policy: breaker.Policy{Threshold: threshold, Wait: int64(probeAfter)},
+		entries: map[string]*scenarioBreaker{}}
 }
 
 // admit snapshots verdicts for one job's scenario keys. Tripped keys are
@@ -78,17 +72,17 @@ func (q *quarantine) admit(keys []string) (adm *admission, probes int) {
 		}
 		seen[k] = true
 		e := q.entries[k]
-		if e == nil || !e.tripped {
+		if e == nil || !e.Open() {
 			continue
 		}
-		e.jobsSinceTrip++
-		if e.jobsSinceTrip > q.probeAfter && !e.probing {
-			e.probing = true
+		if e.Ready(q.policy, e.satOut) {
+			e.StartProbe()
 			adm.probes[k] = true
 			probes++
-			continue
+		} else {
+			adm.blocked[k] = true
 		}
-		adm.blocked[k] = true
+		e.satOut++
 	}
 	return adm, probes
 }
@@ -120,21 +114,21 @@ func (q *quarantine) report(adm *admission, keys []string, results []*campaign.R
 		if r.Outcome == campaign.OutcomeQuarantined || !failed {
 			continue
 		}
-		e := q.entry(k)
-		e.failures++
-		if !e.tripped && e.failures >= q.threshold {
-			e.tripped = true
-			e.jobsSinceTrip = 0
+		e := q.entries[k]
+		if e == nil {
+			e = &scenarioBreaker{}
+			q.entries[k] = e
+		}
+		if e.Strike(q.policy, e.satOut) {
 			trips++
 		}
 	}
 	for k := range probeSeen {
-		e := q.entry(k)
-		e.probing = false
-		if probeFailed[k] {
-			e.jobsSinceTrip = 0 // still broken: wait out another round
-		} else {
-			delete(q.entries, k) // healed: full reset
+		if e := q.entries[k]; e != nil {
+			e.Resolve(!probeFailed[k], e.satOut)
+			if !e.Open() {
+				delete(q.entries, k) // healed: full reset
+			}
 		}
 	}
 	return trips
@@ -151,7 +145,7 @@ func (q *quarantine) abort(adm *admission) {
 	defer q.mu.Unlock()
 	for k := range adm.probes {
 		if e := q.entries[k]; e != nil {
-			e.probing = false
+			e.AbortProbe()
 		}
 	}
 }

@@ -178,8 +178,9 @@ func transient(status int) bool {
 		status == http.StatusGatewayTimeout
 }
 
-// sleep waits d or until ctx is done.
-func sleep(ctx context.Context, d time.Duration) error {
+// Sleep waits d or until ctx is done, returning ctx's error in that case.
+// The fabric paces its re-leases and polls with it.
+func Sleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -241,7 +242,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		if attempt >= c.retries() {
 			return lastErr
 		}
-		if err := sleep(ctx, next); err != nil {
+		if err := Sleep(ctx, next); err != nil {
 			return fmt.Errorf("%w (last error: %v)", err, lastErr)
 		}
 		if wait *= 2; wait > c.maxRetryWait() {
@@ -433,7 +434,7 @@ func (c *Client) WaitTerminal(ctx context.Context, id int, interval time.Duratio
 		if job.Status.Terminal() {
 			return job, nil
 		}
-		if err := sleep(ctx, interval); err != nil {
+		if err := Sleep(ctx, interval); err != nil {
 			return job, err
 		}
 	}

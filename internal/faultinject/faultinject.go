@@ -22,9 +22,6 @@ package faultinject
 
 import (
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
 
 	"dmafault/internal/iommu"
 	"dmafault/internal/metrics"
@@ -62,7 +59,7 @@ const (
 	numClasses
 )
 
-var classNames = [numClasses]string{
+var vocabulary = Vocabulary{Pkg: "faultinject", Names: []string{
 	"dma-corrupt",
 	"dma-drop",
 	"iommu-stall",
@@ -71,15 +68,13 @@ var classNames = [numClasses]string{
 	"alloc-fail",
 	"scenario-panic",
 	"scenario-stall",
-}
+}}
+
+// Vocabulary binds the plan engine to this package's class names.
+func (Class) Vocabulary() *Vocabulary { return &vocabulary }
 
 // String names the class as ParseSpec spells it.
-func (c Class) String() string {
-	if int(c) < len(classNames) {
-		return classNames[c]
-	}
-	return fmt.Sprintf("class(%d)", uint8(c))
-}
+func (c Class) String() string { return vocabulary.Name(uint8(c)) }
 
 // Classes lists every fault class in stable order.
 func Classes() []Class {
@@ -92,12 +87,8 @@ func Classes() []Class {
 
 // ClassByName resolves a spec name back to its class.
 func ClassByName(name string) (Class, bool) {
-	for i, n := range classNames {
-		if n == name {
-			return Class(i), true
-		}
-	}
-	return 0, false
+	c, ok := vocabulary.lookup(name)
+	return Class(c), ok
 }
 
 // ErrTransient marks injected failures that a retry with a fresh salt may
@@ -110,119 +101,25 @@ var ErrTransient = errors.New("injected transient fault")
 // carry a deferred-flush deadline past its window.
 const TranslateStallNanos = 5 * sim.Microsecond
 
-// Rule injects one class at a rate, at fixed opportunity ordinals, or both.
-type Rule struct {
-	Class Class `json:"class"`
-	// Rate is the per-opportunity injection probability in [0, 1].
-	Rate float64 `json:"rate,omitempty"`
-	// Points are 1-based opportunity ordinals that always inject,
-	// independent of the salt (so "fail the 1st alloc" fails every attempt).
-	Points []uint64 `json:"points,omitempty"`
-}
+// Rule and Plan are the plan engine's rule and plan over this package's
+// classes.
+type (
+	Rule = RuleOf[Class]
+	Plan = PlanOf[Class]
+)
 
-// Plan is a serializable fault-injection plan: the decision seed plus the
-// per-class rules. The zero Salt is attempt 0; the campaign engine bumps it
-// per retry so rate-based decisions are redrawn.
-type Plan struct {
-	Seed  int64  `json:"seed,omitempty"`
-	Salt  int64  `json:"salt,omitempty"`
-	Rules []Rule `json:"rules"`
-}
-
-// Validate rejects rules the injector cannot honor.
-func (p *Plan) Validate() error {
-	if p == nil {
-		return nil
-	}
-	for _, r := range p.Rules {
-		if r.Class >= numClasses {
-			return fmt.Errorf("faultinject: unknown class %d", r.Class)
-		}
-		if r.Rate < 0 || r.Rate > 1 {
-			return fmt.Errorf("faultinject: %s rate %v outside [0,1]", r.Class, r.Rate)
-		}
-		if r.Rate == 0 && len(r.Points) == 0 {
-			return fmt.Errorf("faultinject: %s rule has neither rate nor points", r.Class)
-		}
-		for _, pt := range r.Points {
-			if pt == 0 {
-				return fmt.Errorf("faultinject: %s point ordinals are 1-based", r.Class)
-			}
-		}
-	}
-	return nil
-}
-
-// ParseSpec compiles the compact rule grammar used by flags and scenario
-// specs: comma-separated entries of the form
-//
-//	class:RATE          inject at probability RATE per opportunity
-//	class@P1+P2+...     inject at the P1st, P2nd, ... opportunity (1-based)
-//	class:RATE@P1+...   both
-//
-// e.g. "dma-corrupt:0.01,alloc-fail@1,scenario-panic:0.2". Seed and Salt
-// are left zero; callers bind them (the campaign engine uses the scenario
-// seed and the attempt number).
-func ParseSpec(spec string) (*Plan, error) {
-	plan := &Plan{}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		rest := entry
-		var rule Rule
-		if at := strings.IndexByte(rest, '@'); at >= 0 {
-			for _, p := range strings.Split(rest[at+1:], "+") {
-				n, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("faultinject: bad point %q in %q", p, entry)
-				}
-				rule.Points = append(rule.Points, n)
-			}
-			rest = rest[:at]
-		}
-		if colon := strings.IndexByte(rest, ':'); colon >= 0 {
-			rate, err := strconv.ParseFloat(strings.TrimSpace(rest[colon+1:]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("faultinject: bad rate in %q", entry)
-			}
-			rule.Rate = rate
-			rest = rest[:colon]
-		}
-		c, ok := ClassByName(strings.TrimSpace(rest))
-		if !ok {
-			return nil, fmt.Errorf("faultinject: unknown class %q (have %s)",
-				strings.TrimSpace(rest), strings.Join(classNames[:], ", "))
-		}
-		rule.Class = c
-		plan.Rules = append(plan.Rules, rule)
-	}
-	if len(plan.Rules) == 0 {
-		return nil, fmt.Errorf("faultinject: empty spec %q", spec)
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	return plan, nil
-}
-
-// compiled is one rule ready for O(1) decisions.
-type compiled struct {
-	active bool
-	rate   float64
-	points map[uint64]bool
-}
+// ParseSpec compiles a fault spec (see Parse for the grammar), e.g.
+// "dma-corrupt:0.01,alloc-fail@1,scenario-panic:0.2". Seed and Salt are
+// left zero; the campaign engine binds the scenario seed and the attempt
+// number.
+func ParseSpec(spec string) (*Plan, error) { return Parse[Class](spec) }
 
 // Injector makes the plan's decisions for one scope (one booted machine or
 // one scenario attempt). It is NOT safe for concurrent use: each scope owns
 // its injector, exactly as each scope owns its machine. All methods are
 // nil-receiver safe and report "no fault".
 type Injector struct {
-	seed  uint64
-	rules [numClasses]compiled
-	ops   [numClasses]uint64
-	hits  [numClasses]uint64
+	s Stream[Class]
 }
 
 // New compiles a plan for a scope (typically the machine seed). A nil or
@@ -232,67 +129,24 @@ func New(plan *Plan, scope int64) *Injector {
 	if plan == nil || len(plan.Rules) == 0 {
 		return nil
 	}
-	in := &Injector{
-		seed: splitmix(splitmix(uint64(plan.Seed)) ^ splitmix(uint64(plan.Salt)+0x5a17) ^ uint64(scope)),
-	}
-	for _, r := range plan.Rules {
-		c := &in.rules[r.Class]
-		c.active = true
-		c.rate = r.Rate
-		if len(r.Points) > 0 {
-			if c.points == nil {
-				c.points = make(map[uint64]bool, len(r.Points))
-			}
-			for _, p := range r.Points {
-				c.points[p] = true
-			}
-		}
-	}
-	return in
-}
-
-// splitmix is the splitmix64 finalizer: a bijective avalanche mix.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// decision is the per-opportunity hash stream for a class.
-func (in *Injector) decision(c Class, n uint64) uint64 {
-	return splitmix(in.seed ^ splitmix(uint64(c+1)<<32^n))
+	return &Injector{s: Compile(plan, scope)}
 }
 
 // Fire counts one opportunity of the class and decides whether to inject.
 func (in *Injector) Fire(c Class) bool {
-	if in == nil || c >= numClasses {
+	if in == nil {
 		return false
 	}
-	in.ops[c]++
-	r := &in.rules[c]
-	if !r.active {
-		return false
-	}
-	n := in.ops[c]
-	hit := r.points[n]
-	if !hit && r.rate > 0 {
-		// 53-bit uniform draw in [0,1).
-		hit = float64(in.decision(c, n)>>11)/(1<<53) < r.rate
-	}
-	if hit {
-		in.hits[c]++
-	}
-	return hit
+	return in.s.Fire(c)
 }
 
 // Counts returns (opportunities, injections) for a class — the
 // injected-vs-detected numerator tests and reports read.
 func (in *Injector) Counts(c Class) (ops, injected uint64) {
-	if in == nil || c >= numClasses {
+	if in == nil {
 		return 0, 0
 	}
-	return in.ops[c], in.hits[c]
+	return in.s.Counts(c)
 }
 
 // --- substrate hooks (each satisfies a consumer-defined interface) ---
@@ -310,7 +164,7 @@ func (in *Injector) InjectDeviceWrite(dev iommu.DeviceID, va iommu.IOVA, buf []b
 	if in.Fire(DMACorrupt) && len(buf) > 0 {
 		// Reuse the decision stream (different constant) for position and
 		// flip pattern; the xor is forced nonzero so the byte always changes.
-		h := splitmix(in.decision(DMACorrupt, in.ops[DMACorrupt]) ^ 0xc0ee)
+		h := in.s.Draw(DMACorrupt, 0xc0ee)
 		buf[h%uint64(len(buf))] ^= byte(h>>8) | 1
 	}
 	return false
@@ -360,9 +214,10 @@ func (in *Injector) Collect(emit func(string, metrics.Sample)) {
 		return
 	}
 	for c := Class(0); c < numClasses; c++ {
+		ops, hits := in.s.Counts(c)
 		emit("faultinject_opportunities_total",
-			metrics.Sample{Labels: metrics.L("class", c.String()), Value: float64(in.ops[c])})
+			metrics.Sample{Labels: metrics.L("class", c.String()), Value: float64(ops)})
 		emit("faultinject_injected_total",
-			metrics.Sample{Labels: metrics.L("class", c.String()), Value: float64(in.hits[c])})
+			metrics.Sample{Labels: metrics.L("class", c.String()), Value: float64(hits)})
 	}
 }

@@ -55,6 +55,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"alloc-fail@0",     // points are 1-based
 		"alloc-fail@x",     // non-numeric point
 		"dma-corrupt:x",    // non-numeric rate
+		"dma-corrupt:NaN",  // ParseFloat accepts NaN; no comparison rejects it
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q): expected error", spec)

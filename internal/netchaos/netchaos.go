@@ -9,15 +9,16 @@
 // stealing) can be exercised repeatably instead of waiting for a flaky
 // switch.
 //
-// The plan grammar, decision function, and counters mirror faultinject
-// exactly: a Plan is per-class rules, rate-based or point-based, and every
-// decision is a pure function of (seed, salt, class, per-class opportunity
-// ordinal) through the splitmix64 finalizer. Two transports built from the
-// same plan make the same decision at the same ordinal; what varies across
-// runs is only which request draws which ordinal (concurrent leases race
-// for the counter), which is precisely the nondeterminism the fabric must
-// already survive. Campaign *results* stay byte-identical under any plan —
-// that is the tentpole guarantee the fabric tests enforce.
+// It uses faultinject's plan engine: the spec grammar, validation, the
+// decision stream and its counters are faultinject's, bound to this
+// package's class names. A Plan is per-class rules, rate-based or
+// point-based, and every decision is a pure function of (seed, salt,
+// class, per-class opportunity ordinal) through the splitmix64 finalizer.
+// Two transports built from the same plan make the same decision at the
+// same ordinal; what varies across runs is only which request draws which
+// ordinal (concurrent leases race for the counter), which is precisely the
+// nondeterminism the fabric must already survive. Campaign *results* stay
+// byte-identical under any plan — the guarantee the fabric tests enforce.
 //
 // Wire it in through faultdclient.Client.WithTransport or
 // fabric.Config.Transport:
@@ -36,6 +37,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"dmafault/internal/faultinject"
 )
 
 // Class enumerates the injectable transport-fault classes. The order is the
@@ -76,7 +79,7 @@ const (
 	numClasses
 )
 
-var classNames = [numClasses]string{
+var vocabulary = faultinject.Vocabulary{Pkg: "netchaos", Names: []string{
 	"latency",
 	"conn-drop",
 	"http-500",
@@ -85,151 +88,39 @@ var classNames = [numClasses]string{
 	"truncate",
 	"bitflip",
 	"partition",
-}
+}}
+
+// Vocabulary binds faultinject's plan engine to this package's class names.
+func (Class) Vocabulary() *faultinject.Vocabulary { return &vocabulary }
 
 // String names the class as ParseSpec spells it.
-func (c Class) String() string {
-	if int(c) < len(classNames) {
-		return classNames[c]
-	}
-	return fmt.Sprintf("class(%d)", uint8(c))
-}
+func (c Class) String() string { return vocabulary.Name(uint8(c)) }
 
-// Classes lists every fault class in stable order.
-func Classes() []Class {
-	out := make([]Class, numClasses)
-	for i := range out {
-		out[i] = Class(i)
-	}
-	return out
-}
+// Rule and Plan are faultinject's rule and plan over the transport classes.
+type (
+	Rule = faultinject.RuleOf[Class]
+	Plan = faultinject.PlanOf[Class]
+)
 
-// ClassByName resolves a spec name back to its class.
-func ClassByName(name string) (Class, bool) {
-	for i, n := range classNames {
-		if n == name {
-			return Class(i), true
-		}
-	}
-	return 0, false
-}
+// ParseSpec compiles a transport-chaos spec in faultinject's grammar, e.g.
+// "bitflip:0.3,http-503:0.1,conn-drop:0.05,partition@40". Seed and Salt
+// are left zero; callers bind them (cmd/campaign uses -netchaos-seed).
+func ParseSpec(spec string) (*Plan, error) { return faultinject.Parse[Class](spec) }
 
-// Rule injects one class at a rate, at fixed opportunity ordinals, or both.
-type Rule struct {
-	Class Class `json:"class"`
-	// Rate is the per-opportunity injection probability in [0, 1].
-	Rate float64 `json:"rate,omitempty"`
-	// Points are 1-based opportunity ordinals that always inject,
-	// independent of the rate draw (so "partition at the 40th request"
-	// fires every run).
-	Points []uint64 `json:"points,omitempty"`
-}
-
-// Plan is a serializable transport-chaos plan: the decision seed plus the
-// per-class rules, exactly the faultinject shape.
-type Plan struct {
-	Seed  int64  `json:"seed,omitempty"`
-	Salt  int64  `json:"salt,omitempty"`
-	Rules []Rule `json:"rules"`
-}
-
-// Validate rejects rules the transport cannot honor.
-func (p *Plan) Validate() error {
-	if p == nil {
-		return nil
-	}
-	for _, r := range p.Rules {
-		if r.Class >= numClasses {
-			return fmt.Errorf("netchaos: unknown class %d", r.Class)
-		}
-		if r.Rate < 0 || r.Rate > 1 {
-			return fmt.Errorf("netchaos: %s rate %v outside [0,1]", r.Class, r.Rate)
-		}
-		if r.Rate == 0 && len(r.Points) == 0 {
-			return fmt.Errorf("netchaos: %s rule has neither rate nor points", r.Class)
-		}
-		for _, pt := range r.Points {
-			if pt == 0 {
-				return fmt.Errorf("netchaos: %s point ordinals are 1-based", r.Class)
-			}
-		}
-	}
-	return nil
-}
-
-// ParseSpec compiles the compact rule grammar shared with faultinject:
-// comma-separated entries of the form
-//
-//	class:RATE          inject at probability RATE per opportunity
-//	class@P1+P2+...     inject at the P1st, P2nd, ... opportunity (1-based)
-//	class:RATE@P1+...   both
-//
-// e.g. "bitflip:0.3,http-503:0.1,conn-drop:0.05,partition@40". Seed and
-// Salt are left zero; callers bind them (cmd/campaign uses -netchaos-seed).
-func ParseSpec(spec string) (*Plan, error) {
-	plan := &Plan{}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		rest := entry
-		var rule Rule
-		if at := strings.IndexByte(rest, '@'); at >= 0 {
-			for _, p := range strings.Split(rest[at+1:], "+") {
-				n, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("netchaos: bad point %q in %q", p, entry)
-				}
-				rule.Points = append(rule.Points, n)
-			}
-			rest = rest[:at]
-		}
-		if colon := strings.IndexByte(rest, ':'); colon >= 0 {
-			rate, err := strconv.ParseFloat(strings.TrimSpace(rest[colon+1:]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("netchaos: bad rate in %q", entry)
-			}
-			rule.Rate = rate
-			rest = rest[:colon]
-		}
-		c, ok := ClassByName(strings.TrimSpace(rest))
-		if !ok {
-			return nil, fmt.Errorf("netchaos: unknown class %q (have %s)",
-				strings.TrimSpace(rest), strings.Join(classNames[:], ", "))
-		}
-		rule.Class = c
-		plan.Rules = append(plan.Rules, rule)
-	}
-	if len(plan.Rules) == 0 {
-		return nil, fmt.Errorf("netchaos: empty spec %q", spec)
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	return plan, nil
-}
-
-// Defaults for Transport's zero-valued knobs.
+// Defaults for Transport's zero-valued knobs, and the fixed cut of a
+// Truncate hit.
 const (
 	// DefaultLatency is the injected delay per Latency hit.
 	DefaultLatency = 25 * time.Millisecond
 	// DefaultPartitionLen is how many consecutive requests to a host one
 	// Partition hit swallows.
 	DefaultPartitionLen = 8
-	// DefaultTruncateAt is where a Truncate hit cuts the response body —
+	// DefaultTruncateAt is where every Truncate hit cuts the response body —
 	// short enough to tear any JSON document the /v1 API emits.
 	DefaultTruncateAt = 20
 	// retryAfterSeconds is the hint injected 503/429 responses carry.
 	retryAfterSeconds = 1
 )
-
-// compiled is one rule ready for O(1) decisions.
-type compiled struct {
-	active bool
-	rate   float64
-	points map[uint64]bool
-}
 
 // Transport is the chaos RoundTripper. Unlike a faultinject.Injector it IS
 // safe for concurrent use — the fabric fans leases, polls, and heartbeats
@@ -244,16 +135,9 @@ type Transport struct {
 	// PartitionLen is requests swallowed per Partition hit
 	// (0: DefaultPartitionLen).
 	PartitionLen uint64
-	// TruncateAt is the byte offset a Truncate hit cuts the body at
-	// (0: DefaultTruncateAt).
-	TruncateAt int64
-
-	seed  uint64
-	rules [numClasses]compiled
 
 	mu         sync.Mutex
-	ops        [numClasses]uint64
-	hits       [numClasses]uint64
+	s          faultinject.Stream[Class]
 	partitions map[string]uint64 // host → requests left to swallow
 }
 
@@ -261,57 +145,7 @@ type Transport struct {
 // transport that forwards everything untouched (the counters still run, so
 // "chaos off" and "chaos on" expositions stay comparable).
 func NewTransport(plan *Plan, base http.RoundTripper) *Transport {
-	t := &Transport{Base: base, partitions: map[string]uint64{}}
-	if plan == nil {
-		return t
-	}
-	t.seed = splitmix(splitmix(uint64(plan.Seed)) ^ splitmix(uint64(plan.Salt)+0x5a17))
-	for _, r := range plan.Rules {
-		c := &t.rules[r.Class]
-		c.active = true
-		c.rate = r.Rate
-		if len(r.Points) > 0 {
-			if c.points == nil {
-				c.points = make(map[uint64]bool, len(r.Points))
-			}
-			for _, p := range r.Points {
-				c.points[p] = true
-			}
-		}
-	}
-	return t
-}
-
-// splitmix is the splitmix64 finalizer — the same mix faultinject uses.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// decision is the per-opportunity hash stream for a class.
-func (t *Transport) decision(c Class, n uint64) uint64 {
-	return splitmix(t.seed ^ splitmix(uint64(c+1)<<32^n))
-}
-
-// fire counts one opportunity of the class and decides. Callers hold t.mu.
-func (t *Transport) fire(c Class) bool {
-	t.ops[c]++
-	r := &t.rules[c]
-	if !r.active {
-		return false
-	}
-	n := t.ops[c]
-	hit := r.points[n]
-	if !hit && r.rate > 0 {
-		// 53-bit uniform draw in [0,1).
-		hit = float64(t.decision(c, n)>>11)/(1<<53) < r.rate
-	}
-	if hit {
-		t.hits[c]++
-	}
-	return hit
+	return &Transport{Base: base, s: faultinject.Compile(plan, 0), partitions: map[string]uint64{}}
 }
 
 // Counts returns (opportunities, injections) for a class.
@@ -321,7 +155,7 @@ func (t *Transport) Counts(c Class) (ops, injected uint64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.ops[c], t.hits[c]
+	return t.s.Counts(c)
 }
 
 // CountsText renders every class's ops/hits as one log-friendly line.
@@ -330,10 +164,11 @@ func (t *Transport) CountsText() string {
 	defer t.mu.Unlock()
 	parts := make([]string, 0, numClasses)
 	for c := Class(0); c < numClasses; c++ {
-		if t.ops[c] == 0 && t.hits[c] == 0 {
+		ops, hits := t.s.Counts(c)
+		if ops == 0 && hits == 0 {
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s=%d/%d", c, t.hits[c], t.ops[c]))
+		parts = append(parts, fmt.Sprintf("%s=%d/%d", c, hits, ops))
 	}
 	if len(parts) == 0 {
 		return "idle"
@@ -370,38 +205,33 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		t.mu.Unlock()
 		return nil, &Error{Class: Partition, Host: host}
 	}
-	if t.fire(Partition) {
+	if t.s.Fire(Partition) {
 		if n := t.partitionLen(); n > 1 {
 			t.partitions[host] = n - 1 // this request is the first casualty
 		}
 		t.mu.Unlock()
 		return nil, &Error{Class: Partition, Host: host}
 	}
-	delay := t.fire(Latency)
-	drop := t.fire(ConnDrop)
+	delay := t.s.Fire(Latency)
+	drop := t.s.Fire(ConnDrop)
 	status := 0
 	dateForm := false
-	if t.fire(HTTP500) {
+	if t.s.Fire(HTTP500) {
 		status = http.StatusInternalServerError
 	}
-	if t.fire(HTTP503) && status == 0 {
+	if t.s.Fire(HTTP503) && status == 0 {
 		status = http.StatusServiceUnavailable
-		dateForm = t.ops[HTTP503]%2 == 0
+		dateForm = t.parity(HTTP503)
 	}
-	if t.fire(HTTP429) && status == 0 {
+	if t.s.Fire(HTTP429) && status == 0 {
 		status = http.StatusTooManyRequests
-		dateForm = t.ops[HTTP429]%2 == 0
+		dateForm = t.parity(HTTP429)
 	}
-	trunc := t.fire(Truncate)
-	flip := t.fire(BitFlip)
+	trunc := t.s.Fire(Truncate)
+	flip := t.s.Fire(BitFlip)
 	var flipTarget uint64
 	if flip {
-		// Which digit of the body to corrupt: a small 1-based ordinal drawn
-		// from the decision stream (different constant) so corruption lands
-		// at varying depths of the document. Kept small enough that even a
-		// compact job document carries that many digits; a body with fewer
-		// passes untouched.
-		flipTarget = 1 + splitmix(t.decision(BitFlip, t.ops[BitFlip])^0xf11b)%16
+		flipTarget = t.flipTarget()
 	}
 	t.mu.Unlock()
 
@@ -427,7 +257,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return resp, err
 	}
 	if trunc {
-		resp.Body = &truncReader{rc: resp.Body, left: t.truncateAt()}
+		resp.Body = &truncReader{rc: resp.Body, left: DefaultTruncateAt}
 		resp.ContentLength = -1
 		resp.Header.Del("Content-Length")
 	}
@@ -458,11 +288,18 @@ func (t *Transport) partitionLen() uint64 {
 	return DefaultPartitionLen
 }
 
-func (t *Transport) truncateAt() int64 {
-	if t.TruncateAt > 0 {
-		return t.TruncateAt
-	}
-	return DefaultTruncateAt
+// flipTarget picks which digit of the body a BitFlip hit corrupts: a small
+// 1-based ordinal drawn from the decision stream (different constant) so
+// corruption lands at varying depths of the document. Kept small enough
+// that even a compact job document carries that many digits; a body with
+// fewer passes untouched. Callers hold t.mu.
+func (t *Transport) flipTarget() uint64 { return 1 + t.s.Draw(BitFlip, 0xf11b)%16 }
+
+// parity reports whether the class's opportunity count is even: which
+// Retry-After form an injected 503/429 carries. Callers hold t.mu.
+func (t *Transport) parity(c Class) bool {
+	ops, _ := t.s.Counts(c)
+	return ops%2 == 0
 }
 
 // synthesize builds an injected error response. 503/429 carry a Retry-After

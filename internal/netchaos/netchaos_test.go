@@ -31,7 +31,7 @@ func TestParseSpec(t *testing.T) {
 	if r := plan.Rules[2]; r.Class != Partition || r.Rate != 0 || len(r.Points) != 1 || r.Points[0] != 40 {
 		t.Fatalf("rule 2 = %+v", r)
 	}
-	for _, bad := range []string{"", "nope:0.1", "latency:2", "latency:-1", "conn-drop@0", "bitflip"} {
+	for _, bad := range []string{"", "nope:0.1", "latency:2", "latency:-1", "conn-drop@0", "bitflip", "bitflip:NaN"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
@@ -51,7 +51,7 @@ func TestDeterministicDecisions(t *testing.T) {
 		var b strings.Builder
 		for i := 0; i < n; i++ {
 			tr.mu.Lock()
-			if tr.fire(ConnDrop) {
+			if tr.s.Fire(ConnDrop) {
 				b.WriteByte('x')
 			} else {
 				b.WriteByte('.')

@@ -1,6 +1,11 @@
 package obs
 
-import "sync"
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"sync"
+)
 
 // StreamEvent is one live event on a Hub: a typed JSON-encodable payload.
 // Types the service emits: "progress" (heartbeat), "span", "result",
@@ -10,6 +15,17 @@ import "sync"
 type StreamEvent struct {
 	Type string `json:"type"`
 	Data any    `json:"data,omitempty"`
+}
+
+// WriteSSE frames one Server-Sent Event with a JSON data payload — the wire
+// form of every dmafaultd and fabric event stream.
+func WriteSSE(w io.Writer, event string, data any) error {
+	b, err := json.Marshal(data)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
+	return err
 }
 
 // Hub fans StreamEvents out to subscribers — the broadcast plane behind
