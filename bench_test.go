@@ -276,19 +276,22 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // BenchmarkCampaignMetricsOverhead measures what the unified metrics layer
 // costs on campaign throughput: the same scenario set with metric capture
 // (registry attached at boot, per-scenario Gather, order-stable merge) vs
-// the SkipMetrics ablation. The acceptance budget is <5% — subsystems keep
+// the skip_metrics ablation. The acceptance budget is <5% — subsystems keep
 // plain stats structs on their hot paths and pay only one Gather per
 // scenario, so the delta should sit in the noise (numbers recorded in
 // EXPERIMENTS.md).
 func BenchmarkCampaignMetricsOverhead(b *testing.B) {
-	set := campaign.MixedPreset(8, 2021)
 	for _, arm := range []struct {
 		name string
 		skip bool
 	}{{"metrics=on", false}, {"metrics=off", true}} {
+		set := campaign.MixedPreset(8, 2021)
+		for i := range set {
+			set[i].SkipMetrics = arm.skip
+		}
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := campaign.Engine{Workers: 4, SkipMetrics: arm.skip}
+				eng := campaign.Engine{Workers: 4}
 				sum, err := eng.Run(set)
 				if err != nil {
 					b.Fatal(err)

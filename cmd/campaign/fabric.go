@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -18,7 +17,6 @@ import (
 	"dmafault/internal/fabric"
 	"dmafault/internal/netchaos"
 	"dmafault/internal/obs"
-	"dmafault/internal/resultstore"
 )
 
 // Coordinator mode: -coordinator turns this command into the fabric's
@@ -28,57 +26,24 @@ import (
 // to local execution, and the merged summary is byte-identical to a plain
 // single-node run of the same set.
 
-// fabricFlags carries the -coordinator flag group from main.
-type fabricFlags struct {
-	WorkerURLs string
-	Addr       string
-	ShardSize  int
-	LeaseTTL   time.Duration
-	// LeaseAttempts bounds lease grants per shard before the coordinator
-	// stops trusting the fabric with it (0: fabric default).
-	LeaseAttempts int
-	Heartbeat     time.Duration
-	Journal       string
-	Resume        bool
-	MetricsOut    string
-	NeedCache     bool
-	Store         *resultstore.Store
-	Workers       int
-	// Byzantine-tolerance knobs: a netchaos plan for every worker-bound
-	// request, the straggler steal delay, and the quarantine threshold.
-	Netchaos           string
-	NetchaosSeed       int64
-	StealAfter         time.Duration
-	ByzantineThreshold int
-	// Fleet telemetry plane: -fleetobs / -fleet-interval.
-	FleetObs      bool
-	FleetInterval time.Duration
+// coordFlags carries the -coordinator flags that are not fabric.Config
+// fields; the rest of the flag group writes into the Config directly.
+type coordFlags struct {
+	WorkerURLs   string // comma-separated, becomes Config.Workers
+	Addr         string // HTTP surface; arms Config.Hub
+	MetricsOut   string
+	Netchaos     string // fault plan for Config.Transport
+	NetchaosSeed int64
 }
 
 // runFabric drives one distributed campaign and emits the summary through
 // the same output path as a local run.
-func runFabric(cf *cliutil.Flags, log *slog.Logger, scenarios []campaign.Scenario, ff fabricFlags) error {
-	var urls []string
+func runFabric(cf *cliutil.Flags, scenarios []campaign.Scenario, cfg fabric.Config, ff coordFlags) error {
+	log := cfg.Log
 	for _, u := range strings.Split(ff.WorkerURLs, ",") {
 		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
+			cfg.Workers = append(cfg.Workers, strings.TrimRight(u, "/"))
 		}
-	}
-	cfg := fabric.Config{
-		Workers:            urls,
-		ShardSize:          ff.ShardSize,
-		LeaseTTL:           ff.LeaseTTL,
-		MaxLeaseAttempts:   ff.LeaseAttempts,
-		Heartbeat:          ff.Heartbeat,
-		NeedCache:          ff.NeedCache,
-		JournalPath:        ff.Journal,
-		Resume:             ff.Resume,
-		LocalWorkers:       ff.Workers,
-		StealAfter:         ff.StealAfter,
-		ByzantineThreshold: ff.ByzantineThreshold,
-		FleetObs:           ff.FleetObs,
-		FleetInterval:      ff.FleetInterval,
-		Log:                log,
 	}
 	var chaos *netchaos.Transport
 	if ff.Netchaos != "" {
@@ -91,9 +56,6 @@ func runFabric(cf *cliutil.Flags, log *slog.Logger, scenarios []campaign.Scenari
 		cfg.Transport = chaos
 		log.Warn("netchaos armed: every worker-bound request rides the fault plan",
 			"plan", ff.Netchaos, "seed", ff.NetchaosSeed)
-	}
-	if ff.Store != nil {
-		cfg.Store = ff.Store
 	}
 	if ff.Addr != "" {
 		cfg.Hub = obs.NewHub()
@@ -120,7 +82,7 @@ func runFabric(cf *cliutil.Flags, log *slog.Logger, scenarios []campaign.Scenari
 		defer hs.Close()
 		// soaksmoke parses this record like dmafaultd's — keep msg/addr stable.
 		log.Info("coordinator listening", "addr", ln.Addr().String(),
-			"workers", len(urls), "shard_size", cfg.ShardSize)
+			"workers", len(cfg.Workers), "shard_size", cfg.ShardSize)
 	}
 
 	start := time.Now()
@@ -162,7 +124,7 @@ func runFabric(cf *cliutil.Flags, log *slog.Logger, scenarios []campaign.Scenari
 		"scenarios", len(scenarios),
 		"elapsed", elapsed.Round(time.Millisecond).String(),
 		"rate", fmt.Sprintf("%.1f/s", float64(len(scenarios))/elapsed.Seconds()),
-		"workers", len(urls))
+		"workers", len(cfg.Workers))
 	if chaos != nil {
 		log.Info("netchaos injections", "counts", chaos.CountsText())
 	}

@@ -48,6 +48,7 @@ import (
 
 	"dmafault/internal/campaign"
 	"dmafault/internal/cliutil"
+	"dmafault/internal/fabric"
 	"dmafault/internal/faultd"
 	"dmafault/internal/faultinject"
 	"dmafault/internal/obs"
@@ -73,21 +74,23 @@ func main() {
 	fuzzMinimize := flag.Int("fuzz-minimize", 0, "per-entry minimization budget (0: default; negative: skip minimization)")
 	watch := flag.String("watch", "", "tail a running dmafaultd job over SSE instead of running locally (job URL, e.g. http://localhost:8077/v1/campaigns/1)")
 	coordinator := flag.Bool("coordinator", false, "run as a fabric coordinator: shard the campaign across dmafaultd workers and merge the results")
-	workerURLs := flag.String("worker-urls", "", "comma-separated dmafaultd worker base URLs for -coordinator (more may join at runtime via -coordinator-addr)")
-	coordAddr := flag.String("coordinator-addr", "", "serve the fabric supervision surface (join, workers, SSE events, metrics) on this address")
-	leaseTTL := flag.Duration("lease-ttl", 0, "shard lease time budget; an expired lease re-leases the shard to another worker (0: default)")
-	leaseAttempts := flag.Int("lease-attempts", 0, "lease grants per shard before giving up on the fabric (evidence of a killed job bisects; anything else runs the shard locally) (0: default)")
-	shardSize := flag.Int("shard-size", 0, "scenarios per shard lease (0: default)")
-	fabricHeartbeat := flag.Duration("fabric-heartbeat", 0, "worker readiness probe cadence (0: default)")
-	fabricJournal := flag.String("fabric-journal", "", "coordinator state log; with -resume a killed coordinator picks the campaign back up")
-	fabricMetrics := flag.String("fabric-metrics", "", "write the final fabric_* metric families (Prometheus text) to this file")
-	needWorkerCache := flag.Bool("need-worker-cache", false, "refuse to lease shards to workers running without a shared result cache")
-	netchaosSpec := flag.String("netchaos", "", "with -coordinator: deterministic network-chaos plan applied to every worker-bound request (e.g. \"bitflip:0.3,truncate:0.1,partition:0.01\")")
-	netchaosSeed := flag.Int64("netchaos-seed", 0, "decision seed for the -netchaos plan")
-	stealAfter := flag.Duration("steal-after", 0, "with -coordinator: speculatively re-lease a shard still outstanding after this long to an idle worker; first valid delivery wins (0: disabled)")
-	byzantineThreshold := flag.Int("byzantine-threshold", 0, "with -coordinator: integrity-rejected deliveries that quarantine a worker (0: default)")
-	fleetObs := flag.Bool("fleetobs", false, "with -coordinator: run the fleet telemetry plane (worker scraping, GET /v1/fleet, \"fleet\" SSE events; see fabrictop)")
-	fleetInterval := flag.Duration("fleet-interval", 0, "with -fleetobs: worker scrape cadence (0: default)")
+	var fabricCfg fabric.Config
+	var coordOpts coordFlags
+	flag.StringVar(&coordOpts.WorkerURLs, "worker-urls", "", "comma-separated dmafaultd worker base URLs for -coordinator (more may join at runtime via -coordinator-addr)")
+	flag.StringVar(&coordOpts.Addr, "coordinator-addr", "", "serve the fabric supervision surface (join, workers, SSE events, metrics) on this address")
+	flag.DurationVar(&fabricCfg.LeaseTTL, "lease-ttl", 0, "shard lease time budget; an expired lease re-leases the shard to another worker (0: default)")
+	flag.IntVar(&fabricCfg.MaxLeaseAttempts, "lease-attempts", 0, "lease grants per shard before giving up on the fabric (evidence of a killed job bisects; anything else runs the shard locally) (0: default)")
+	flag.IntVar(&fabricCfg.ShardSize, "shard-size", 0, "scenarios per shard lease (0: default)")
+	flag.DurationVar(&fabricCfg.Heartbeat, "fabric-heartbeat", 0, "worker readiness probe cadence (0: default)")
+	flag.StringVar(&fabricCfg.JournalPath, "fabric-journal", "", "coordinator state log; with -resume a killed coordinator picks the campaign back up")
+	flag.StringVar(&coordOpts.MetricsOut, "fabric-metrics", "", "write the final fabric_* metric families (Prometheus text) to this file")
+	flag.BoolVar(&fabricCfg.NeedCache, "need-worker-cache", false, "refuse to lease shards to workers running without a shared result cache")
+	flag.StringVar(&coordOpts.Netchaos, "netchaos", "", "with -coordinator: deterministic network-chaos plan applied to every worker-bound request (e.g. \"bitflip:0.3,truncate:0.1,partition:0.01\")")
+	flag.Int64Var(&coordOpts.NetchaosSeed, "netchaos-seed", 0, "decision seed for the -netchaos plan")
+	flag.DurationVar(&fabricCfg.StealAfter, "steal-after", 0, "with -coordinator: speculatively re-lease a shard still outstanding after this long to an idle worker; first valid delivery wins (0: disabled)")
+	flag.IntVar(&fabricCfg.ByzantineThreshold, "byzantine-threshold", 0, "with -coordinator: integrity-rejected deliveries that quarantine a worker (0: default)")
+	flag.BoolVar(&fabricCfg.FleetObs, "fleetobs", false, "with -coordinator: run the fleet telemetry plane (worker scraping, GET /v1/fleet, \"fleet\" SSE events; see fabrictop)")
+	flag.DurationVar(&fabricCfg.FleetInterval, "fleet-interval", 0, "with -fleetobs: worker scrape cadence (0: default)")
 	cachePath := flag.String("cache", "", "content-addressed result cache file: scenarios already recorded replay instead of executing; new results are appended")
 	cacheCompact := flag.Bool("cache-compact", false, "with -cache: rewrite the cache log dropping superseded and stale-engine records, print stats, and exit")
 	requireCached := flag.Bool("require-cached", false, "with -cache: exit nonzero unless every scenario was served from the cache (proves a warm cache executes nothing)")
@@ -188,7 +191,7 @@ func main() {
 			cf.Fatal(err)
 		}
 	}
-	if *resume && *journalPath == "" && *fuzzCorpus == "" && *fabricJournal == "" {
+	if *resume && *journalPath == "" && *fuzzCorpus == "" && fabricCfg.JournalPath == "" {
 		cf.Fatal(fmt.Errorf("-resume requires -journal (or -fuzz -fuzz-corpus, or -coordinator -fabric-journal)"))
 	}
 	// An empty scenario set (e.g. -n 0, or an exhausted generator on a
@@ -199,16 +202,13 @@ func main() {
 	}
 
 	if *coordinator {
-		if err := runFabric(cf, log, scenarios, fabricFlags{
-			WorkerURLs: *workerURLs, Addr: *coordAddr,
-			ShardSize: *shardSize, LeaseTTL: *leaseTTL, LeaseAttempts: *leaseAttempts,
-			Heartbeat: *fabricHeartbeat,
-			Journal:   *fabricJournal, Resume: *resume, MetricsOut: *fabricMetrics,
-			NeedCache: *needWorkerCache, Store: store, Workers: *workers,
-			Netchaos: *netchaosSpec, NetchaosSeed: *netchaosSeed,
-			StealAfter: *stealAfter, ByzantineThreshold: *byzantineThreshold,
-			FleetObs: *fleetObs, FleetInterval: *fleetInterval,
-		}); err != nil {
+		fabricCfg.Resume = *resume
+		fabricCfg.LocalWorkers = *workers
+		fabricCfg.Log = log
+		if store != nil {
+			fabricCfg.Store = store
+		}
+		if err := runFabric(cf, scenarios, fabricCfg, coordOpts); err != nil {
 			cf.Fatal(err)
 		}
 		return

@@ -18,13 +18,10 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -82,53 +79,26 @@ func fatal(err error) {
 // "fleet" event and exiting cleanly on the terminal "status" event. Returns
 // nil when the campaign ended, an error when the stream could not be used.
 func followSSE(ctx context.Context, base string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/fabric/events", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("GET /v1/fabric/events: %d %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var event string
 	sawFleet := false
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "fleet":
-				var fs api.FleetSnapshot
-				if err := json.Unmarshal([]byte(data), &fs); err != nil {
-					continue // a torn event is not worth a redraw
-				}
-				sawFleet = true
-				os.Stdout.WriteString(render(&fs, true))
-			case "status":
-				var st struct {
-					Status string `json:"status"`
-				}
-				_ = json.Unmarshal([]byte(data), &st)
-				fmt.Printf("\ncampaign %s\n", st.Status)
-				os.Exit(0)
-			}
+	status, err := faultdclient.New(base).Stream(ctx, "/v1/fabric/events", func(e faultdclient.Event) error {
+		if e.Type != "fleet" {
+			return nil
 		}
-	}
-	if err := sc.Err(); err != nil {
+		var fs api.FleetSnapshot
+		if json.Unmarshal(e.Data, &fs) != nil {
+			return nil // a torn event is not worth a redraw
+		}
+		sawFleet = true
+		os.Stdout.WriteString(render(&fs, true))
+		return nil
+	})
+	switch {
+	case err != nil:
 		return err
-	}
-	if !sawFleet {
+	case status != "":
+		fmt.Printf("\ncampaign %s\n", status)
+		os.Exit(0)
+	case !sawFleet:
 		return fmt.Errorf("stream carried no fleet events (coordinator running without -fleetobs?)")
 	}
 	return fmt.Errorf("stream ended")

@@ -20,44 +20,6 @@
 // sequential entry points are thin wrappers over the engine's pool.
 package campaign
 
-import (
-	"fmt"
-	"io"
-	"os"
-)
-
-// Campaign is the on-disk document: a named scenario set plus a default
-// worker count. cmd/campaign loads/saves these.
-type Campaign struct {
-	Name      string     `json:"name,omitempty"`
-	Workers   int        `json:"workers,omitempty"`
-	Scenarios []Scenario `json:"scenarios"`
-}
-
-// Run executes the campaign with its own worker default.
-func (c *Campaign) Run() (*Summary, error) {
-	return Engine{Workers: c.Workers}.Run(c.Scenarios)
-}
-
-// Load reads a campaign document (or bare scenario array) from JSON.
-func Load(r io.Reader) (*Campaign, error) {
-	scs, err := LoadScenarios(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Campaign{Scenarios: scs}, nil
-}
-
-// LoadFile is Load over a path.
-func LoadFile(path string) (*Campaign, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
-}
-
 // Presets generate ready-to-run scenario sets for the CLI and tests. All
 // are pure functions of (n, seed).
 

@@ -160,11 +160,11 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 
 func TestLoadCampaignDocument(t *testing.T) {
 	doc := []byte(`{"name":"smoke","scenarios":[{"kind":"window-ladder","seed":7}]}`)
-	c, err := Load(bytes.NewReader(doc))
+	scs, err := LoadScenarios(bytes.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Scenarios) != 1 || c.Scenarios[0].Kind != KindWindowLadder {
-		t.Fatalf("loaded %+v", c.Scenarios)
+	if len(scs) != 1 || scs[0].Kind != KindWindowLadder {
+		t.Fatalf("loaded %+v", scs)
 	}
 }

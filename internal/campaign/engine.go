@@ -11,9 +11,9 @@ import (
 	"dmafault/internal/par"
 )
 
-// Retry policy defaults. Only failures wrapping faultinject.ErrTransient
-// (injected allocator pressure and friends) are retried; real scenario
-// errors fail fast.
+// Retry policy. Only failures wrapping faultinject.ErrTransient (injected
+// allocator pressure and friends) are retried; real scenario errors fail
+// fast.
 const (
 	// DefaultMaxRetries bounds extra attempts per transient-failing scenario.
 	DefaultMaxRetries = 3
@@ -56,15 +56,6 @@ type Engine struct {
 	// Gates must be deterministic per (index, scenario) for the duration of
 	// one run — the engine may invoke them from any worker.
 	Gate func(index int, s *Scenario) *Result
-	// SkipMetrics forces skip_metrics on every scenario: machines boot
-	// without a registry and results carry no snapshot. This is the ablation
-	// arm of the metrics-overhead benchmark.
-	SkipMetrics bool
-	// MaxRetries bounds retries of transient injected failures per scenario
-	// (0 means DefaultMaxRetries; negative disables retry).
-	MaxRetries int
-	// RetryBackoff is the initial retry delay (0 means DefaultRetryBackoff).
-	RetryBackoff time.Duration
 	// Cache, if set, is the content-addressed result store consulted before
 	// each scenario executes: a hit replays the recorded result (re-stamped
 	// with the position-derived ID, journaled, counted, and aggregated
@@ -109,9 +100,6 @@ func (e Engine) RunCtx(ctx context.Context, scenarios []Scenario) (*Summary, err
 	scs := make([]Scenario, len(scenarios))
 	copy(scs, scenarios)
 	for i := range scs {
-		if e.SkipMetrics {
-			scs[i].SkipMetrics = true
-		}
 		scs[i].Normalize(i)
 		if err := scs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("scenario %d (%s): %w", i, scs[i].ID, err)
@@ -231,17 +219,7 @@ func ResultOutcome(r *Result) string {
 // backoff wait gets a wall-clock span under the scenario span sp (which may
 // be nil).
 func (e Engine) execute(ctx context.Context, s Scenario, sp *obs.ActiveSpan) (*Result, error) {
-	maxRetries := e.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = DefaultMaxRetries
-	}
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
-	backoff := e.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
+	backoff := DefaultRetryBackoff
 	var r *Result
 	for attempt := 0; ; attempt++ {
 		asp := sp.Child("attempt", obs.Af("attempt", "%d", attempt))
@@ -259,7 +237,7 @@ func (e Engine) execute(ctx context.Context, s Scenario, sp *obs.ActiveSpan) (*R
 		}
 		nr.Retries = attempt
 		r = nr
-		if !(r.transient && attempt < maxRetries) {
+		if !(r.transient && attempt < DefaultMaxRetries) {
 			return r, nil
 		}
 		bsp := sp.Child("retry-backoff", obs.Af("attempt", "%d", attempt))

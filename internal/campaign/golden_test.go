@@ -145,11 +145,15 @@ func TestMetricsDumpIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSkipMetricsAblation pins the benchmark's control arm: under
-// Engine.SkipMetrics the results carry no snapshots and the summary dump
-// reduces to the campaign_* roll-up.
+// TestSkipMetricsAblation pins the benchmark's control arm: with
+// skip_metrics on every scenario the results carry no snapshots and the
+// summary dump reduces to the campaign_* roll-up.
 func TestSkipMetricsAblation(t *testing.T) {
-	sum, err := Engine{Workers: 2, SkipMetrics: true}.Run(goldenSet())
+	set := goldenSet()
+	for i := range set {
+		set[i].SkipMetrics = true
+	}
+	sum, err := Engine{Workers: 2}.Run(set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,17 +138,6 @@ func TestRetryRecoversFromRateFault(t *testing.T) {
 	t.Fatal("no seed in [0,200) recovered via retry — retry path looks dead")
 }
 
-func TestRetryDisabled(t *testing.T) {
-	set := []Scenario{{Kind: KindWindowLadder, Seed: 7, FaultSpec: "alloc-fail@1"}}
-	sum, err := Engine{Workers: 1, MaxRetries: -1}.Run(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := sum.Results[0]; r.Retries != 0 || r.Err == "" {
-		t.Fatalf("retries=%d err=%q, want 0 retries and an error", r.Retries, r.Err)
-	}
-}
-
 func TestRunCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

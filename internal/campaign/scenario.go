@@ -120,7 +120,7 @@ type Scenario struct {
 
 	// SkipMetrics runs the scenario without metric collection (no registry
 	// on booted machines, no snapshot in the result) — the ablation knob of
-	// the overhead benchmark. Engine.SkipMetrics forces it campaign-wide.
+	// the overhead benchmark.
 	SkipMetrics bool `json:"skip_metrics,omitempty"`
 
 	// --- hardening knobs ---

@@ -218,6 +218,7 @@ type Coordinator struct {
 	results   []*campaign.Result  // index-addressed, exactly-once
 	delivered int
 	state     *StateLog
+	status    string // terminal status, recorded by PublishStatus
 
 	// backoffs is the per-shard re-lease backoff curve, keyed by shard
 	// index. An entry exists only while the shard is failing: a successful

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"time"
 
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/obs"
@@ -85,59 +84,41 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the merged fabric event stream as Server-Sent
 // Events: re-published worker job events with shard context, coordinator
-// result events, and periodic "workers" heartbeats carrying the registry
-// snapshot (cumulative, so a dropped event costs nothing).
+// result events, periodic "workers" heartbeats carrying the registry
+// snapshot (cumulative, so a dropped event costs nothing), and the terminal
+// "status" — also to subscribers that arrive after the campaign ended.
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if c.cfg.Hub == nil {
 		http.Error(w, "fabric: event streaming disabled (no hub)", http.StatusNotFound)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	ch, cancel := c.cfg.Hub.Subscribe(64)
-	defer cancel()
-	if obs.WriteSSE(w, "workers", c.reg.Snapshot()) != nil {
-		return
-	}
-	fl.Flush()
-	tick := time.NewTicker(c.cfg.heartbeat())
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-tick.C:
-			if obs.WriteSSE(w, "workers", c.reg.Snapshot()) != nil {
-				return
-			}
-			fl.Flush()
-		case e, open := <-ch:
-			if !open {
-				return
-			}
-			if obs.WriteSSE(w, e.Type, e.Data) != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	c.cfg.Hub.Serve(w, r, c.cfg.heartbeat(),
+		func() obs.StreamEvent { return obs.StreamEvent{Type: "workers", Data: c.reg.Snapshot()} },
+		func() obs.StreamEvent {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return statusEvent(c.status)
+		})
 }
 
-// PublishStatus broadcasts a terminal status on the hub and closes it —
-// called by the coordinator's owner once Run returns, so SSE followers see
-// the campaign end.
+// PublishStatus records the campaign's terminal status, broadcasts it on the
+// hub, and closes the hub — called by the coordinator's owner once Run
+// returns, so SSE followers see the campaign end. Subscribers that arrive
+// later get the recorded status from handleEvents.
 func (c *Coordinator) PublishStatus(status string) {
 	if c.cfg.Hub == nil {
 		return
 	}
-	c.cfg.Hub.Publish(obs.StreamEvent{Type: "status", Data: map[string]string{"status": status}})
+	c.mu.Lock()
+	c.status = status
+	c.mu.Unlock()
+	c.cfg.Hub.Publish(statusEvent(status))
 	c.cfg.Hub.Close()
+}
+
+// statusEvent is the fabric stream's terminal event.
+func statusEvent(status string) obs.StreamEvent {
+	return obs.StreamEvent{Type: "status", Data: map[string]string{"status": status}}
 }
 
 // writeJSON marshals one response body.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 
-	"dmafault/internal/campaign"
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/faultdclient"
 )
@@ -124,19 +123,4 @@ func (c *Coordinator) verifyShard(sh shard, jobID int, job *api.Job) error {
 		}
 	}
 	return nil
-}
-
-// expectedDigests renders the lease's scenario digests — the identity the
-// verification layers above are anchored to. Exposed for logging and tests;
-// the hot path compares (ID, Kind, Seed) directly rather than re-hashing
-// specs per delivery.
-func (c *Coordinator) expectedDigests(sh shard) []campaign.Digest {
-	c.mu.Lock()
-	specs := c.scs[sh.Start:sh.End]
-	c.mu.Unlock()
-	out := make([]campaign.Digest, len(specs))
-	for i, sc := range specs {
-		out[i] = campaign.ScenarioDigest(sc)
-	}
-	return out
 }

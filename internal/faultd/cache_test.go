@@ -16,7 +16,6 @@ import (
 // routes carry no deprecation headers.
 func TestLegacyRoutesRemoved(t *testing.T) {
 	srv := NewServer()
-	srv.Synchronous = true
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -82,7 +81,6 @@ func TestSharedCacheAcrossJobs(t *testing.T) {
 
 	srv := NewServer()
 	srv.Workers = 2
-	srv.Synchronous = true
 	srv.Cache = store
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -92,6 +90,7 @@ func TestSharedCacheAcrossJobs(t *testing.T) {
 		if code, resp := post(t, ts.URL+"/v1/campaigns", body); code != http.StatusAccepted {
 			t.Fatalf("submit %d: %d %s", i, code, resp)
 		}
+		srv.Wait()
 	}
 
 	var jobs [2]Job

@@ -110,7 +110,6 @@ func TestEventsStreamEndToEnd(t *testing.T) {
 // waiting for heartbeats that will never come.
 func TestEventsFinishedJobYieldsImmediateStatus(t *testing.T) {
 	srv := NewServer()
-	srv.Synchronous = true
 	srv.HeartbeatInterval = time.Hour // a tick must never be needed
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -118,6 +117,7 @@ func TestEventsFinishedJobYieldsImmediateStatus(t *testing.T) {
 	if code, _ := post(t, ts.URL+"/v1/campaigns", `{"preset":"ladder","n":2,"seed":7,"workers":1}`); code != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
+	srv.Wait()
 	client := &http.Client{Timeout: 10 * time.Second}
 	resp, err := client.Get(ts.URL + "/v1/campaigns/1/events")
 	if err != nil {

@@ -142,12 +142,6 @@ type FuzzSpec = api.FuzzSpec
 type Server struct {
 	// Workers is the default engine pool size for jobs that don't set one.
 	Workers int
-	// Synchronous makes POST /v1/campaigns run the job inline before
-	// responding — deterministic single-request behavior for tests and
-	// scripted use. Production keeps it false and polls. Synchronous jobs
-	// bypass the queue and concurrency cap but still respect admission
-	// control (draining submissions are rejected).
-	Synchronous bool
 	// JournalDir, when set, gives every job a campaign journal at
 	// <dir>/job-<id>.jsonl. RecoverJobs scans the same directory at boot
 	// and resumes any journal whose scenario set is unfinished.
@@ -460,11 +454,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logger().Info("job accepted", "job", job.ID, "name", job.Name,
 		"scenarios", job.ScenariosTotal, "workers", req.Workers)
-
-	if s.Synchronous {
-		s.runWorker(job)
-	}
-
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	_ = json.NewEncoder(w).Encode(api.SubmitResponse{
@@ -514,12 +503,9 @@ func resolveScenarios(req *Request) ([]campaign.Scenario, error) {
 	}
 }
 
-// runJob executes the campaign and publishes the outcome. It runs on a
-// worker goroutine with a scheduler slot held (see supervisor.go). The
-// deferred publishTerminal runs after the per-branch unlock defers (LIFO),
-// so the terminal status is broadcast only once it is visible in the table.
+// runJob executes the campaign and hands the outcome to finish. It runs on
+// a worker goroutine with a scheduler slot held (see supervisor.go).
 func (s *Server) runJob(job *Job) {
-	defer s.publishTerminal(job)
 	if job.fuzzSpec != nil {
 		s.runFuzzJob(job)
 		return
@@ -566,12 +552,7 @@ func (s *Server) runJob(job *Job) {
 		j, err := campaign.OpenJournal(filepath.Join(s.JournalDir, fmt.Sprintf("job-%d.jsonl", job.ID)), job.scs, job.resume)
 		if err != nil {
 			s.logger().Error("journal open failed", "job", job.ID, "err", err)
-			s.quarantineAbort(job)
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			job.Status = StatusFailed
-			job.Error = err.Error()
-			s.campaignsFailed.Inc()
+			s.finish(job, err, nil)
 			return
 		}
 		defer j.Close()
@@ -580,53 +561,33 @@ func (s *Server) runJob(job *Job) {
 	execStart := s.now()
 	sum, err := eng.RunCtx(job.ctx, job.scs)
 	execDur := s.now().Sub(execStart)
-	if errors.Is(err, context.Canceled) {
-		s.quarantineAbort(job)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if job.stalled {
-			job.Status = StatusStalled
-			job.Error = fmt.Sprintf("stalled: no progress within %s", s.StallTimeout)
-			s.jobsStalled.Inc()
-			s.campaignsFailed.Inc()
-			s.flightDump("stall", job)
-			return
-		}
-		job.Status = StatusCancelled
-		job.Error = "cancelled"
-		s.campaignsCancelled.Inc()
-		return
-	}
-	if err != nil {
-		s.quarantineAbort(job)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		job.Status = StatusFailed
-		job.Error = err.Error()
-		s.campaignsFailed.Inc()
-		return
-	}
 	pubStart := s.now()
-	s.quarantineReport(job, sum.Results)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job.Status = StatusDone
-	job.Summary = sum
-	job.ResultsHash = api.HashResults(sum.Results)
-	if mergeErr := s.merged.Merge(sum.Metrics); mergeErr != nil {
+	if err == nil {
+		s.quarantineReport(job, sum.Results)
+	}
+	s.finish(job, err, func() {
+		job.Summary = sum
+		job.ResultsHash = api.HashResults(sum.Results)
+		s.mergeMetrics(job, sum.Metrics)
+		// The phase breakdown rides the wire next to ResultsHash but outside
+		// Summary, so fleet attribution never perturbs summary bytes.
+		job.Timing = &api.Timing{
+			QueueWaitSeconds: job.queueWait.Seconds(),
+			ExecuteSeconds:   execDur.Seconds(),
+			PublishSeconds:   s.now().Sub(pubStart).Seconds(),
+			Attempts:         sum.Scenarios + sum.Retries,
+		}
+	})
+}
+
+// mergeMetrics folds a finished job's metric snapshot into the service-wide
+// dump. Callers hold s.mu.
+func (s *Server) mergeMetrics(job *Job, snap *metrics.Snapshot) {
+	if err := s.merged.Merge(snap); err != nil {
 		// Incompatible layouts across jobs (a bucket change mid-flight):
 		// keep serving, but surface it on the job.
-		job.Error = "metrics merge: " + mergeErr.Error()
+		job.Error = "metrics merge: " + err.Error()
 	}
-	// The phase breakdown rides the wire next to ResultsHash but outside
-	// Summary, so fleet attribution never perturbs summary bytes.
-	job.Timing = &api.Timing{
-		QueueWaitSeconds: job.queueWait.Seconds(),
-		ExecuteSeconds:   execDur.Seconds(),
-		PublishSeconds:   s.now().Sub(pubStart).Seconds(),
-		Attempts:         sum.Scenarios + sum.Retries,
-	}
-	s.campaignsDone.Inc()
 }
 
 // beat refreshes the job's progress heartbeat (worker claimed a scenario).

@@ -133,7 +133,6 @@ func TestServiceEndToEnd(t *testing.T) {
 func TestSubmitExplicitScenarios(t *testing.T) {
 	srv := NewServer()
 	srv.Workers = 2
-	srv.Synchronous = true
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -142,6 +141,7 @@ func TestSubmitExplicitScenarios(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
+	srv.Wait()
 	_, body := get(t, ts.URL+"/v1/campaigns/1")
 	var job Job
 	if err := json.Unmarshal(body, &job); err != nil {
@@ -197,7 +197,6 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 func TestMetricsAccumulateAcrossJobs(t *testing.T) {
 	srv := NewServer()
 	srv.Workers = 2
-	srv.Synchronous = true
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -209,6 +208,7 @@ func TestMetricsAccumulateAcrossJobs(t *testing.T) {
 			t.Fatalf("submit %d: %d %s", i, code, resp)
 		}
 	}
+	srv.Wait()
 	_, text := get(t, ts.URL+"/metrics")
 	if !strings.Contains(string(text), "campaign_scenarios_total 8") {
 		t.Errorf("merged dump did not accumulate across jobs:\n%.600s", text)

@@ -72,7 +72,6 @@ func TestFlightDumpOnStall(t *testing.T) {
 func TestFlightDumpOnPanic(t *testing.T) {
 	dir := t.TempDir()
 	srv := NewServer()
-	srv.Synchronous = true
 	srv.JournalDir = dir
 	srv.Recorder = obs.NewRecorder(0)
 	ts := httptest.NewServer(srv.Handler())
@@ -89,7 +88,6 @@ func TestFlightDumpOnPanic(t *testing.T) {
 func TestFlightDumpOnQuarantineTrip(t *testing.T) {
 	dir := t.TempDir()
 	srv := NewServer()
-	srv.Synchronous = true
 	srv.JournalDir = dir
 	srv.Recorder = obs.NewRecorder(0)
 	srv.QuarantineThreshold = 1

@@ -1,8 +1,6 @@
 package faultd
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -23,9 +21,8 @@ import (
 // fuzz jobs are not crash-recovered (their budget semantics do not replay),
 // but the corpus file survives and can seed a later run.
 
-// runFuzzJob executes a fuzz-campaign job. Called from runJob with a
-// scheduler slot held; the caller's deferred publishTerminal broadcasts the
-// terminal status.
+// runFuzzJob executes a fuzz-campaign job and hands the outcome to finish.
+// Called from runJob with a scheduler slot held.
 func (s *Server) runFuzzJob(job *Job) {
 	spec := job.fuzzSpec
 	workers := job.workers
@@ -69,36 +66,8 @@ func (s *Server) runFuzzJob(job *Job) {
 	}
 
 	rep, err := fuzz.Run(job.ctx, cfg)
-	if errors.Is(err, context.Canceled) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if job.stalled {
-			job.Status = StatusStalled
-			job.Error = fmt.Sprintf("stalled: no progress within %s", s.StallTimeout)
-			s.jobsStalled.Inc()
-			s.campaignsFailed.Inc()
-			s.flightDump("stall", job)
-			return
-		}
-		job.Status = StatusCancelled
-		job.Error = "cancelled"
-		s.campaignsCancelled.Inc()
-		return
-	}
-	if err != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		job.Status = StatusFailed
-		job.Error = err.Error()
-		s.campaignsFailed.Inc()
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job.Status = StatusDone
-	job.Fuzz = rep
-	if mergeErr := s.merged.Merge(rep.MetricsSnapshot()); mergeErr != nil {
-		job.Error = "metrics merge: " + mergeErr.Error()
-	}
-	s.campaignsDone.Inc()
+	s.finish(job, err, func() {
+		job.Fuzz = rep
+		s.mergeMetrics(job, rep.MetricsSnapshot())
+	})
 }

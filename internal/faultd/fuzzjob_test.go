@@ -21,7 +21,6 @@ func TestFuzzJobEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	srv := NewServer()
 	srv.Workers = 4
-	srv.Synchronous = true
 	srv.JournalDir = dir
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -151,7 +150,6 @@ func TestFuzzJobEventStream(t *testing.T) {
 
 func TestFuzzRequestValidation(t *testing.T) {
 	srv := NewServer()
-	srv.Synchronous = true
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

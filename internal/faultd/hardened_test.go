@@ -161,7 +161,6 @@ func TestJournalDirRecordsCompletedScenarios(t *testing.T) {
 	dir := t.TempDir()
 	srv := NewServer()
 	srv.Workers = 2
-	srv.Synchronous = true
 	srv.JournalDir = dir
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -92,28 +92,6 @@ func jobView(job *Job) jobEvent {
 	}
 }
 
-// terminal reports whether the status is final.
-func terminal(st JobStatus) bool {
-	return st != StatusQueued && st != StatusRunning
-}
-
-// publishTerminal broadcasts the job's final status to its SSE subscribers
-// and closes the hub (late subscribers get the status from the job table).
-func (s *Server) publishTerminal(job *Job) {
-	s.mu.Lock()
-	view := jobView(job)
-	s.mu.Unlock()
-	job.hub.Publish(obs.StreamEvent{Type: "status", Data: view})
-	job.hub.Close()
-	args := []any{"job", view.ID, "status", string(view.Status),
-		"done", view.ScenariosDone, "total", view.ScenariosTotal, "err", view.Error}
-	if view.Status == StatusFailed || view.Status == StatusStalled {
-		s.logger().Warn("job finished", args...)
-		return
-	}
-	s.logger().Info("job finished", args...)
-}
-
 // flightDump ships the flight recorder's retained window to the journal
 // directory — the forensic artifact for a stall, panic, quarantine trip, or
 // shutdown. A trigger event is recorded first so the dump is self-labelling.
@@ -141,7 +119,7 @@ func (s *Server) flightDump(trigger string, job *Job) {
 // "progress" heartbeats (cumulative, so a dropped event is recovered by the
 // next beat), "span" completions, per-scenario "result" records, and a final
 // "status" event after which the stream closes. Subscribing to a finished
-// job yields its status immediately.
+// job yields its snapshot and status immediately.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
@@ -155,66 +133,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("no job %d", id), http.StatusNotFound)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	// Subscribe before the first snapshot so no terminal transition can fall
-	// between them; a closed hub (already-finished job) hands back a closed
-	// channel and the loop emits the final status straight away.
-	ch, cancel := job.hub.Subscribe(64)
-	defer cancel()
-	s.mu.Lock()
-	view := jobView(job)
-	s.mu.Unlock()
-	if obs.WriteSSE(w, "progress", view) != nil {
-		return
-	}
-	fl.Flush()
-	if terminal(view.Status) {
-		_ = obs.WriteSSE(w, "status", view)
-		fl.Flush()
-		return
-	}
-	tick := time.NewTicker(s.heartbeat())
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-tick.C:
+	view := func(typ string) func() obs.StreamEvent {
+		return func() obs.StreamEvent {
 			s.mu.Lock()
-			view := jobView(job)
-			s.mu.Unlock()
-			if obs.WriteSSE(w, "progress", view) != nil {
-				return
-			}
-			fl.Flush()
-		case e, open := <-ch:
-			if !open {
-				// Hub closed: the job is terminal (or the server shut the
-				// stream down); report the final state and end the stream.
-				s.mu.Lock()
-				view := jobView(job)
-				s.mu.Unlock()
-				_ = obs.WriteSSE(w, "status", view)
-				fl.Flush()
-				return
-			}
-			if obs.WriteSSE(w, e.Type, e.Data) != nil {
-				return
-			}
-			fl.Flush()
-			if e.Type == "status" {
-				return
-			}
+			defer s.mu.Unlock()
+			return obs.StreamEvent{Type: typ, Data: jobView(job)}
 		}
 	}
+	job.hub.Serve(w, r, s.heartbeat(), view("progress"), view("status"))
 }
 
 // publishResult streams one finished scenario to the job's subscribers.

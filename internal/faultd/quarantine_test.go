@@ -18,19 +18,18 @@ func panicScenario() campaign.Scenario {
 	return campaign.Scenario{Kind: campaign.KindWindowLadder, Seed: 41, FaultSpec: "scenario-panic@1"}
 }
 
-// quarantineServer builds a synchronous server with the breaker configured
-// tightly enough to exercise every state in a handful of jobs.
+// quarantineServer builds a server with the breaker configured tightly
+// enough to exercise every state in a handful of jobs.
 func quarantineServer(threshold, probeAfter int) (*Server, *httptest.Server) {
 	srv := NewServer()
 	srv.Workers = 2
-	srv.Synchronous = true
 	srv.QuarantineThreshold = threshold
 	srv.QuarantineProbeAfter = probeAfter
 	return srv, httptest.NewServer(srv.Handler())
 }
 
-// submitAndFetch posts one job and returns its final state (the server is
-// synchronous, so the job is terminal by the time the response arrives).
+// submitAndFetch posts one job and waits for its final state, so jobs run
+// one at a time in submission order.
 func submitAndFetch(t *testing.T, ts *httptest.Server, body string) Job {
 	t.Helper()
 	code, resp := post(t, ts.URL+"/v1/campaigns", body)
@@ -43,12 +42,7 @@ func submitAndFetch(t *testing.T, ts *httptest.Server, body string) Job {
 	if err := json.Unmarshal(resp, &acc); err != nil {
 		t.Fatal(err)
 	}
-	_, jb := get(t, ts.URL+"/v1/campaigns/"+strconv.Itoa(acc.ID))
-	var job Job
-	if err := json.Unmarshal(jb, &job); err != nil {
-		t.Fatal(err)
-	}
-	return job
+	return pollJob(t, ts.URL+"/v1/campaigns/"+strconv.Itoa(acc.ID))
 }
 
 // TestQuarantineTripsAndProbes walks the breaker through its whole

@@ -106,21 +106,7 @@ func (s *Server) resumeJob(id int, st *campaign.JournalState) {
 	s.logger().Info("resuming recovered job", "job", id,
 		"restored", len(st.Restored), "total", len(st.Scenarios))
 	s.mu.Lock()
-	s.jobsByID[id] = job
-	s.jobs = append(s.jobs, job)
-	s.wg.Add(1)
-	if s.Synchronous {
-		s.mu.Unlock()
-		s.campaignsStarted.Inc()
-		s.jobsRecovered.Inc()
-		s.runWorker(job)
-		return
-	}
-	s.pending = append(s.pending, job)
-	s.queueDepthG.Add(1)
-	s.ensureDispatcherLocked()
-	s.cond.Signal()
+	s.register(job)
 	s.mu.Unlock()
-	s.campaignsStarted.Inc()
 	s.jobsRecovered.Inc()
 }

@@ -78,7 +78,6 @@ func TestRecoveryResumesByteIdentical(t *testing.T) {
 
 	srv := NewServer()
 	srv.Workers = 2
-	srv.Synchronous = true
 	srv.JournalDir = dir
 	recovered, err := srv.RecoverJobs()
 	if err != nil {
@@ -109,7 +108,6 @@ func TestRecoveryResumesByteIdentical(t *testing.T) {
 
 	// The on-disk journal is now complete: a second boot recovers nothing.
 	srv2 := NewServer()
-	srv2.Synchronous = true
 	srv2.JournalDir = dir
 	if n, err := srv2.RecoverJobs(); err != nil || n != 0 {
 		t.Fatalf("second boot recovered %d jobs, err %v; want 0, nil", n, err)
@@ -156,7 +154,6 @@ func TestRecoverySeedsIDCounterFromFinishedJournals(t *testing.T) {
 	}
 
 	srv := NewServer()
-	srv.Synchronous = true
 	srv.JournalDir = dir
 	if n, err := srv.RecoverJobs(); err != nil || n != 0 {
 		t.Fatalf("recovered %d, err %v; want 0 (journal is finished)", n, err)
@@ -198,7 +195,6 @@ func TestRecoveryReportsBrokenJournalsAndContinues(t *testing.T) {
 
 	srv := NewServer()
 	srv.Workers = 2
-	srv.Synchronous = true
 	srv.JournalDir = dir
 	recovered, err := srv.RecoverJobs()
 	if err == nil || !strings.Contains(err.Error(), "job-1.jsonl") {

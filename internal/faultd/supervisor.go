@@ -15,13 +15,14 @@ import (
 // Supervision layer: admission control, the FIFO scheduler, the stuck-job
 // watchdog, and graceful drain.
 //
-// Lifecycle of a job: admit (reject when draining or the queue is full) →
-// pending queue → dispatcher (starts jobs oldest-first, holding one of
-// MaxConcurrent slots) → runWorker (watchdog armed, engine executes) →
-// terminal status. Every accepted job reaches a terminal status — jobs are
-// never silently dropped: drain lets queued and running jobs finish, and a
-// drain deadline cancels them into StatusCancelled with their completed
-// scenarios journaled.
+// Lifecycle of a job, the only one there is: register (after admission
+// control for submissions; recovered jobs skip it) → pending queue →
+// dispatcher (starts jobs oldest-first, holding one of MaxConcurrent slots)
+// → runWorker (watchdog armed, engine executes) → finish, the one place a
+// terminal status is assigned. Every accepted job reaches a terminal status
+// — jobs are never silently dropped: drain lets queued and running jobs
+// finish, and a drain deadline cancels them into StatusCancelled with their
+// completed scenarios journaled.
 
 // Admission rejections, mapped to HTTP statuses by handleSubmit.
 var (
@@ -37,10 +38,8 @@ func (s *Server) queueCap() int {
 	return DefaultQueueDepth
 }
 
-// admit applies admission control and, if accepted, registers the job in
-// the table and hands it to the scheduler. Synchronous servers skip the
-// queue (handleSubmit runs the job inline); asynchronous ones enqueue for
-// the dispatcher. The returned error is errDraining or errQueueFull. A
+// admit applies admission control and, if accepted, registers the job with
+// the scheduler. The returned error is errDraining or errQueueFull. A
 // non-nil req.Fuzz makes the job a fuzz campaign (scs is nil; the progress
 // total is the fuzz execution budget).
 func (s *Server) admit(req *Request, scs []campaign.Scenario) (*Job, error) {
@@ -58,7 +57,7 @@ func (s *Server) admit(req *Request, scs []campaign.Scenario) (*Job, error) {
 		cancel()
 		return nil, errDraining
 	}
-	if !s.Synchronous && len(s.pending) >= s.queueCap() {
+	if len(s.pending) >= s.queueCap() {
 		s.mu.Unlock()
 		cancel()
 		return nil, errQueueFull
@@ -77,23 +76,21 @@ func (s *Server) admit(req *Request, scs []campaign.Scenario) (*Job, error) {
 	s.nextID++
 	s.register(job)
 	s.mu.Unlock()
-	s.campaignsStarted.Inc()
 	return job, nil
 }
 
-// register adds the job to the table and (for asynchronous servers) the
-// pending queue, waking the dispatcher. Callers hold s.mu.
+// register adds the job to the table and the pending queue, waking the
+// dispatcher — the one way into the job plane for submitted and recovered
+// jobs alike. Callers hold s.mu.
 func (s *Server) register(job *Job) {
 	s.jobs = append(s.jobs, job)
 	s.jobsByID[job.ID] = job
 	s.wg.Add(1)
-	if s.Synchronous {
-		return
-	}
 	s.pending = append(s.pending, job)
 	s.queueDepthG.Add(1)
 	s.ensureDispatcherLocked()
 	s.cond.Signal()
+	s.campaignsStarted.Inc()
 }
 
 // ensureDispatcherLocked lazily starts the dispatcher goroutine and the
@@ -113,7 +110,8 @@ func (s *Server) ensureDispatcherLocked() {
 // dispatch is the scheduler loop: it starts pending jobs strictly
 // oldest-first, blocking on a concurrency slot before taking the next job,
 // so queue order is also start order. A job cancelled while queued is
-// retired without consuming a slot.
+// retired (runWorker's cancelled-before-start path) without consuming a
+// slot.
 func (s *Server) dispatch() {
 	s.mu.Lock()
 	for {
@@ -141,7 +139,7 @@ func (s *Server) dispatch() {
 		})
 		s.logger().Debug("dispatching job", "job", job.ID, "queue_wait", wait)
 		if job.ctx.Err() != nil {
-			s.retireCancelled(job)
+			s.runWorker(job)
 			s.mu.Lock()
 			continue
 		}
@@ -160,31 +158,15 @@ func (s *Server) dispatch() {
 	}
 }
 
-// retireCancelled finalizes a job that was cancelled before it ever started
-// executing (DELETE while queued, or a drain deadline).
-func (s *Server) retireCancelled(job *Job) {
-	defer s.wg.Done()
-	s.mu.Lock()
-	job.Status = StatusCancelled
-	job.Error = "cancelled"
-	s.mu.Unlock()
-	s.campaignsCancelled.Inc()
-	s.publishTerminal(job)
-}
-
 // runWorker executes one job end to end: admission through the quarantine
 // breaker, watchdog arming, engine execution, terminal bookkeeping. It runs
-// on its own goroutine (or inline for Synchronous servers) with a scheduler
-// slot held.
+// on its own goroutine with a scheduler slot held — except for a job
+// cancelled before it started (DELETE while queued, or a drain deadline),
+// which the dispatcher retires inline.
 func (s *Server) runWorker(job *Job) {
 	defer s.wg.Done()
-	if job.ctx.Err() != nil {
-		s.mu.Lock()
-		job.Status = StatusCancelled
-		job.Error = "cancelled"
-		s.mu.Unlock()
-		s.campaignsCancelled.Inc()
-		s.publishTerminal(job)
+	if err := job.ctx.Err(); err != nil {
+		s.finish(job, err, nil)
 		return
 	}
 	s.quarantineAdmit(job)
@@ -211,10 +193,60 @@ func (s *Server) runWorker(job *Job) {
 	s.mu.Unlock()
 }
 
+// finish is the job plane's one way out: it maps the runner's error to the
+// job's terminal status and service counters, then publishes the terminal
+// event. nil is done (onDone, run under s.mu, records what done means for
+// the runner); context.Canceled on a job the watchdog marked is stalled
+// (with the stall flight dump); any other context.Canceled is cancelled;
+// anything else is failed. A job that ends without results releases its
+// quarantine probe reservations first.
+func (s *Server) finish(job *Job, err error, onDone func()) {
+	if err != nil {
+		s.quarantineAbort(job)
+	}
+	s.mu.Lock()
+	switch {
+	case err == nil:
+		job.Status = StatusDone
+		if onDone != nil {
+			onDone()
+		}
+		s.campaignsDone.Inc()
+	case errors.Is(err, context.Canceled) && job.stalled:
+		job.Status = StatusStalled
+		job.Error = fmt.Sprintf("stalled: no progress within %s", s.StallTimeout)
+		s.jobsStalled.Inc()
+		s.campaignsFailed.Inc()
+		s.flightDump("stall", job)
+	case errors.Is(err, context.Canceled):
+		job.Status = StatusCancelled
+		job.Error = "cancelled"
+		s.campaignsCancelled.Inc()
+	default:
+		job.Status = StatusFailed
+		job.Error = err.Error()
+		s.campaignsFailed.Inc()
+	}
+	view := jobView(job)
+	s.mu.Unlock()
+
+	// Subscribers still attached get the status event; the closed hub sends
+	// later ones to the job table (see handleEvents).
+	job.hub.Publish(obs.StreamEvent{Type: "status", Data: view})
+	job.hub.Close()
+	args := []any{"job", view.ID, "status", string(view.Status),
+		"done", view.ScenariosDone, "total", view.ScenariosTotal, "err", view.Error}
+	if view.Status == StatusFailed || view.Status == StatusStalled {
+		s.logger().Warn("job finished", args...)
+		return
+	}
+	s.logger().Info("job finished", args...)
+}
+
 // watchJob is the stuck-job watchdog: it polls the job's progress heartbeat
 // (refreshed on every scenario claim and completion) and cancels the job
 // once the heartbeat is older than StallTimeout, marking it stalled so
-// runJob records the structured outcome.
+// finish records the structured outcome.
 func (s *Server) watchJob(job *Job, stop <-chan struct{}) {
 	interval := s.StallTimeout / 4
 	if interval < 5*time.Millisecond {

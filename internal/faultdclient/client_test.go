@@ -25,7 +25,6 @@ func TestClientAgainstRealService(t *testing.T) {
 	defer store.Close()
 	srv := faultd.NewServer()
 	srv.Workers = 2
-	srv.Synchronous = true
 	srv.Cache = store
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -10,35 +10,41 @@ import (
 	"strings"
 )
 
-// SSE consumption for GET /v1/campaigns/{id}/events. The stream is decoded
-// into Events — the raw JSON data is handed to the callback, not parsed
-// into a union type, because the event vocabulary ("progress", "span",
-// "result", "fuzz", "status") grows with the server and a typed client
+// SSE consumption for the service's event streams — a job's
+// GET /v1/campaigns/{id}/events and a fabric coordinator's
+// GET /v1/fabric/events. The stream is decoded into Events — the raw JSON
+// data is handed to the callback, not parsed into a union type, because the
+// event vocabulary ("progress", "span", "result", "fuzz", "workers",
+// "fleet", "shard", "status") grows with the server and a typed client
 // should not reject events it predates.
 
-// Event is one decoded Server-Sent Event from a job's live stream.
+// Event is one decoded Server-Sent Event from a live stream.
 type Event struct {
-	// Type is the SSE event name: progress, span, result, fuzz, status.
+	// Type is the SSE event name: progress, span, result, fuzz, status, ...
 	Type string
 	// Data is the event's JSON payload, undecoded.
 	Data json.RawMessage
 }
 
-// Watch subscribes to the job's event stream and calls fn for every event
-// until the terminal "status" event (whose status string it returns), the
-// stream ends (status "", nil error), fn returns an error (aborts the
-// watch with that error), or ctx is cancelled. Watch does not retry: a
-// broken stream is surfaced to the caller, who can re-subscribe — progress
-// events are cumulative, so nothing is lost.
+// Watch follows the job's event stream (see Stream).
 func (c *Client) Watch(ctx context.Context, id int, fn func(Event) error) (string, error) {
-	url := fmt.Sprintf("%s/v1/campaigns/%d/events", c.Base, id)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	return c.Stream(ctx, fmt.Sprintf("/v1/campaigns/%d/events", id), fn)
+}
+
+// Stream subscribes to the SSE endpoint at path and calls fn for every
+// event until the terminal "status" event (whose status string it returns),
+// the stream ends (status "", nil error), fn returns an error (aborts the
+// stream with that error), or ctx is cancelled. Stream does not retry: a
+// broken stream is surfaced to the caller, who can re-subscribe — progress
+// and heartbeat events are cumulative, so nothing is lost.
+func (c *Client) Stream(ctx context.Context, path string, fn func(Event) error) (string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 	if err != nil {
 		return "", err
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return "", fmt.Errorf("watch job %d: %w", id, err)
+		return "", fmt.Errorf("GET %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -70,7 +76,7 @@ func (c *Client) Watch(ctx context.Context, id int, fn func(Event) error) (strin
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return "", fmt.Errorf("watch job %d: %w", id, err)
+		return "", fmt.Errorf("GET %s: %w", path, err)
 	}
 	return "", nil
 }

@@ -223,9 +223,6 @@ func (c *Corpus) Entries() []*Entry { return c.entries }
 // HasSignature reports whether sig has already been discovered.
 func (c *Corpus) HasSignature(sig string) bool { return c.sigs[sig] }
 
-// HasKey reports whether a scenario with this key is already a member.
-func (c *Corpus) HasKey(key string) bool { _, ok := c.byKey[key]; return ok }
-
 // Signatures returns every discovered signature, sorted.
 func (c *Corpus) Signatures() []string {
 	return sortedKeys(c.sigs)

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"sync"
+	"time"
 )
 
 // StreamEvent is one live event on a Hub: a typed JSON-encodable payload.
@@ -26,6 +28,62 @@ func WriteSSE(w io.Writer, event string, data any) error {
 	}
 	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
 	return err
+}
+
+// Serve streams the hub to one HTTP client as Server-Sent Events — the one
+// loop behind every event endpoint (GET /v1/campaigns/{id}/events and the
+// fabric's GET /v1/fabric/events). It writes snapshot() first and again on
+// every beat (snapshots are cumulative, so a dropped event costs nothing),
+// forwards hub events, and ends after a "status" event. When the hub closes
+// — a late subscriber to a finished stream, or one too slow to receive the
+// published status — it writes final(), the terminal status, and ends.
+func (h *Hub) Serve(w http.ResponseWriter, r *http.Request, beat time.Duration, snapshot, final func() StreamEvent) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	send := func(e StreamEvent) bool {
+		if WriteSSE(w, e.Type, e.Data) != nil {
+			return false
+		}
+		fl.Flush()
+		return true
+	}
+
+	// Subscribe before the first snapshot so no terminal transition can fall
+	// between them; a closed hub hands back a closed channel and the loop
+	// writes final() straight away. 64 events absorb a burst of span and
+	// result events between flushes; a client further behind misses events
+	// and resynchronizes from the next snapshot.
+	ch, cancel := h.Subscribe(64)
+	defer cancel()
+	if !send(snapshot()) {
+		return
+	}
+	tick := time.NewTicker(beat)
+	defer tick.Stop()
+	for {
+		select {
+		case <-r.Context().Done():
+			return
+		case <-tick.C:
+			if !send(snapshot()) {
+				return
+			}
+		case e, open := <-ch:
+			if !open {
+				send(final())
+				return
+			}
+			if !send(e) || e.Type == "status" {
+				return
+			}
+		}
+	}
 }
 
 // Hub fans StreamEvents out to subscribers — the broadcast plane behind

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,24 +59,12 @@ func Af(key, format string, args ...any) Attr {
 // nothing, so "tracing off" is the zero value everywhere.
 type Tracer struct {
 	nextID atomic.Uint64
-	mu     sync.Mutex
-	sinks  []func(Span)
+	sinks  []func(Span) // fixed at NewTracer
 }
 
 // NewTracer builds a tracer fanning out to the given sinks.
 func NewTracer(sinks ...func(Span)) *Tracer {
 	return &Tracer{sinks: sinks}
-}
-
-// AddSink appends another sink (before the tracer is shared across
-// goroutines).
-func (t *Tracer) AddSink(sink func(Span)) {
-	if t == nil || sink == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sinks = append(t.sinks, sink)
-	t.mu.Unlock()
 }
 
 // Start opens a root span. End completes and emits it.
@@ -104,10 +91,7 @@ func (t *Tracer) start(name string, parent uint64, attrs []Attr) *ActiveSpan {
 }
 
 func (t *Tracer) emit(s Span) {
-	t.mu.Lock()
-	sinks := t.sinks
-	t.mu.Unlock()
-	for _, sink := range sinks {
+	for _, sink := range t.sinks {
 		sink(s)
 	}
 }
@@ -255,88 +239,20 @@ var DefaultSpanBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
 // SpanMetrics summarizes completed spans into one histogram family,
 // obs_span_duration_seconds{span,outcome}: per span name (scenario, attempt,
 // queue-wait, retry-backoff, request...) and per outcome (ok, panic,
-// timeout, error...). It implements metrics.Source; dmafaultd registers it
-// through metrics.OmitZero so the family is absent until a span completes.
-// These are wall-clock numbers and live only on the service metric plane —
-// never inside campaign summaries.
-type SpanMetrics struct {
-	mu   sync.Mutex
-	keys []string // stable emission order (registry sorts anyway)
-	byKY map[string]*spanHist
-}
-
-type spanHist struct {
-	span, outcome string
-	buckets       []uint64 // len(DefaultSpanBuckets)+1
-	sum           float64
-	count         uint64
-}
+// timeout, error...). It is a metrics.HistogramVec, so it implements
+// metrics.Source and emits no samples until a span completes; dmafaultd
+// registers it through metrics.OmitZero. These are wall-clock numbers and
+// live only on the service metric plane — never inside campaign summaries.
+type SpanMetrics struct{ *metrics.HistogramVec }
 
 // NewSpanMetrics builds an empty summarizer.
 func NewSpanMetrics() *SpanMetrics {
-	return &SpanMetrics{byKY: map[string]*spanHist{}}
+	return &SpanMetrics{metrics.NewHistogramVec("obs_span_duration_seconds",
+		"Wall-clock span durations by span name and outcome.",
+		DefaultSpanBuckets, "span", "outcome")}
 }
 
 // Sink returns the summarizer's func(Span).
 func (m *SpanMetrics) Sink() func(Span) {
-	return func(s Span) { m.observe(s) }
-}
-
-func (m *SpanMetrics) observe(s Span) {
-	outcome := s.Outcome()
-	key := s.Name + "\x00" + outcome
-	secs := s.Duration().Seconds()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.byKY[key]
-	if h == nil {
-		h = &spanHist{span: s.Name, outcome: outcome,
-			buckets: make([]uint64, len(DefaultSpanBuckets)+1)}
-		m.byKY[key] = h
-		m.keys = append(m.keys, key)
-	}
-	i := len(DefaultSpanBuckets)
-	for b, ub := range DefaultSpanBuckets {
-		if secs <= ub {
-			i = b
-			break
-		}
-	}
-	h.buckets[i]++
-	h.sum += secs
-	h.count++
-}
-
-// Describe implements metrics.Source.
-func (m *SpanMetrics) Describe() []metrics.Desc {
-	return []metrics.Desc{{
-		Name:    "obs_span_duration_seconds",
-		Help:    "Wall-clock span durations by span name and outcome.",
-		Kind:    metrics.KindHistogram,
-		Buckets: DefaultSpanBuckets,
-	}}
-}
-
-// Collect implements metrics.Source.
-func (m *SpanMetrics) Collect(emit func(name string, s metrics.Sample)) {
-	m.mu.Lock()
-	keys := append([]string(nil), m.keys...)
-	sort.Strings(keys)
-	samples := make([]metrics.Sample, 0, len(keys))
-	for _, k := range keys {
-		h := m.byKY[k]
-		samples = append(samples, metrics.Sample{
-			Labels: []metrics.Label{
-				{Key: "outcome", Value: h.outcome},
-				{Key: "span", Value: h.span},
-			},
-			BucketCounts: append([]uint64(nil), h.buckets...),
-			Sum:          h.sum,
-			Count:        h.count,
-		})
-	}
-	m.mu.Unlock()
-	for _, s := range samples {
-		emit("obs_span_duration_seconds", s)
-	}
+	return func(s Span) { m.Observe(s.Duration().Seconds(), s.Name, s.Outcome()) }
 }

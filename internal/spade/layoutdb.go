@@ -64,12 +64,6 @@ func NewLayoutDB(files []*cminor.File) *LayoutDB {
 	return db
 }
 
-// Struct returns the definition of a struct, if known.
-func (db *LayoutDB) Struct(name string) (*cminor.StructDef, bool) {
-	sd, ok := db.structs[name]
-	return sd, ok
-}
-
 // Names returns all known struct names, sorted.
 func (db *LayoutDB) Names() []string {
 	out := make([]string, 0, len(db.structs))
@@ -78,11 +72,6 @@ func (db *LayoutDB) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SizeAlign computes a type's size and alignment.
-func (db *LayoutDB) SizeAlign(t *cminor.Type) (size, align uint64, err error) {
-	return db.sizeAlign(t, map[string]bool{})
 }
 
 func (db *LayoutDB) sizeAlign(t *cminor.Type, busy map[string]bool) (uint64, uint64, error) {
