@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race fuzz bench benchgate campaign faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
+.PHONY: check fmt build vet test race fuzz bench benchgate allocgate campaign faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
 
-check: fmt vet build race faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
+check: fmt vet build allocgate race faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
 
 # gofmt gate: fail listing any file that needs formatting.
 fmt:
@@ -57,6 +57,19 @@ bench:
 # a failure means re-run `make bench` and look, not an automatic veto.
 benchgate:
 	$(GO) run ./cmd/benchgate
+
+# Allocation gate on the tree under review: run the three allocation-gated
+# benchmarks once each and let benchgate compare their B/op and allocs/op
+# against the committed BENCH_$(BENCH_N).json (+10%). Allocation counts are
+# deterministic for a seed, so one iteration suffices; the ns/op families
+# are not run, so only the allocation rows gate. Blocking in `make check`.
+allocgate:
+	@tmp=$$(mktemp -d); \
+	$(GO) test -run '^$$' -bench '^Benchmark(BootOnce|CampaignThroughput|Sec53_RingFlood)$$' \
+		-benchmem -benchtime=1x . > $$tmp/bench.txt && \
+	$(GO) run ./cmd/benchjson -out $$tmp/bench.json < $$tmp/bench.txt && \
+	$(GO) run ./cmd/benchgate BENCH_$(BENCH_N).json $$tmp/bench.json; \
+	rc=$$?; rm -rf $$tmp; exit $$rc
 
 # A quick §6-shaped mixed campaign; see EXPERIMENTS.md for the full runs.
 campaign:

@@ -199,7 +199,7 @@ func BenchmarkAblationD5BootJitter(b *testing.B) {
 		b.Run(fmt.Sprintf("jitter=%dpages", jitter), func(b *testing.B) {
 			var rate float64
 			for i := 0; i < b.N; i++ {
-				st, err := attacks.RunBootStudyJitter(attacks.Kernel50, trials, int64(5000+jitter), jitter)
+				st, err := attacks.RunBootStudyOpts(attacks.Kernel50, trials, int64(5000+jitter), attacks.BootOptions{JitterPages: jitter})
 				if err != nil {
 					b.Fatal(err)
 				}

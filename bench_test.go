@@ -243,7 +243,7 @@ func BenchmarkSpadeFullCorpus(b *testing.B) {
 
 func BenchmarkBootOnce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := attacks.BootOnce(attacks.Kernel50, int64(i), 0); err != nil {
+		if _, _, _, err := attacks.BootOnceOpts(attacks.Kernel50, int64(i), attacks.BootOptions{JitterPages: attacks.BootJitterPages}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,9 +12,7 @@ import (
 	"dmafault/internal/attacks"
 	"dmafault/internal/cliutil"
 	"dmafault/internal/core"
-	"dmafault/internal/device"
 	"dmafault/internal/iommu"
-	"dmafault/internal/kexec"
 	"dmafault/internal/netstack"
 )
 
@@ -40,16 +38,16 @@ func main() {
 func run(name string, seed int64, mode iommu.Mode, trials, traceN int) (*attacks.Result, error) {
 	switch name {
 	case "ringflood":
-		study, err := attacks.RunBootStudy(attacks.Kernel415, trials, seed)
+		study, err := attacks.RunBootStudyOpts(attacks.Kernel415, trials, seed, attacks.BootOptions{JitterPages: attacks.BootJitterPages})
 		if err != nil {
 			return nil, err
 		}
-		sys, nic, _, err := attacks.BootOnce(attacks.Kernel415, seed+int64(trials)+1, 0)
+		sys, nic, _, err := attacks.BootOnceOpts(attacks.Kernel415, seed+int64(trials)+1, attacks.BootOptions{JitterPages: attacks.BootJitterPages})
 		if err != nil {
 			return nil, err
 		}
 		return attacks.RunRingFlood(sys, nic, study), nil
-	case "singlestep":
+	case "singlestep", "dos":
 		sys, err := core.New(core.WithSeed(seed), core.WithIOMMUMode(mode))
 		if err != nil {
 			return nil, err
@@ -57,30 +55,18 @@ func run(name string, seed int64, mode iommu.Mode, trials, traceN int) (*attacks
 		if _, err := sys.AddNIC(1, netstack.DriverI40E, 0); err != nil {
 			return nil, err
 		}
-		build, err := kexec.ExtractBuildOffsets(sys.Kernel.Text(), sys.Layout.Symbols())
+		atk, err := attacks.NewAttacker(sys, 1)
 		if err != nil {
 			return nil, err
 		}
-		atk := device.NewAttacker(1, sys.Bus, sys.Layout.Symbols(), build)
+		if name == "dos" {
+			return attacks.RunFreelistDoS(sys, atk), nil
+		}
 		blk, err := attacks.InstallBuggyDriver(sys, 1, 0)
 		if err != nil {
 			return nil, err
 		}
 		return attacks.RunSingleStep(sys, atk, blk), nil
-	case "dos":
-		sys, err := core.New(core.WithSeed(seed), core.WithIOMMUMode(mode))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := sys.AddNIC(1, netstack.DriverI40E, 0); err != nil {
-			return nil, err
-		}
-		build, err := kexec.ExtractBuildOffsets(sys.Kernel.Text(), sys.Layout.Symbols())
-		if err != nil {
-			return nil, err
-		}
-		atk := device.NewAttacker(1, sys.Bus, sys.Layout.Symbols(), build)
-		return attacks.RunFreelistDoS(sys, atk), nil
 	case "poisonedtx", "forward", "surveillance":
 		opts := []core.Option{core.WithSeed(seed), core.WithIOMMUMode(mode)}
 		if name != "poisonedtx" {

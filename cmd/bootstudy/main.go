@@ -47,7 +47,7 @@ func main() {
 	fmt.Printf("%d simulated reboots per kernel (paper §5.3: 256 physical reboots)\n\n", *trials)
 	fmt.Printf("%-28s %-16s %-12s %-12s %s\n", "kernel", "footprint", "modal PFN", "repeat", "median")
 	for _, v := range []attacks.KernelVersion{attacks.Kernel50, attacks.Kernel415} {
-		st, err := attacks.RunBootStudy(v, *trials, *cf.Seed)
+		st, err := attacks.RunBootStudyOpts(v, *trials, *cf.Seed, attacks.BootOptions{JitterPages: attacks.BootJitterPages})
 		if err != nil {
 			cf.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func runSweep(cf *cliutil.Flags, trials int, seed int64) {
 	fmt.Printf("repeat rate vs early-boot drift (%d reboots per point, kernel 5.0)\n\n", trials)
 	fmt.Printf("%-16s %-12s %s\n", "jitter (pages)", "modal", "median")
 	for _, jitter := range []int{32, 64, 128, 256, 512, 1024, 2048} {
-		st, err := attacks.RunBootStudyJitter(attacks.Kernel50, trials, seed+int64(jitter), jitter)
+		st, err := attacks.RunBootStudyOpts(attacks.Kernel50, trials, seed+int64(jitter), attacks.BootOptions{JitterPages: jitter})
 		if err != nil {
 			cf.Fatal(err)
 		}
@@ -79,9 +79,7 @@ func runSweep(cf *cliutil.Flags, trials int, seed int64) {
 	fmt.Println("which is why HW LRO (26x footprint) makes RingFlood near-deterministic")
 }
 
-// runQueueSweep delegates to the pool-backed study (the hand-rolled
-// aggregation loop this command used to carry now lives behind
-// attacks.RunBootStudyQueues).
+// runQueueSweep runs the pool-backed study once per RX queue count.
 func runQueueSweep(cf *cliutil.Flags, trials int, seed int64) {
 	if trials > 32 {
 		trials = 32 // multi-queue boots are heavy
@@ -89,7 +87,7 @@ func runQueueSweep(cf *cliutil.Flags, trials int, seed int64) {
 	fmt.Printf("repeat rate vs RX queue count (%d reboots per point, kernel 5.0, heavy drift)\n\n", trials)
 	fmt.Printf("%-10s %-14s %-10s\n", "queues", "footprint", "modal")
 	for _, q := range []int{1, 2, 4, 8} {
-		st, err := attacks.RunBootStudyQueues(attacks.Kernel50, trials, seed, 2048, q)
+		st, err := attacks.RunBootStudyOpts(attacks.Kernel50, trials, seed, attacks.BootOptions{JitterPages: 2048, Queues: q})
 		if err != nil {
 			cf.Fatal(err)
 		}

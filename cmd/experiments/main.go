@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"dmafault/internal/cliutil"
 	"dmafault/internal/experiments"
@@ -50,18 +49,9 @@ func main() {
 			cf.Fatal(err)
 		}
 	}
-	var b strings.Builder
-	failed := 0
-	for _, o := range outcomes {
-		b.WriteString(o.Render())
-		b.WriteString("\n")
-		if !o.OK {
-			failed++
-		}
-	}
-	fmt.Fprintf(&b, "=== %d/%d experiments reproduced the paper's claims ===\n", len(outcomes)-failed, len(outcomes))
-	fmt.Print(b.String())
-	if err := cf.WriteOut([]byte(b.String())); err != nil {
+	report, failed := experiments.Report(outcomes)
+	fmt.Print(report)
+	if err := cf.WriteOut([]byte(report)); err != nil {
 		cf.Fatal(err)
 	}
 	if failed > 0 {

@@ -13,7 +13,7 @@ func main() {
 	// Offline: the attacker owns an identical machine and reboots it,
 	// recording which physical frames the NIC's RX ring lands on.
 	const trials = 24
-	study, err := attacks.RunBootStudy(attacks.Kernel415, trials, 9_000)
+	study, err := attacks.RunBootStudyOpts(attacks.Kernel415, trials, 9_000, attacks.BootOptions{JitterPages: attacks.BootJitterPages})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func main() {
 		study.ModalPFN, study.ModalRate*100, study.ModalOffset)
 
 	// Online: a victim machine boots with a seed the attacker never saw.
-	sys, nic, _, err := attacks.BootOnce(attacks.Kernel415, 77_777, 0)
+	sys, nic, _, err := attacks.BootOnceOpts(attacks.Kernel415, 77_777, attacks.BootOptions{JitterPages: attacks.BootJitterPages})
 	if err != nil {
 		log.Fatal(err)
 	}

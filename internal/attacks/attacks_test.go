@@ -28,7 +28,7 @@ func bootVictim(t *testing.T, mode iommu.Mode, forwarding bool, model netstack.D
 
 func TestSingleStepBaseline(t *testing.T) {
 	sys, _ := bootVictim(t, iommu.Strict, false, netstack.DriverI40E)
-	atk, err := attackerFor(sys)
+	atk, err := NewAttacker(sys, attackerDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSingleStepBaseline(t *testing.T) {
 func TestSingleStepBlockedWithoutLeak(t *testing.T) {
 	// Without the KASLR-breaking scan, the attacker cannot author the chain.
 	sys, _ := bootVictim(t, iommu.Strict, false, netstack.DriverI40E)
-	atk, _ := attackerFor(sys)
+	atk, _ := NewAttacker(sys, attackerDev)
 	if _, err := atk.ChainAddresses(); err == nil {
 		t.Fatal("chain addresses available without any leak")
 	}
@@ -57,11 +57,11 @@ func TestBootStudyStatistics(t *testing.T) {
 		t.Skip("boot study is slow")
 	}
 	const trials = 24
-	st50, err := RunBootStudy(Kernel50, trials, 5000)
+	st50, err := RunBootStudyOpts(Kernel50, trials, 5000, BootOptions{JitterPages: BootJitterPages})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st415, err := RunBootStudy(Kernel415, trials, 9000)
+	st415, err := RunBootStudyOpts(Kernel415, trials, 9000, BootOptions{JitterPages: BootJitterPages})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestRingFloodHitsWhenGuessHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ring flood campaign is slow")
 	}
-	st, err := RunBootStudy(Kernel415, 12, 42)
+	st, err := RunBootStudyOpts(Kernel415, 12, 42, BootOptions{JitterPages: BootJitterPages})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, results, err := RingFloodCampaign(Kernel415, st, 6, 777)
+	hits, results, err := RingFloodCampaignOpts(Kernel415, st, 6, 777, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

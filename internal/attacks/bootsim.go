@@ -65,16 +65,17 @@ type BootRecord struct {
 	CoveredPages int
 }
 
-// BootOptions bundles the knobs of a single simulated boot. The zero value
-// matches BootOnce's historical defaults except JitterPages (0 means no
-// drift; pass BootJitterPages for the classic study amplitude).
+// BootOptions bundles the knobs of a single simulated boot. A zero
+// JitterPages means no drift; pass BootJitterPages for the classic study
+// amplitude.
 type BootOptions struct {
 	// MemBytes is the simulated physical memory size (0 auto-sizes to the
 	// ring footprint).
 	MemBytes uint64
 	// JitterPages is the early-boot allocation drift amplitude (D5 knob).
 	JitterPages int
-	// Queues is the RX ring count (0 means 1).
+	// Queues is the RX ring count (0 means 1): one per core (§5.2.2), and
+	// the footprint scales with it (§5.3). The record covers every queue.
 	Queues int
 	// FaultPlan, when non-nil, boots the machine with deterministic fault
 	// injection armed (internal/faultinject) — DMA corruption, IOMMU
@@ -82,26 +83,6 @@ type BootOptions struct {
 	// possible, and errors from injected allocator pressure wrap
 	// faultinject.ErrTransient so campaign retry can classify them.
 	FaultPlan *faultinject.Plan
-}
-
-// BootOnce boots a machine with the version's driver and returns both the
-// system (for attack continuation) and the ring record.
-func BootOnce(version KernelVersion, seed int64, memBytes uint64) (*core.System, *netstack.NIC, *BootRecord, error) {
-	return BootOnceOpts(version, seed, BootOptions{MemBytes: memBytes, JitterPages: BootJitterPages})
-}
-
-// BootOnceJitter is BootOnce with an explicit early-boot drift amplitude —
-// the D5 ablation knob: repeat probability is footprint vs drift.
-func BootOnceJitter(version KernelVersion, seed int64, memBytes uint64, jitterPages int) (*core.System, *netstack.NIC, *BootRecord, error) {
-	return BootOnceOpts(version, seed, BootOptions{MemBytes: memBytes, JitterPages: jitterPages})
-}
-
-// BootOnceQueues boots with `queues` RX rings (§5.2.2: one RX ring per core;
-// §5.3: "such attacks have a higher chance of success on larger machines",
-// because the footprint scales with the number of rings). The returned NIC
-// is queue 0; the record covers every queue.
-func BootOnceQueues(version KernelVersion, seed int64, memBytes uint64, jitterPages, queues int) (*core.System, *netstack.NIC, *BootRecord, error) {
-	return BootOnceOpts(version, seed, BootOptions{MemBytes: memBytes, JitterPages: jitterPages, Queues: queues})
 }
 
 // autoMemBytes sizes the memory of a boot that did not fix it: 128 MiB,
@@ -116,8 +97,8 @@ func autoMemBytes(model netstack.DriverModel, queues int) uint64 {
 	return memBytes
 }
 
-// BootOnceOpts is the general boot: every knob explicit, including an
-// optional fault plan. All other BootOnce* variants delegate here.
+// BootOnceOpts boots a machine with the version's driver and returns the
+// system (for attack continuation), RX queue 0's NIC and the ring record.
 func BootOnceOpts(version KernelVersion, seed int64, o BootOptions) (*core.System, *netstack.NIC, *BootRecord, error) {
 	memBytes, jitterPages, queues := o.MemBytes, o.JitterPages, o.Queues
 	if queues <= 0 {
@@ -127,7 +108,7 @@ func BootOnceOpts(version KernelVersion, seed int64, o BootOptions) (*core.Syste
 	if memBytes == 0 {
 		memBytes = autoMemBytes(model, queues)
 	}
-	sys, err := core.New(core.WithSeed(seed), core.WithIOMMUMode(iommu.Deferred), core.WithCPUs(maxInt(queues, 2)), core.WithMemBytes(memBytes), core.WithFaultPlan(o.FaultPlan))
+	sys, err := core.New(core.WithSeed(seed), core.WithIOMMUMode(iommu.Deferred), core.WithCPUs(max(queues, 2)), core.WithMemBytes(memBytes), core.WithFaultPlan(o.FaultPlan))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -174,13 +155,6 @@ func BootOnceOpts(version KernelVersion, seed int64, o BootOptions) (*core.Syste
 	return sys, first, rec, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BootStudy aggregates many boots.
 type BootStudy struct {
 	Version KernelVersion
@@ -202,28 +176,18 @@ type BootStudy struct {
 	FootprintPages int
 }
 
-// RunBootStudy simulates `trials` reboots and computes the §5.3 statistics.
-func RunBootStudy(version KernelVersion, trials int, seedBase int64) (*BootStudy, error) {
-	return RunBootStudyJitter(version, trials, seedBase, BootJitterPages)
-}
-
-// RunBootStudyJitter is RunBootStudy with an explicit drift amplitude (D5).
-func RunBootStudyJitter(version KernelVersion, trials int, seedBase int64, jitterPages int) (*BootStudy, error) {
-	return RunBootStudyQueues(version, trials, seedBase, jitterPages, 1)
-}
-
-// RunBootStudyQueues is the general study: explicit drift amplitude (D5)
-// and RX-queue count (§5.3 "larger machines"). Boots run on the campaign
-// engine's worker pool (internal/par): each reboot is an isolated machine
-// fully determined by its seed, and records merge in trial order, so the
-// statistics are identical to the historical sequential loop at any worker
-// count.
+// RunBootStudyQueues is RunBootStudyOpts with only the drift amplitude and
+// the RX-queue count set. It is kept for the perfbench module, which calls
+// it; code in this module calls RunBootStudyOpts.
 func RunBootStudyQueues(version KernelVersion, trials int, seedBase int64, jitterPages, queues int) (*BootStudy, error) {
 	return RunBootStudyOpts(version, trials, seedBase, BootOptions{JitterPages: jitterPages, Queues: queues})
 }
 
-// RunBootStudyOpts is the general study with every boot knob explicit — in
-// particular a fault plan, under which some boots may fail with transient
+// RunBootStudyOpts simulates `trials` reboots from seedBase on and computes
+// the §5.3 statistics. Boots run on the campaign engine's worker pool
+// (internal/par): each reboot is an isolated machine fully determined by its
+// seed, and records merge in trial order, so the statistics are identical at
+// any worker count. Under a fault plan some boots may fail with transient
 // injected errors (surfaced with par's deterministic lowest-trial error).
 func RunBootStudyOpts(version KernelVersion, trials int, seedBase int64, o BootOptions) (*BootStudy, error) {
 	queues := o.Queues

@@ -40,7 +40,7 @@ func TestDedicatedIOAllocatorStopsRandomCoLocation(t *testing.T) {
 
 func TestBuildSkbThwartsDedicatedIOAllocator(t *testing.T) {
 	sys, _ := bootVictim(t, iommu.Strict, false, netstack.DriverI40E)
-	atk, err := attackerFor(sys)
+	atk, err := NewAttacker(sys, attackerDev)
 	if err != nil {
 		t.Fatal(err)
 	}

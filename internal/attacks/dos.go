@@ -40,7 +40,7 @@ func RunFreelistDoS(sys *core.System, atk *device.Attacker) *Result {
 
 	// The device reads the page, spots a freelist word (a direct-map
 	// pointer inside a free object), and stomps it.
-	freelistIOVA := va + iommu64(neighbor-ioBuf)
+	freelistIOVA := va + iommu.IOVA(neighbor-ioBuf) // same low bits (§5.2.2)
 	word, err := atk.Bus.ReadU64(atk.Dev, freelistIOVA)
 	if err != nil {
 		return r.fail(err)
@@ -77,6 +77,3 @@ func RunFreelistDoS(sys *core.System, atk *device.Attacker) *Result {
 	}
 	return r
 }
-
-// iommu64 converts a KVA delta to an IOVA delta (same low bits by §5.2.2).
-func iommu64(d layout.Addr) iommu.IOVA { return iommu.IOVA(d) }

@@ -10,7 +10,7 @@ import (
 
 func TestFreelistDoS(t *testing.T) {
 	sys, _ := bootVictim(t, iommu.Strict, false, netstack.DriverI40E)
-	atk, err := attackerFor(sys)
+	atk, err := NewAttacker(sys, attackerDev)
 	if err != nil {
 		t.Fatal(err)
 	}

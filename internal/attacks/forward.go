@@ -27,24 +27,28 @@ import (
 // stand-in checks).
 const forwardFlow = uint32(1<<31) | 7
 
+// sourceTCPStream spoofs one forwarded TCP segment per RX slot, from slot 0
+// on; GRO holds them as one flow until it is flushed.
+func sourceTCPStream(sys *core.System, atk *device.Attacker, nic *netstack.NIC, segs ...[]byte) error {
+	for i, seg := range segs {
+		if err := sys.Bus.Write(atk.Dev, nic.RXRing()[i].IOVA, seg); err != nil {
+			return err
+		}
+		if err := nic.ReceiveOn(i, uint32(len(seg)), netstack.ProtoTCP, forwardFlow); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunForwardThinking executes the full §5.5 code-injection flow.
 func RunForwardThinking(sys *core.System, nic *netstack.NIC) *Result {
 	r := newResult("Forward Thinking (GRO)")
 	if !sys.Net.Forwarding {
 		return r.fail(fmt.Errorf("packet forwarding is disabled on the victim"))
 	}
-	atk, err := attackerFor(sys)
+	atk, _, err := breakKASLR(sys, nic, false)
 	if err != nil {
-		return r.fail(err)
-	}
-	cb, _, err := victimActivity(sys, nic)
-	if err != nil {
-		return r.fail(err)
-	}
-	if used := atk.ScanReadable([]iommu.IOVA{cb.IOVA}); used == 0 {
-		return r.fail(fmt.Errorf("leak scan found no kernel pointers"))
-	}
-	if _, err := atk.Infer.TextBase(); err != nil {
 		return r.fail(err)
 	}
 	r.logf("KASLR text base recovered")
@@ -56,15 +60,8 @@ func RunForwardThinking(sys *core.System, nic *netstack.NIC) *Result {
 	if err != nil {
 		return r.fail(err)
 	}
-	segs := [][]byte{[]byte("syn-segment-filler--"), payload}
-	for i, seg := range segs {
-		d := nic.RXRing()[i]
-		if err := sys.Bus.Write(atk.Dev, d.IOVA, seg); err != nil {
-			return r.fail(err)
-		}
-		if err := nic.ReceiveOn(i, uint32(len(seg)), netstack.ProtoTCP, forwardFlow); err != nil {
-			return r.fail(err)
-		}
+	if err := sourceTCPStream(sys, atk, nic, []byte("syn-segment-filler--"), payload); err != nil {
+		return r.fail(err)
 	}
 	if sys.Net.HeldFlows() != 1 {
 		return r.fail(fmt.Errorf("GRO did not hold the flow"))
@@ -101,22 +98,101 @@ func RunForwardThinking(sys *core.System, nic *netstack.NIC) *Result {
 
 	// Step 4: trigger via a third spoofed packet, Fig. 4 style, through
 	// whichever Fig. 7 path is open.
-	before := sys.Kernel.Escalations
-	path, err := triggerInjection(sys, atk, nic, ubufKVA, 5)
-	r.Escalations = sys.Kernel.Escalations - before
-	r.Success = r.Escalations > 0
+	path, err := triggerInjection(r, sys, atk, nic, ubufKVA, 5)
 	if r.Success {
 		r.logf("window path %v → hijacked callback → escalated, no userspace help needed", path)
 	} else {
 		r.logf("attack failed (path %v, release error: %v)", path, err)
 	}
-	r.Detail["window_path"] = path.String()
-	if err := nic.CompleteTX(txIdx); err == nil {
-		if err := nic.ReapCompletions(); err != nil {
-			r.logf("note: TX reap reported %v", err)
+	completeTX(r, nic, txIdx)
+	return r
+}
+
+// leakVmemmap is the surveillance primitive's warm-up. The attacker needs
+// vmemmap_base (to forge struct page pointers) and page_offset_base (to aim
+// at a KVA): after the usual prologue, a tiny forwarded TCP aggregate leaks
+// them through its TX shared info.
+func leakVmemmap(sys *core.System, nic *netstack.NIC) (*device.Attacker, layout.Addr, error) {
+	if !sys.Net.Forwarding {
+		return nil, 0, fmt.Errorf("packet forwarding is disabled on the victim")
+	}
+	atk, _, _, err := openAttack(sys, nic)
+	if err != nil {
+		return nil, 0, err
+	}
+	warmup := []byte("warmup-segment")
+	if err := sourceTCPStream(sys, atk, nic, warmup, warmup); err != nil {
+		return nil, 0, err
+	}
+	if err := sys.Net.FlushGRO(nic); err != nil {
+		return nil, 0, err
+	}
+	warm := nic.TXRing()[nic.PendingTX()-1]
+	if _, err := atk.ReadTXSharedInfo(warm.LinearVA, nic.Model.RXBufferSize); err != nil {
+		return nil, 0, err
+	}
+	vb, err := atk.Infer.VmemmapBase()
+	return atk, vb, err
+}
+
+// forgedRead is one pass of the surveillance primitive: the spoofed RX
+// packet that carried the forged frag, the TX descriptor that forwards it,
+// and the bytes the device read through the frag's mapping.
+type forgedRead struct {
+	rx    netstack.RXDesc
+	slot  int
+	txIdx int
+	data  []byte
+}
+
+// readForgedFrag spoofs a small UDP packet to be forwarded through RX slot
+// and, in its RX window, makes frag the packet's only frags[] entry. The
+// driver maps the frag's page for TX, and the device reads frag.Len bytes
+// through that mapping. Window write failures are noted in the trace.
+func readForgedFrag(r *Result, sys *core.System, atk *device.Attacker, nic *netstack.NIC, slot int, frag device.DeviceFrag) (*forgedRead, error) {
+	d := nic.RXRing()[slot]
+	if err := sys.Bus.Write(atk.Dev, d.IOVA, []byte("udp")); err != nil {
+		return nil, err
+	}
+	nic.RXWindow = func(n *netstack.NIC, tr netstack.RXTrace) {
+		if err := atk.SetNrFrags(tr.Desc.IOVA, tr.Desc.Cap, 1); err != nil {
+			r.logf("window nr_frags write failed: %v", err)
+			return
+		}
+		if err := atk.WriteTXFrag(tr.Desc.IOVA, tr.Desc.Cap, 0, frag); err != nil {
+			r.logf("window frag write failed: %v", err)
 		}
 	}
-	return r
+	err := nic.ReceiveOn(slot, 3, netstack.ProtoUDP, forwardFlow)
+	nic.RXWindow = nil
+	if err != nil {
+		return nil, err
+	}
+	txIdx := nic.PendingTX() - 1
+	tx := nic.TXRing()[txIdx]
+	if len(tx.FragVAs) != 1 {
+		return nil, fmt.Errorf("driver did not map the forged frag (%d mappings)", len(tx.FragVAs))
+	}
+	data := make([]byte, frag.Len)
+	if err := sys.Bus.Read(atk.Dev, tx.FragVAs[0], data); err != nil {
+		return nil, err
+	}
+	return &forgedRead{rx: d, slot: slot, txIdx: txIdx, data: data}, nil
+}
+
+// undo covers the read's tracks: before TX completion is signalled, it
+// restores nr_frags so the release path does not drop a reference the
+// kernel never took. The spoofed RX buffer's page is still writable through
+// the stale IOTLB entry (deferred mode) or a neighbouring RX mapping.
+func (f *forgedRead) undo(atk *device.Attacker, nic *netstack.NIC) error {
+	if err := atk.SetNrFrags(f.rx.IOVA, f.rx.Cap, 0); err == nil {
+		return nil
+	}
+	if via, ok := device.RingNeighborFor(nic.RXRing(), f.slot); ok {
+		var raw [2]byte
+		return atk.Bus.Write(atk.Dev, via+iommu.IOVA(netstack.SharedInfoNrFragsOff), raw[:])
+	}
+	return fmt.Errorf("no write path for cleanup")
 }
 
 // RunSurveillance executes the §5.5 arbitrary-page-read variant against a
@@ -124,39 +200,7 @@ func RunForwardThinking(sys *core.System, nic *netstack.NIC) *Result {
 // without any code injection, then covers its tracks.
 func RunSurveillance(sys *core.System, nic *netstack.NIC, targetKVA layout.Addr, length uint32) (*Result, []byte) {
 	r := newResult("Forward Thinking surveillance (arbitrary page read)")
-	if !sys.Net.Forwarding {
-		return r.fail(fmt.Errorf("packet forwarding is disabled on the victim")), nil
-	}
-	atk, err := attackerFor(sys)
-	if err != nil {
-		return r.fail(err), nil
-	}
-	// The attacker needs vmemmap_base (to forge struct page pointers) and
-	// page_offset_base (to aim at a KVA): both come from one TX leak. Run a
-	// tiny forwarded TCP aggregate first to harvest them.
-	cbuf, _, err := victimActivity(sys, nic)
-	if err != nil {
-		return r.fail(err), nil
-	}
-	atk.ScanReadable([]iommu.IOVA{cbuf.IOVA})
-	for i := 0; i < 2; i++ {
-		d := nic.RXRing()[i]
-		if err := sys.Bus.Write(atk.Dev, d.IOVA, []byte("warmup-segment")); err != nil {
-			return r.fail(err), nil
-		}
-		if err := nic.ReceiveOn(i, 14, netstack.ProtoTCP, forwardFlow); err != nil {
-			return r.fail(err), nil
-		}
-	}
-	if err := sys.Net.FlushGRO(nic); err != nil {
-		return r.fail(err), nil
-	}
-	warmIdx := nic.PendingTX() - 1
-	warm := nic.TXRing()[warmIdx]
-	if _, err := atk.ReadTXSharedInfo(warm.LinearVA, nic.Model.RXBufferSize); err != nil {
-		return r.fail(err), nil
-	}
-	vb, err := atk.Infer.VmemmapBase()
+	atk, vb, err := leakVmemmap(sys, nic)
 	if err != nil {
 		return r.fail(err), nil
 	}
@@ -172,59 +216,20 @@ func RunSurveillance(sys *core.System, nic *netstack.NIC, targetKVA layout.Addr,
 	pageOff := uint32(layout.PageOffsetOf(targetKVA))
 	r.logf("target %#x → forged struct page %#x (+%d)", uint64(targetKVA), forged, pageOff)
 
-	// Spoof a small UDP packet to be forwarded; in its RX window, append the
-	// forged frag. The driver will map the target page for TX.
-	slot := 2
-	d := nic.RXRing()[slot]
-	if err := sys.Bus.Write(atk.Dev, d.IOVA, []byte("udp")); err != nil {
-		return r.fail(err), nil
-	}
-	nic.RXWindow = func(n *netstack.NIC, tr netstack.RXTrace) {
-		if err := atk.SetNrFrags(tr.Desc.IOVA, tr.Desc.Cap, 1); err != nil {
-			r.logf("window nr_frags write failed: %v", err)
-			return
-		}
-		if err := atk.WriteTXFrag(tr.Desc.IOVA, tr.Desc.Cap, 0, device.DeviceFrag{PagePtr: forged, Off: pageOff, Len: length}); err != nil {
-			r.logf("window frag write failed: %v", err)
-		}
-	}
-	if err := nic.ReceiveOn(slot, 3, netstack.ProtoUDP, forwardFlow); err != nil {
-		nic.RXWindow = nil
-		return r.fail(err), nil
-	}
-	nic.RXWindow = nil
-	spyIdx := nic.PendingTX() - 1
-	spy := nic.TXRing()[spyIdx]
-	if len(spy.FragVAs) != 1 {
-		return r.fail(fmt.Errorf("driver did not map the forged frag (%d mappings)", len(spy.FragVAs))), nil
-	}
-	secret := make([]byte, length)
-	if err := sys.Bus.Read(atk.Dev, spy.FragVAs[0], secret); err != nil {
+	// The driver will map the target page for TX.
+	spy, err := readForgedFrag(r, sys, atk, nic, 2, device.DeviceFrag{PagePtr: forged, Off: pageOff, Len: length})
+	if err != nil {
 		return r.fail(err), nil
 	}
 	r.logf("read %d bytes from arbitrary kernel page via forged frag", length)
 
-	// Cover tracks: before signalling TX completion, undo the frag so the
-	// release path does not drop a reference the kernel never took. The
-	// spoofed RX buffer's page is still writable through the stale IOTLB
-	// entry (deferred mode) or a neighbouring RX mapping.
-	undo := func() error {
-		if err := atk.SetNrFrags(d.IOVA, d.Cap, 0); err == nil {
-			return nil
-		}
-		if via, ok := device.RingNeighborFor(nic.RXRing(), slot); ok {
-			var raw [2]byte
-			return atk.Bus.Write(atk.Dev, via+iommu.IOVA(netstack.SharedInfoNrFragsOff), raw[:])
-		}
-		return fmt.Errorf("no write path for cleanup")
-	}
-	if err := undo(); err != nil {
+	if err := spy.undo(atk, nic); err != nil {
 		r.logf("cleanup failed: %v — release will report a frag error", err)
 	} else {
 		r.logf("frags[] restored before TX completion: no trace left")
 	}
 	errsBefore := sys.Net.Stats().FragReleaseErrors
-	if err := nic.CompleteTX(spyIdx); err != nil {
+	if err := nic.CompleteTX(spy.txIdx); err != nil {
 		return r.fail(err), nil
 	}
 	if err := nic.ReapCompletions(); err != nil {
@@ -232,6 +237,6 @@ func RunSurveillance(sys *core.System, nic *netstack.NIC, targetKVA layout.Addr,
 	}
 	clean := sys.Net.Stats().FragReleaseErrors == errsBefore
 	r.Detail["clean"] = fmt.Sprintf("%v", clean)
-	r.Success = !bytes.Equal(secret, make([]byte, length)) && clean
-	return r, secret
+	r.Success = !bytes.Equal(spy.data, make([]byte, length)) && clean
+	return r, spy.data
 }

@@ -44,11 +44,11 @@ func TestRingFloodStrictMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boot study is slow")
 	}
-	st, err := RunBootStudyJitter(Kernel50, 10, 4242, 64)
+	st, err := RunBootStudyOpts(Kernel50, 10, 4242, BootOptions{JitterPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, nic, _, err := BootOnceJitter(Kernel50, 4242+3, 0, 64)
+	sys, nic, _, err := BootOnceOpts(Kernel50, 4242+3, BootOptions{JitterPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestRingFloodStrictModeBlockedOnWholePageBuffers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boot study is slow")
 	}
-	st, err := RunBootStudy(Kernel415, 8, 4242)
+	st, err := RunBootStudyOpts(Kernel415, 8, 4242, BootOptions{JitterPages: BootJitterPages})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, nic, _, err := BootOnce(Kernel415, 4242+9, 0)
+	sys, nic, _, err := BootOnceOpts(Kernel415, 4242+9, BootOptions{JitterPages: BootJitterPages})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"dmafault/internal/core"
 	"dmafault/internal/device"
-	"dmafault/internal/iommu"
 	"dmafault/internal/layout"
 	"dmafault/internal/netstack"
 )
@@ -22,37 +21,7 @@ import (
 // ground truth.
 func RunMemoryDump(sys *core.System, nic *netstack.NIC, startPFN layout.PFN, pages int) (*Result, []byte) {
 	r := newResult(fmt.Sprintf("memory dump via forged frags (%d pages from PFN %d)", pages, startPFN))
-	if !sys.Net.Forwarding {
-		return r.fail(fmt.Errorf("packet forwarding is disabled on the victim")), nil
-	}
-	atk, err := attackerFor(sys)
-	if err != nil {
-		return r.fail(err), nil
-	}
-	cbuf, _, err := victimActivity(sys, nic)
-	if err != nil {
-		return r.fail(err), nil
-	}
-	atk.ScanReadable([]iommu.IOVA{cbuf.IOVA})
-
-	// One warm-up forward pins vmemmap_base (to forge struct pages).
-	for i := 0; i < 2; i++ {
-		d := nic.RXRing()[i]
-		if err := sys.Bus.Write(atk.Dev, d.IOVA, []byte("warmup-segment")); err != nil {
-			return r.fail(err), nil
-		}
-		if err := nic.ReceiveOn(i, 14, netstack.ProtoTCP, forwardFlow); err != nil {
-			return r.fail(err), nil
-		}
-	}
-	if err := sys.Net.FlushGRO(nic); err != nil {
-		return r.fail(err), nil
-	}
-	warm := nic.TXRing()[nic.PendingTX()-1]
-	if _, err := atk.ReadTXSharedInfo(warm.LinearVA, nic.Model.RXBufferSize); err != nil {
-		return r.fail(err), nil
-	}
-	vb, err := atk.Infer.VmemmapBase()
+	atk, vb, err := leakVmemmap(sys, nic)
 	if err != nil {
 		return r.fail(err), nil
 	}
@@ -60,7 +29,6 @@ func RunMemoryDump(sys *core.System, nic *netstack.NIC, startPFN layout.PFN, pag
 
 	dump := make([]byte, 0, pages*layout.PageSize)
 	slot := 2
-	dumped := 0
 	for p := 0; p < pages; p++ {
 		pfn := startPFN + layout.PFN(p)
 		forged := uint64(vb) + uint64(pfn)*layout.StructPageSize
@@ -70,40 +38,15 @@ func RunMemoryDump(sys *core.System, nic *netstack.NIC, startPFN layout.PFN, pag
 			}
 			slot = 0
 		}
-		d := nic.RXRing()[slot]
-		if err := sys.Bus.Write(atk.Dev, d.IOVA, []byte("udp")); err != nil {
-			return r.fail(err), dump
-		}
-		nic.RXWindow = func(n *netstack.NIC, tr netstack.RXTrace) {
-			if err := atk.SetNrFrags(tr.Desc.IOVA, tr.Desc.Cap, 1); err != nil {
-				return
-			}
-			_ = atk.WriteTXFrag(tr.Desc.IOVA, tr.Desc.Cap, 0, device.DeviceFrag{PagePtr: forged, Off: 0, Len: layout.PageSize})
-		}
-		err := nic.ReceiveOn(slot, 3, netstack.ProtoUDP, forwardFlow)
-		nic.RXWindow = nil
+		spy, err := readForgedFrag(r, sys, atk, nic, slot, device.DeviceFrag{PagePtr: forged, Off: 0, Len: layout.PageSize})
 		if err != nil {
-			return r.fail(err), dump
+			return r.fail(fmt.Errorf("PFN %d: %w", pfn, err)), dump
 		}
-		spyIdx := nic.PendingTX() - 1
-		spy := nic.TXRing()[spyIdx]
-		if len(spy.FragVAs) != 1 {
-			return r.fail(fmt.Errorf("PFN %d: frag not mapped", pfn)), dump
-		}
-		pageBytes := make([]byte, layout.PageSize)
-		if err := sys.Bus.Read(atk.Dev, spy.FragVAs[0], pageBytes); err != nil {
-			return r.fail(err), dump
-		}
-		dump = append(dump, pageBytes...)
-		dumped++
-		// Cover tracks before completing, as in RunSurveillance.
-		if err := atk.SetNrFrags(d.IOVA, d.Cap, 0); err != nil {
-			if via, ok := device.RingNeighborFor(nic.RXRing(), slot); ok {
-				var raw [2]byte
-				_ = atk.Bus.Write(atk.Dev, via+iommu.IOVA(netstack.SharedInfoNrFragsOff), raw[:])
-			}
-		}
-		if err := nic.CompleteTX(spyIdx); err != nil {
+		dump = append(dump, spy.data...)
+		// Cover tracks before completing, as in RunSurveillance. A failed
+		// undo surfaces as a frag release error, which fails the verdict.
+		_ = spy.undo(atk, nic)
+		if err := nic.CompleteTX(spy.txIdx); err != nil {
 			return r.fail(err), dump
 		}
 		if err := nic.ReapCompletions(); err != nil {
@@ -111,8 +54,8 @@ func RunMemoryDump(sys *core.System, nic *netstack.NIC, startPFN layout.PFN, pag
 		}
 		slot++
 	}
-	r.logf("dumped %d pages (%d KiB) of arbitrary physical memory", dumped, dumped*4)
-	r.Detail["pages"] = fmt.Sprintf("%d", dumped)
-	r.Success = dumped == pages && sys.Net.Stats().FragReleaseErrors == 0
+	r.logf("dumped %d pages (%d KiB) of arbitrary physical memory", pages, pages*4)
+	r.Detail["pages"] = fmt.Sprintf("%d", pages)
+	r.Success = sys.Net.Stats().FragReleaseErrors == 0
 	return r, dump
 }

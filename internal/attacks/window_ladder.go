@@ -19,7 +19,7 @@ import (
 // it is still valid, so a stale IOTLB entry exists for path (ii). A real
 // device writing a full-MTU packet does this incidentally; short spoofed
 // packets must do it on purpose.
-func primeSI(sys *core.System, atk *device.Attacker, nic *netstack.NIC, slot int) error {
+func primeSI(atk *device.Attacker, nic *netstack.NIC, slot int) error {
 	d := nic.RXRing()[slot]
 	si := device.SharedInfoIOVA(d.IOVA, d.Cap)
 	return atk.Bus.Write(atk.Dev, si, make([]byte, 8))
@@ -31,6 +31,8 @@ func primeSI(sys *core.System, atk *device.Attacker, nic *netstack.NIC, slot int
 func overwriteDargLadder(atk *device.Attacker, nic *netstack.NIC, tr netstack.RXTrace, slot int, ubufKVA layout.Addr) WindowPath {
 	si := device.SharedInfoIOVA(tr.Desc.IOVA, tr.Desc.Cap)
 	// Paths (i)/(ii): the buffer's own IOVA — valid mapping or stale entry.
+	// A buffer still mapped when its shared info was built is written
+	// through that live mapping, never through a stale IOTLB entry.
 	if err := atk.OverwriteDestructorArg(si, ubufKVA); err == nil {
 		if tr.BuildWhileMapped {
 			return WindowDriverOrder
@@ -49,10 +51,10 @@ func overwriteDargLadder(atk *device.Attacker, nic *netstack.NIC, tr netstack.RX
 // pickTriggerSlot chooses an RX slot whose shared info is reachable by SOME
 // path under the current driver/mode — preferring slots with a usable
 // neighbour so the ladder's last rung exists.
-func pickTriggerSlot(nic *netstack.NIC, avoid int) int {
+func pickTriggerSlot(nic *netstack.NIC) int {
 	ring := nic.RXRing()
 	for i := range ring {
-		if i == avoid || !ring[i].Ready {
+		if !ring[i].Ready {
 			continue
 		}
 		if _, ok := device.RingNeighborFor(ring, i); ok {
@@ -60,7 +62,7 @@ func pickTriggerSlot(nic *netstack.NIC, avoid int) int {
 		}
 	}
 	for i := range ring {
-		if i != avoid && ring[i].Ready {
+		if ring[i].Ready {
 			return i
 		}
 	}
@@ -69,22 +71,29 @@ func pickTriggerSlot(nic *netstack.NIC, avoid int) int {
 
 // triggerInjection spoofs a packet into a chosen slot and corrupts its
 // shared info with the forged ubuf_info KVA during the processing window.
-// It returns the path used and the error from the delivery (nil on a clean
-// hijack — successful exploitation raises no kernel error).
-func triggerInjection(sys *core.System, atk *device.Attacker, nic *netstack.NIC, ubufKVA layout.Addr, flow uint32) (WindowPath, error) {
-	slot := pickTriggerSlot(nic, -1)
+// It records in r the escalations the trigger caused, the verdict that
+// follows from them, and the window path. It returns the path used and the
+// error from the delivery (nil on a clean hijack — successful exploitation
+// raises no kernel error).
+func triggerInjection(r *Result, sys *core.System, atk *device.Attacker, nic *netstack.NIC, ubufKVA layout.Addr, flow uint32) (used WindowPath, err error) {
+	before := sys.Kernel.Escalations
+	defer func() {
+		r.Escalations = sys.Kernel.Escalations - before
+		r.Success = r.Escalations > 0
+		r.Detail["window_path"] = used.String()
+	}()
+	slot := pickTriggerSlot(nic)
 	d := nic.RXRing()[slot]
 	if err := sys.Bus.Write(atk.Dev, d.IOVA, []byte("trig")); err != nil {
 		return WindowNone, err
 	}
-	if err := primeSI(sys, atk, nic, slot); err != nil {
+	if err := primeSI(atk, nic, slot); err != nil {
 		return WindowNone, err
 	}
-	used := WindowNone
 	nic.RXWindow = func(n *netstack.NIC, tr netstack.RXTrace) {
 		used = overwriteDargLadder(atk, n, tr, slot, ubufKVA)
 	}
 	defer func() { nic.RXWindow = nil }()
-	err := nic.ReceiveOn(slot, 4, netstack.ProtoUDP, flow)
+	err = nic.ReceiveOn(slot, 4, netstack.ProtoUDP, flow)
 	return used, err
 }

@@ -48,44 +48,20 @@ func (w WindowPath) String() string {
 // paths in the paper's order, verifying the write landed via a CPU-side
 // ground-truth read of destructor_arg.
 func ProbeTimeWindow(sys *core.System, nic *netstack.NIC, slot int) (WindowPath, error) {
-	atk, err := attackerFor(sys)
+	atk, err := NewAttacker(sys, attackerDev)
 	if err != nil {
 		return WindowNone, err
 	}
-	d := nic.RXRing()[slot]
 	const marker = 0x5afe5afe5afe5afe
-	if err := sys.Bus.Write(atk.Dev, d.IOVA, []byte("probe")); err != nil {
+	if err := sys.Bus.Write(atk.Dev, nic.RXRing()[slot].IOVA, []byte("probe")); err != nil {
 		return WindowNone, err
 	}
-	// Writing up to the shared info region primes the IOTLB for its page —
-	// a real NIC writing a full-MTU packet does this naturally; path (ii)
-	// depends on the stale entry.
-	si := device.SharedInfoIOVA(d.IOVA, d.Cap)
-	if err := sys.Bus.Write(atk.Dev, si, make([]byte, 8)); err != nil {
+	if err := primeSI(atk, nic, slot); err != nil {
 		return WindowNone, err
 	}
 	var path WindowPath
 	nic.RXWindow = func(n *netstack.NIC, tr netstack.RXTrace) {
-		si := device.SharedInfoIOVA(tr.Desc.IOVA, tr.Desc.Cap)
-		staleBefore := sys.IOMMU.Stats().StaleHits
-		// Paths (i)/(ii) share the IOVA; the page-table state and the stale
-		// counter tell them apart.
-		if err := atk.Bus.WriteU64(atk.Dev, si+netstack.SharedInfoDestructorArgOff, marker); err == nil {
-			if tr.BuildWhileMapped && sys.IOMMU.Stats().StaleHits == staleBefore {
-				path = WindowDriverOrder
-			} else {
-				path = WindowStaleIOTLB
-			}
-			return
-		}
-		// Path (iii): a neighbouring RX buffer's mapping.
-		if via, ok := device.RingNeighborFor(n.RXRing(), slot); ok {
-			if err := atk.Bus.WriteU64(atk.Dev, via+iommu.IOVA(netstack.SharedInfoDestructorArgOff), marker); err == nil {
-				path = WindowNeighborIOVA
-				return
-			}
-		}
-		path = WindowNone
+		path = overwriteDargLadder(atk, n, tr, slot, marker)
 	}
 	defer func() { nic.RXWindow = nil }()
 	skbReleased := false

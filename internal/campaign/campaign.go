@@ -15,9 +15,9 @@
 //     (success rates, Fig. 7 window-path histograms, escalation counts,
 //     trace-ring drops, D-KASAN tallies) with deterministic JSON encoding.
 //
-// cmd/campaign is the CLI; attacks.RunBootStudy and
-// attacks.RingFloodCampaign run on the same par substrate, so the legacy
-// sequential entry points are thin wrappers over the engine's pool.
+// cmd/campaign is the CLI; attacks.RunBootStudyOpts and
+// attacks.RingFloodCampaignOpts run on the same par substrate, so a
+// scenario's study or flood shares the engine's pool.
 package campaign
 
 // Presets generate ready-to-run scenario sets for the CLI and tests. All

@@ -83,7 +83,7 @@ func TestEngineMatchesSequentialAttacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RunBootStudyJitter is itself pool-backed now, but its contract is
+	// RunBootStudyOpts is itself pool-backed, but its contract is
 	// frozen to the historical sequential results (see attacks tests);
 	// the scenario must agree with it.
 	if r.Metrics["modal_rate"] == "" || r.Metrics["footprint_pages"] == "" {

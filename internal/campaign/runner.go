@@ -198,7 +198,7 @@ func runBootStudy(s *Scenario, r *Result, plan *faultinject.Plan) error {
 // the attacked victim boots carry the scenario's fault plan.
 func runRingFlood(s *Scenario, r *Result, plan *faultinject.Plan) error {
 	version, _ := s.kernelVersion()
-	study, err := attacks.RunBootStudyQueues(version, s.Trials, s.Seed, s.jitter(), s.Queues)
+	study, err := attacks.RunBootStudyOpts(version, s.Trials, s.Seed, attacks.BootOptions{JitterPages: s.jitter(), Queues: s.Queues})
 	if err != nil {
 		return err
 	}
@@ -265,6 +265,14 @@ func (s *Scenario) bootAttackSystem(plan *faultinject.Plan) (*core.System, *nets
 	return sys, nic, finish, nil
 }
 
+// takeAttack copies a single-boot attack's verdict into the scenario result.
+func (r *Result) takeAttack(res *attacks.Result) {
+	r.Success = res.Success
+	r.Escalations = res.Escalations
+	r.StepsDropped = res.DroppedSteps
+	r.WindowPath = res.Detail["window_path"]
+}
+
 // runSingleBootAttack covers Poisoned TX (§5.4) and Forward Thinking (§5.5).
 func runSingleBootAttack(s *Scenario, r *Result, plan *faultinject.Plan) error {
 	if s.Kind == KindForwardThinking {
@@ -281,10 +289,7 @@ func runSingleBootAttack(s *Scenario, r *Result, plan *faultinject.Plan) error {
 	} else {
 		res = attacks.RunPoisonedTX(sys, nic)
 	}
-	r.Success = res.Success
-	r.Escalations = res.Escalations
-	r.StepsDropped = res.DroppedSteps
-	r.WindowPath = res.Detail["window_path"]
+	r.takeAttack(res)
 	r.Metrics["steps"] = fmt.Sprintf("%d", len(res.Steps))
 	finish(r)
 	return nil
@@ -327,10 +332,7 @@ func runPageSpray(s *Scenario, r *Result, plan *faultinject.Plan) error {
 		blocks = DefaultSprayBlocks
 	}
 	res := attacks.RunPageSpray(sys, nic, attacks.SprayConfig{Blocks: blocks, Order: s.SprayOrder})
-	r.Success = res.Success
-	r.Escalations = res.Escalations
-	r.StepsDropped = res.DroppedSteps
-	r.WindowPath = res.Detail["window_path"]
+	r.takeAttack(res)
 	r.Metrics["spray"] = res.Detail["reuse"]
 	if v := res.Detail["stale"]; v != "" {
 		r.Metrics["stale"] = v

@@ -133,3 +133,20 @@ func All(cfg Config) ([]*Outcome, error) {
 	}
 	return out, nil
 }
+
+// Report renders outcomes as one combined artifact: each outcome followed
+// by a blank line, then the tally of reproduced claims. At DefaultConfig it
+// is the committed experiments_output.txt. It also returns how many
+// outcomes did not reproduce the paper's claim.
+func Report(outcomes []*Outcome) (report string, failed int) {
+	var b strings.Builder
+	for _, o := range outcomes {
+		b.WriteString(o.Render())
+		b.WriteString("\n")
+		if !o.OK {
+			failed++
+		}
+	}
+	fmt.Fprintf(&b, "=== %d/%d experiments reproduced the paper's claims ===\n", len(outcomes)-failed, len(outcomes))
+	return b.String(), failed
+}

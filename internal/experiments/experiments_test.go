@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -53,5 +55,40 @@ func TestRunSingleByID(t *testing.T) {
 	}
 	if o.ID != "T1" || !o.OK {
 		t.Errorf("outcome = %+v", o)
+	}
+}
+
+// TestReportMatchesCommittedArtifact pins experiments_output.txt: the full
+// paper-scale run must reproduce the committed artifact byte for byte, so
+// any change to an attack's steps, a study's statistics or a figure's
+// numbers shows up here.
+func TestReportMatchesCommittedArtifact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale experiment sweep is slow")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "experiments_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes, err := All(DefaultConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := Report(outcomes)
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("experiments_output.txt line %d differs:\n got: %q\nwant: %q", i+1, g, w)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"dmafault/internal/dkasan"
 	"dmafault/internal/dma"
 	"dmafault/internal/iommu"
-	"dmafault/internal/kexec"
 	"dmafault/internal/layout"
 	"dmafault/internal/netstack"
 	"dmafault/internal/sim"
@@ -37,14 +36,6 @@ func bootSystem(cfg Config, mode iommu.Mode, forwarding bool) (*core.System, *ne
 	return sys, nic, nil
 }
 
-func attackerFor(sys *core.System) (*device.Attacker, error) {
-	build, err := kexec.ExtractBuildOffsets(sys.Kernel.Text(), sys.Layout.Symbols())
-	if err != nil {
-		return nil, err
-	}
-	return device.NewAttacker(nicDev, sys.Bus, sys.Layout.Symbols(), build), nil
-}
-
 // Figure1 constructs one live instance of each sub-page vulnerability type
 // (a)–(d) and verifies device visibility through the IOMMU.
 func Figure1(cfg Config) (*Outcome, error) {
@@ -53,7 +44,7 @@ func Figure1(cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	atk, err := attackerFor(sys)
+	atk, err := attacks.NewAttacker(sys, nicDev)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +184,7 @@ func Figure4(cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	atk, err := attackerFor(sys)
+	atk, err := attacks.NewAttacker(sys, nicDev)
 	if err != nil {
 		return nil, err
 	}

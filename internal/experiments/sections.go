@@ -20,7 +20,7 @@ func Sec24(cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	atk, err := attackerFor(sys)
+	atk, err := attacks.NewAttacker(sys, nicDev)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func Sec521(cfg Config) (*Outcome, error) {
 	o.printf("  strict:   %4d ns/op (every unmap pays the ~2000-cycle invalidation)\n", strictCost)
 	o.printf("  deferred: %4d ns/op (%d batched global flushes)\n", deferredCost, flushes)
 	o.printf("  IOTLB invalidation ≈ 2000 cycles vs TLB invalidation ≈ 100 cycles (§5.2.1)\n")
-	factor := float64(strictCost) / float64(max64(1, uint64(deferredCost)))
+	factor := float64(strictCost) / float64(max(1, uint64(deferredCost)))
 	o.printf("  strict/deferred cost ratio: %.0fx — why Linux defaults to deferred\n", factor)
 	o.metric("strict_ns_per_op", "%d", strictCost)
 	o.metric("deferred_ns_per_op", "%d", deferredCost)
@@ -107,13 +107,6 @@ func Sec521(cfg Config) (*Outcome, error) {
 	return o, nil
 }
 
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Sec53 runs the boot-determinism study and a RingFlood campaign (§5.3).
 func Sec53(cfg Config) (*Outcome, error) {
 	o := newOutcome("S5.3", "Boot determinism and RingFlood success (§5.3)")
@@ -121,11 +114,11 @@ func Sec53(cfg Config) (*Outcome, error) {
 	if trials <= 0 {
 		trials = 16
 	}
-	st50, err := attacks.RunBootStudy(attacks.Kernel50, trials, cfg.Seed)
+	st50, err := attacks.RunBootStudyOpts(attacks.Kernel50, trials, cfg.Seed, attacks.BootOptions{JitterPages: attacks.BootJitterPages})
 	if err != nil {
 		return nil, err
 	}
-	st415, err := attacks.RunBootStudy(attacks.Kernel415, trials, cfg.Seed+10_000)
+	st415, err := attacks.RunBootStudyOpts(attacks.Kernel415, trials, cfg.Seed+10_000, attacks.BootOptions{JitterPages: attacks.BootJitterPages})
 	if err != nil {
 		return nil, err
 	}
@@ -147,27 +140,12 @@ func Sec53(cfg Config) (*Outcome, error) {
 		qTrials = 16
 	}
 	qRate := func(queues int) (float64, error) {
-		freq := map[layout.PFN]int{}
-		var ref map[layout.PFN]uint64
-		for i := 0; i < qTrials; i++ {
-			_, _, rec, err := attacks.BootOnceQueues(attacks.Kernel50, cfg.Seed+30_000+int64(i), 0, 2048, queues)
-			if err != nil {
-				return 0, err
-			}
-			if ref == nil {
-				ref = rec.BufStart
-			}
-			for p := range rec.BufStart {
-				freq[p]++
-			}
+		st, err := attacks.RunBootStudyOpts(attacks.Kernel50, qTrials, cfg.Seed+30_000,
+			attacks.BootOptions{JitterPages: 2048, Queues: queues})
+		if err != nil {
+			return 0, err
 		}
-		best := 0
-		for p := range ref {
-			if freq[p] > best {
-				best = freq[p]
-			}
-		}
-		return float64(best) / float64(qTrials), nil
+		return st.ModalRate, nil
 	}
 	q1, err := qRate(1)
 	if err != nil {
@@ -183,14 +161,14 @@ func Sec53(cfg Config) (*Outcome, error) {
 	if attemptsN <= 0 {
 		attemptsN = 4
 	}
-	hits, _, err := attacks.RingFloodCampaign(attacks.Kernel415, st415, attemptsN, cfg.Seed+77_000)
+	hits, _, err := attacks.RingFloodCampaignOpts(attacks.Kernel415, st415, attemptsN, cfg.Seed+77_000, nil)
 	if err != nil {
 		return nil, err
 	}
 	o.printf("RingFlood campaign on kernel 4.15: %d/%d fresh boots compromised\n", hits, attemptsN)
 	o.metric("repeat_rate_5.0", "%.2f (paper >0.50)", st50.ModalRate)
 	o.metric("repeat_rate_4.15", "%.2f (paper >0.95)", st415.ModalRate)
-	o.metric("footprint_ratio", "%.0fx", float64(st415.FootprintPages)/float64(max64(1, uint64(st50.FootprintPages))))
+	o.metric("footprint_ratio", "%.0fx", float64(st415.FootprintPages)/float64(max(1, uint64(st50.FootprintPages))))
 	o.metric("queues_1_vs_8", "%.2f vs %.2f (more rings → higher repeat)", q1, q8)
 	o.metric("ringflood_hits", "%d/%d", hits, attemptsN)
 	o.OK = st50.ModalRate > 0.50 && st415.ModalRate > 0.95 && st415.ModalRate >= st50.ModalRate && hits > 0 && q8 >= q1
@@ -202,11 +180,11 @@ func Sec53(cfg Config) (*Outcome, error) {
 // NIC's IOVA page table.
 func Sec6(cfg Config) (*Outcome, error) {
 	o := newOutcome("S6", "End-to-end attack demonstration (§6)")
-	study, err := attacks.RunBootStudy(attacks.Kernel415, maxInt(cfg.BootTrials/4, 8), cfg.Seed+5)
+	study, err := attacks.RunBootStudyOpts(attacks.Kernel415, max(cfg.BootTrials/4, 8), cfg.Seed+5, attacks.BootOptions{JitterPages: attacks.BootJitterPages})
 	if err != nil {
 		return nil, err
 	}
-	sys, nic, _, err := attacks.BootOnce(attacks.Kernel415, cfg.Seed+5, 0)
+	sys, nic, _, err := attacks.BootOnceOpts(attacks.Kernel415, cfg.Seed+5, attacks.BootOptions{JitterPages: attacks.BootJitterPages})
 	if err != nil {
 		return nil, err
 	}
@@ -228,13 +206,6 @@ func Sec6(cfg Config) (*Outcome, error) {
 	o.metric("escalations", "%d", r.Escalations)
 	o.OK = r.Success
 	return o, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Sec7 evaluates mitigations (§7/§8/§9): what blocks single-step attacks,
@@ -311,7 +282,7 @@ func Sec7(cfg Config) (*Outcome, error) {
 		if err != nil {
 			return false, err
 		}
-		atk, err := attackerFor(sys)
+		atk, err := attacks.NewAttacker(sys, nicDev)
 		if err != nil {
 			return false, err
 		}
