@@ -28,9 +28,10 @@ race:
 
 # Native fuzzing, 60 s per target: the parsers and decoders that read
 # untrusted bytes (the record log's open and scan in internal/recordlog,
-# the cminor parser, and the fault-spec grammar shared by faultinject and
-# netchaos) and sparse physical memory against a dense reference
-# (internal/mem). Their seed inputs already run under plain `go test`; this
+# the cminor parser, the fault-spec grammar shared by faultinject and
+# netchaos, scenario-set loading with its save/load identity round trip,
+# and the trace JSONL reader with its lossless round trip) and sparse
+# physical memory against a dense reference (internal/mem). Their seed inputs already run under plain `go test`; this
 # target searches past them and stays out of `make check` so CI time does
 # not grow.
 fuzz:
@@ -38,6 +39,8 @@ fuzz:
 	$(GO) test ./internal/cminor -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s
 	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 60s
 	$(GO) test ./internal/faultinject -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 60s
+	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzLoadScenarios$$' -fuzztime 60s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 60s
 
 # One pass over every benchmark, teed through cmd/benchjson into a
 # benchstat-comparable JSON artifact. -benchtime=3x keeps it minutes, not
@@ -124,11 +127,12 @@ fabricsmoke:
 chaossmoke:
 	$(GO) run ./cmd/soaksmoke -chaos
 
-# Fleet observability soak: coordinator + 3 workers with -fleetobs under a
-# mild netchaos plan. Mid-run, /v1/fleet must attribute nonzero per-phase
+# Fleet observability soak: coordinator + 3 workers with -fleetobs (each
+# 150 ms heartbeat round also scrapes every worker's metrics) under a mild
+# netchaos plan. Mid-run, /v1/fleet must attribute nonzero per-phase
 # latency (queue-wait / execute / publish) to all three workers and
 # fabrictop -once must render them; the merged summary must stay
-# byte-identical to a clean single-node run — the telemetry plane is pure
+# byte-identical to a clean single-node run — the fleet view is pure
 # observation (cmd/soaksmoke -fleet).
 fleetsmoke:
 	$(GO) run ./cmd/soaksmoke -fleet

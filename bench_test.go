@@ -518,12 +518,12 @@ func BenchmarkFabricThroughput(b *testing.B) {
 		})
 	}
 
-	// The fleet observability arm: same campaign, two workers, but with the
-	// fleetobs scrape loop running at its production cadence (the 1s
-	// DefaultInterval) against both. Compare against workers=2 above — the
-	// acceptance bar is <5% ns/op overhead, i.e. the telemetry plane rides
-	// the idle margins of the coordination path. (The fabric unit tests run
-	// the loop at 1ms for coverage; this arm measures what operators pay.)
+	// The fleet observability arm: same campaign, two workers, but with
+	// FleetObs on, so every heartbeat round also scrapes both workers'
+	// /v1/metrics. The scrape rides this arm's 100ms heartbeat, a harsher
+	// cadence than the 1s production default. Compare against workers=2
+	// above — the acceptance bar is <5% ns/op overhead, i.e. the fleet view
+	// rides the idle margins of the coordination path.
 	b.Run("workers=2-fleetobs", func(b *testing.B) {
 		urls := make([]string, 2)
 		var servers []*httptest.Server

@@ -81,7 +81,7 @@ func main() {
 	flag.DurationVar(&fabricCfg.LeaseTTL, "lease-ttl", 0, "shard lease time budget; an expired lease re-leases the shard to another worker (0: default)")
 	flag.IntVar(&fabricCfg.MaxLeaseAttempts, "lease-attempts", 0, "lease grants per shard before giving up on the fabric (evidence of a killed job bisects; anything else runs the shard locally) (0: default)")
 	flag.IntVar(&fabricCfg.ShardSize, "shard-size", 0, "scenarios per shard lease (0: default)")
-	flag.DurationVar(&fabricCfg.Heartbeat, "fabric-heartbeat", 0, "worker readiness probe cadence (0: default)")
+	flag.DurationVar(&fabricCfg.Heartbeat, "fabric-heartbeat", 0, "worker readiness probe cadence, and the -fleetobs scrape cadence (0: default)")
 	flag.StringVar(&fabricCfg.JournalPath, "fabric-journal", "", "coordinator state log; with -resume a killed coordinator picks the campaign back up")
 	flag.StringVar(&coordOpts.MetricsOut, "fabric-metrics", "", "write the final fabric_* metric families (Prometheus text) to this file")
 	flag.BoolVar(&fabricCfg.NeedCache, "need-worker-cache", false, "refuse to lease shards to workers running without a shared result cache")
@@ -89,8 +89,7 @@ func main() {
 	flag.Int64Var(&coordOpts.NetchaosSeed, "netchaos-seed", 0, "decision seed for the -netchaos plan")
 	flag.DurationVar(&fabricCfg.StealAfter, "steal-after", 0, "with -coordinator: speculatively re-lease a shard still outstanding after this long to an idle worker; first valid delivery wins (0: disabled)")
 	flag.IntVar(&fabricCfg.ByzantineThreshold, "byzantine-threshold", 0, "with -coordinator: integrity-rejected deliveries that quarantine a worker (0: default)")
-	flag.BoolVar(&fabricCfg.FleetObs, "fleetobs", false, "with -coordinator: run the fleet telemetry plane (worker scraping, GET /v1/fleet, \"fleet\" SSE events; see fabrictop)")
-	flag.DurationVar(&fabricCfg.FleetInterval, "fleet-interval", 0, "with -fleetobs: worker scrape cadence (0: default)")
+	flag.BoolVar(&fabricCfg.FleetObs, "fleetobs", false, "with -coordinator: scrape every worker's metrics in each heartbeat round, serve GET /v1/fleet and publish \"fleet\" SSE events (see fabrictop)")
 	cachePath := flag.String("cache", "", "content-addressed result cache file: scenarios already recorded replay instead of executing; new results are appended")
 	cacheCompact := flag.Bool("cache-compact", false, "with -cache: rewrite the cache log dropping superseded and stale-engine records, print stats, and exit")
 	requireCached := flag.Bool("require-cached", false, "with -cache: exit nonzero unless every scenario was served from the cache (proves a warm cache executes nothing)")

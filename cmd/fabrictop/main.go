@@ -1,6 +1,6 @@
 // Command fabrictop is a live terminal dashboard for a fabric coordinator
-// running the fleet telemetry plane (campaign -coordinator -coordinator-addr
-// ... -fleetobs). It follows the coordinator's SSE stream and redraws one
+// with the fleet view on (campaign -coordinator -coordinator-addr ...
+// -fleetobs). It follows the coordinator's SSE stream and redraws one
 // screen per "fleet" event: per-worker lease load, per-phase latency totals,
 // EWMA shard latency and throughput, cache hit rate, registry state
 // (up/quarantined/stale), and campaign progress.

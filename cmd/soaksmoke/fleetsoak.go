@@ -13,18 +13,19 @@ import (
 	"dmafault/internal/faultdclient"
 )
 
-// Fleet soak (`make fleetsmoke`, soaksmoke -fleet): the fleet observability
-// plane end-to-end. Three real workers, one coordinator with -fleetobs, and
-// a mild netchaos plan on every worker-bound request — scrapes included, so
-// the telemetry plane eats torn metrics bodies and 503d readiness probes
-// while the campaign runs. Mid-run, GET /v1/fleet must show all three
+// Fleet soak (`make fleetsmoke`, soaksmoke -fleet): the fleet view
+// end-to-end. Three real workers, one coordinator with -fleetobs (every
+// heartbeat round also scrapes each worker's metrics), and a mild netchaos
+// plan on every worker-bound request — scrapes included, so the fleet view
+// eats torn metrics bodies and 503d readiness probes while the campaign
+// runs. Mid-run, GET /v1/fleet must show all three
 // workers with nonzero per-phase latency attribution, and the fabrictop
 // -once rendering of that snapshot must list them; after the run, the
 // merged summary must be byte-identical to a clean single-node run —
 // observation, even degraded observation, never touches the bytes.
 
 // fleetPlanSpec keeps the weather mild: enough 503s, drops, and torn bodies
-// to exercise the scrape loop's failure handling without making the
+// to exercise the scrape's failure handling without making the
 // campaign itself crawl through re-leases.
 const (
 	fleetPlanSpec = "http-503:0.05,conn-drop:0.03,truncate:0.03"
@@ -59,9 +60,9 @@ func runFleetSoak(log *slog.Logger, keep bool) error {
 		"-worker-urls", strings.Join(urls, ","),
 		"-coordinator-addr", "127.0.0.1:0",
 		"-shard-size", "4", "-lease-ttl", "20s", "-lease-attempts", "6",
-		"-fabric-heartbeat", "200ms",
+		"-fabric-heartbeat", "150ms",
 		"-netchaos", fleetPlanSpec, "-netchaos-seed", fleetPlanSeed,
-		"-fleetobs", "-fleet-interval", "150ms",
+		"-fleetobs",
 		"-out", fabricPath,
 	)
 	if err != nil {

@@ -1,5 +1,7 @@
 package campaign
 
+import "fmt"
+
 // Content-addressed result caching: scenarios are pure functions of their
 // spec (the seed drives every randomized component), so a result recorded
 // under a scenario's Digest can be replayed in any later campaign that
@@ -43,12 +45,19 @@ func cacheReplay(r *Result, s *Scenario) *Result {
 	return &rr
 }
 
-// cachePutCopy builds the canonical stored copy of a freshly executed
-// result: a shallow copy with the position-derived ID blanked, mirroring
-// how ScenarioDigest blanks the spec ID, so a record is
-// position-independent.
-func cachePutCopy(r *Result) *Result {
+// PutResult records a freshly executed result in st under its scenario's
+// digest, if Cacheable. The stored copy is shallow with the
+// position-derived ID blanked, mirroring how ScenarioDigest blanks the spec
+// ID, so a record is position-independent. The engine and the fabric
+// coordinator both publish through it.
+func PutResult(st Store, d Digest, r *Result) error {
+	if !Cacheable(r) {
+		return nil
+	}
 	rr := *r
 	rr.ID = ""
-	return &rr
+	if err := st.Put(d, &rr); err != nil {
+		return fmt.Errorf("resultstore: %w", err)
+	}
+	return nil
 }

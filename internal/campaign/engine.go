@@ -97,13 +97,9 @@ func (e Engine) Run(scenarios []Scenario) (*Summary, error) {
 // summary's error tally; only an invalid spec or ctx cancellation aborts
 // the run (already-claimed scenarios finish and are journaled first).
 func (e Engine) RunCtx(ctx context.Context, scenarios []Scenario) (*Summary, error) {
-	scs := make([]Scenario, len(scenarios))
-	copy(scs, scenarios)
-	for i := range scs {
-		scs[i].Normalize(i)
-		if err := scs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("scenario %d (%s): %w", i, scs[i].ID, err)
-		}
+	scs, err := NormalizeSet(scenarios)
+	if err != nil {
+		return nil, err
 	}
 	results := make([]*Result, len(scs))
 	for i, r := range e.Completed {
@@ -114,7 +110,7 @@ func (e Engine) RunCtx(ctx context.Context, scenarios []Scenario) (*Summary, err
 	root := e.Obs.Start("campaign",
 		obs.Af("scenarios", "%d", len(scs)),
 		obs.Af("restored", "%d", len(e.Completed)))
-	err := par.ForEachCtx(ctx, len(scs), e.Workers, func(ctx context.Context, i int) error {
+	err = par.ForEachCtx(ctx, len(scs), e.Workers, func(ctx context.Context, i int) error {
 		if results[i] != nil {
 			return nil // restored from the journal
 		}
@@ -146,13 +142,11 @@ func (e Engine) RunCtx(ctx context.Context, scenarios []Scenario) (*Summary, err
 		}
 		if r == nil {
 			r, err = e.execute(ctx, scs[i], sp)
-			if err == nil && r != nil && e.Cache != nil && Cacheable(r) {
+			if err == nil && r != nil && e.Cache != nil {
 				// A failing store is a real error (disk full, torn file),
 				// surfaced like a journal failure rather than silently
 				// degrading into a cache that loses records.
-				if perr := e.Cache.Put(digest, cachePutCopy(r)); perr != nil {
-					err = fmt.Errorf("resultstore: %w", perr)
-				}
+				err = PutResult(e.Cache, digest, r)
 			}
 		}
 		if err != nil {

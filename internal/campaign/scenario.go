@@ -298,7 +298,7 @@ func (s *Scenario) options(plan *faultinject.Plan) ([]core.Option, error) {
 }
 
 // LoadScenarios reads a JSON scenario array (or a {"scenarios": [...]}
-// campaign document) and normalizes every entry.
+// campaign document) and normalizes and validates every entry.
 func LoadScenarios(r io.Reader) ([]Scenario, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -314,13 +314,21 @@ func LoadScenarios(r io.Reader) ([]Scenario, error) {
 		}
 		scs = doc.Scenarios
 	}
-	for i := range scs {
-		scs[i].Normalize(i)
-		if err := scs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("scenario %d (%s): %w", i, scs[i].ID, err)
+	return NormalizeSet(scs)
+}
+
+// NormalizeSet returns an index-normalized copy of the set, or the first
+// spec that fails Validate. Every entry point that accepts a scenario set
+// (LoadScenarios, Engine.RunCtx, the fabric coordinator) goes through it,
+// so a set is stamped and rejected the same way everywhere.
+func NormalizeSet(scs []Scenario) ([]Scenario, error) {
+	norm := normalizeSet(scs)
+	for i := range norm {
+		if err := norm[i].Validate(); err != nil {
+			return nil, fmt.Errorf("scenario %d (%s): %w", i, norm[i].ID, err)
 		}
 	}
-	return scs, nil
+	return norm, nil
 }
 
 // LoadScenarioFile is LoadScenarios over a file path.

@@ -10,7 +10,9 @@
 // The moving parts:
 //
 //   - Registry: static -worker-urls plus POST /v1/fabric/join
-//     self-registrations, kept honest by lease-aware /readyz heartbeats.
+//     self-registrations, kept honest by lease-aware /readyz heartbeats
+//     that, with FleetObs, also scrape each worker's metrics for
+//     GET /v1/fleet.
 //   - Shards: contiguous global-index ranges of the (globally normalized)
 //     scenario set, so per-position IDs are stamped once by the coordinator
 //     and survive the trip through a worker untouched.
@@ -44,7 +46,6 @@ import (
 	"dmafault/internal/campaign"
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/faultdclient"
-	"dmafault/internal/fleetobs"
 	"dmafault/internal/obs"
 	"dmafault/internal/par"
 )
@@ -56,9 +57,11 @@ const (
 	// DefaultLeaseTTL bounds one lease: submit + worker queue wait +
 	// execution + result fetch.
 	DefaultLeaseTTL = 2 * time.Minute
-	// DefaultHeartbeat paces the registry's readiness probes.
+	// DefaultHeartbeat paces the registry's readiness probes (and, with
+	// FleetObs, the metrics scrapes and "fleet" SSE events).
 	DefaultHeartbeat = time.Second
-	// DefaultProbeTimeout bounds one readiness probe. Deliberately decoupled
+	// DefaultProbeTimeout bounds one worker's heartbeat round: the readiness
+	// probe plus, with FleetObs, the metrics scrape. Deliberately decoupled
 	// from the heartbeat interval: a worker busy executing a shard may
 	// answer /readyz slowly, and a probe budget of one heartbeat would flap
 	// it down — cancelling its own in-flight leases.
@@ -147,14 +150,11 @@ type Config struct {
 	// the trip the worker may receive one probe lease
 	// (0: DefaultByzantineProbeAfter).
 	ByzantineProbeAfter time.Duration
-	// FleetObs enables the fleet telemetry plane (internal/fleetobs): a
-	// scrape loop over every registered worker's /v1/metrics + /readyz,
-	// GET /v1/fleet on the coordinator surface, and periodic "fleet" SSE
-	// events on the hub. Pure observability — summary bytes are identical
-	// with the plane on or off (test-enforced).
+	// FleetObs enables the fleet view: every heartbeat round also scrapes
+	// each worker's /v1/metrics, GET /v1/fleet serves the result, and a
+	// "fleet" SSE event goes to the hub after each round. Pure observability
+	// — summary bytes are identical with it on or off (test-enforced).
 	FleetObs bool
-	// FleetInterval paces fleet scrape rounds (0: fleetobs.DefaultInterval).
-	FleetInterval time.Duration
 }
 
 // orDefault resolves a Config knob whose zero value means "the default".
@@ -207,11 +207,10 @@ type shard struct {
 // Coordinator runs one distributed campaign. Build with New, run with Run;
 // Handler serves the supervision surface for the run's duration.
 type Coordinator struct {
-	cfg   Config
-	m     *Metrics
-	reg   *Registry
-	log   *slog.Logger
-	fleet *fleetobs.Plane // nil unless cfg.FleetObs
+	cfg Config
+	m   *Metrics
+	reg *Registry
+	log *slog.Logger
 
 	mu        sync.Mutex
 	scs       []campaign.Scenario // globally normalized set
@@ -219,14 +218,6 @@ type Coordinator struct {
 	delivered int
 	state     *StateLog
 	status    string // terminal status, recorded by PublishStatus
-
-	// backoffs is the per-shard re-lease backoff curve, keyed by shard
-	// index. An entry exists only while the shard is failing: a successful
-	// delivery deletes it, so the next failure — possibly minutes later,
-	// injected by chaos — restarts from the base instead of resuming a
-	// maxed-out curve.
-	backoffMu sync.Mutex
-	backoffs  map[int]time.Duration
 
 	localMu sync.Mutex // serializes local-fallback engine runs
 }
@@ -239,29 +230,16 @@ func New(cfg Config) *Coordinator {
 	if log == nil {
 		log = obs.Nop()
 	}
-	reg := NewRegistry(cfg.Workers, defaultProbe(cfg.NeedCache, DefaultProbeTimeout, cfg.Transport), m, log)
+	reg := NewRegistry(cfg.Workers, defaultProbe(cfg.NeedCache, cfg.Transport), m, log)
 	reg.MaxLeases = cfg.maxLeasesPerWorker()
 	reg.Breaker = cfg.breaker()
-	c := &Coordinator{
-		cfg: cfg,
-		m:   m,
-		reg: reg,
-		log: log,
-	}
 	if cfg.FleetObs {
-		c.fleet = fleetobs.New(fleetobs.Config{
-			Interval:  cfg.FleetInterval,
-			Workers:   reg.FleetState,
-			Campaign:  c.campaignState,
-			Transport: cfg.Transport,
-			Hub:       cfg.Hub,
-			Log:       log,
-		})
+		reg.scrape = defaultScrape(cfg.Transport)
 	}
-	return c
+	return &Coordinator{cfg: cfg, m: m, reg: reg, log: log}
 }
 
-// campaignState is the fleet plane's progress source: nil before Run seeds
+// campaignState is the fleet view's progress source: nil before Run seeds
 // the scenario set, live counts afterwards.
 func (c *Coordinator) campaignState() *api.FleetCampaign {
 	c.mu.Lock()
@@ -278,8 +256,17 @@ func (c *Coordinator) campaignState() *api.FleetCampaign {
 	}
 }
 
-// Fleet exposes the fleet telemetry plane (nil unless Config.FleetObs).
-func (c *Coordinator) Fleet() *fleetobs.Plane { return c.fleet }
+// Fleet renders the GET /v1/fleet document: the registry's worker rows and
+// merged worker metrics plus the campaign progress (nil unless
+// Config.FleetObs).
+func (c *Coordinator) Fleet() *api.FleetSnapshot {
+	if !c.cfg.FleetObs {
+		return nil
+	}
+	fs := c.reg.Fleet()
+	fs.Campaign = c.campaignState()
+	return fs
+}
 
 // Metrics exposes the fabric instrument set (for /metrics and -fabric-metrics).
 func (c *Coordinator) Metrics() *Metrics { return c.m }
@@ -300,22 +287,15 @@ func (c *Coordinator) Run(ctx context.Context, scenarios []campaign.Scenario) (*
 	// is stamped against its global index. Workers re-normalize shard
 	// slices with shard-local indexes, but Normalize never overwrites a
 	// non-empty ID — global identity survives the trip.
-	scs := make([]campaign.Scenario, len(scenarios))
-	copy(scs, scenarios)
-	for i := range scs {
-		scs[i].Normalize(i)
-		if err := scs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("scenario %d (%s): %w", i, scs[i].ID, err)
-		}
+	scs, err := campaign.NormalizeSet(scenarios)
+	if err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
 	c.scs = scs
 	c.results = make([]*campaign.Result, len(scs))
 	c.delivered = 0
 	c.mu.Unlock()
-	c.backoffMu.Lock()
-	c.backoffs = map[int]time.Duration{}
-	c.backoffMu.Unlock()
 
 	if c.cfg.JournalPath != "" {
 		state, st, err := OpenStateLog(c.cfg.JournalPath, scs, c.cfg.shardSize(), c.cfg.Resume)
@@ -340,26 +320,24 @@ func (c *Coordinator) Run(ctx context.Context, scenarios []campaign.Scenario) (*
 	shards := c.partition(len(scs))
 	c.m.ShardsTotal.Set(float64(len(shards)))
 
-	// The heartbeat and fleet scrape loops stop with the run and are waited
-	// for, so nothing touches registry or fleet state after Run returns.
-	hbCtx, stopHB := context.WithCancel(ctx)
-	var loops sync.WaitGroup
-	defer loops.Wait()
-	defer stopHB()
-	loops.Add(1)
-	go func() {
-		defer loops.Done()
-		c.reg.Heartbeat(hbCtx, c.cfg.heartbeat())
-	}()
-	if c.fleet != nil {
-		loops.Add(1)
-		go func() {
-			defer loops.Done()
-			c.fleet.Run(hbCtx)
-		}()
+	// The heartbeat stops with the run and is waited for, so nothing touches
+	// registry state after Run returns.
+	var onRound func()
+	if c.cfg.FleetObs && c.cfg.Hub != nil {
+		onRound = func() { c.cfg.Hub.Publish(obs.StreamEvent{Type: "fleet", Data: c.Fleet()}) }
 	}
+	hbCtx, stopHB := context.WithCancel(ctx)
+	hbDone := make(chan struct{})
+	defer func() {
+		stopHB()
+		<-hbDone
+	}()
+	go func() {
+		defer close(hbDone)
+		c.reg.Heartbeat(hbCtx, c.cfg.heartbeat(), onRound)
+	}()
 
-	err := par.ForEachCtx(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
+	err = par.ForEachCtx(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
 		return c.runShard(ctx, shards[i])
 	})
 	if err != nil {
@@ -421,31 +399,14 @@ func (c *Coordinator) runShard(ctx context.Context, sh shard) error {
 	return nil
 }
 
-// nextBackoff returns the range's current re-lease backoff and advances the
-// curve (doubled, capped at MaxReleaseBackoff).
-func (c *Coordinator) nextBackoff(idx int) time.Duration {
-	c.backoffMu.Lock()
-	defer c.backoffMu.Unlock()
-	d, ok := c.backoffs[idx]
-	if !ok {
-		d = DefaultReleaseBackoff
+// nextBackoff advances the re-lease backoff curve one step: doubled,
+// capped at MaxReleaseBackoff. The zero value starts the curve at
+// DefaultReleaseBackoff.
+func nextBackoff(d time.Duration) time.Duration {
+	if d <= 0 {
+		return DefaultReleaseBackoff
 	}
-	next := d * 2
-	if next > MaxReleaseBackoff {
-		next = MaxReleaseBackoff
-	}
-	c.backoffs[idx] = next
-	return d
-}
-
-// resetBackoff returns the shard to the base of the curve. Called on every
-// successful delivery: the path just proved itself healthy, and a failure
-// minutes from now deserves a fresh fast retry, not the tail of an old
-// incident's maxed-out curve.
-func (c *Coordinator) resetBackoff(idx int) {
-	c.backoffMu.Lock()
-	delete(c.backoffs, idx)
-	c.backoffMu.Unlock()
+	return min(2*d, MaxReleaseBackoff)
 }
 
 // errShardFatal marks a lease failure where the shard's own content is the
@@ -456,13 +417,17 @@ func (c *Coordinator) resetBackoff(idx int) {
 var errShardFatal = errors.New("fabric: shard killed its lease")
 
 // runShardRange drives one index range [Start, End) to completion: lease to
-// a live worker, re-lease on expiry with a capped jittered per-shard
-// backoff, degrade to local execution when no worker is reachable, bisect
-// when the range itself keeps killing leases.
+// a live worker, re-lease on expiry with a capped jittered backoff, degrade
+// to local execution when no worker is reachable, bisect when the range
+// itself keeps killing leases.
 func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 	if c.shardComplete(sh) {
 		return nil
 	}
+	// The range's backoff curve lives only as long as this call: a range
+	// ends at its first delivery, so a later failure — bisected halves
+	// included — starts again from the base.
+	var backoff time.Duration
 	// suspect records whether any failed lease showed evidence that the
 	// range itself kills its host (the job executed and died, or the worker
 	// rejected the submission outright) — as opposed to infrastructure
@@ -525,7 +490,6 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 		ref.Release()
 		if err == nil {
 			c.m.ShardLatency.Observe(time.Since(start).Seconds())
-			c.resetBackoff(sh.Idx)
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -543,7 +507,8 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 		// Back off before the re-lease, jittered so failed shards do not
 		// stampede the survivors, honoring a worker's Retry-After when the
 		// failure carried one (the server knows its drain schedule).
-		next := faultdclient.Jitter(c.nextBackoff(sh.Idx))
+		backoff = nextBackoff(backoff)
+		next := faultdclient.Jitter(backoff)
 		var ae *faultdclient.APIError
 		if errors.As(err, &ae) && ae.RetryAfter > next {
 			next = ae.RetryAfter
@@ -570,9 +535,6 @@ func (c *Coordinator) bisect(ctx context.Context, sh shard) error {
 		return c.runLocal(ctx, sh)
 	}
 	c.m.BisectRounds.Inc()
-	// The halves are new work items with their own failure histories; the
-	// parent's backoff curve dies with it rather than taxing them.
-	c.resetBackoff(sh.Idx)
 	mid := sh.Start + (sh.End-sh.Start)/2
 	c.log.Info("fabric bisect", "shard", sh.Idx,
 		"range", fmt.Sprintf("[%d,%d)", sh.Start, sh.End), "mid", mid)
@@ -830,22 +792,15 @@ func (c *Coordinator) deliver(global int, r *campaign.Result, fromWorker bool) e
 	c.results[global] = r
 	c.delivered++
 	done, total := c.delivered, len(c.scs)
-	var digest campaign.Digest
-	if fromWorker && c.cfg.Store != nil && campaign.Cacheable(r) {
-		digest = campaign.ScenarioDigest(c.scs[global])
-	}
+	spec := c.scs[global]
 	state := c.state
 	c.mu.Unlock()
 	if err := state.Result(global, r); err != nil {
 		return fmt.Errorf("fabric: state log: %w", err)
 	}
-	if digest != (campaign.Digest{}) {
-		// Store the position-independent copy, mirroring the engine's own
-		// put: the ID is index-derived, the digest is ID-blanked.
-		rr := *r
-		rr.ID = ""
-		if err := c.cfg.Store.Put(digest, &rr); err != nil {
-			return fmt.Errorf("fabric: resultstore: %w", err)
+	if fromWorker && c.cfg.Store != nil {
+		if err := campaign.PutResult(c.cfg.Store, campaign.ScenarioDigest(spec), r); err != nil {
+			return fmt.Errorf("fabric: %w", err)
 		}
 	}
 	if c.cfg.Hub != nil {

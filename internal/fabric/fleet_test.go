@@ -6,25 +6,31 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dmafault/internal/breaker"
+	"dmafault/internal/campaign"
 	"dmafault/internal/faultd/api"
+	"dmafault/internal/metrics"
 	"dmafault/internal/netchaos"
 )
 
-// Fleet observability tests: the telemetry plane must be pure observation.
-// The invariant defended here is the acceptance criterion from the fleet
-// plane's design — the merged summary is byte-identical with fleetobs on or
-// off, at any worker count, and under a hostile network — plus the typed
-// /v1/fleet surface itself.
+// Fleet observability tests: the fleet view must be pure observation. The
+// invariant defended here is the acceptance criterion from the fleet view's
+// design — the merged summary is byte-identical with FleetObs on or off, at
+// any worker count, and under a hostile network — plus the typed /v1/fleet
+// surface, its staleness rules, and the heartbeat's per-round traffic.
 
-// TestByteIdenticalWithFleetObs is the fleet-plane acceptance test: with the
-// scrape loop running hot (1ms interval — hundreds of scrape rounds per
+// TestByteIdenticalWithFleetObs is the fleet-view acceptance test: with the
+// heartbeat, and so the scrape, running hot (2ms — hundreds of rounds per
 // campaign), the summary must match the plain single-node bytes at one, two,
-// and four workers, and the plane must have attributed per-phase time to
+// and four workers, and the registry must have attributed per-phase time to
 // every worker that executed a shard.
 func TestByteIdenticalWithFleetObs(t *testing.T) {
 	want := referenceJSON(t)
@@ -35,11 +41,10 @@ func TestByteIdenticalWithFleetObs(t *testing.T) {
 				urls[i] = newWorker(t).URL
 			}
 			c := New(Config{
-				Workers:       urls,
-				ShardSize:     4,
-				Heartbeat:     25 * time.Millisecond,
-				FleetObs:      true,
-				FleetInterval: time.Millisecond,
+				Workers:   urls,
+				ShardSize: 4,
+				Heartbeat: 2 * time.Millisecond,
+				FleetObs:  true,
 			})
 			sum, err := c.Run(context.Background(), testSet())
 			if err != nil {
@@ -54,7 +59,7 @@ func TestByteIdenticalWithFleetObs(t *testing.T) {
 					len(got), len(want))
 			}
 
-			fs := c.Fleet().Snapshot()
+			fs := c.Fleet()
 			if len(fs.Workers) != n {
 				t.Fatalf("fleet snapshot has %d workers, want %d", len(fs.Workers), n)
 			}
@@ -93,7 +98,7 @@ func TestByteIdenticalWithFleetObs(t *testing.T) {
 	}
 }
 
-// TestByteIdenticalWithFleetObsUnderChaos: the fleet plane's scrapes ride the
+// TestByteIdenticalWithFleetObsUnderChaos: the fleet view's scrapes ride the
 // same netchaos transport as the control path. Torn metrics bodies and 503d
 // readiness probes must degrade the telemetry, never the summary.
 func TestByteIdenticalWithFleetObsUnderChaos(t *testing.T) {
@@ -108,7 +113,6 @@ func TestByteIdenticalWithFleetObsUnderChaos(t *testing.T) {
 		AcquireTimeout: 2 * time.Second,
 		Transport:      ch,
 		FleetObs:       true,
-		FleetInterval:  5 * time.Millisecond,
 	})
 	sum, err := c.Run(context.Background(), chaosSet())
 	if err != nil {
@@ -125,7 +129,7 @@ func TestByteIdenticalWithFleetObsUnderChaos(t *testing.T) {
 	t.Logf("chaos: %s", ch.CountsText())
 }
 
-// TestFleetEndpoint pins the HTTP surface: 404 when the plane is disabled,
+// TestFleetEndpoint pins the HTTP surface: 404 when the view is disabled,
 // typed JSON when enabled, and byte-identical bodies across two requests
 // against unchanged fleet state.
 func TestFleetEndpoint(t *testing.T) {
@@ -146,18 +150,17 @@ func TestFleetEndpoint(t *testing.T) {
 	t.Run("enabled", func(t *testing.T) {
 		w := newWorker(t)
 		c := New(Config{
-			Workers:       []string{w.URL},
-			ShardSize:     4,
-			Heartbeat:     25 * time.Millisecond,
-			FleetObs:      true,
-			FleetInterval: time.Millisecond,
+			Workers:   []string{w.URL},
+			ShardSize: 4,
+			Heartbeat: 2 * time.Millisecond,
+			FleetObs:  true,
 		})
 		if _, err := c.Run(context.Background(), testSet()); err != nil {
 			t.Fatal(err)
 		}
-		// Run has returned: the scrape loop is cancelled with the heartbeat,
-		// so the plane's retained state is frozen and two requests must
-		// return identical bytes.
+		// Run has returned and waited for the heartbeat, so the registry's
+		// scrape state is frozen and two requests must return identical
+		// bytes.
 		ts := httptest.NewServer(c.Handler())
 		defer ts.Close()
 		get := func() []byte {
@@ -203,9 +206,9 @@ func TestNoteTimingEWMA(t *testing.T) {
 	url := "http://w:1"
 
 	reg.NoteTiming(url, 4, 1, &api.Timing{QueueWaitSeconds: 0.5, ExecuteSeconds: 2, PublishSeconds: 0.1})
-	rows := reg.FleetState()
+	rows := reg.Fleet().Workers
 	if len(rows) != 1 {
-		t.Fatalf("FleetState rows = %d", len(rows))
+		t.Fatalf("fleet rows = %d", len(rows))
 	}
 	w := rows[0]
 	if w.EWMAShardSeconds != 2 {
@@ -219,7 +222,7 @@ func TestNoteTimingEWMA(t *testing.T) {
 	}
 
 	reg.NoteTiming(url, 4, 0, &api.Timing{ExecuteSeconds: 4})
-	w = reg.FleetState()[0]
+	w = reg.Fleet().Workers[0]
 	if want := 2 + EWMAAlpha*(4-2); w.EWMAShardSeconds != want {
 		t.Fatalf("second delivery EWMA = %v, want %v", w.EWMAShardSeconds, want)
 	}
@@ -231,7 +234,7 @@ func TestNoteTimingEWMA(t *testing.T) {
 	// zero or drag the rate EWMA toward infinity.
 	before := w.EWMAScenariosPerSec
 	reg.NoteTiming(url, 4, 0, &api.Timing{ExecuteSeconds: 0})
-	w = reg.FleetState()[0]
+	w = reg.Fleet().Workers[0]
 	if w.EWMAScenariosPerSec != before {
 		t.Fatalf("zero-duration delivery moved the rate EWMA: %v -> %v", before, w.EWMAScenariosPerSec)
 	}
@@ -242,8 +245,281 @@ func TestNoteTimingEWMA(t *testing.T) {
 	// Timing is optional on the wire (old workers, fuzz jobs): a nil Timing
 	// still counts the delivery.
 	reg.NoteTiming(url, 2, 0, nil)
-	w = reg.FleetState()[0]
+	w = reg.Fleet().Workers[0]
 	if w.Delivered != 4 || w.Scenarios != 14 {
 		t.Fatalf("nil-timing delivery accounting = %+v", w)
+	}
+}
+
+// fixedWorker serves a frozen /v1/metrics body and a ready /readyz — the
+// "identical worker state" the determinism contract is pinned against. A
+// live dmafaultd cannot play this role: its request counter ticks on every
+// scrape, so consecutive scrapes never observe identical state.
+func fixedWorker(t *testing.T, metricsBody string) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/metrics":
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, metricsBody)
+		case "/readyz":
+			fmt.Fprintln(w, "ready")
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+func fixedMetricsBody(t *testing.T, name string, value float64) string {
+	t.Helper()
+	snap := &metrics.Snapshot{Families: []metrics.Family{{
+		Name: name, Kind: metrics.KindCounter,
+		Samples: []metrics.Sample{{Value: value}},
+	}}}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// deadURL is the address of a server that has already shut down: connects
+// are refused at once.
+func deadURL(t *testing.T) string {
+	t.Helper()
+	ts := httptest.NewServer(http.NotFoundHandler())
+	ts.Close()
+	return ts.URL
+}
+
+// Two heartbeat rounds over identical worker state must produce
+// byte-identical /v1/fleet documents: the snapshot is a pure function of
+// fleet state, with scrape jitter and scrape counters kept out of the bytes.
+func TestSnapshotDeterministicAcrossScrapes(t *testing.T) {
+	w1 := fixedWorker(t, fixedMetricsBody(t, "faultd_requests_total", 7))
+	w2 := fixedWorker(t, fixedMetricsBody(t, "faultd_requests_total", 3))
+	c := New(Config{Workers: []string{w1.URL, w2.URL}, FleetObs: true})
+	c.reg.NoteTiming(w1.URL, 8, 0, &api.Timing{QueueWaitSeconds: 0.1, ExecuteSeconds: 2, PublishSeconds: 0.01})
+	c.reg.NoteTiming(w2.URL, 4, 0, &api.Timing{ExecuteSeconds: 1.5})
+	ctx := context.Background()
+
+	c.reg.probeAll(ctx)
+	a, err := json.MarshalIndent(c.Fleet(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.reg.probeAll(ctx)
+	b, err := json.MarshalIndent(c.Fleet(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("re-scraped snapshot drifted:\n%s\nvs\n%s", a, b)
+	}
+
+	var fs api.FleetSnapshot
+	if err := json.Unmarshal(a, &fs); err != nil {
+		t.Fatal(err)
+	}
+	if len(fs.Workers) != 2 || !fs.Workers[0].Ready || !fs.Workers[1].Ready {
+		t.Fatalf("workers not ready after scrape: %+v", fs.Workers)
+	}
+	// The merged metrics sum both workers' frozen counters, worker-URL order.
+	if fs.Metrics == nil || fs.Metrics.Total("faultd_requests_total") != 10 {
+		t.Fatalf("merged metrics: %+v", fs.Metrics)
+	}
+}
+
+// A worker whose scrape starts failing goes stale and keeps serving its last
+// good snapshot; one that never answered contributes nothing and stays
+// unready. The scrape counters follow every round.
+func TestStalenessSemantics(t *testing.T) {
+	var healthy atomic.Bool
+	healthy.Store(true)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !healthy.Load() {
+			http.Error(w, "gone", http.StatusBadGateway)
+			return
+		}
+		switch r.URL.Path {
+		case "/v1/metrics":
+			fmt.Fprint(w, fixedMetricsBody(t, "faultd_requests_total", 5))
+		case "/readyz":
+			fmt.Fprintln(w, "ready")
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer ts.Close()
+	dead := deadURL(t)
+	c := New(Config{Workers: []string{dead, ts.URL}, FleetObs: true})
+	ctx := context.Background()
+	row := func(fs *api.FleetSnapshot, url string) api.FleetWorker {
+		for _, w := range fs.Workers {
+			if w.URL == url {
+				return w
+			}
+		}
+		t.Fatalf("no fleet row for %s", url)
+		return api.FleetWorker{}
+	}
+
+	c.reg.probeAll(ctx)
+	fs := c.Fleet()
+	if live := row(fs, ts.URL); !live.Ready || live.Stale {
+		t.Fatalf("live worker: %+v", live)
+	}
+	if d := row(fs, dead); d.Ready || d.Stale {
+		t.Fatalf("never-scraped worker must be unready and not stale: %+v", d)
+	}
+	if fs.Metrics.Total("faultd_requests_total") != 5 {
+		t.Fatalf("metrics: %+v", fs.Metrics)
+	}
+
+	// The live worker dies: its row goes stale, its last snapshot persists.
+	healthy.Store(false)
+	c.reg.probeAll(ctx)
+	fs = c.Fleet()
+	if gone := row(fs, ts.URL); gone.Ready || !gone.Stale {
+		t.Fatalf("dead-after-success worker: %+v", gone)
+	}
+	if fs.Metrics.Total("faultd_requests_total") != 5 {
+		t.Fatalf("stale snapshot not retained: %+v", fs.Metrics)
+	}
+	m := c.Metrics()
+	if m.FleetScrapes.Value() != 4 || m.FleetScrapeErrors.Value() != 3 || m.FleetWorkersStale.Value() != 1 {
+		t.Fatalf("scrape families: scrapes=%d errors=%d stale=%v, want 4/3/1",
+			m.FleetScrapes.Value(), m.FleetScrapeErrors.Value(), m.FleetWorkersStale.Value())
+	}
+}
+
+// countingTransport counts the requests a heartbeat round sends, by path.
+type countingTransport struct {
+	mu     sync.Mutex
+	counts map[string]int
+}
+
+func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	ct.mu.Lock()
+	ct.counts[req.URL.Path+"?"+req.URL.RawQuery]++
+	ct.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestHeartbeatTrafficPerRound pins what one heartbeat round costs each
+// worker: one lease-aware /readyz with the fleet view off, plus one
+// /v1/metrics with it on — the scrape rides the heartbeat instead of a loop
+// of its own.
+func TestHeartbeatTrafficPerRound(t *testing.T) {
+	urls := []string{newWorker(t).URL, newWorker(t).URL}
+	for _, tc := range []struct {
+		fleetObs bool
+		want     map[string]int
+	}{
+		{false, map[string]int{"/readyz?lease=1": 2}},
+		{true, map[string]int{"/readyz?lease=1": 2, "/v1/metrics?": 2}},
+	} {
+		t.Run(fmt.Sprintf("fleetobs=%v", tc.fleetObs), func(t *testing.T) {
+			ct := &countingTransport{counts: map[string]int{}}
+			c := New(Config{Workers: urls, Transport: ct, FleetObs: tc.fleetObs})
+			c.reg.probeAll(context.Background())
+			if fmt.Sprint(ct.counts) != fmt.Sprint(tc.want) {
+				t.Fatalf("one round over %d workers sent %v, want %v", len(urls), ct.counts, tc.want)
+			}
+		})
+	}
+}
+
+// The golden document: a quarantined worker and a dead (never-scraped)
+// worker, with fixed URLs and a frozen registry state seeded directly. This
+// is the byte-exact /v1/fleet wire format; a field rename or ordering change
+// fails here before it breaks fabrictop.
+func TestFleetSnapshotGolden(t *testing.T) {
+	c := New(Config{Workers: []string{"http://w1:8077", "http://w2:8077"}, FleetObs: true})
+	// w1 answered once then went dark (stale, last snapshot retained) while
+	// quarantined with a lease out; w2 never answered at all.
+	w1 := c.reg.workers["http://w1:8077"]
+	w1.up = true
+	w1.Strike(breaker.Policy{Threshold: 1}, 0)
+	w1.leases = 1
+	w1.delivered, w1.scenarios, w1.cacheHits = 2, 8, 3
+	w1.phaseQueue, w1.phaseExec, w1.phasePub = 0.25, 4, 0.5
+	w1.ewmaShard, w1.ewmaRate = 2, 2.5
+	w1.ready, w1.stale = false, true
+	w1.snap = &metrics.Snapshot{Families: []metrics.Family{{
+		Name: "faultd_requests_total", Kind: metrics.KindCounter,
+		Samples: []metrics.Sample{{Value: 42}},
+	}}}
+	c.scs = make([]campaign.Scenario, 16)
+	c.delivered = 8
+	c.m.ShardsTotal.Set(4)
+	c.m.ShardsDone.Add(2)
+
+	got, err := json.MarshalIndent(c.Fleet(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{
+  "workers": [
+    {
+      "url": "http://w1:8077",
+      "up": true,
+      "static": true,
+      "quarantined": true,
+      "leases": 1,
+      "delivered_shards": 2,
+      "delivered_scenarios": 8,
+      "cache_hits": 3,
+      "phase_totals": {
+        "queue_wait_seconds": 0.25,
+        "execute_seconds": 4,
+        "publish_seconds": 0.5
+      },
+      "ewma_shard_seconds": 2,
+      "ewma_scenarios_per_sec": 2.5,
+      "ready": false,
+      "stale": true
+    },
+    {
+      "url": "http://w2:8077",
+      "up": false,
+      "static": true,
+      "leases": 0,
+      "delivered_shards": 0,
+      "delivered_scenarios": 0,
+      "phase_totals": {
+        "queue_wait_seconds": 0,
+        "execute_seconds": 0,
+        "publish_seconds": 0
+      },
+      "ewma_shard_seconds": 0,
+      "ewma_scenarios_per_sec": 0,
+      "ready": false
+    }
+  ],
+  "campaign": {
+    "scenarios_total": 16,
+    "scenarios_done": 8,
+    "shards_total": 4,
+    "shards_done": 2
+  },
+  "metrics": {
+    "families": [
+      {
+        "name": "faultd_requests_total",
+        "kind": "counter",
+        "samples": [
+          {
+            "value": 42
+          }
+        ]
+      }
+    ]
+  }
+}`
+	if string(got) != want {
+		t.Errorf("fleet snapshot wire format drifted:\n got %s\nwant %s", got, want)
 	}
 }

@@ -43,23 +43,13 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.WorkerList{Workers: c.reg.Snapshot()})
 }
 
-// handleMetrics renders the fabric families, merged with the fleet plane's
-// own instruments when the plane runs.
+// handleMetrics renders the fabric families (the fleet view's scrape
+// counters among them).
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap, err := c.m.reg.Gather()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
-	}
-	if c.fleet != nil {
-		fsnap, err := c.fleet.Gather()
-		if err == nil {
-			err = snap.Merge(fsnap)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write(snap.Text())
@@ -69,11 +59,12 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // document the golden tests pin; two requests against identical fleet state
 // return byte-identical bodies.
 func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
-	if c.fleet == nil {
+	fs := c.Fleet()
+	if fs == nil {
 		http.Error(w, "fabric: fleet plane disabled", http.StatusNotFound)
 		return
 	}
-	data, err := json.MarshalIndent(c.fleet.Snapshot(), "", "  ")
+	data, err := json.MarshalIndent(fs, "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

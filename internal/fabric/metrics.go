@@ -84,6 +84,19 @@ type Metrics struct {
 	Steals *metrics.Counter
 	// StealWins counts steals whose delivery landed before the primary's.
 	StealWins *metrics.Counter
+
+	// The fleet-view families count the heartbeat's metrics scrapes
+	// (Config.FleetObs). They are telemetry about the view itself and stay
+	// out of the /v1/fleet document, which must remain a pure function of
+	// fleet state; OmitZero keeps them absent while the view is off.
+
+	// FleetScrapes counts worker /v1/metrics scrapes attempted.
+	FleetScrapes *metrics.Counter
+	// FleetScrapeErrors counts scrapes that failed.
+	FleetScrapeErrors *metrics.Counter
+	// FleetWorkersStale gauges workers serving their last good snapshot
+	// after a failed scrape.
+	FleetWorkersStale *metrics.Gauge
 }
 
 // NewMetrics builds and registers the fabric instrument set.
@@ -127,13 +140,21 @@ func NewMetrics() *Metrics {
 			"Speculative straggler re-leases to idle workers."),
 		StealWins: metrics.NewCounter("fabric_steal_wins_total",
 			"Steals whose delivery beat the primary lease."),
+		FleetScrapes: metrics.NewCounter("fleet_scrapes_total",
+			"Worker scrapes attempted by the fleet plane."),
+		FleetScrapeErrors: metrics.NewCounter("fleet_scrape_errors_total",
+			"Worker scrapes that failed (readyz or metrics fetch)."),
+		FleetWorkersStale: metrics.NewGauge("fleet_workers_stale",
+			"Workers serving their last good snapshot after a failed scrape."),
 	}
 	m.reg.MustRegister(m.LeasesGranted, m.LeasesExpired, m.Releases,
 		m.ShardsTotal, m.ShardsDone, m.DedupDropped, m.LocalFallback,
 		m.WorkersRegistered, m.WorkersUp, m.WorkerDowns, m.ShardLatency, m.PhaseLatency,
 		metrics.OmitZero(m.IntegrityRejected), metrics.OmitZero(m.ByzantineQuarantined),
 		metrics.OmitZero(m.BisectRounds), metrics.OmitZero(m.PoisonQuarantined),
-		metrics.OmitZero(m.Steals), metrics.OmitZero(m.StealWins))
+		metrics.OmitZero(m.Steals), metrics.OmitZero(m.StealWins),
+		metrics.OmitZero(m.FleetScrapes), metrics.OmitZero(m.FleetScrapeErrors),
+		metrics.OmitZero(m.FleetWorkersStale))
 	return m
 }
 

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"dmafault/internal/breaker"
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/faultdclient"
+	"dmafault/internal/metrics"
 )
 
 // Worker registry: the coordinator's view of the fabric. Workers arrive two
@@ -20,11 +22,23 @@ import (
 // draining, saturated, cache-less) goes down: its in-flight leases are
 // cancelled through the per-up-epoch down channel, and Acquire stops
 // handing it new shards until a heartbeat brings it back.
+//
+// The heartbeat is also the fleet view (Config.FleetObs): with a scrape set,
+// each worker's round fetches its /v1/metrics after the readiness verdict
+// is applied, and the registry keeps the last good snapshot for GET
+// /v1/fleet. Two planes, one determinism contract: the campaign's control
+// path never reads the scrape state, so scrape jitter, worker restarts and
+// scrape failures change the fleet document but never a byte of the merged
+// summary. The document itself carries no timestamps or scrape counters, so
+// two renderings of identical fleet state are byte-identical.
 
 // ProbeFunc asks one worker whether it should receive a new shard lease.
 // nil = ready; anything else = not ready (an *faultdclient.APIError carries
 // the server's verdict and Retry-After hint).
 type ProbeFunc func(ctx context.Context, url string) error
+
+// scrapeFunc fetches one worker's /v1/metrics snapshot for the fleet view.
+type scrapeFunc func(ctx context.Context, url string) (*metrics.Snapshot, error)
 
 type worker struct {
 	url      string
@@ -39,7 +53,7 @@ type worker struct {
 	// to up.
 	down chan struct{}
 
-	// Delivery accounting for the fleet plane: cumulative totals and EWMAs
+	// Delivery accounting for the fleet view: cumulative totals and EWMAs
 	// fed by NoteTiming on each verified delivery. Deterministic by
 	// construction — a pure function of the delivery sequence, untouched by
 	// scrape timing — so identical campaigns report identical fleet rows.
@@ -51,6 +65,15 @@ type worker struct {
 	phasePub   float64 // cumulative publish seconds
 	ewmaShard  float64 // EWMA of per-delivery execute seconds
 	ewmaRate   float64 // EWMA of per-delivery scenarios/execute-second
+
+	// Fleet scrape state (scrape set). A worker that never answered a scrape
+	// has no snapshot and reads not ready, not stale. One whose scrape fails
+	// after a success goes stale and keeps its last good snapshot, so
+	// operators see the freshest truth available, flagged as aging, rather
+	// than a row flickering empty on every network blip.
+	ready bool              // lease-aware readiness at the last good scrape
+	stale bool              // the latest scrape failed after a success
+	snap  *metrics.Snapshot // last good /v1/metrics snapshot
 
 	// Byzantine quarantine: a worker that repeatedly *delivers* bad results
 	// is a different failure mode from one that stops answering. It stays
@@ -82,8 +105,11 @@ type Registry struct {
 	wait chan struct{}
 
 	probe ProbeFunc
-	m     *Metrics
-	log   *slog.Logger
+	// scrape, when set (Config.FleetObs), turns the heartbeat into the
+	// fleet view: each worker's round also fetches its metrics.
+	scrape scrapeFunc
+	m      *Metrics
+	log    *slog.Logger
 }
 
 // NewRegistry builds a registry over the static worker URLs. Static workers
@@ -125,15 +151,25 @@ func (r *Registry) gaugesLocked() {
 	r.m.WorkersUp.Set(float64(up))
 }
 
-// urlsLocked lists the registered workers in URL order, the tie-break that
-// keeps lease admission deterministic. Callers hold r.mu.
-func (r *Registry) urlsLocked() []string {
-	urls := make([]string, 0, len(r.workers))
-	for url := range r.workers {
-		urls = append(urls, url)
+// sortedLocked lists the registered workers in URL order, the tie-break
+// that keeps lease admission deterministic and every rendering
+// byte-stable. Callers hold r.mu.
+func (r *Registry) sortedLocked() []*worker {
+	ws := make([]*worker, 0, len(r.workers))
+	for _, w := range r.workers {
+		ws = append(ws, w)
 	}
-	sort.Strings(urls)
-	return urls
+	sort.Slice(ws, func(i, j int) bool { return ws[i].url < ws[j].url })
+	return ws
+}
+
+// walk visits every worker in URL order under the lock.
+func (r *Registry) walk(fn func(w *worker)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, w := range r.sortedLocked() {
+		fn(w)
+	}
 }
 
 // wakeLocked signals every Acquire waiter. Callers hold r.mu.
@@ -235,14 +271,18 @@ func (r *Registry) markDown(url string, err error) {
 	}
 }
 
-// Heartbeat probes every registered worker on the interval until ctx ends.
-// The first round runs immediately, so static workers become acquirable
-// without waiting a full interval.
-func (r *Registry) Heartbeat(ctx context.Context, interval time.Duration) {
+// Heartbeat probes every registered worker on the interval until ctx ends,
+// calling onRound (if set) after each round. The first round runs
+// immediately, so static workers become acquirable without waiting a full
+// interval.
+func (r *Registry) Heartbeat(ctx context.Context, interval time.Duration, onRound func()) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		r.probeAll(ctx)
+		if onRound != nil {
+			onRound()
+		}
 		select {
 		case <-ctx.Done():
 			return
@@ -254,24 +294,76 @@ func (r *Registry) Heartbeat(ctx context.Context, interval time.Duration) {
 // probeAll runs one heartbeat round, probing workers concurrently so one
 // black-holed TCP connect cannot stall the verdict on the others.
 func (r *Registry) probeAll(ctx context.Context) {
-	r.mu.Lock()
-	urls := r.urlsLocked()
-	r.mu.Unlock()
+	var urls []string
+	r.walk(func(w *worker) { urls = append(urls, w.url) })
 	var wg sync.WaitGroup
 	for _, url := range urls {
 		wg.Add(1)
 		go func(url string) {
 			defer wg.Done()
-			if err := r.probe(ctx, url); err != nil {
-				if r.noteFailure(url) {
-					r.markDown(url, err)
-				}
-			} else {
-				r.markUp(url)
-			}
+			r.probeWorker(ctx, url)
 		}(url)
 	}
 	wg.Wait()
+	if r.scrape != nil && r.m != nil {
+		stale := 0
+		r.walk(func(w *worker) {
+			if w.stale {
+				stale++
+			}
+		})
+		r.m.FleetWorkersStale.Set(float64(stale))
+	}
+}
+
+// probeWorker runs one worker's share of a heartbeat round within one
+// DefaultProbeTimeout budget: the lease-aware readiness probe, whose verdict
+// is applied at once so lease admission and down-cancellation never wait on
+// telemetry, then, with scrape set, the metrics fetch.
+func (r *Registry) probeWorker(ctx context.Context, url string) {
+	ctx, cancel := context.WithTimeout(ctx, DefaultProbeTimeout)
+	defer cancel()
+	err := r.probe(ctx, url)
+	if err != nil {
+		if r.noteFailure(url) {
+			r.markDown(url, err)
+		}
+	} else {
+		r.markUp(url)
+	}
+	if r.scrape == nil {
+		return
+	}
+	snap, serr := r.scrape(ctx, url)
+	r.noteScrape(url, err == nil, snap, serr)
+}
+
+// noteScrape folds one scrape into the worker's fleet row: a success records
+// the readiness verdict and the fresh snapshot, a failure after a success
+// marks the row stale and keeps the last good snapshot.
+func (r *Registry) noteScrape(url string, ready bool, snap *metrics.Snapshot, err error) {
+	if r.m != nil {
+		r.m.FleetScrapes.Inc()
+		if err != nil {
+			r.m.FleetScrapeErrors.Inc()
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	w := r.workers[url]
+	if w == nil {
+		return
+	}
+	if err != nil {
+		if w.snap != nil {
+			w.ready, w.stale = false, true
+		}
+		if r.log != nil {
+			r.log.Debug("fleet scrape failed", "worker", url, "err", err)
+		}
+		return
+	}
+	w.ready, w.stale, w.snap = ready, false, snap
 }
 
 // Defaults for the byzantine quarantine's breaker policy.
@@ -400,8 +492,7 @@ func (r *Registry) Acquire(ctx context.Context) *WorkerRef {
 		var best, probe *worker
 		minWake := int64(0) // soonest half-open window opening, in ticks
 		now := r.tick()
-		for _, url := range r.urlsLocked() {
-			w := r.workers[url]
+		for _, w := range r.sortedLocked() {
 			if !w.up || (r.MaxLeases > 0 && w.leases >= r.MaxLeases) {
 				continue
 			}
@@ -471,9 +562,8 @@ func (r *Registry) Acquire(ctx context.Context) *WorkerRef {
 func (r *Registry) AcquireIdle(exclude string) *WorkerRef {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, url := range r.urlsLocked() {
-		w := r.workers[url]
-		if url == exclude || !w.up || w.Open() || w.leases != 0 {
+	for _, w := range r.sortedLocked() {
+		if w.url == exclude || !w.up || w.Open() || w.leases != 0 {
 			continue
 		}
 		w.leases++
@@ -489,8 +579,9 @@ func (r *Registry) AcquireIdle(exclude string) *WorkerRef {
 const EWMAAlpha = 0.25
 
 // NoteTiming credits one verified delivery's worker-reported timing to the
-// registry's per-worker accounting — the shard-size autotuner's input and
-// the fleet snapshot's per-worker row. Deliveries without timing (an old
+// registry's per-worker accounting, which the fleet snapshot's per-worker
+// row reports (fabrictop shows it; nothing in the control path reads it).
+// Deliveries without timing (an old
 // worker binary) still count toward delivered/scenarios so lease-load
 // attribution stays truthful.
 func (r *Registry) NoteTiming(url string, scenarios, cacheHits int, t *api.Timing) {
@@ -524,15 +615,16 @@ func (r *Registry) NoteTiming(url string, scenarios, cacheHits int, t *api.Timin
 	}
 }
 
-// FleetState renders the registry's half of the fleet snapshot, URL-sorted:
-// every field a FleetWorker row carries except the scrape-derived ones
-// (Ready, Stale), which the fleet plane fills in.
-func (r *Registry) FleetState() []api.FleetWorker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rows := make([]api.FleetWorker, 0, len(r.workers))
-	for _, w := range r.workers {
-		rows = append(rows, api.FleetWorker{
+// Fleet renders the registry's share of the /v1/fleet document: one
+// URL-sorted row per worker, and the order-stable merge of every retained
+// metrics snapshot in the same order (nil before any scrape). A pure
+// function of registry state, so two renderings without an intervening
+// delivery or heartbeat round are byte-identical.
+func (r *Registry) Fleet() *api.FleetSnapshot {
+	fs := &api.FleetSnapshot{Workers: []api.FleetWorker{}}
+	var mergeErr error
+	r.walk(func(w *worker) {
+		fs.Workers = append(fs.Workers, api.FleetWorker{
 			URL:         w.url,
 			Up:          w.up,
 			Static:      w.static,
@@ -548,38 +640,59 @@ func (r *Registry) FleetState() []api.FleetWorker {
 			},
 			EWMAShardSeconds:    w.ewmaShard,
 			EWMAScenariosPerSec: w.ewmaRate,
+			Ready:               w.ready,
+			Stale:               w.stale,
 		})
+		if w.snap == nil {
+			return
+		}
+		if fs.Metrics == nil {
+			fs.Metrics = &metrics.Snapshot{}
+		}
+		if err := fs.Metrics.Merge(w.snap); err != nil && mergeErr == nil {
+			mergeErr = fmt.Errorf("worker %s: %w", w.url, err)
+		}
+	})
+	if mergeErr != nil && r.log != nil {
+		// Incompatible layouts across workers (skewed binaries): serve the
+		// rows and what merged, and say so.
+		r.log.Warn("fleet metrics merge failed", "err", mergeErr)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].URL < rows[j].URL })
-	return rows
+	return fs
 }
 
 // Snapshot renders the registry for GET /v1/fabric/workers, URL-sorted.
 func (r *Registry) Snapshot() []api.WorkerInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	infos := make([]api.WorkerInfo, 0, len(r.workers))
-	for _, w := range r.workers {
+	infos := []api.WorkerInfo{}
+	r.walk(func(w *worker) {
 		info := api.WorkerInfo{URL: w.url, Up: w.up, Static: w.static,
 			Leases: w.leases, Quarantined: w.Open()}
 		if !w.lastSeen.IsZero() {
 			info.LastSeenUnix = w.lastSeen.Unix()
 		}
 		infos = append(infos, info)
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].URL < infos[j].URL })
+	})
 	return infos
 }
 
 // defaultProbe is the production ProbeFunc: a lease-aware /readyz probe
-// through the typed client, bounded so a black-holed worker cannot stall a
-// heartbeat round past the next one. The probe rides the coordinator's
-// transport — under a netchaos plan, heartbeats suffer the partition too,
-// exactly as a real outage would play out.
-func defaultProbe(needCache bool, timeout time.Duration, rt http.RoundTripper) ProbeFunc {
+// through the typed client. The probe rides the coordinator's transport —
+// under a netchaos plan, heartbeats suffer the partition too, exactly as a
+// real outage would play out.
+func defaultProbe(needCache bool, rt http.RoundTripper) ProbeFunc {
 	return func(ctx context.Context, url string) error {
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
 		return faultdclient.New(url).WithTransport(rt).Ready(ctx, true, needCache)
+	}
+}
+
+// defaultScrape is the production scrapeFunc over the same transport. It
+// does not retry: the next heartbeat round is the retry, and a backoff
+// curve inside the round would hold every worker's next probe behind one
+// dead worker's scrape.
+func defaultScrape(rt http.RoundTripper) scrapeFunc {
+	return func(ctx context.Context, url string) (*metrics.Snapshot, error) {
+		cl := faultdclient.New(url).WithTransport(rt)
+		cl.Retries = -1
+		return cl.Metrics(ctx)
 	}
 }

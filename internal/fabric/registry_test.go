@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dmafault/internal/metrics"
 	"dmafault/internal/obs"
 )
 
@@ -37,10 +38,10 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 		t.Fatalf("fabric_worker_down_total = %d after one demotion, want 1", v)
 	}
 
-	// Concurrent hammer: heartbeat verdicts, byzantine notes, admissions,
-	// and snapshots all racing on one worker. The race detector checks the
-	// locking; the assertion below checks the damping arithmetic survives
-	// every interleaving.
+	// Concurrent hammer: heartbeat verdicts, scrapes, byzantine notes,
+	// admissions, and snapshots all racing on one worker. The race detector
+	// checks the locking; the assertion below checks the damping arithmetic
+	// survives every interleaving.
 	const goroutines = 8
 	const rounds = 400
 	var failures atomic.Int64
@@ -61,11 +62,14 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 				case 2:
 					r.NoteBadDelivery(url)
 					r.NoteGoodDelivery(url)
+					r.noteScrape(url, i%2 == 0, &metrics.Snapshot{}, nil)
 				case 3:
 					if ref := r.AcquireIdle(""); ref != nil {
 						ref.Release()
 					}
+					r.noteScrape(url, false, nil, errProbe)
 					_ = r.Snapshot()
+					_ = r.Fleet()
 					_ = r.AnyUp()
 				}
 			}

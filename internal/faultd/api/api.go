@@ -125,8 +125,8 @@ type Job struct {
 // Timing is a worker's per-job phase breakdown: the three phases every
 // fixed-set job passes through on a dmafaultd worker, in seconds of
 // wall-clock. The fabric coordinator folds these into per-phase, per-worker
-// latency histograms and the registry's EWMA accounting — the raw input for
-// shard-size autotuning.
+// latency histograms and the registry's EWMA accounting, which the fleet
+// snapshot reports (operator data; no scheduling decision reads it).
 type Timing struct {
 	// QueueWaitSeconds is time spent admitted but undispatched (bounded
 	// FIFO queue wait; zero when a scheduler slot was free at submit).

@@ -2,16 +2,16 @@ package api
 
 import "dmafault/internal/metrics"
 
-// Fleet wire types: the coordinator's fleet-observability surface
-// (internal/fleetobs builds these; GET /v1/fleet on the coordinator serves
-// them and fabrictop renders them). A snapshot is a pure function of
-// registry + scrape state — no timestamps, no scrape counters — so two
-// snapshots of identical fleet state marshal to identical bytes, the same
-// determinism discipline the campaign summaries live under.
+// Fleet wire types: the coordinator's fleet-observability surface (the
+// fabric registry builds these from its heartbeat state; GET /v1/fleet on
+// the coordinator serves them and fabrictop renders them). A snapshot is a
+// pure function of registry + scrape state — no timestamps, no scrape
+// counters — so two snapshots of identical fleet state marshal to identical
+// bytes, the same determinism discipline the campaign summaries live under.
 //
 // Additional coordinator route:
 //
-//	GET /v1/fleet  FleetSnapshot (404 when the fleet plane is disabled)
+//	GET /v1/fleet  FleetSnapshot (404 when the fleet view is disabled)
 
 // PhaseSeconds is a cumulative per-phase wall-clock total, summed over every
 // verified delivery a worker has made.
@@ -22,8 +22,8 @@ type PhaseSeconds struct {
 }
 
 // FleetWorker is one worker's row in the fleet snapshot: the coordinator
-// registry's view (liveness, leases, quarantine, delivery accounting) merged
-// with the scrape loop's view (readiness, staleness).
+// registry's view (liveness, leases, quarantine, delivery accounting) and
+// its heartbeat scrape state (readiness, staleness).
 type FleetWorker struct {
 	URL string `json:"url"`
 	// Up is the registry's heartbeat verdict (lease-aware /readyz probe).
@@ -43,14 +43,17 @@ type FleetWorker struct {
 	// PhaseTotals is the cumulative phase breakdown over all deliveries.
 	PhaseTotals PhaseSeconds `json:"phase_totals"`
 	// EWMAShardSeconds is the exponentially weighted moving average of
-	// whole-shard execute time (alpha 0.25, seeded by the first delivery) —
-	// the shard-size autotuner's latency input.
+	// whole-shard execute time (alpha 0.25, seeded by the first delivery).
+	// Operator data: fabrictop shows it, the coordinator's control path
+	// does not read it.
 	EWMAShardSeconds float64 `json:"ewma_shard_seconds"`
 	// EWMAScenariosPerSec is the matching throughput EWMA
 	// (scenarios / execute-seconds per delivery).
 	EWMAScenariosPerSec float64 `json:"ewma_scenarios_per_sec"`
-	// Ready is the scrape loop's last /readyz verdict; false until the first
-	// successful scrape.
+	// Ready is the lease-aware /readyz verdict (the heartbeat's own probe)
+	// at the last successful scrape; false until the first one. A worker
+	// that can never receive a lease — no cache under NeedCache — reads
+	// false.
 	Ready bool `json:"ready"`
 	// Stale marks a worker whose last scrape failed after earlier successes;
 	// its metrics contribution is the last good snapshot.

@@ -15,7 +15,7 @@
 //	                          metrics, merged
 //	GET  /v1/metrics          the same merged snapshot as JSON
 //	                          (metrics.Snapshot) for typed consumers — the
-//	                          fleet scrape loop reads this
+//	                          fabric heartbeat's fleet scrape reads this
 //	POST /v1/campaigns        submit a campaign (scenario array, preset, or
 //	                          fuzz spec); returns the job ID. 429 +
 //	                          Retry-After when the queue is full, 503 once

@@ -317,8 +317,8 @@ func (c *Client) ClearCache(ctx context.Context) (*api.ClearCacheResponse, error
 }
 
 // Metrics fetches the node's merged metric snapshot from GET /v1/metrics —
-// the JSON twin of the Prometheus /metrics exposition. The fleet scrape loop
-// calls this per worker per interval; a torn or truncated body surfaces as a
+// the JSON twin of the Prometheus /metrics exposition. With the fleet view
+// on, the fabric heartbeat calls this per worker per round; a torn or truncated body surfaces as a
 // decode error, never a partial snapshot.
 func (c *Client) Metrics(ctx context.Context) (*metrics.Snapshot, error) {
 	var snap metrics.Snapshot
@@ -330,7 +330,7 @@ func (c *Client) Metrics(ctx context.Context) (*metrics.Snapshot, error) {
 
 // Fleet fetches a coordinator's fleet snapshot (the client's Base is the
 // coordinator). 404 *APIError when the coordinator runs without the fleet
-// plane (-fleetobs off).
+// view (-fleetobs off).
 func (c *Client) Fleet(ctx context.Context) (*api.FleetSnapshot, error) {
 	var fs api.FleetSnapshot
 	if err := c.do(ctx, http.MethodGet, "/v1/fleet", nil, &fs, transient); err != nil {
