@@ -104,21 +104,8 @@ func runFabric(cf *cliutil.Flags, scenarios []campaign.Scenario, cfg fabric.Conf
 	}
 	elapsed := time.Since(start)
 
-	jsonOut := *cf.JSON
-	if *cf.Out != "" || jsonOut {
-		data, err := summary.JSON()
-		if err != nil {
-			return err
-		}
-		if err := cf.WriteOut(data); err != nil {
-			return err
-		}
-		if jsonOut {
-			os.Stdout.Write(append(data, '\n'))
-		}
-	}
-	if !jsonOut {
-		fmt.Print(summary.Render())
+	if err := emit(cf, summary.JSON, summary.Render); err != nil {
+		return err
 	}
 	log.Info("fabric campaign complete",
 		"scenarios", len(scenarios),

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
+	"strings"
 	"time"
 
 	"dmafault/internal/campaign"
@@ -57,20 +57,8 @@ func runFuzz(cf *cliutil.Flags, log *slog.Logger, opt fuzzOptions) error {
 	}
 	elapsed := time.Since(start)
 
-	if *cf.Out != "" || *cf.JSON {
-		data, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		if err := cf.WriteOut(data); err != nil {
-			return err
-		}
-		if *cf.JSON {
-			os.Stdout.Write(append(data, '\n'))
-		}
-	}
-	if !*cf.JSON {
-		renderFuzzReport(os.Stdout, rep)
+	if err := emit(cf, rep.JSON, func() string { return renderFuzzReport(rep) }); err != nil {
+		return err
 	}
 	log.Info("fuzz complete", "execs", rep.Execs+rep.MinimizeExecs,
 		"elapsed", elapsed.Round(time.Millisecond).String())
@@ -85,11 +73,15 @@ func runFuzz(cf *cliutil.Flags, log *slog.Logger, opt fuzzOptions) error {
 	return nil
 }
 
-func renderFuzzReport(w io.Writer, rep *fuzz.Report) {
-	fmt.Fprintln(w, rep.String())
+// renderFuzzReport is the fuzz report's text form: the headline, then one
+// indented line per signature.
+func renderFuzzReport(rep *fuzz.Report) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, rep.String())
 	for _, sig := range rep.Signatures {
-		fmt.Fprintln(w, "  "+sig)
+		fmt.Fprintln(&b, "  "+sig)
 	}
+	return b.String()
 }
 
 // emptyRun reports (and handles) the nothing-to-do case: zero scenarios

@@ -291,20 +291,8 @@ func main() {
 		log.Info("spans written", "path", *spansOut, "spans", len(spanCol.Spans()))
 	}
 
-	if *cf.Out != "" || *jsonOut {
-		data, err := summary.JSON()
-		if err != nil {
-			cf.Fatal(err)
-		}
-		if err := cf.WriteOut(data); err != nil {
-			cf.Fatal(err)
-		}
-		if *jsonOut {
-			os.Stdout.Write(append(data, '\n'))
-		}
-	}
-	if !*jsonOut {
-		fmt.Print(summary.Render())
+	if err := emit(cf, summary.JSON, summary.Render); err != nil {
+		cf.Fatal(err)
 	}
 	w := *workers
 	if w <= 0 {
@@ -315,4 +303,25 @@ func main() {
 		"elapsed", elapsed.Round(time.Millisecond).String(),
 		"rate", fmt.Sprintf("%.1f/s", float64(len(scenarios))/elapsed.Seconds()),
 		"workers", w)
+}
+
+// emit writes a finished run the one way every mode does: its JSON to -out
+// and, with -json, to stdout; without -json, the text rendering to stdout.
+func emit(cf *cliutil.Flags, toJSON func() ([]byte, error), render func() string) error {
+	if *cf.Out != "" || *cf.JSON {
+		data, err := toJSON()
+		if err != nil {
+			return err
+		}
+		if err := cf.WriteOut(data); err != nil {
+			return err
+		}
+		if *cf.JSON {
+			os.Stdout.Write(append(data, '\n'))
+		}
+	}
+	if !*cf.JSON {
+		fmt.Print(render())
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -15,48 +16,71 @@ import (
 	"dmafault/internal/faultdclient"
 )
 
-// Fabric soak (`make fabricsmoke`, soaksmoke -fabric): the distributed
-// campaign's end-to-end kill test. One coordinator, three workers; one
-// worker is kill -9'd while it holds shard leases, then the coordinator
-// itself is kill -9'd after the re-lease fires, restarted with -resume, and
-// run to completion. The merged summary must be byte-identical to a plain
-// single-node `campaign` run of the same scenario set, and the final
-// fabric_releases_total must prove the dead worker's shards were actually
-// re-leased — the whole robustness story, on every `make check`.
+// Fabric phase: the distributed campaign's end-to-end kill test, with
+// every coordinator defense armed at once. Three workers (w3 joins at
+// runtime), one coordinator journaling its state, scraping the fleet, and
+// riding a mild netchaos plan on every worker-bound request. w1 is kill -9'd
+// while it holds shard leases; fabrictop -once must still list all three
+// workers; the coordinator itself is kill -9'd once a re-lease is on disk,
+// restarted with -resume, and run to completion. The merged summary must be
+// byte-identical to the single-node reference and fabric_releases_total,
+// carried across the coordinator kill by journal replay, must be positive.
+
+// The wire weather: enough 503s, drops and torn bodies that the client
+// retries, the integrity layer and the fleet scrape's failure handling all
+// run, without making the campaign crawl through re-leases.
+const (
+	netchaosPlan = "http-503:0.05,conn-drop:0.03,truncate:0.03"
+	netchaosSeed = "11"
+)
 
 var releasesRE = regexp.MustCompile(`(?m)^fabric_releases_total ([0-9.e+]+)$`)
 
-func runFabricSoak(log *slog.Logger, keep bool) error {
+func fabricPhase(log *slog.Logger, r *rig) error {
 	ctx := context.Background()
-	dir, cleanup, err := scratchDir(log, "fabricsmoke-", keep)
-	if err != nil {
+	// Workers run -workers 1 so shard jobs stay slow.
+	var workers []*proc
+	defer func() {
+		for _, w := range workers {
+			w.kill()
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		w, err := startProc(log, r.dir, "worker", r.daemonBin,
+			"-addr", "127.0.0.1:0", "-workers", "1",
+			"-max-concurrent-campaigns", "2", "-job-stall-timeout", "1m")
+		if err != nil {
+			return err
+		}
+		workers = append(workers, w)
+	}
+	w1, w2, w3 := workers[0], workers[1], workers[2]
+	// Fail fast on dead workers before committing the soak budget: a
+	// crashed worker should be a one-line error, not a 3-minute timeout
+	// with an opaque summary mismatch at the end.
+	if err := preflightWorkers(ctx, []string{w1.url, w2.url, w3.url}, 10*time.Second); err != nil {
 		return err
 	}
-	defer cleanup()
 
-	// Three workers over 32 stall scenarios. w1 and w2 are static
-	// coordinator config, w3 registers at runtime through /v1/fabric/join.
-	rig, err := newFabricRig(ctx, log, dir, 32)
-	if err != nil {
-		return err
-	}
-	defer rig.close()
-	w1, w2, w3 := rig.workers[0], rig.workers[1], rig.workers[2]
-
-	fabricPath := filepath.Join(dir, "fabric.json")
-	journalPath := filepath.Join(dir, "coordinator.jsonl")
-	metricsPath := filepath.Join(dir, "fabric-metrics.txt")
+	fabricPath := filepath.Join(r.dir, "fabric.json")
+	journalPath := filepath.Join(r.dir, "coordinator.jsonl")
+	metricsPath := filepath.Join(r.dir, "fabric-metrics.txt")
 	coordArgs := func(workers ...string) []string {
 		return []string{
-			"-coordinator", "-scenarios", rig.setPath,
+			"-coordinator", "-scenarios", r.setPath,
 			"-worker-urls", strings.Join(workers, ","),
 			"-coordinator-addr", "127.0.0.1:0",
-			"-shard-size", "4", "-lease-ttl", "20s", "-fabric-heartbeat", "200ms",
+			// -lease-attempts 6 keeps shards on the fabric through
+			// chaos-induced failures instead of falling back to local runs.
+			"-shard-size", "4", "-lease-ttl", "20s", "-lease-attempts", "6",
+			"-fabric-heartbeat", "200ms",
+			"-netchaos", netchaosPlan, "-netchaos-seed", netchaosSeed,
+			"-fleetobs", "-steal-after", "300ms", "-byzantine-threshold", "3",
 			"-fabric-journal", journalPath, "-fabric-metrics", metricsPath,
 			"-out", fabricPath,
 		}
 	}
-	coord, err := startProc(log, dir, "coordinator", rig.campaignBin, coordArgs(w1.url, w2.url)...)
+	coord, err := startProc(log, r.dir, "coordinator", r.campaignBin, coordArgs(w1.url, w2.url)...)
 	if err != nil {
 		return err
 	}
@@ -81,6 +105,17 @@ func runFabricSoak(log *slog.Logger, keep bool) error {
 	}
 	log.Info("worker killed", "worker", w1.url)
 
+	// The fleet view keeps a row per registered worker, the dead one too.
+	out, err := exec.Command(r.topBin, "-coordinator", coord.url, "-once").CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("fabrictop -once: %v\n%s", err, out)
+	}
+	for _, w := range workers {
+		if host := strings.TrimPrefix(w.url, "http://"); !strings.Contains(string(out), host) {
+			return fmt.Errorf("fabrictop -once output missing worker %s:\n%s", host, out)
+		}
+	}
+
 	// The re-lease is journaled before the replacement lease is granted;
 	// once it is on disk, kill the coordinator too.
 	if err := waitForJournal(journalPath, `"released":`, 60*time.Second); err != nil {
@@ -93,8 +128,8 @@ func runFabricSoak(log *slog.Logger, keep bool) error {
 
 	// Restart against the same state log; the resumed coordinator must
 	// finish on the surviving workers with the dead one's results intact.
-	args := append(coordArgs(w2.url, w3.url), "-resume")
-	coord2, err := startProc(log, dir, "coordinator", rig.campaignBin, args...)
+	coord2, err := startProc(log, r.dir, "coordinator", r.campaignBin,
+		append(coordArgs(w2.url, w3.url), "-resume")...)
 	if err != nil {
 		return fmt.Errorf("coordinator restart: %w", err)
 	}
@@ -103,13 +138,10 @@ func runFabricSoak(log *slog.Logger, keep bool) error {
 		return fmt.Errorf("resumed coordinator: %w", err)
 	}
 
-	fab, err := rig.matchSingle(fabricPath, "fabric")
+	fab, err := r.matchSingle(fabricPath)
 	if err != nil {
 		return err
 	}
-
-	// fabric_releases_total survives the coordinator kill via journal
-	// replay; > 0 proves the dead-worker path actually fired.
 	mt, err := os.ReadFile(metricsPath)
 	if err != nil {
 		return fmt.Errorf("fabric metrics: %w", err)
@@ -129,8 +161,7 @@ func runFabricSoak(log *slog.Logger, keep bool) error {
 			return fmt.Errorf("worker shutdown: %w", err)
 		}
 	}
-	log.Info("fabric soak finished", "releases", releases,
-		"summary_bytes", len(fab))
+	log.Info("fabric phase finished", "releases", releases, "summary_bytes", len(fab))
 	return nil
 }
 

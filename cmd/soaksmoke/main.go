@@ -1,19 +1,30 @@
-// Command soaksmoke is the dmafaultd chaos soak behind `make soaksmoke`: it
-// builds and boots the daemon, hammers the job plane with fault-injected
-// campaigns, cancels some mid-flight, kill -9s the daemon while a campaign
-// is running, restarts it against the same journal directory, and verifies
-// that boot recovery resumes and finishes the interrupted work. A short run
-// (~15s) that proves the whole supervision layer — admission, scheduler,
-// journal recovery, graceful shutdown — on every `make check`. All daemon
-// traffic goes through the typed /v1 client (internal/faultdclient).
+// Command soaksmoke is the process-level soak behind `make soaksmoke`: the
+// properties that need real processes — kill -9, restart on the same
+// on-disk state, SIGTERM drain, and the binaries' own flags. It builds
+// dmafaultd, campaign and fabrictop once, runs a saved set of stall
+// scenarios through a plain single-node campaign as the byte-identity
+// reference, and drives two phases in order:
+//
+//   - daemon (this file): fault-injected jobs through the bounded
+//     scheduler, random cancels, kill -9 of the daemon mid-victim, a restart
+//     on the same journal directory whose recovery finishes the victim, and a
+//     post-restart submission that gets a later ID;
+//   - fabric (fabricsoak.go): a coordinator over three workers (one joined
+//     at runtime) under a mild netchaos plan with the fleet view, stealing
+//     and the byzantine quarantine armed; kill -9 of a leasing worker, then
+//     of the coordinator once a re-lease is journaled, and a -resume whose
+//     summary must match the reference byte for byte.
+//
+// Everything that needs no process — integrity rejection under chaos, work
+// stealing, per-phase fleet attribution, fabrictop's rendering — is pinned
+// by tier-1 tests instead. All daemon traffic goes through the typed /v1
+// client (internal/faultdclient).
 //
 // Usage:
 //
-//	soaksmoke            # default soak
-//	soaksmoke -seed 7    # re-roll which jobs get cancelled
-//	soaksmoke -fabric    # multi-node fabric soak (see fabricsoak.go)
-//	soaksmoke -chaos     # byzantine fabric soak under netchaos (see chaossoak.go)
-//	soaksmoke -fleet     # fleet observability soak (see fleetsoak.go)
+//	soaksmoke            # the soak (~15 s)
+//	soaksmoke -seed 7    # re-roll which daemon-phase jobs get cancelled
+//	soaksmoke -keep      # keep the scratch directory and process logs
 package main
 
 import (
@@ -34,39 +45,9 @@ import (
 
 func main() {
 	keep := flag.Bool("keep", false, "keep the scratch directory for inspection")
-	fabricSoak := flag.Bool("fabric", false,
-		"run the multi-node fabric soak (coordinator + 3 workers, dead-worker re-lease, coordinator resume) instead of the daemon chaos soak")
-	chaosSoak := flag.Bool("chaos", false,
-		"run the byzantine fabric soak (coordinator + 3 workers under a netchaos plan: corrupt bodies, 503 storms, partitions; byte-compared against a clean single-node run) instead of the daemon chaos soak")
-	fleetSoak := flag.Bool("fleet", false,
-		"run the fleet observability soak (coordinator + 3 workers with -fleetobs under mild netchaos: /v1/fleet must attribute per-phase time to all workers, fabrictop -once must render them, and the summary must match a clean run) instead of the daemon chaos soak")
 	cf := cliutil.New("soaksmoke").WithSeed().WithLog()
 	cf.Parse()
 	log := cf.Logger(nil)
-	if *fabricSoak {
-		if err := runFabricSoak(log, *keep); err != nil {
-			log.Error("fabric soak failed", "err", err)
-			os.Exit(1)
-		}
-		fmt.Println("fabricsmoke: OK")
-		return
-	}
-	if *chaosSoak {
-		if err := runChaosSoak(log, *keep); err != nil {
-			log.Error("chaos soak failed", "err", err)
-			os.Exit(1)
-		}
-		fmt.Println("chaossmoke: OK")
-		return
-	}
-	if *fleetSoak {
-		if err := runFleetSoak(log, *keep); err != nil {
-			log.Error("fleet soak failed", "err", err)
-			os.Exit(1)
-		}
-		fmt.Println("fleetsmoke: OK")
-		return
-	}
 	if err := run(log, *cf.Seed, *keep); err != nil {
 		log.Error("soak failed", "err", err)
 		os.Exit(1)
@@ -75,29 +56,40 @@ func main() {
 }
 
 func run(log *slog.Logger, seed int64, keep bool) error {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(seed))
-	dir, cleanup, err := scratchDir(log, "soaksmoke-", keep)
+	dir, cleanup, err := scratchDir(log, keep)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
-	journalDir := filepath.Join(dir, "journals")
-	if err := os.Mkdir(journalDir, 0o755); err != nil {
-		return err
-	}
-	bin, err := build(dir, "dmafaultd")
+	r, err := newRig(dir, 32)
 	if err != nil {
 		return err
 	}
+	if err := daemonPhase(log, r, seed); err != nil {
+		return fmt.Errorf("daemon phase: %w", err)
+	}
+	if err := fabricPhase(log, r); err != nil {
+		return fmt.Errorf("fabric phase: %w", err)
+	}
+	return nil
+}
 
-	// Phase 1: boot, load the job plane, chaos-cancel, then kill -9.
-	d, err := startDaemon(log, dir, bin, journalDir)
+// daemonPhase soaks one dmafaultd's supervision layer — admission,
+// scheduler, cancellation, journal recovery, graceful shutdown.
+func daemonPhase(log *slog.Logger, r *rig, seed int64) error {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(seed))
+	journalDir := filepath.Join(r.dir, "journals")
+	if err := os.Mkdir(journalDir, 0o755); err != nil {
+		return err
+	}
+
+	// Boot, load the job plane, chaos-cancel, then kill -9.
+	d, err := startDaemon(log, r, journalDir)
 	if err != nil {
 		return err
 	}
 	defer d.kill()
-
 	// Fast jobs with the fault plan armed: injected DMA corruption and
 	// allocator pressure on every scenario, plus one deliberate scenario
 	// panic, keep the hardened paths hot while the scheduler multiplexes
@@ -147,9 +139,9 @@ func run(log *slog.Logger, seed int64, keep bool) error {
 		return fmt.Errorf("kill -9: %w", err)
 	}
 
-	// Phase 2: restart against the same journal directory; recovery must
+	// Restart against the same journal directory; recovery must
 	// re-register the interrupted victim and run it to completion.
-	d2, err := startDaemon(log, dir, bin, journalDir)
+	d2, err := startDaemon(log, r, journalDir)
 	if err != nil {
 		return fmt.Errorf("restart: %w", err)
 	}
@@ -166,9 +158,9 @@ func run(log *slog.Logger, seed int64, keep bool) error {
 		return fmt.Errorf("victim did not finish after recovery: %+v", job)
 	}
 
-	// The restarted daemon is a fresh service: fast jobs from phase 1 that
-	// finished before the kill are finished journals (not re-registered),
-	// and new submissions work immediately.
+	// The restarted daemon is a fresh service: fast jobs that finished
+	// before the kill are finished journals (not re-registered), and new
+	// submissions work immediately.
 	check, err := d2.c.Submit(ctx, api.SubmitRequest{Name: "post-restart", Preset: "ladder", N: 4, Seed: 9})
 	if err != nil {
 		return fmt.Errorf("post-restart submit: %w", err)
@@ -184,7 +176,7 @@ func run(log *slog.Logger, seed int64, keep bool) error {
 	if err := d2.term(15 * time.Second); err != nil {
 		return fmt.Errorf("graceful shutdown: %w", err)
 	}
-	log.Info("soak finished",
+	log.Info("daemon phase finished",
 		"jobs", len(ids)+2, "chaos_cancelled", len(cancelled), "recovered_victim", victim)
 	return nil
 }
@@ -208,8 +200,8 @@ func stallScenarios(n int) []campaign.Scenario {
 }
 
 // startDaemon boots dmafaultd on an ephemeral port and waits for /healthz.
-func startDaemon(log *slog.Logger, dir, bin, journalDir string) (*proc, error) {
-	d, err := startProc(log, dir, "daemon", bin,
+func startDaemon(log *slog.Logger, r *rig, journalDir string) (*proc, error) {
+	d, err := startProc(log, r.dir, "daemon", r.daemonBin,
 		"-addr", "127.0.0.1:0",
 		"-journal-dir", journalDir,
 		"-max-concurrent-campaigns", "2",

@@ -27,8 +27,8 @@ var addrRE = regexp.MustCompile(`\baddr=(\S+)`)
 
 // scratchDir makes the soak's working directory; cleanup removes it unless
 // keep asks for it to stay for inspection.
-func scratchDir(log *slog.Logger, prefix string, keep bool) (dir string, cleanup func(), err error) {
-	dir, err = os.MkdirTemp("", prefix)
+func scratchDir(log *slog.Logger, keep bool) (dir string, cleanup func(), err error) {
+	dir, err = os.MkdirTemp("", "soaksmoke-")
 	if err != nil {
 		return "", nil, err
 	}
@@ -39,13 +39,65 @@ func scratchDir(log *slog.Logger, prefix string, keep bool) (dir string, cleanup
 	return dir, func() { os.RemoveAll(dir) }, nil
 }
 
-// build compiles ./cmd/<name> into dir and returns the binary's path.
-func build(dir, name string) (string, error) {
-	bin := filepath.Join(dir, name)
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput(); err != nil {
-		return "", fmt.Errorf("build %s: %v\n%s", name, err, out)
+// rig is what both phases share: the scratch directory, the dmafaultd,
+// campaign and fabrictop binaries, a saved set of stall scenarios, and that
+// set's summary from a plain single-node run (the byte-identity oracle).
+type rig struct {
+	dir                            string
+	daemonBin, campaignBin, topBin string
+	setPath, singleOut             string
+}
+
+// newRig builds the three binaries in one go build and runs the reference
+// over n stall scenarios (~250 ms each, slow enough that the fabric is
+// always mid-flight).
+func newRig(dir string, n int) (*rig, error) {
+	r := &rig{
+		dir:         dir,
+		daemonBin:   filepath.Join(dir, "dmafaultd"),
+		campaignBin: filepath.Join(dir, "campaign"),
+		topBin:      filepath.Join(dir, "fabrictop"),
+		setPath:     filepath.Join(dir, "set.json"),
+		singleOut:   filepath.Join(dir, "single.json"),
 	}
-	return bin, nil
+	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
+		"./cmd/dmafaultd", "./cmd/campaign", "./cmd/fabrictop").CombinedOutput(); err != nil {
+		return nil, fmt.Errorf("build: %v\n%s", err, out)
+	}
+	f, err := os.Create(r.setPath)
+	if err != nil {
+		return nil, err
+	}
+	if err := campaign.SaveScenarios(f, stallScenarios(n)); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	if out, err := exec.Command(r.campaignBin,
+		"-scenarios", r.setPath, "-out", r.singleOut, "-quiet").CombinedOutput(); err != nil {
+		return nil, fmt.Errorf("single-node reference run: %v\n%s", err, out)
+	}
+	return r, nil
+}
+
+// matchSingle requires the summary at path to be byte-identical to the
+// single-node reference, and returns it.
+func (r *rig) matchSingle(path string) ([]byte, error) {
+	single, err := os.ReadFile(r.singleOut)
+	if err != nil {
+		return nil, err
+	}
+	fab, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("fabric summary: %w", err)
+	}
+	if !bytes.Equal(single, fab) {
+		return nil, fmt.Errorf("fabric summary differs from the single-node run (%d vs %d bytes); kept at %s / %s",
+			len(fab), len(single), path, r.singleOut)
+	}
+	return fab, nil
 }
 
 // proc is one announced child process (worker daemon or coordinator) and
@@ -216,92 +268,4 @@ func preflightWorkers(ctx context.Context, urls []string, budget time.Duration) 
 			strings.Join(dead, ", "), budget)
 	}
 	return nil
-}
-
-// fabricRig is the stage the fabric, chaos and fleet soaks share: the
-// dmafaultd and campaign binaries, a saved set of stall scenarios, that
-// set's summary from a plain single-node run (the byte-identity oracle),
-// and three preflighted workers.
-type fabricRig struct {
-	campaignBin, setPath, singleOut string
-	workers                         []*proc
-}
-
-// newFabricRig builds the stage in dir over n stall scenarios (~250 ms
-// each, slow enough that the fabric is always mid-flight). Workers run
-// -workers 1 so shard jobs stay slow; close kills them.
-func newFabricRig(ctx context.Context, log *slog.Logger, dir string, n int) (*fabricRig, error) {
-	daemonBin, err := build(dir, "dmafaultd")
-	if err != nil {
-		return nil, err
-	}
-	r := &fabricRig{setPath: filepath.Join(dir, "set.json"), singleOut: filepath.Join(dir, "single.json")}
-	if r.campaignBin, err = build(dir, "campaign"); err != nil {
-		return nil, err
-	}
-	f, err := os.Create(r.setPath)
-	if err != nil {
-		return nil, err
-	}
-	if err := campaign.SaveScenarios(f, stallScenarios(n)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	if out, err := exec.Command(r.campaignBin,
-		"-scenarios", r.setPath, "-out", r.singleOut, "-quiet").CombinedOutput(); err != nil {
-		return nil, fmt.Errorf("single-node reference run: %v\n%s", err, out)
-	}
-	for i := 0; i < 3; i++ {
-		w, err := startProc(log, dir, "worker", daemonBin,
-			"-addr", "127.0.0.1:0", "-workers", "1",
-			"-max-concurrent-campaigns", "2", "-job-stall-timeout", "1m")
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.workers = append(r.workers, w)
-	}
-	// Fail fast on dead workers before committing the soak budget: a
-	// crashed worker should be a one-line error, not a 3-minute timeout
-	// with an opaque summary mismatch at the end.
-	if err := preflightWorkers(ctx, r.urls(), 10*time.Second); err != nil {
-		r.close()
-		return nil, err
-	}
-	return r, nil
-}
-
-func (r *fabricRig) urls() []string {
-	urls := make([]string, len(r.workers))
-	for i, w := range r.workers {
-		urls[i] = w.url
-	}
-	return urls
-}
-
-func (r *fabricRig) close() {
-	for _, w := range r.workers {
-		w.kill()
-	}
-}
-
-// matchSingle requires the fabric's summary at path to be byte-identical
-// to the single-node reference, and returns it.
-func (r *fabricRig) matchSingle(path, what string) ([]byte, error) {
-	single, err := os.ReadFile(r.singleOut)
-	if err != nil {
-		return nil, err
-	}
-	fab, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("fabric summary: %w", err)
-	}
-	if !bytes.Equal(single, fab) {
-		return nil, fmt.Errorf("%s summary differs from the clean single-node run (%d vs %d bytes); kept at %s / %s",
-			what, len(fab), len(single), path, r.singleOut)
-	}
-	return fab, nil
 }

@@ -490,6 +490,10 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 		ref.Release()
 		if err == nil {
 			c.m.ShardLatency.Observe(time.Since(start).Seconds())
+			if !c.shardComplete(sh) {
+				// The delivery skipped the worker's quarantine verdicts.
+				return c.runLocal(ctx, sh)
+			}
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -739,6 +743,13 @@ func (c *Coordinator) runLease(ctx context.Context, sh shard, ref *WorkerRef) er
 	c.m.ObservePhases(ref.URL, job.Timing)
 	c.reg.NoteTiming(ref.URL, len(job.Summary.Results), job.CacheHits, job.Timing)
 	for i, r := range job.Summary.Results {
+		if r.Outcome == campaign.OutcomeQuarantined {
+			// The worker's scenario breaker answered from its own cross-job
+			// history instead of running the scenario; a single-node run has
+			// no such history, so the slot stays empty for runShardRange to
+			// fill locally.
+			continue
+		}
 		if err := c.deliver(sh.Start+i, r, true); err != nil {
 			return err
 		}
@@ -816,10 +827,11 @@ func (c *Coordinator) deliver(global int, r *campaign.Result, fromWorker bool) e
 }
 
 // runLocal executes a shard through the local engine — the degradation path
-// when the fabric is empty or unreachable, and the guarantee that a
-// distributed campaign never does worse than a single-node one. Runs are
-// serialized: concurrent falling-back shards would each boot a full worker
-// pool and thrash the host.
+// when the fabric is empty or unreachable, the filler for slots a worker
+// answered with a quarantine verdict, and the guarantee that a distributed
+// campaign never does worse than a single-node one. Only undelivered slots
+// execute. Runs are serialized: concurrent falling-back shards would each
+// boot a full worker pool and thrash the host.
 func (c *Coordinator) runLocal(ctx context.Context, sh shard) error {
 	c.m.LocalFallback.Inc()
 	c.log.Info("fabric local fallback", "shard", sh.Idx)

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,8 +32,8 @@ import (
 // TestByteIdenticalWithFleetObs is the fleet-view acceptance test: with the
 // heartbeat, and so the scrape, running hot (2ms — hundreds of rounds per
 // campaign), the summary must match the plain single-node bytes at one, two,
-// and four workers, and the registry must have attributed per-phase time to
-// every worker that executed a shard.
+// and four workers, and the registry must have attributed queue-wait,
+// execute and publish time to every worker that executed a shard.
 func TestByteIdenticalWithFleetObs(t *testing.T) {
 	want := referenceJSON(t)
 	for _, n := range []int{1, 2, 4} {
@@ -69,8 +71,9 @@ func TestByteIdenticalWithFleetObs(t *testing.T) {
 					continue
 				}
 				executed++
-				if w.PhaseTotals.Execute <= 0 {
-					t.Errorf("worker %s delivered %d shards with zero execute time", w.URL, w.Delivered)
+				if pt := w.PhaseTotals; pt.QueueWait <= 0 || pt.Execute <= 0 || pt.Publish <= 0 {
+					t.Errorf("worker %s delivered %d shards but its phase totals are not all nonzero: %+v",
+						w.URL, w.Delivered, pt)
 				}
 				if w.EWMAShardSeconds <= 0 {
 					t.Errorf("worker %s has no EWMA shard latency", w.URL)
@@ -432,10 +435,11 @@ func TestHeartbeatTrafficPerRound(t *testing.T) {
 	}
 }
 
-// The golden document: a quarantined worker and a dead (never-scraped)
-// worker, with fixed URLs and a frozen registry state seeded directly. This
-// is the byte-exact /v1/fleet wire format; a field rename or ordering change
-// fails here before it breaks fabrictop.
+// The golden document (testdata/fleet_snapshot.json): a quarantined worker
+// and a dead (never-scraped) worker, with fixed URLs and a frozen registry
+// state seeded directly. This is the byte-exact /v1/fleet wire format; a
+// field rename or ordering change fails here before it breaks fabrictop,
+// whose own test renders the same document.
 func TestFleetSnapshotGolden(t *testing.T) {
 	c := New(Config{Workers: []string{"http://w1:8077", "http://w2:8077"}, FleetObs: true})
 	// w1 answered once then went dark (stale, last snapshot retained) while
@@ -461,65 +465,11 @@ func TestFleetSnapshotGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{
-  "workers": [
-    {
-      "url": "http://w1:8077",
-      "up": true,
-      "static": true,
-      "quarantined": true,
-      "leases": 1,
-      "delivered_shards": 2,
-      "delivered_scenarios": 8,
-      "cache_hits": 3,
-      "phase_totals": {
-        "queue_wait_seconds": 0.25,
-        "execute_seconds": 4,
-        "publish_seconds": 0.5
-      },
-      "ewma_shard_seconds": 2,
-      "ewma_scenarios_per_sec": 2.5,
-      "ready": false,
-      "stale": true
-    },
-    {
-      "url": "http://w2:8077",
-      "up": false,
-      "static": true,
-      "leases": 0,
-      "delivered_shards": 0,
-      "delivered_scenarios": 0,
-      "phase_totals": {
-        "queue_wait_seconds": 0,
-        "execute_seconds": 0,
-        "publish_seconds": 0
-      },
-      "ewma_shard_seconds": 0,
-      "ewma_scenarios_per_sec": 0,
-      "ready": false
-    }
-  ],
-  "campaign": {
-    "scenarios_total": 16,
-    "scenarios_done": 8,
-    "shards_total": 4,
-    "shards_done": 2
-  },
-  "metrics": {
-    "families": [
-      {
-        "name": "faultd_requests_total",
-        "kind": "counter",
-        "samples": [
-          {
-            "value": 42
-          }
-        ]
-      }
-    ]
-  }
-}`
-	if string(got) != want {
+	want, err := os.ReadFile(filepath.Join("testdata", "fleet_snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
 		t.Errorf("fleet snapshot wire format drifted:\n got %s\nwant %s", got, want)
 	}
 }

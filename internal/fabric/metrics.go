@@ -92,7 +92,8 @@ type Metrics struct {
 
 	// FleetScrapes counts worker /v1/metrics scrapes attempted.
 	FleetScrapes *metrics.Counter
-	// FleetScrapeErrors counts scrapes that failed.
+	// FleetScrapeErrors counts failed /v1/metrics fetches; a failed
+	// readiness probe is not counted here.
 	FleetScrapeErrors *metrics.Counter
 	// FleetWorkersStale gauges workers serving their last good snapshot
 	// after a failed scrape.
@@ -143,7 +144,7 @@ func NewMetrics() *Metrics {
 		FleetScrapes: metrics.NewCounter("fleet_scrapes_total",
 			"Worker scrapes attempted by the fleet plane."),
 		FleetScrapeErrors: metrics.NewCounter("fleet_scrape_errors_total",
-			"Worker scrapes that failed (readyz or metrics fetch)."),
+			"Worker /v1/metrics fetches that failed."),
 		FleetWorkersStale: metrics.NewGauge("fleet_workers_stale",
 			"Workers serving their last good snapshot after a failed scrape."),
 	}

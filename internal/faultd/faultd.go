@@ -168,9 +168,6 @@ type Server struct {
 	// resets the breaker, a failing one re-arms the wait). <= 0 means
 	// DefaultProbeAfter.
 	QuarantineProbeAfter int
-	// Now is the injected clock for queue-wait measurement and stall
-	// detection timestamps; nil means time.Now.
-	Now func() time.Time
 	// Log receives the service's structured diagnostics; nil discards them.
 	Log *slog.Logger
 	// Recorder, when set, is the always-on flight recorder: spans and events
@@ -280,13 +277,6 @@ func NewServer() *Server {
 	return s
 }
 
-func (s *Server) now() time.Time {
-	if s.Now != nil {
-		return s.Now()
-	}
-	return time.Now()
-}
-
 // Handler builds the service mux. It also finalizes the observability
 // plane: the flight recorder's retention counters are registered here (not
 // in NewServer — the Recorder field is still nil there, and its metrics
@@ -379,17 +369,21 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics renders the service plane merged with every completed
-// campaign's machine metrics.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// gatherMetrics snapshots the service plane merged with every completed
+// campaign's machine metrics: the one document both metrics routes serve.
+func (s *Server) gatherMetrics() (*metrics.Snapshot, error) {
 	snap, err := s.reg.Gather()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return nil, err
 	}
 	s.mu.Lock()
-	err = snap.Merge(s.merged)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	return snap, snap.Merge(s.merged)
+}
+
+// handleMetrics renders the gathered snapshot as text exposition.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	snap, err := s.gatherMetrics()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -400,16 +394,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleMetricsJSON is /metrics' typed twin: the identical gathered+merged
 // snapshot, JSON-encoded for machine consumers (faultdclient.Metrics, the
-// coordinator's fleet scrape loop).
+// coordinator's fleet scrape).
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.reg.Gather()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.mu.Lock()
-	err = snap.Merge(s.merged)
-	s.mu.Unlock()
+	snap, err := s.gatherMetrics()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -530,7 +517,7 @@ func (s *Server) runJob(job *Job) {
 			s.scenariosCompleted.Inc()
 			s.mu.Lock()
 			job.ScenariosDone++
-			job.lastBeat = s.now()
+			job.lastBeat = time.Now()
 			done := job.ScenariosDone
 			panicDump := r.Outcome == campaign.OutcomePanic && !job.panicDumped
 			if panicDump {
@@ -558,10 +545,10 @@ func (s *Server) runJob(job *Job) {
 		defer j.Close()
 		eng.Journal = j
 	}
-	execStart := s.now()
+	execStart := time.Now()
 	sum, err := eng.RunCtx(job.ctx, job.scs)
-	execDur := s.now().Sub(execStart)
-	pubStart := s.now()
+	execDur := time.Since(execStart)
+	pubStart := time.Now()
 	if err == nil {
 		s.quarantineReport(job, sum.Results)
 	}
@@ -574,7 +561,7 @@ func (s *Server) runJob(job *Job) {
 		job.Timing = &api.Timing{
 			QueueWaitSeconds: job.queueWait.Seconds(),
 			ExecuteSeconds:   execDur.Seconds(),
-			PublishSeconds:   s.now().Sub(pubStart).Seconds(),
+			PublishSeconds:   time.Since(pubStart).Seconds(),
 			Attempts:         sum.Scenarios + sum.Retries,
 		}
 	})
@@ -593,7 +580,7 @@ func (s *Server) mergeMetrics(job *Job, snap *metrics.Snapshot) {
 // beat refreshes the job's progress heartbeat (worker claimed a scenario).
 func (s *Server) beat(job *Job) {
 	s.mu.Lock()
-	job.lastBeat = s.now()
+	job.lastBeat = time.Now()
 	s.mu.Unlock()
 }
 

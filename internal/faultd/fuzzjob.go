@@ -3,6 +3,7 @@ package faultd
 import (
 	"fmt"
 	"path/filepath"
+	"time"
 
 	"dmafault/internal/campaign"
 	"dmafault/internal/fuzz"
@@ -51,14 +52,14 @@ func (s *Server) runFuzzJob(job *Job) {
 		s.scenariosCompleted.Inc()
 		s.mu.Lock()
 		job.ScenariosDone++
-		job.lastBeat = s.now()
+		job.lastBeat = time.Now()
 		done := job.ScenariosDone
 		s.mu.Unlock()
 		s.publishResult(job, exec, r, done)
 	}
 	cfg.OnRound = func(st fuzz.RoundStats) {
 		s.mu.Lock()
-		job.lastBeat = s.now()
+		job.lastBeat = time.Now()
 		s.mu.Unlock()
 		job.hub.Publish(obs.StreamEvent{Type: "fuzz", Data: st})
 		s.logger().Debug("fuzz round", "job", job.ID, "round", st.Round,

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"time"
 
 	"dmafault/internal/campaign"
 	"dmafault/internal/faultd/api"
@@ -100,7 +101,7 @@ func (s *Server) resumeJob(id int, st *campaign.JournalState) {
 		scs:        st.Scenarios,
 		restored:   st.Restored,
 		resume:     true,
-		enqueuedAt: s.now(),
+		enqueuedAt: time.Now(),
 		hub:        obs.NewHub(),
 	}
 	s.logger().Info("resuming recovered job", "job", id,

@@ -70,7 +70,7 @@ func (s *Server) admit(req *Request, scs []campaign.Scenario) (*Job, error) {
 		ctx: ctx, cancel: cancel,
 		scs: scs, workers: req.Workers,
 		fuzzSpec: req.Fuzz, fuzzSeed: req.Seed,
-		enqueuedAt: s.now(),
+		enqueuedAt: time.Now(),
 		hub:        obs.NewHub(),
 	}
 	s.nextID++
@@ -124,7 +124,7 @@ func (s *Server) dispatch() {
 		}
 		job := s.pending[0]
 		s.pending = s.pending[1:]
-		wait := s.now().Sub(job.enqueuedAt)
+		wait := time.Since(job.enqueuedAt)
 		job.queueWait = wait // reported back in the job's Timing breakdown
 		s.mu.Unlock()
 		s.queueDepthG.Add(-1)
@@ -172,7 +172,7 @@ func (s *Server) runWorker(job *Job) {
 	s.quarantineAdmit(job)
 	s.mu.Lock()
 	job.Status = StatusRunning
-	job.lastBeat = s.now()
+	job.lastBeat = time.Now()
 	s.runningN++
 	if s.runningN > s.peakRunning {
 		s.peakRunning = s.runningN
@@ -260,7 +260,7 @@ func (s *Server) watchJob(job *Job, stop <-chan struct{}) {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			stalled := job.Status == StatusRunning && s.now().Sub(job.lastBeat) > s.StallTimeout
+			stalled := job.Status == StatusRunning && time.Since(job.lastBeat) > s.StallTimeout
 			if stalled {
 				job.stalled = true
 			}

@@ -59,8 +59,6 @@ type Client struct {
 	Retries int
 	// RetryWait is the base backoff between retries (0: DefaultRetryWait).
 	RetryWait time.Duration
-	// MaxRetryWait caps the exponential backoff (0: DefaultMaxRetryWait).
-	MaxRetryWait time.Duration
 }
 
 // New builds a client for the service at base (scheme://host[:port]).
@@ -128,13 +126,6 @@ func (c *Client) retryWait() time.Duration {
 	return DefaultRetryWait
 }
 
-func (c *Client) maxRetryWait() time.Duration {
-	if c.MaxRetryWait > 0 {
-		return c.MaxRetryWait
-	}
-	return DefaultMaxRetryWait
-}
-
 // Jitter spreads a backoff over [3/4·d, 5/4·d) so retries from many clients
 // (or many fabric leases) decorrelate instead of hammering a recovering
 // server in lockstep.
@@ -194,7 +185,7 @@ func Sleep(ctx context.Context, d time.Duration) error {
 // do issues method path with body (replayed per attempt), retrying network
 // errors and — when retryStatus says so — retryable statuses, then decodes
 // a 2xx response into out (skipped when out is nil). Backoff is exponential
-// from RetryWait, capped at MaxRetryWait, jittered ±25%, and always honors
+// from RetryWait, capped at DefaultMaxRetryWait, jittered ±25%, and always honors
 // ctx cancellation — a caller's deadline ends the retry loop mid-sleep. A
 // server Retry-After overrides the computed wait for that retry (un-capped:
 // the server's own estimate wins) and is surfaced on the APIError either way.
@@ -245,9 +236,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		if err := Sleep(ctx, next); err != nil {
 			return fmt.Errorf("%w (last error: %v)", err, lastErr)
 		}
-		if wait *= 2; wait > c.maxRetryWait() {
-			wait = c.maxRetryWait()
-		}
+		wait = min(2*wait, DefaultMaxRetryWait)
 	}
 }
 

@@ -250,7 +250,7 @@ func TestRetryAfterSurfacedInError(t *testing.T) {
 	defer ts.Close()
 
 	c := New(ts.URL)
-	c.Retries = 0
+	c.Retries = -1
 	_, err := c.List(context.Background())
 	var ae *APIError
 	if !errors.As(err, &ae) {

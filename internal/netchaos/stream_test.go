@@ -7,8 +7,9 @@ import (
 )
 
 // TestDecisionStreamPinned pins the first 4096 decisions of every class
-// under the chaos soak's plan (cmd/soaksmoke's chaosPlanSpec, seed 11),
-// plus the bit-flip target drawn from the same stream. The hashes were
+// under a hostile mix of every fault class (seed 11; the plan the
+// byzantine-fabric runs in EXPERIMENTS.md use), plus the bit-flip target
+// drawn from the same stream. The hashes were
 // taken while this package still carried its own copy of the plan engine:
 // sharing faultinject's must not move a single decision.
 func TestDecisionStreamPinned(t *testing.T) {
