@@ -65,7 +65,7 @@ type Scenario struct {
 	// ID labels the scenario in reports; Normalize derives one if empty.
 	ID   string `json:"id,omitempty"`
 	Kind Kind   `json:"kind"`
-	// Seed drives KASLR, text image, boot jitter, and any attack RNG.
+	// Seed drives KASLR, boot jitter, and any attack RNG.
 	Seed int64 `json:"seed"`
 
 	// --- machine knobs (core.New options) ---

@@ -22,7 +22,8 @@ type settings struct {
 }
 
 // WithSeed sets the seed driving every randomized component (KASLR draw,
-// text image, boot-order jitter). Equal seeds boot identical machines.
+// boot-order jitter). Equal seeds boot identical machines. The kernel text
+// image is not among them: it belongs to the kernel build.
 func WithSeed(seed int64) Option {
 	return func(s *settings) { s.cfg.Seed = seed }
 }

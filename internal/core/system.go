@@ -32,8 +32,9 @@ import (
 // config describes one simulated machine boot: the carrier the options of
 // New resolve into.
 type config struct {
-	// Seed drives every randomized component (KASLR draw, text image,
-	// boot-order jitter). Equal seeds boot identical machines.
+	// Seed drives every randomized component (KASLR draw, boot-order
+	// jitter). Equal seeds boot identical machines. The kernel text image
+	// belongs to the build (kexec.DefaultBuild), not the seed.
 	Seed int64
 	// KASLR randomizes the kernel layout (on by default in Linux).
 	KASLR bool
@@ -132,7 +133,7 @@ func boot(cfg config) (*System, error) {
 	clk := sim.NewClock()
 	unit := iommu.New(cfg.Mode, clk)
 	mapper := dma.NewMapper(m, unit)
-	kern := kexec.NewKernel(m, cfg.Seed)
+	kern := kexec.NewKernel(m, kexec.DefaultBuild)
 	nsCfg := netstack.Config{
 		Mem: m, Mapper: mapper, Kernel: kern, Clock: clk,
 		Forwarding: cfg.Forwarding, OutOfLineSharedInfo: cfg.OutOfLineSharedInfo,

@@ -19,7 +19,7 @@ var (
 	ErrCET = errors.New("kexec: CET fault: shadow stack mismatch on return")
 	// ErrInvalidOpcode is raised on undecodable bytes.
 	ErrInvalidOpcode = errors.New("kexec: invalid opcode")
-	// ErrRuntaway bounds interpretation.
+	// ErrRunaway bounds interpretation.
 	ErrRunaway = errors.New("kexec: runaway execution (step limit)")
 )
 
@@ -64,13 +64,13 @@ type namedFunc struct {
 const StepLimit = 4096
 
 // NewKernel builds the kernel execution model over memory, placing the text
-// image at the layout's randomized text base and registering the privileged
-// primitives at their symbol-table offsets.
-func NewKernel(m *mem.Memory, seed int64) *Kernel {
+// image of the build at the layout's randomized text base and registering the
+// privileged primitives at their symbol-table offsets.
+func NewKernel(m *mem.Memory, build int64) *Kernel {
 	l := m.Layout()
 	k := &Kernel{
 		mem:         m,
-		text:        NewText(l.TextBase, seed),
+		text:        NewText(l.TextBase, build),
 		funcs:       make(map[layout.Addr]namedFunc),
 		credToken:   0x637265645f746f6b, // "cred_tok"
 		Invocations: make(map[string]int),

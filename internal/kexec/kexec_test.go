@@ -23,7 +23,7 @@ func TestTextDeterministicPerSeed(t *testing.T) {
 	b := NewText(layout.TextStart, 1)
 	c := NewText(layout.TextStart, 2)
 	if a.fetch(layout.TextStart+12345) != b.fetch(layout.TextStart+12345) {
-		t.Error("same seed, different image")
+		t.Error("same build, different image")
 	}
 	same := true
 	for off := layout.Addr(0); off < 4096; off++ {
@@ -33,7 +33,7 @@ func TestTextDeterministicPerSeed(t *testing.T) {
 		}
 	}
 	if same {
-		t.Error("different seeds produced identical image prefix")
+		t.Error("different builds produced identical image prefix")
 	}
 }
 

@@ -40,9 +40,10 @@ type BuildOffsets struct {
 	PrepareCred, CommitCreds uint64
 }
 
-// ExtractBuildOffsets performs the offline analysis: scan the image for the
-// needed gadgets and read the primitives' offsets from the build's symbol
-// table.
+// ExtractBuildOffsets performs the offline analysis: scan the build's image
+// for the needed gadgets and read the primitives' offsets from the build's
+// symbol table. The scan runs once per build per process; later calls read
+// its memoised result.
 func ExtractBuildOffsets(t *Text, symbols *layout.SymbolTable) (BuildOffsets, error) {
 	var o BuildOffsets
 	g, ok := t.FindGadget(GadgetPivot)

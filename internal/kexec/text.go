@@ -18,7 +18,6 @@ package kexec
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
 	"sync"
 
 	"dmafault/internal/layout"
@@ -59,71 +58,103 @@ const (
 	PivotDisplacement = 0x10
 )
 
-// Text is the kernel's executable image plus its base address. The image is
-// a pure function of the seed and is built the first time something fetches,
-// scans or searches it; boots that never execute kernel code never pay for
-// its 16 MiB.
-type Text struct {
-	base  layout.Addr
-	seed  int64
-	once  sync.Once
-	bytes []byte
+// DefaultBuild is the kernel build every simulated machine boots. The image
+// belongs to the build, as a vendor kernel's text does (§6): two boots of one
+// build differ only in their KASLR base (§2.4).
+const DefaultBuild int64 = 1
+
+// textPage is one 4 KiB page of the image.
+type textPage [layout.PageSize]byte
+
+// numTextPages is the image size in pages.
+const numTextPages = TextSize / layout.PageSize
+
+// pivotPrefix is the lea prefix of a pivot gadget; the imm8 and ret follow.
+var pivotPrefix = []byte{opLeaPfx0, opLeaPfx1, opLeaPfx2}
+
+// plants are the gadgets every build carries at fixed offsets, applied over
+// the scrubbed filler.
+var plants = [...]struct {
+	off  int
+	code []byte
+}{
+	{offPivot, []byte{opLeaPfx0, opLeaPfx1, opLeaPfx2, PivotDisplacement, opRet}},
+	{offPopRDI, []byte{opPopRDI, opRet}},
+	{offPopRAX, []byte{opPopRAX, opRet}},
+	{offPopRSI, []byte{opPopRSI, opRet}},
+	{offMovRDIRAX, []byte{opMovRDIRAX, opRet}},
+	{offHalt, []byte{opHalt}},
 }
 
-// NewText returns the kernel text image for a seed: deterministic
+// Text is one boot's view of its build's executable image: the KASLR base
+// plus the pages this boot has fetched from. The image is a pure function of
+// the build, and any page of it can be built on its own, so a boot pays only
+// for the text pages it executes. Like the machine it belongs to, a Text is
+// used by one goroutine at a time.
+type Text struct {
+	base  layout.Addr
+	build int64
+	key   uint64
+	pages map[uint64]*textPage
+}
+
+// NewText returns the kernel text of a build loaded at base: deterministic
 // pseudo-random "instructions" with the exploit-relevant gadgets planted at
 // fixed offsets (real kernels likewise contain such gadgets at
 // build-determined offsets).
-func NewText(base layout.Addr, seed int64) *Text {
-	return &Text{base: base, seed: seed}
+func NewText(base layout.Addr, build int64) *Text {
+	return &Text{base: base, build: build, key: buildKey(build)}
 }
 
-// image returns the image bytes, synthesizing them on first use.
-func (t *Text) image() []byte {
-	t.once.Do(func() { t.bytes = synthesize(t.seed) })
-	return t.bytes
+// buildKey derives the filler stream of a build.
+func buildKey(build int64) uint64 { return mix64(uint64(build) ^ 0x6b65726e656c5f31) }
+
+// mix64 is splitmix64's finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
-// synthesize builds the image for a seed.
-func synthesize(seed int64) []byte {
-	b := make([]byte, TextSize)
-	fillRandom(b, rand.NewSource(seed))
+// fillerWord returns filler word i (image bytes 8i..8i+7, least significant
+// first) of the build keyed by key: splitmix64 indexed by word, so any word
+// is computed without its predecessors.
+func fillerWord(key, i uint64) uint64 { return mix64(key + (i+1)*0x9e3779b97f4a7c15) }
+
+// fillPage writes page p of the image into dst.
+func fillPage(dst *textPage, key uint64, p uint64) {
+	w0 := p * (layout.PageSize / 8)
+	for i := range uint64(layout.PageSize / 8) {
+		binary.LittleEndian.PutUint64(dst[8*i:], fillerWord(key, w0+i))
+	}
 	// Keep accidental pivots out of the filler so gadget discovery is
-	// deterministic: break up any 48 8d 67 run. Runs cannot overlap, so
-	// resuming past each one sees every run.
-	pivot := []byte{opLeaPfx0, opLeaPfx1, opLeaPfx2}
-	for i := 0; ; i += len(pivot) {
-		j := bytes.Index(b[i:], pivot)
+	// deterministic: break up every 48 8d 67 run by turning its 67 into a
+	// nop. Runs cannot overlap and the scrub never rewrites a 48 or an 8d,
+	// so whether a byte is scrubbed depends only on it and the two filler
+	// bytes before it — for a page's first two bytes, the previous page's
+	// last two.
+	if p > 0 {
+		prev := fillerWord(key, w0-1)
+		b2, b1 := byte(prev>>48), byte(prev>>56)
+		if b2 == opLeaPfx0 && b1 == opLeaPfx1 && dst[0] == opLeaPfx2 {
+			dst[0] = opNop
+		}
+		if b1 == opLeaPfx0 && dst[0] == opLeaPfx1 && dst[1] == opLeaPfx2 {
+			dst[1] = opNop
+		}
+	}
+	for i := 0; ; i += len(pivotPrefix) {
+		j := bytes.Index(dst[i:], pivotPrefix)
 		if j < 0 {
 			break
 		}
 		i += j
-		b[i+2] = opNop
+		dst[i+2] = opNop
 	}
-	plant := func(off int, bs ...byte) { copy(b[off:], bs) }
-	plant(offPivot, opLeaPfx0, opLeaPfx1, opLeaPfx2, PivotDisplacement, opRet)
-	plant(offPopRDI, opPopRDI, opRet)
-	plant(offPopRAX, opPopRAX, opRet)
-	plant(offPopRSI, opPopRSI, opRet)
-	plant(offMovRDIRAX, opMovRDIRAX, opRet)
-	plant(offHalt, opHalt)
-	return b
-}
-
-// fillRandom writes exactly what rand.New(src).Read(b) writes: seven bytes
-// per Int63, least significant first. Each group is stored as one 8-byte
-// word whose top byte the next group overwrites.
-func fillRandom(b []byte, src rand.Source) {
-	i := 0
-	for ; i+8 <= len(b); i += 7 {
-		binary.LittleEndian.PutUint64(b[i:], uint64(src.Int63()))
-	}
-	for i < len(b) {
-		v := src.Int63()
-		for j := 0; j < 7 && i < len(b); j++ {
-			b[i] = byte(v)
-			v >>= 8
-			i++
+	lo := int(p) * layout.PageSize
+	for _, pl := range plants {
+		if pl.off < lo+layout.PageSize && pl.off+len(pl.code) > lo {
+			copy(dst[max(pl.off-lo, 0):], pl.code[max(lo-pl.off, 0):])
 		}
 	}
 }
@@ -139,8 +170,25 @@ func (t *Text) Contains(a layout.Addr) bool {
 	return a >= t.base && a < t.base+TextSize
 }
 
-// fetch returns the byte at the address (caller checked Contains).
-func (t *Text) fetch(a layout.Addr) byte { return t.image()[a-t.base] }
+// ResidentPages returns how many text pages this boot has built.
+func (t *Text) ResidentPages() int { return len(t.pages) }
+
+// fetch returns the byte at the address (caller checked Contains), building
+// its page on first use.
+func (t *Text) fetch(a layout.Addr) byte {
+	off := uint64(a - t.base)
+	p := off / layout.PageSize
+	pg := t.pages[p]
+	if pg == nil {
+		if t.pages == nil {
+			t.pages = make(map[uint64]*textPage)
+		}
+		pg = new(textPage)
+		fillPage(pg, t.key, p)
+		t.pages[p] = pg
+	}
+	return pg[off%layout.PageSize]
+}
 
 // Gadget is one scanner finding.
 type Gadget struct {
@@ -185,63 +233,129 @@ func (k GadgetKind) String() string {
 // instruction sequences that end in a return (plus hlt terminators), the way
 // §6 located the JOP gadget "%rsp = %rdi + const".
 func (t *Text) Scan() []Gadget {
-	b := t.image()
 	var out []Gadget
-	for i := 0; i < len(b); i++ {
-		switch b[i] {
-		case opRet:
-			// Look backward for a recognized sequence ending here.
-			if i >= 4 && b[i-4] == opLeaPfx0 && b[i-3] == opLeaPfx1 && b[i-2] == opLeaPfx2 {
-				out = append(out, Gadget{Offset: uint64(i - 4), Kind: GadgetPivot, Imm: b[i-1]})
-			}
-			if i >= 1 {
-				switch b[i-1] {
-				case opPopRDI:
-					out = append(out, Gadget{Offset: uint64(i - 1), Kind: GadgetPopRDI})
-				case opPopRAX:
-					out = append(out, Gadget{Offset: uint64(i - 1), Kind: GadgetPopRAX})
-				case opPopRSI:
-					out = append(out, Gadget{Offset: uint64(i - 1), Kind: GadgetPopRSI})
-				case opMovRDIRAX:
-					out = append(out, Gadget{Offset: uint64(i - 1), Kind: GadgetMovRDIRAX})
-				}
-			}
-		case opHalt:
-			out = append(out, Gadget{Offset: uint64(i), Kind: GadgetHalt})
-		}
-	}
+	walk(t.key, func(g Gadget) bool {
+		out = append(out, g)
+		return true
+	})
 	return out
 }
 
-// gadgetPatterns are the byte sequences FindGadget searches for, by kind.
-// The pivot's pattern is its lea prefix; the imm8 and ret follow it.
-var gadgetPatterns = [...][]byte{
-	GadgetPivot:     {opLeaPfx0, opLeaPfx1, opLeaPfx2},
-	GadgetPopRDI:    {opPopRDI, opRet},
-	GadgetPopRAX:    {opPopRAX, opRet},
-	GadgetPopRSI:    {opPopRSI, opRet},
-	GadgetMovRDIRAX: {opMovRDIRAX, opRet},
-	GadgetHalt:      {opHalt},
+// walk streams the image of the build keyed by key page by page through one
+// buffer and passes fn each gadget in Scan order until fn returns false.
+func walk(key uint64, fn func(Gadget) bool) {
+	// w holds the last 4 bytes of the previous page, then the page: a
+	// gadget ending on a page may begin on the one before. Before page 0
+	// the lookback is zeros, which start no gadget.
+	var w [4 + layout.PageSize]byte
+	for p := uint64(0); p < numTextPages; p++ {
+		copy(w[:4], w[layout.PageSize:])
+		fillPage((*textPage)(w[4:]), key, p)
+		at := func(i int) uint64 { return p*layout.PageSize + uint64(i) - 4 }
+		// Every gadget ends in a ret or is a hlt: visit those in order.
+		r, h := nextByte(w[:], 4, opRet), nextByte(w[:], 4, opHalt)
+		for r < len(w) || h < len(w) {
+			if h < r {
+				if !fn(Gadget{Offset: at(h), Kind: GadgetHalt}) {
+					return
+				}
+				h = nextByte(w[:], h+1, opHalt)
+				continue
+			}
+			i := r
+			r = nextByte(w[:], i+1, opRet)
+			// Look backward for a recognized sequence ending here.
+			if w[i-4] == opLeaPfx0 && w[i-3] == opLeaPfx1 && w[i-2] == opLeaPfx2 {
+				if !fn(Gadget{Offset: at(i - 4), Kind: GadgetPivot, Imm: w[i-1]}) {
+					return
+				}
+			}
+			var kind GadgetKind
+			switch w[i-1] {
+			case opPopRDI:
+				kind = GadgetPopRDI
+			case opPopRAX:
+				kind = GadgetPopRAX
+			case opPopRSI:
+				kind = GadgetPopRSI
+			case opMovRDIRAX:
+				kind = GadgetMovRDIRAX
+			default:
+				continue
+			}
+			if !fn(Gadget{Offset: at(i - 1), Kind: kind}) {
+				return
+			}
+		}
+	}
+}
+
+// nextByte returns the index of the first c in b at or after from, or len(b).
+func nextByte(b []byte, from int, c byte) int {
+	if j := bytes.IndexByte(b[from:], c); j >= 0 {
+		return from + j
+	}
+	return len(b)
+}
+
+// numGadgetKinds is the number of gadget kinds.
+const numGadgetKinds = int(GadgetHalt) + 1
+
+// firstGadgets is the offline analysis of one build: the first gadget of
+// every kind in Scan order, which is the lowest offset of that kind.
+type firstGadgets struct {
+	first [numGadgetKinds]Gadget
+	found [numGadgetKinds]bool
+}
+
+// scanBuild runs the offline analysis with one streamed walk, stopping once
+// every kind is found.
+func scanBuild(build int64) firstGadgets {
+	var fg firstGadgets
+	n := 0
+	walk(buildKey(build), func(g Gadget) bool {
+		if !fg.found[g.Kind] {
+			fg.first[g.Kind], fg.found[g.Kind] = g, true
+			n++
+		}
+		return n < numGadgetKinds
+	})
+	return fg
+}
+
+// analyses memoises scanBuild: the attacker scans a build once, offline,
+// however many machines run it. An entry is a few words per build.
+var analyses = struct {
+	sync.Mutex
+	byBuild map[int64]*analysis
+}{byBuild: make(map[int64]*analysis)}
+
+type analysis struct {
+	once sync.Once
+	firstGadgets
+}
+
+// analyze returns the build's offline analysis, scanning it on first use.
+// Concurrent callers share one scan.
+func analyze(build int64) *firstGadgets {
+	analyses.Lock()
+	a := analyses.byBuild[build]
+	if a == nil {
+		a = new(analysis)
+		analyses.byBuild[build] = a
+	}
+	analyses.Unlock()
+	a.once.Do(func() { a.firstGadgets = scanBuild(build) })
+	return &a.firstGadgets
 }
 
 // FindGadget returns the first gadget of the kind, as an image offset: the
-// gadget Scan lists first for that kind, found without building the list.
+// gadget Scan lists first for that kind, from the build's memoised offline
+// analysis.
 func (t *Text) FindGadget(kind GadgetKind) (Gadget, bool) {
-	if kind < 0 || int(kind) >= len(gadgetPatterns) {
+	if kind < 0 || int(kind) >= numGadgetKinds {
 		return Gadget{}, false
 	}
-	b, pat := t.image(), gadgetPatterns[kind]
-	for i := 0; ; i++ {
-		j := bytes.Index(b[i:], pat)
-		if j < 0 {
-			return Gadget{}, false
-		}
-		i += j
-		if kind != GadgetPivot {
-			return Gadget{Offset: uint64(i), Kind: kind}, true
-		}
-		if i+4 < len(b) && b[i+4] == opRet {
-			return Gadget{Offset: uint64(i), Kind: kind, Imm: b[i+3]}, true
-		}
-	}
+	fg := analyze(t.build)
+	return fg.first[kind], fg.found[kind]
 }

@@ -1,42 +1,118 @@
 package kexec
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"runtime"
 	"testing"
 
 	"dmafault/internal/layout"
-	"dmafault/internal/mem"
 )
 
-// TestTextImagePinned pins the synthesized image byte for byte: the digests
-// are of the image that rand.Read filler and a byte-wise pivot scrub
-// produce, so any drift in the generator shows up here before it shows up
-// as moved gadgets.
+// Builds whose filler holds a 48 8d 67 run straddling a page boundary: the
+// run starts one byte before the boundary in straddleBuildA and two bytes
+// before it in straddleBuildB. Page-wise scrubbing must look back across
+// the boundary to break them.
+const (
+	straddleBuildA = 1149  // run at 0xd34fff
+	straddleBuildB = 13020 // run at 0x8e2ffe
+)
+
+// TestTextImagePinned pins each build's image byte for byte, as the SHA-256
+// of the image streamed page by page: any drift in the filler generator, the
+// scrub or the plants shows up here before it shows up as moved gadgets.
 func TestTextImagePinned(t *testing.T) {
 	for _, tc := range []struct {
-		seed int64
-		want string
+		build int64
+		want  string
 	}{
-		{0, "0911ae0135d1332c8fdb3f70b64abea7c87474099cb3e8e73415f7896d94cd13"},
-		{2021, "bd9421533a1e9496adfb446508430d891e74c30843d43955b2dc858b445cb6ec"},
-		{-7, "b926257dcd4cb6dcc17657286440b9a5119a328d893be13a5d1e86c884688a20"},
+		{DefaultBuild, "abb93416b8587df2757d7452da990247e3f65a40f1c0f3fb7448975b9a9c934d"},
+		{2021, "45a27cbf9ba67ea605639298c75ad0c4e6308bcc23dd03c7938c9932ebe4bd7e"},
+		{-7, "f7a5ee229be855d3aada76ba1b4d84fdea5c287a36ff4e5d83f05a6416a17710"},
 	} {
-		sum := sha256.Sum256(NewText(layout.TextStart, tc.seed).image())
-		if got := hex.EncodeToString(sum[:]); got != tc.want {
-			t.Errorf("seed %d: image sha256 %s, want %s", tc.seed, got, tc.want)
+		key, h := buildKey(tc.build), sha256.New()
+		var pg textPage
+		for p := uint64(0); p < numTextPages; p++ {
+			fillPage(&pg, key, p)
+			h.Write(pg[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("build %d: image sha256 %s, want %s", tc.build, got, tc.want)
 		}
 	}
 }
 
-// TestFindGadgetMatchesScan checks the direct lookup against the full
+// referenceImage builds a whole image the straightforward way: every filler
+// word in order, one sequential scrub of accidental pivots over the whole
+// image, then the planted gadgets.
+func referenceImage(build int64) []byte {
+	b, key := make([]byte, TextSize), buildKey(build)
+	for i := 0; i < TextSize; i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], fillerWord(key, uint64(i/8)))
+	}
+	pivot := []byte{opLeaPfx0, opLeaPfx1, opLeaPfx2}
+	for i := 0; ; i += len(pivot) {
+		j := bytes.Index(b[i:], pivot)
+		if j < 0 {
+			break
+		}
+		i += j
+		b[i+2] = opNop
+	}
+	for _, pl := range plants {
+		copy(b[pl.off:], pl.code)
+	}
+	return b
+}
+
+// rawRunAt reports whether the unscrubbed filler holds 48 8d 67 at off.
+func rawRunAt(build int64, off int) bool {
+	var raw [16]byte
+	key, w := buildKey(build), uint64(off/8)
+	binary.LittleEndian.PutUint64(raw[:], fillerWord(key, w))
+	binary.LittleEndian.PutUint64(raw[8:], fillerWord(key, w+1))
+	i := off % 8
+	return bytes.Equal(raw[i:i+3], []byte{opLeaPfx0, opLeaPfx1, opLeaPfx2})
+}
+
+// TestPageFetchMatchesReference: a page built on its own on first fetch
+// equals the same bytes of the whole-image reference at every offset within
+// 8 bytes of each page boundary and of each planted gadget, including
+// builds whose scrub must reach back across a boundary.
+func TestPageFetchMatchesReference(t *testing.T) {
+	if !rawRunAt(straddleBuildA, 0xd34fff) || !rawRunAt(straddleBuildB, 0x8e2ffe) {
+		t.Fatal("straddle builds no longer hold a 48 8d 67 run across a page boundary")
+	}
+	for _, build := range []int64{DefaultBuild, straddleBuildA, straddleBuildB} {
+		ref := referenceImage(build)
+		tx := NewText(layout.TextStart, build)
+		var near []int
+		for b := 0; b <= TextSize; b += layout.PageSize {
+			near = append(near, b)
+		}
+		for _, pl := range plants {
+			near = append(near, pl.off, pl.off+len(pl.code))
+		}
+		bad := 0
+		for _, c := range near {
+			for off := max(c-8, 0); off < min(c+8, TextSize); off++ {
+				if got := tx.fetch(layout.TextStart + layout.Addr(off)); got != ref[off] && bad < 5 {
+					t.Errorf("build %d: fetch at %#x = %#x, reference %#x", build, off, got, ref[off])
+					bad++
+				}
+			}
+		}
+	}
+}
+
+// TestFindGadgetMatchesScan checks the memoised lookup against the full
 // inventory: for every kind, FindGadget returns the first gadget of that
 // kind in Scan order.
 func TestFindGadgetMatchesScan(t *testing.T) {
 	kinds := []GadgetKind{GadgetPivot, GadgetPopRDI, GadgetPopRAX, GadgetPopRSI, GadgetMovRDIRAX, GadgetHalt}
-	for seed := int64(0); seed < 32; seed++ {
-		tx := NewText(layout.TextStart, seed*7919)
+	for build := int64(0); build < 32; build++ {
+		tx := NewText(layout.TextStart, build*7919)
 		first := map[GadgetKind]Gadget{}
 		for _, g := range tx.Scan() {
 			if _, ok := first[g.Kind]; !ok {
@@ -47,7 +123,7 @@ func TestFindGadgetMatchesScan(t *testing.T) {
 			got, ok := tx.FindGadget(k)
 			want, wantOK := first[k]
 			if ok != wantOK || got != want {
-				t.Errorf("seed %d %v: FindGadget = %+v, %v; Scan's first = %+v, %v", seed*7919, k, got, ok, want, wantOK)
+				t.Errorf("build %d %v: FindGadget = %+v, %v; Scan's first = %+v, %v", build*7919, k, got, ok, want, wantOK)
 			}
 		}
 	}
@@ -56,42 +132,35 @@ func TestFindGadgetMatchesScan(t *testing.T) {
 	}
 }
 
-// TestNewKernelDefersText guards lazy synthesis: building the kernel model
-// must not build the 16 MiB image.
-func TestNewKernelDefersText(t *testing.T) {
-	l := layout.New(layout.Config{KASLR: true, Seed: 3, PhysBytes: 32 << 20})
-	m, err := mem.New(mem.Config{Layout: l, CPUs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const runs = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		NewKernel(m, int64(i))
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
-		t.Errorf("NewKernel allocates %d bytes, want < 64 KiB", per)
-	}
-}
-
+// BenchmarkTextSynthesis is one boot's text work for an attack: reading
+// the memoised build offsets and fetching the pivot and every chain gadget,
+// which builds the pages they sit on.
 func BenchmarkTextSynthesis(b *testing.B) {
+	l := layout.New(layout.Config{PhysBytes: 16 << 20})
+	o, err := ExtractBuildOffsets(NewText(layout.TextStart, DefaultBuild), l.Symbols())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NewText(layout.TextStart, int64(i)).image()
+		tx := NewText(layout.TextStart, DefaultBuild)
+		if _, err := ExtractBuildOffsets(tx, l.Symbols()); err != nil {
+			b.Fatal(err)
+		}
+		for _, off := range []uint64{o.Pivot, o.PopRDI, o.MovRDIRAX, o.Halt} {
+			tx.fetch(layout.TextStart + layout.Addr(off))
+		}
 	}
 }
 
-// BenchmarkExtractBuildOffsets is the offline gadget analysis of one fresh
-// build: synthesizing its image plus the four gadget lookups.
+// BenchmarkExtractBuildOffsets is one cold offline scan of a build: the
+// streamed walk that finds the first gadget of every kind, bypassing the
+// per-build memo.
 func BenchmarkExtractBuildOffsets(b *testing.B) {
-	k, _ := newKernel(b, 5)
-	symbols := k.Mem().Layout().Symbols()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ExtractBuildOffsets(NewText(layout.TextStart, int64(i)), symbols); err != nil {
-			b.Fatal(err)
+		if fg := scanBuild(int64(i)); !fg.found[GadgetHalt] {
+			b.Fatal("build has no hlt")
 		}
 	}
 }

@@ -70,7 +70,7 @@ func newPageAllocator(m *Memory, cpus int) (*PageAllocator, error) {
 func (pa *PageAllocator) pushFree(p layout.PFN, order uint) {
 	pi := pa.m.mustPage(p)
 	pi.Flags = FlagFree
-	pi.Order = order
+	pi.Order = uint8(order)
 	pi.RefCount = 0
 	pa.free[order] = append(pa.free[order], p)
 	pa.nfree += 1 << order
@@ -136,14 +136,14 @@ func (pa *PageAllocator) finishAlloc(p layout.PFN, order uint) {
 	pa.stats.Allocs++
 	head := pa.m.mustPage(p)
 	head.Flags = 0
-	head.Order = order
+	head.Order = uint8(order)
 	head.RefCount = 1
 	if order > 0 {
 		head.Flags |= FlagCompoundHead
 		for i := layout.PFN(1); i < layout.PFN(1)<<order; i++ {
 			t := pa.m.mustPage(p + i)
 			t.Flags = FlagCompoundTail
-			t.CompoundHead = p
+			t.CompoundHead = uint32(p)
 			t.Order = 0
 			t.RefCount = 0
 		}
@@ -192,7 +192,7 @@ func (pa *PageAllocator) GetPage(p layout.PFN) error {
 		return err
 	}
 	if pi.Has(FlagCompoundTail) {
-		return pa.GetPage(pi.CompoundHead)
+		return pa.GetPage(pi.Head())
 	}
 	if pi.Has(FlagFree) || pi.RefCount == 0 {
 		return fmt.Errorf("mem: get_page on free PFN %d", p)
@@ -209,14 +209,14 @@ func (pa *PageAllocator) PutPage(cpu int, p layout.PFN) error {
 		return err
 	}
 	if pi.Has(FlagCompoundTail) {
-		return pa.PutPage(cpu, pi.CompoundHead)
+		return pa.PutPage(cpu, pi.Head())
 	}
 	if pi.RefCount <= 0 {
 		return fmt.Errorf("mem: put_page on PFN %d with refcount %d", p, pi.RefCount)
 	}
 	pi.RefCount--
 	if pi.RefCount == 0 {
-		order := pi.Order
+		order := uint(pi.Order)
 		pi.RefCount = 1 // Free() expects a live page
 		return pa.Free(cpu, p, order)
 	}
@@ -239,7 +239,7 @@ func (pa *PageAllocator) freeToBuddy(p layout.PFN, order uint) {
 			break
 		}
 		bi := pa.m.mustPage(buddy)
-		if !bi.Has(FlagFree) || bi.Order != order {
+		if !bi.Has(FlagFree) || uint(bi.Order) != order {
 			break
 		}
 		// Remove buddy from its freelist.

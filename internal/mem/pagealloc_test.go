@@ -70,7 +70,7 @@ func TestCompoundAllocation(t *testing.T) {
 	}
 	for i := layout.PFN(1); i < 8; i++ {
 		ti := m.mustPage(p + i)
-		if !ti.Has(FlagCompoundTail) || ti.CompoundHead != p {
+		if !ti.Has(FlagCompoundTail) || layout.PFN(ti.CompoundHead) != p {
 			t.Errorf("tail %d not marked (flags %v head %d)", i, ti.Flags, ti.CompoundHead)
 		}
 	}

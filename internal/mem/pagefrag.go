@@ -115,7 +115,7 @@ func (f *FragAllocator) Free(cpu int, a layout.Addr) error {
 		return err
 	}
 	pi := f.m.mustPage(pfn)
-	if !pi.Has(FlagFrag) && !(pi.Has(FlagCompoundTail) && f.m.mustPage(pi.CompoundHead).Has(FlagFrag)) {
+	if !pi.Has(FlagFrag) && !(pi.Has(FlagCompoundTail) && f.m.mustPage(pi.Head()).Has(FlagFrag)) {
 		return fmt.Errorf("mem: page_frag free of non-frag address %#x", uint64(a))
 	}
 	return f.m.Pages.PutPage(cpu, pfn)
@@ -145,7 +145,7 @@ func (f *FragAllocator) RegionOf(a layout.Addr) (layout.PFN, error) {
 	}
 	pi := f.m.mustPage(pfn)
 	if pi.Has(FlagCompoundTail) {
-		return pi.CompoundHead, nil
+		return pi.Head(), nil
 	}
 	return pfn, nil
 }

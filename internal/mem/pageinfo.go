@@ -4,7 +4,7 @@ import "dmafault/internal/layout"
 
 // PageFlag marks the role a physical page currently plays, mirroring the
 // struct page flags the kernel keeps in the vmemmap.
-type PageFlag uint32
+type PageFlag uint8
 
 const (
 	// FlagFree marks a page owned by the buddy allocator.
@@ -24,26 +24,34 @@ const (
 // PageInfo is the simulated struct page: per-frame metadata the kernel (and
 // our tools) consult. DMA mapping state is tracked here so that tests and
 // the sanitizer can ask "how many IOVAs currently map this frame?" — the
-// heart of type (c) sub-page vulnerabilities.
+// heart of type (c) sub-page vulnerabilities. Every boot holds one per
+// frame, so the fields are as narrow as their ranges allow (20 bytes).
 type PageInfo struct {
-	Flags PageFlag
 	// RefCount counts users of the frame: 1 for an allocated page, +1 per
 	// outstanding page_frag slice, etc. A frame returns to the buddy
 	// allocator only when it drops to zero.
-	RefCount int
+	RefCount int32
+	// DMAMapCount is the number of live IOVA mappings covering this frame.
+	DMAMapCount int32
+	// CompoundHead is the PFN of the head page when FlagCompoundTail is set.
+	CompoundHead uint32
+	// SlabClass is the kmalloc size class when FlagSlab is set.
+	SlabClass uint32
+	Flags     PageFlag
 	// Order is the buddy order of the allocation this frame belongs to
 	// (meaningful on the head page).
-	Order uint
-	// CompoundHead is the PFN of the head page when FlagCompoundTail is set.
-	CompoundHead layout.PFN
-	// SlabClass is the kmalloc size class when FlagSlab is set.
-	SlabClass uint64
-	// DMAMapCount is the number of live IOVA mappings covering this frame.
-	DMAMapCount int
+	Order uint8
 	// DMAWritable is true while at least one live mapping grants the device
 	// WRITE (or BIDIRECTIONAL) access to the frame.
 	DMAWritable bool
 }
+
+// Every PFN below MaxPhysBytes fits CompoundHead: raising MaxPhysBytes past
+// what 32 bits of PFN address fails to compile here.
+const _ uint32 = MaxPhysBytes/layout.PageSize - 1
+
+// Head returns the PFN of the compound head (FlagCompoundTail pages).
+func (pi *PageInfo) Head() layout.PFN { return layout.PFN(pi.CompoundHead) }
 
 // Has reports whether all given flags are set.
 func (pi *PageInfo) Has(f PageFlag) bool { return pi.Flags&f == f }

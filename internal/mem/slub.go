@@ -256,7 +256,7 @@ func (s *SlabAllocator) partialSlab(cpu int, class uint64) (*slab, error) {
 	for i := layout.PFN(0); i < layout.PFN(1)<<order; i++ {
 		pi := s.m.mustPage(head + i)
 		pi.Flags |= FlagSlab
-		pi.SlabClass = class
+		pi.SlabClass = uint32(class)
 		s.byPage[head+i] = sl
 	}
 	s.partial[class] = append(s.partial[class], sl)
