@@ -50,6 +50,7 @@ var memFamilies = []string{
 	"BenchmarkBootOnce",
 	"BenchmarkCampaignThroughput",
 	"BenchmarkSec53_RingFlood",
+	"BenchmarkMapUnmapDeferred",
 }
 
 // memThreshold is the allocation gates' tolerance.

@@ -60,3 +60,16 @@ func TestAutoSizedBootsFitMemoryBound(t *testing.T) {
 		}
 	}
 }
+
+// A boot builds struct pages only for the chunks its allocations reach: a
+// Kernel 5.0 machine's boot footprint (fixed pages, jitter, one RX ring)
+// fits in a few of its 512-frame chunks however large the machine is.
+func TestBootBuildsFewChunks(t *testing.T) {
+	sys, _, _, err := BootOnceOpts(Kernel50, 2021, BootOptions{JitterPages: BootJitterPages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sys.Mem.ChunksBuilt(); n > 4 {
+		t.Errorf("one Kernel 5.0 boot built %d chunks of struct pages, want at most 4", n)
+	}
+}

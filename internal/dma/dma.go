@@ -67,13 +67,15 @@ type Hook interface {
 
 // mapping records one live DMA mapping.
 type mapping struct {
-	dev   iommu.DeviceID
-	kva   layout.Addr
-	n     uint64
-	dir   Direction
-	iova  iommu.IOVA // page-aligned base
-	pages []layout.PFN
-	owner Owner // ownership per §2.3: the device owns the buffer while mapped
+	dev  iommu.DeviceID
+	kva  layout.Addr
+	n    uint64
+	dir  Direction
+	iova iommu.IOVA // page-aligned base
+	// The mapping covers the npages contiguous frames from pfn.
+	pfn    layout.PFN
+	npages uint64
+	owner  Owner // ownership per §2.3: the device owns the buffer while mapped
 }
 
 type mapKey struct {
@@ -134,7 +136,7 @@ func (mp *Mapper) MapSingle(dev iommu.DeviceID, kva layout.Addr, n uint64, dir D
 	if err != nil {
 		return 0, err
 	}
-	m := &mapping{dev: dev, kva: kva, n: n, dir: dir, iova: base}
+	m := &mapping{dev: dev, kva: kva, n: n, dir: dir, iova: base, pfn: firstPFN, npages: uint64(lastPFN-firstPFN) + 1}
 	for i := layout.PFN(0); firstPFN+i <= lastPFN; i++ {
 		v := base + iommu.IOVA(uint64(i)*layout.PageSize)
 		if err := mp.unit.Map(dev, v, firstPFN+i, dir.Perm()); err != nil {
@@ -147,11 +149,10 @@ func (mp *Mapper) MapSingle(dev iommu.DeviceID, kva layout.Addr, n uint64, dir D
 			return 0, err
 		}
 		mp.pageInfo(firstPFN + i).MarkDMAMapped(dir.Perm().Allows(true))
-		m.pages = append(m.pages, firstPFN+i)
 	}
 	mp.active[mapKey{dev, base}] = m
 	mp.stats.MapSingles++
-	mp.stats.PagesMapped += uint64(len(m.pages))
+	mp.stats.PagesMapped += m.npages
 	for _, h := range mp.hooks {
 		h.OnMap(dev, kva, n, dir, base+iommu.IOVA(offset))
 	}
@@ -172,15 +173,15 @@ func (mp *Mapper) UnmapSingle(dev iommu.DeviceID, va iommu.IOVA, n uint64, dir D
 	if m.n != n || m.dir != dir {
 		return fmt.Errorf("dma: unmap arguments (len %d, %v) do not match mapping (len %d, %v)", n, dir, m.n, m.dir)
 	}
-	for i, pfn := range m.pages {
-		v := base + iommu.IOVA(uint64(i)*layout.PageSize)
+	for i := range m.npages {
+		v := base + iommu.IOVA(i*layout.PageSize)
 		if err := mp.unit.Unmap(dev, v); err != nil {
 			return err
 		}
-		mp.pageInfo(pfn).ClearDMAMapped()
+		mp.pageInfo(m.pfn + layout.PFN(i)).ClearDMAMapped()
 	}
 	delete(mp.active, k)
-	if err := mp.unit.ReleaseIOVA(dev, base, uint64(len(m.pages))*layout.PageSize); err != nil {
+	if err := mp.unit.ReleaseIOVA(dev, base, m.npages*layout.PageSize); err != nil {
 		return err
 	}
 	mp.stats.Unmaps++

@@ -17,7 +17,6 @@ package iommu
 
 import (
 	"fmt"
-	"sort"
 
 	"dmafault/internal/layout"
 	"dmafault/internal/sim"
@@ -94,8 +93,6 @@ type Domain struct {
 	table *PageTable
 	tlb   *IOTLB
 	iova  *iovaAllocator
-	// reverse maps pfn -> live IOVA pages mapping it, for type (c) queries.
-	reverse map[layout.PFN][]IOVA
 	// flushQueue holds IOVAs unmapped but not yet invalidated (deferred).
 	flushQueue    []IOVA
 	flushDeadline sim.Nanos
@@ -181,11 +178,10 @@ func (u *IOMMU) CreateDomain(name string, dev DeviceID) (*Domain, error) {
 		return nil, fmt.Errorf("iommu: device %d already attached", dev)
 	}
 	d := &Domain{
-		name:    name,
-		table:   &PageTable{},
-		tlb:     NewIOTLB(0),
-		iova:    newIOVAAllocator(),
-		reverse: make(map[layout.PFN][]IOVA),
+		name:  name,
+		table: &PageTable{},
+		tlb:   NewIOTLB(0),
+		iova:  newIOVAAllocator(),
 	}
 	u.domains[dev] = d
 	u.all = append(u.all, d)
@@ -222,7 +218,6 @@ func (u *IOMMU) Map(dev DeviceID, v IOVA, pfn layout.PFN, perm Perm) error {
 	if err := d.table.Map(v, pfn, perm); err != nil {
 		return err
 	}
-	d.reverse[pfn] = append(d.reverse[pfn], key(v))
 	u.stats.Maps++
 	return nil
 }
@@ -235,11 +230,9 @@ func (u *IOMMU) Unmap(dev DeviceID, v IOVA) error {
 	if err != nil {
 		return err
 	}
-	pfn, _, err := d.table.Unmap(v)
-	if err != nil {
+	if _, _, err := d.table.Unmap(v); err != nil {
 		return err
 	}
-	u.removeReverse(d, pfn, key(v))
 	u.stats.Unmaps++
 	switch u.mode {
 	case Strict:
@@ -257,21 +250,6 @@ func (u *IOMMU) Unmap(dev DeviceID, v IOVA) error {
 		}
 	}
 	return nil
-}
-
-func (u *IOMMU) removeReverse(d *Domain, pfn layout.PFN, k IOVA) {
-	list := d.reverse[pfn]
-	for i, x := range list {
-		if x == k {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(d.reverse, pfn)
-	} else {
-		d.reverse[pfn] = list
-	}
 }
 
 // ReleaseIOVA returns address space to the domain's allocator — immediately
@@ -392,10 +370,15 @@ func (d *Domain) FreeIOVA(v IOVA, n uint64) error { return d.iova.free(v, n) }
 // IOVAsFor lists the live IOVA pages that map the frame in this domain,
 // sorted. More than one element means a type (c) sub-page condition: the
 // device can reach the frame through a second translation even after the
-// first is unmapped and flushed (§5.2.2 path iii).
+// first is unmapped and flushed (§5.2.2 path iii). It walks the page table:
+// the query is rare, so no reverse map is kept on the map path.
 func (d *Domain) IOVAsFor(pfn layout.PFN) []IOVA {
-	list := append([]IOVA(nil), d.reverse[pfn]...)
-	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+	var list []IOVA
+	d.table.each(func(v IOVA, e pte) {
+		if e.pfn == pfn {
+			list = append(list, v)
+		}
+	})
 	return list
 }
 

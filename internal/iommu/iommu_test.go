@@ -2,6 +2,7 @@ package iommu
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"dmafault/internal/layout"
@@ -240,6 +241,31 @@ func TestReverseMapTracksMultipleIOVAs(t *testing.T) {
 	}
 	if got := d.IOVAsFor(33); len(got) != 0 {
 		t.Fatalf("IOVAsFor after full unmap = %v", got)
+	}
+
+	// IOVAs on both sides of a 2 MiB and a 1 GiB boundary sit in different
+	// leaf and directory tables; mapped out of order, they are listed in
+	// ascending order, and the walk visits every present entry once.
+	const mib2, gib = 2 << 20, 1 << 30
+	want := []IOVA{
+		iovaBase + mib2 - layout.PageSize, iovaBase + mib2,
+		iovaBase + gib - layout.PageSize, iovaBase + gib,
+	}
+	for _, i := range []int{3, 0, 2, 1} {
+		if err := u.Map(nicDev, want[i], 33, PermRead); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Map(nicDev, want[i]+2*layout.PageSize, 34, PermRead); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.IOVAsFor(33); !slices.Equal(got, want) {
+		t.Fatalf("IOVAsFor across table boundaries = %#x, want %#x", got, want)
+	}
+	walked := uint64(0)
+	d.table.each(func(IOVA, pte) { walked++ })
+	if walked != d.table.Entries() || walked != 2*uint64(len(want)) {
+		t.Fatalf("walk visited %d entries, table holds %d", walked, d.table.Entries())
 	}
 }
 

@@ -80,7 +80,7 @@ func (t *IOTLB) Invalidate(v IOVA) {
 
 // FlushAll drops every cached translation (a global invalidation).
 func (t *IOTLB) FlushAll() {
-	t.entries = make(map[IOVA]tlbEntry, t.capacity)
+	clear(t.entries)
 	t.order = t.order[:0]
 	t.Flushes++
 }

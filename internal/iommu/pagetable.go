@@ -51,27 +51,46 @@ type pte struct {
 	present bool
 }
 
-// ptLevel is one 512-entry radix node of the 4-level table.
-type ptLevel struct {
-	children [512]*ptLevel // nil at leaf level
-	leaves   [512]pte      // used at level 0 only
-}
+// The 4-level table's nodes, one type per level: each directory holds 512
+// pointers to the level below it, and only a leaf table holds PTEs.
+type (
+	leafTable [512]pte        // level 1: one 4 KiB page per entry
+	pdTable   [512]*leafTable // level 2: 2 MiB per entry
+	pdptTable [512]*pdTable   // level 3: 1 GiB per entry
+)
 
 // PageTable is a 4-level (48-bit, 4 KiB granule) I/O page table, structured
 // like the VT-d second-level tables the paper's testbed uses.
 type PageTable struct {
-	root    ptLevel
+	root    [512]*pdptTable // level 4: 512 GiB per entry
 	entries uint64
 }
 
-// indices splits an IOVA into the four 9-bit radix indices.
-func indices(v IOVA) [4]int {
-	return [4]int{
-		int(v >> 39 & 0x1ff),
-		int(v >> 30 & 0x1ff),
-		int(v >> 21 & 0x1ff),
-		int(v >> 12 & 0x1ff),
+// step descends through one directory slot, building the next-level table
+// when create is set; nil means the path ends here.
+func step[T any](slot **T, create bool) *T {
+	if *slot == nil && create {
+		*slot = new(T)
 	}
+	return *slot
+}
+
+// lookup returns the PTE slot of the page containing v, building missing
+// tables when create is set, or nil when a table on the path is missing.
+func (t *PageTable) lookup(v IOVA, create bool) *pte {
+	l3 := step(&t.root[v>>39&0x1ff], create)
+	if l3 == nil {
+		return nil
+	}
+	l2 := step(&l3[v>>30&0x1ff], create)
+	if l2 == nil {
+		return nil
+	}
+	leaf := step(&l2[v>>21&0x1ff], create)
+	if leaf == nil {
+		return nil
+	}
+	return &leaf[v>>12&0x1ff]
 }
 
 // Map installs a translation for the page containing v. Mapping an already
@@ -83,15 +102,7 @@ func (t *PageTable) Map(v IOVA, pfn layout.PFN, perm Perm) error {
 	if v>>48 != 0 {
 		return fmt.Errorf("iommu: IOVA %#x beyond 48-bit space", uint64(v))
 	}
-	idx := indices(v)
-	n := &t.root
-	for l := 0; l < 3; l++ {
-		if n.children[idx[l]] == nil {
-			n.children[idx[l]] = &ptLevel{}
-		}
-		n = n.children[idx[l]]
-	}
-	e := &n.leaves[idx[3]]
+	e := t.lookup(v, true)
 	if e.present {
 		return fmt.Errorf("iommu: IOVA page %#x already mapped", uint64(v)&^uint64(layout.PageMask))
 	}
@@ -105,16 +116,8 @@ func (t *PageTable) Map(v IOVA, pfn layout.PFN, perm Perm) error {
 // separate, explicit step — the gap between the two is the deferred-
 // invalidation vulnerability (§5.2.1, Fig. 6).
 func (t *PageTable) Unmap(v IOVA) (layout.PFN, Perm, error) {
-	idx := indices(v)
-	n := &t.root
-	for l := 0; l < 3; l++ {
-		if n.children[idx[l]] == nil {
-			return 0, PermNone, fmt.Errorf("iommu: unmap of unmapped IOVA %#x", uint64(v))
-		}
-		n = n.children[idx[l]]
-	}
-	e := &n.leaves[idx[3]]
-	if !e.present {
+	e := t.lookup(v, false)
+	if e == nil || !e.present {
 		return 0, PermNone, fmt.Errorf("iommu: unmap of unmapped IOVA %#x", uint64(v))
 	}
 	pfn, perm := e.pfn, e.perm
@@ -125,19 +128,35 @@ func (t *PageTable) Unmap(v IOVA) (layout.PFN, Perm, error) {
 
 // Walk looks up the translation for the page containing v.
 func (t *PageTable) Walk(v IOVA) (layout.PFN, Perm, bool) {
-	idx := indices(v)
-	n := &t.root
-	for l := 0; l < 3; l++ {
-		if n.children[idx[l]] == nil {
-			return 0, PermNone, false
-		}
-		n = n.children[idx[l]]
-	}
-	e := n.leaves[idx[3]]
-	if !e.present {
+	e := t.lookup(v, false)
+	if e == nil || !e.present {
 		return 0, PermNone, false
 	}
 	return e.pfn, e.perm, true
+}
+
+// each calls fn on every present entry in ascending IOVA order.
+func (t *PageTable) each(fn func(v IOVA, e pte)) {
+	for i4, l3 := range t.root {
+		if l3 == nil {
+			continue
+		}
+		for i3, l2 := range l3 {
+			if l2 == nil {
+				continue
+			}
+			for i2, leaf := range l2 {
+				if leaf == nil {
+					continue
+				}
+				for i1, e := range leaf {
+					if e.present {
+						fn(IOVA(i4)<<39|IOVA(i3)<<30|IOVA(i2)<<21|IOVA(i1)<<12, e)
+					}
+				}
+			}
+		}
+	}
 }
 
 // Entries returns the number of present leaf entries.

@@ -14,11 +14,14 @@
 //
 // Physical memory is sparse: page frames are backed on their first write and
 // an unbacked frame reads as zeros, so a boot costs only the frames it
-// touches while every reader sees the bytes a dense array would hold. Kernel
-// virtual addresses are interpreted through a layout.Layout. CPU-side
-// accesses flow through Memory.Read/Write so that a sanitizer (D-KASAN) can
-// observe them; device-side DMA accesses use the physical Read/WritePhys
-// path via the IOMMU bus.
+// touches while every reader sees the bytes a dense array would hold. The
+// struct pages are sparse the same way: they live in chunks of 512 frames,
+// and a chunk is built on its first touch in the state the boot left it in
+// (bootPage), so a machine pays for the metadata its allocations reach, not
+// for its size. Kernel virtual addresses are interpreted through a
+// layout.Layout. CPU-side accesses flow through Memory.Read/Write so that a
+// sanitizer (D-KASAN) can observe them; device-side DMA accesses use the
+// physical Read/WritePhys path via the IOMMU bus.
 package mem
 
 import (
@@ -64,23 +67,34 @@ type AllocInjector interface {
 	InjectAllocFailure() bool
 }
 
-// MaxPhysBytes bounds the simulated physical memory New accepts. The page
-// metadata stays dense, so an absurd size (a scenario's mem_bytes of 1<<40)
-// would exhaust the host before the first page is touched; the bound admits
-// every auto-sized boot (4.15 boot studies at 4 RX queues need 512 MiB) with
-// room to spare.
+// MaxPhysBytes bounds the simulated physical memory New accepts. The chunk
+// table stays dense at 8 bytes per 512 frames, so an absurd size (a
+// scenario's mem_bytes of 1<<40) would still cost the host before the first
+// page is touched; the bound admits every auto-sized boot (4.15 boot studies
+// at 4 RX queues need 512 MiB) with room to spare.
 const MaxPhysBytes = 4 << 30
 
 // frame is the backing store of one physical page frame.
 type frame [layout.PageSize]byte
 
+// chunkFrames is the number of page frames one chunk covers.
+const chunkFrames = 512
+
+// chunk holds the struct pages and the backing frames of chunkFrames
+// consecutive page frames; a nil frame reads as zeros.
+type chunk struct {
+	pages  [chunkFrames]PageInfo
+	frames [chunkFrames]*frame
+}
+
 // Memory is the simulated physical memory plus its allocators.
 type Memory struct {
 	layout *layout.Layout
 	size   uint64
-	// frames[pfn] backs one page frame; nil frames read as zeros.
-	frames []*frame
-	pages  []PageInfo
+	npages int
+	// chunks[pfn/chunkFrames] covers frame pfn; a nil chunk is untouched:
+	// its struct pages are in their boot state and no frame is backed.
+	chunks []*chunk
 	tracer Tracer
 	inject AllocInjector
 
@@ -106,8 +120,8 @@ func New(cfg Config) (*Memory, error) {
 	m := &Memory{
 		layout: cfg.Layout,
 		size:   cfg.Layout.PhysBytes,
-		frames: make([]*frame, cfg.Layout.PhysBytes/layout.PageSize),
-		pages:  make([]PageInfo, cfg.Layout.PhysBytes/layout.PageSize),
+		npages: int(cfg.Layout.PhysBytes / layout.PageSize),
+		chunks: make([]*chunk, (cfg.Layout.PhysBytes/layout.PageSize+chunkFrames-1)/chunkFrames),
 		tracer: cfg.Tracer,
 		inject: cfg.Inject,
 	}
@@ -125,18 +139,56 @@ func New(cfg Config) (*Memory, error) {
 func (m *Memory) Layout() *layout.Layout { return m.layout }
 
 // NumPages returns the number of simulated physical page frames.
-func (m *Memory) NumPages() int { return len(m.pages) }
+func (m *Memory) NumPages() int { return m.npages }
+
+// ChunksBuilt returns how many chunks of 512 struct pages have been built:
+// the page metadata this machine's allocations have touched so far.
+func (m *Memory) ChunksBuilt() int {
+	n := 0
+	for _, c := range m.chunks {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // Page returns the metadata of a page frame (the simulated struct page).
 func (m *Memory) Page(p layout.PFN) (*PageInfo, error) {
-	if uint64(p) >= uint64(len(m.pages)) {
-		return nil, fmt.Errorf("mem: PFN %d out of range (max %d)", p, len(m.pages)-1)
+	if uint64(p) >= uint64(m.npages) {
+		return nil, fmt.Errorf("mem: PFN %d out of range (max %d)", p, m.npages-1)
 	}
-	return &m.pages[p], nil
+	return m.mustPage(p), nil
 }
 
 // mustPage is Page for internal callers that already validated the PFN.
-func (m *Memory) mustPage(p layout.PFN) *PageInfo { return &m.pages[p] }
+func (m *Memory) mustPage(p layout.PFN) *PageInfo {
+	return &m.chunkOf(p).pages[p%chunkFrames]
+}
+
+// chunkOf returns the chunk covering frame p, building it on first touch
+// with every struct page in its boot state.
+func (m *Memory) chunkOf(p layout.PFN) *chunk {
+	c := m.chunks[p/chunkFrames]
+	if c == nil {
+		c = new(chunk)
+		base := p &^ (chunkFrames - 1)
+		for i := range c.pages {
+			c.pages[i] = bootPage(base+layout.PFN(i), m.npages)
+		}
+		m.chunks[p/chunkFrames] = c
+	}
+	return c
+}
+
+// frameAt returns the backing store of frame p, or nil while it reads as
+// zeros. It never builds a chunk.
+func (m *Memory) frameAt(p layout.PFN) *frame {
+	if c := m.chunks[p/chunkFrames]; c != nil {
+		return c.frames[p%chunkFrames]
+	}
+	return nil
+}
 
 // checkPhys validates a physical range.
 func (m *Memory) checkPhys(pa, n uint64) error {
@@ -267,7 +319,7 @@ func (m *Memory) copyOut(pa uint64, buf []byte) {
 	for len(buf) > 0 {
 		off := pa % layout.PageSize
 		n := min(uint64(len(buf)), layout.PageSize-off)
-		if f := m.frames[pa/layout.PageSize]; f != nil {
+		if f := m.frameAt(layout.PFN(pa / layout.PageSize)); f != nil {
 			copy(buf[:n], f[off:])
 		} else {
 			clear(buf[:n])
@@ -280,15 +332,17 @@ func (m *Memory) copyOut(pa uint64, buf []byte) {
 // copyIn stores n bytes at physical address pa, one page frame at a time:
 // the bytes of src, or n copies of v when src is nil. A frame is backed on
 // its first store, except that filling an unbacked frame with zeros leaves
-// it unbacked, since it already reads as zeros. The caller checked the range.
+// it unbacked, since it already reads as zeros. A chunk is built only to
+// back a frame. The caller checked the range.
 func (m *Memory) copyIn(pa, n uint64, src []byte, v byte) {
 	for n > 0 {
 		off := pa % layout.PageSize
 		c := min(n, layout.PageSize-off)
-		f := m.frames[pa/layout.PageSize]
+		p := layout.PFN(pa / layout.PageSize)
+		f := m.frameAt(p)
 		if f == nil && (src != nil || v != 0) {
 			f = new(frame)
-			m.frames[pa/layout.PageSize] = f
+			m.chunkOf(p).frames[p%chunkFrames] = f
 		}
 		switch {
 		case src != nil:

@@ -17,15 +17,22 @@ const MaxOrder = 4
 // holding a stale IOTLB entry corrupt a page after its reuse.
 const hotCacheSize = 16
 
+// bootReserved is the number of frames the boot reserves for the "kernel
+// image": the first 4 MiB, as a real boot does.
+const bootReserved = layout.PFN((4 << 20) / layout.PageSize)
+
 // PageAllocator is a buddy allocator over the simulated frames with per-CPU
 // LIFO hot caches for order-0 pages.
 type PageAllocator struct {
-	m        *Memory
-	free     [MaxOrder + 1][]layout.PFN // LIFO stacks per order
-	hot      [][]layout.PFN             // per-CPU order-0 hot cache
-	nfree    uint64
-	reserved uint64
-	stats    PageStats
+	m *Memory
+	// free holds a LIFO stack per order. Below the bottom of the
+	// order-MaxOrder stack lie the blocks the boot seeded and nobody has
+	// taken yet, [wild, end), lowest on top.
+	free      [MaxOrder + 1][]layout.PFN
+	wild, end layout.PFN
+	hot       [][]layout.PFN // per-CPU order-0 hot cache
+	nfree     uint64
+	stats     PageStats
 }
 
 // PageStats counts page allocator activity.
@@ -39,31 +46,42 @@ type PageStats struct {
 // Stats returns a copy of the counters.
 func (pa *PageAllocator) Stats() PageStats { return pa.stats }
 
+// seedRange returns the frames [lo, hi) the boot hands to the buddy
+// allocator as naturally aligned order-MaxOrder blocks. Frames between the
+// reservation and the first aligned block, and the tail remainder, are left
+// out for simplicity.
+func seedRange(npages int) (lo, hi layout.PFN) {
+	blk := layout.PFN(1) << MaxOrder
+	lo = (bootReserved + blk - 1) &^ (blk - 1)
+	hi = layout.PFN(npages) &^ (blk - 1)
+	return lo, max(lo, hi)
+}
+
+// bootPage is the struct page of frame p as the boot leaves it: reserved
+// and referenced below 4 MiB, a free order-MaxOrder head at the start of
+// every seeded block, zero elsewhere. An untouched chunk reads as this.
+func bootPage(p layout.PFN, npages int) PageInfo {
+	lo, hi := seedRange(npages)
+	switch {
+	case p < bootReserved:
+		return PageInfo{Flags: FlagReserved, RefCount: 1}
+	case p >= lo && p < hi && p%(1<<MaxOrder) == 0:
+		return PageInfo{Flags: FlagFree, Order: MaxOrder}
+	}
+	return PageInfo{}
+}
+
 func newPageAllocator(m *Memory, cpus int) (*PageAllocator, error) {
 	pa := &PageAllocator{m: m, hot: make([][]layout.PFN, cpus)}
-	total := layout.PFN(m.NumPages())
-	// Reserve the first 4 MiB for the "kernel image", as a real boot does.
-	reserve := layout.PFN((4 << 20) / layout.PageSize)
-	if reserve >= total {
-		return nil, fmt.Errorf("mem: %d pages too small for boot reservation", total)
+	if int(bootReserved) >= m.NumPages() {
+		return nil, fmt.Errorf("mem: %d pages too small for boot reservation", m.NumPages())
 	}
-	for p := layout.PFN(0); p < reserve; p++ {
-		m.mustPage(p).Flags = FlagReserved
-		m.mustPage(p).RefCount = 1
-	}
-	pa.reserved = uint64(reserve)
-	// Seed the order-MaxOrder freelist with maximal blocks, low PFN on top
-	// of the stack so early boot allocations are low and deterministic.
-	blk := layout.PFN(1) << MaxOrder
-	var starts []layout.PFN
-	for p := (reserve + blk - 1) &^ (blk - 1); p+blk <= total; p += blk {
-		starts = append(starts, p)
-	}
-	for i := len(starts) - 1; i >= 0; i-- {
-		pa.pushFree(starts[i], MaxOrder)
-	}
-	// Frames between the reservation and the first aligned block, and the
-	// tail remainder, are left reserved for simplicity.
+	// The seeded blocks stay off the stack: popFree takes them from the
+	// watermark, low PFN first, so early boot allocations are low and
+	// deterministic, and their struct pages stay in bootPage's state until
+	// touched.
+	pa.wild, pa.end = seedRange(m.NumPages())
+	pa.nfree = uint64(pa.end - pa.wild)
 	return pa, nil
 }
 
@@ -76,10 +94,20 @@ func (pa *PageAllocator) pushFree(p layout.PFN, order uint) {
 	pa.nfree += 1 << order
 }
 
+// popFree takes the top block of an order's stack. An empty order-MaxOrder
+// stack continues with the lowest seeded block nobody has taken yet: pushes
+// and pops happen only at the top, and removeFree never runs at MaxOrder,
+// so this is exactly the stack a boot pushing every seeded block would hold.
 func (pa *PageAllocator) popFree(order uint) (layout.PFN, bool) {
 	s := pa.free[order]
 	if len(s) == 0 {
-		return 0, false
+		if order != MaxOrder || pa.wild == pa.end {
+			return 0, false
+		}
+		p := pa.wild
+		pa.wild += 1 << MaxOrder
+		pa.nfree -= 1 << MaxOrder
+		return p, true
 	}
 	p := s[len(s)-1]
 	pa.free[order] = s[:len(s)-1]
@@ -167,6 +195,9 @@ func (pa *PageAllocator) Free(cpu int, p layout.PFN, order uint) error {
 	}
 	if pi.Has(FlagReserved) {
 		return fmt.Errorf("mem: free of reserved PFN %d", p)
+	}
+	if pi.RefCount <= 0 {
+		return fmt.Errorf("mem: free of unallocated PFN %d", p)
 	}
 	if pi.RefCount > 1 {
 		pi.RefCount--

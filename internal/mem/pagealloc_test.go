@@ -261,3 +261,30 @@ func TestPropertyAllocatorConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestFreeRejectsUnallocatedFrame(t *testing.T) {
+	// Frames 1025 and 1030 lie inside the free order-4 block at 1024: nobody
+	// holds them, so a free must not hand them to the hot cache.
+	m := newTestMemory(t, 16<<20, 2)
+	before := m.Pages.FreePages()
+	for _, p := range []layout.PFN{1025, 1030} {
+		if err := m.Pages.Free(0, p, 0); err == nil {
+			t.Errorf("free of unallocated PFN %d accepted", p)
+		}
+	}
+	if got := m.Pages.FreePages(); got != before {
+		t.Fatalf("free pages %d after refused frees, want %d", got, before)
+	}
+	// The buddy block at 1024 is split for these: each frame once.
+	seen := map[layout.PFN]bool{}
+	for i := 0; i < 16; i++ {
+		p, err := m.Pages.AllocPages(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[p] {
+			t.Fatalf("PFN %d handed out twice", p)
+		}
+		seen[p] = true
+	}
+}

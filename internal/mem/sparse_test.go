@@ -55,7 +55,7 @@ func FuzzMemory(f *testing.F) {
 			kva := l.PhysToKVA(pa)
 			unbacked := map[uint64]bool{}
 			for p := pa / layout.PageSize; p*layout.PageSize < pa+n; p++ {
-				if m.frames[p] == nil {
+				if m.frameAt(layout.PFN(p)) == nil {
 					unbacked[p] = true
 				}
 			}
@@ -88,7 +88,7 @@ func FuzzMemory(f *testing.F) {
 			}
 			if kind == 4 && v == 0 {
 				for p := range unbacked {
-					if m.frames[p] != nil {
+					if m.frameAt(layout.PFN(p)) != nil {
 						t.Fatalf("zero Memset at %#x+%d backed frame %d", pa, n, p)
 					}
 				}
