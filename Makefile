@@ -30,11 +30,15 @@ race:
 # untrusted bytes (the record log's open and scan in internal/recordlog,
 # the cminor parser, the fault-spec grammar shared by faultinject and
 # netchaos, scenario-set loading with its save/load identity round trip,
-# and the trace JSONL reader with its lossless round trip), and sparse
-# physical memory and the chunked struct pages under the page, slab and
-# page_frag allocators against dense references (internal/mem). Their seed
+# the campaign journal's record decoder, and the trace JSONL reader with
+# its lossless round trip), and sparse physical memory and the chunked
+# struct pages under the page, slab and page_frag allocators against dense
+# references (internal/mem). Their seed
 # inputs already run under plain `go test`; this target searches past them
-# and stays out of `make check` so CI time does not grow.
+# and stays out of `make check` so CI time does not grow. FuzzLoadJournal's
+# inputs carry results of several KiB, and minimizing each new one for the
+# default 60 s would spend the whole run there, so its minimization is
+# capped at 5 s.
 fuzz:
 	$(GO) test ./internal/recordlog -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 60s
 	$(GO) test ./internal/cminor -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s
@@ -42,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzPageAllocator$$' -fuzztime 60s
 	$(GO) test ./internal/faultinject -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 60s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzLoadScenarios$$' -fuzztime 60s
+	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime 60s -fuzzminimizetime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 60s
 
 # One pass over every benchmark, teed through cmd/benchjson into a

@@ -63,7 +63,7 @@ func runFabric(cf *cliutil.Flags, scenarios []campaign.Scenario, cfg fabric.Conf
 	coord := fabric.New(cfg)
 
 	// SIGTERM/SIGINT cancel the run; in-flight leases are abandoned (their
-	// workers get a best-effort cancel) and the state log keeps everything
+	// workers get a best-effort cancel) and the journal keeps everything
 	// already delivered, so -resume picks the campaign back up.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()

@@ -25,15 +25,16 @@
 //
 // Coordinator mode distributes one campaign across dmafaultd worker nodes
 // (internal/fabric) and merges the results byte-identically with a local
-// run — dead workers are re-leased, and the state log survives a
-// coordinator kill:
+// run — dead workers are re-leased, and -journal records results and lease
+// events in the same campaign journal a local run writes, so either kind of
+// run resumes the other's:
 //
 //	campaign -coordinator -worker-urls http://w1:8077,http://w2:8077 \
 //	    -preset mixed -n 200 -out summary.json
 //	campaign -coordinator -coordinator-addr :9100 ...   # + join/SSE surface
 //	campaign -coordinator -coordinator-addr :9100 -fleetobs ...  # + /v1/fleet (fabrictop)
-//	campaign -coordinator -fabric-journal c.jsonl ...   # journal the run
-//	campaign -coordinator -fabric-journal c.jsonl -resume ...  # pick it back up
+//	campaign -coordinator -journal run.jsonl ...   # journal the run
+//	campaign -coordinator -journal run.jsonl -resume ...  # pick it back up
 package main
 
 import (
@@ -63,7 +64,7 @@ func main() {
 	save := flag.String("save", "", "write the scenario set to this JSON file before running")
 	list := flag.Bool("list", false, "list presets and scenario kinds, then exit")
 	faultSpec := flag.String("fault", "", "fault-injection spec applied to scenarios without their own (e.g. \"dma-corrupt:0.01,alloc-fail@3\")")
-	journalPath := flag.String("journal", "", "record completed scenarios to this journal")
+	journalPath := flag.String("journal", "", "record completed scenarios (and, with -coordinator, lease events) to this journal")
 	resume := flag.Bool("resume", false, "with -journal: skip scenarios the journal already records and append new ones")
 	spansOut := flag.String("spans", "", "write the run's wall-clock spans (campaign/scenario/attempt) to this JSONL file")
 	fuzzMode := flag.Bool("fuzz", false, "run a coverage-guided fuzz campaign instead of a fixed scenario set")
@@ -82,7 +83,6 @@ func main() {
 	flag.IntVar(&fabricCfg.MaxLeaseAttempts, "lease-attempts", 0, "lease grants per shard before giving up on the fabric (evidence of a killed job bisects; anything else runs the shard locally) (0: default)")
 	flag.IntVar(&fabricCfg.ShardSize, "shard-size", 0, "scenarios per shard lease (0: default)")
 	flag.DurationVar(&fabricCfg.Heartbeat, "fabric-heartbeat", 0, "worker readiness probe cadence, and the -fleetobs scrape cadence (0: default)")
-	flag.StringVar(&fabricCfg.JournalPath, "fabric-journal", "", "coordinator state log; with -resume a killed coordinator picks the campaign back up")
 	flag.StringVar(&coordOpts.MetricsOut, "fabric-metrics", "", "write the final fabric_* metric families (Prometheus text) to this file")
 	flag.BoolVar(&fabricCfg.NeedCache, "need-worker-cache", false, "refuse to lease shards to workers running without a shared result cache")
 	flag.StringVar(&coordOpts.Netchaos, "netchaos", "", "with -coordinator: deterministic network-chaos plan applied to every worker-bound request (e.g. \"bitflip:0.3,truncate:0.1,partition:0.01\")")
@@ -190,8 +190,8 @@ func main() {
 			cf.Fatal(err)
 		}
 	}
-	if *resume && *journalPath == "" && *fuzzCorpus == "" && fabricCfg.JournalPath == "" {
-		cf.Fatal(fmt.Errorf("-resume requires -journal (or -fuzz -fuzz-corpus, or -coordinator -fabric-journal)"))
+	if *resume && *journalPath == "" && *fuzzCorpus == "" {
+		cf.Fatal(fmt.Errorf("-resume requires -journal (or -fuzz -fuzz-corpus)"))
 	}
 	// An empty scenario set (e.g. -n 0, or an exhausted generator on a
 	// resumed run) is a clean no-op: report it and exit 0 without touching
@@ -201,6 +201,7 @@ func main() {
 	}
 
 	if *coordinator {
+		fabricCfg.JournalPath = *journalPath
 		fabricCfg.Resume = *resume
 		fabricCfg.LocalWorkers = *workers
 		fabricCfg.Log = log
@@ -225,23 +226,17 @@ func main() {
 		eng.Obs = obs.NewTracer(spanCol.Sink())
 	}
 	if *journalPath != "" {
-		if *resume {
-			restored, err := campaign.LoadJournal(*journalPath, scenarios)
-			if err != nil {
-				cf.Fatal(err)
-			}
-			eng.Completed = restored
-			if len(restored) > 0 {
-				log.Info("resumed from journal",
-					"restored", len(restored), "total", len(scenarios), "journal", *journalPath)
-			}
-		}
 		j, err := campaign.OpenJournal(*journalPath, scenarios, *resume)
 		if err != nil {
 			cf.Fatal(err)
 		}
 		defer j.Close()
 		eng.Journal = j
+		eng.Completed = j.State().Restored
+		if n := len(eng.Completed); n > 0 {
+			log.Info("resumed from journal",
+				"restored", n, "total", len(scenarios), "journal", *journalPath)
+		}
 	}
 	var done atomic.Int64
 	done.Store(int64(len(eng.Completed)))

@@ -76,7 +76,7 @@ func fabricPhase(log *slog.Logger, r *rig) error {
 			"-fabric-heartbeat", "200ms",
 			"-netchaos", netchaosPlan, "-netchaos-seed", netchaosSeed,
 			"-fleetobs", "-steal-after", "300ms", "-byzantine-threshold", "3",
-			"-fabric-journal", journalPath, "-fabric-metrics", metricsPath,
+			"-journal", journalPath, "-fabric-metrics", metricsPath,
 			"-out", fabricPath,
 		}
 	}
@@ -118,7 +118,7 @@ func fabricPhase(log *slog.Logger, r *rig) error {
 
 	// The re-lease is journaled before the replacement lease is granted;
 	// once it is on disk, kill the coordinator too.
-	if err := waitForJournal(journalPath, `"released":`, 60*time.Second); err != nil {
+	if err := waitForJournal(journalPath, `"event":"released"`, 60*time.Second); err != nil {
 		return err
 	}
 	if err := coord.kill(); err != nil {
@@ -126,7 +126,7 @@ func fabricPhase(log *slog.Logger, r *rig) error {
 	}
 	log.Info("coordinator killed", "journal", journalPath)
 
-	// Restart against the same state log; the resumed coordinator must
+	// Restart against the same journal; the resumed coordinator must
 	// finish on the surviving workers with the dead one's results intact.
 	coord2, err := startProc(log, r.dir, "coordinator", r.campaignBin,
 		append(coordArgs(w2.url, w3.url), "-resume")...)
@@ -184,7 +184,7 @@ func waitForLease(ctx context.Context, cc *faultdclient.Client, worker string, b
 	return fmt.Errorf("worker %s never held a lease", worker)
 }
 
-// waitForJournal polls the coordinator state log for a marker substring.
+// waitForJournal polls the coordinator's journal for a marker substring.
 func waitForJournal(path, marker string, budget time.Duration) error {
 	deadline := time.Now().Add(budget)
 	for time.Now().Before(deadline) {
@@ -193,5 +193,5 @@ func waitForJournal(path, marker string, budget time.Duration) error {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	return fmt.Errorf("state log %s never recorded %s", path, marker)
+	return fmt.Errorf("journal %s never recorded %s", path, marker)
 }

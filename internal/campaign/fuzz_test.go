@@ -2,15 +2,17 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
 // FuzzLoadScenarios: scenario sets arrive from files, flags and /v1
 // submissions, so LoadScenarios must not panic on any input. Every set it
 // accepts must keep its identity through SaveScenarios→LoadScenarios: the
-// same SetHash (what journals and the fabric state log bind to) and the
-// same ScenarioDigest per entry (what the result cache keys by).
+// same SetHash (what journals bind to) and the same ScenarioDigest per
+// entry (what the result cache keys by).
 func FuzzLoadScenarios(f *testing.F) {
 	for _, set := range [][]Scenario{
 		MixedPreset(8, 2021),
@@ -58,6 +60,69 @@ func FuzzLoadScenarios(f *testing.F) {
 			if ScenarioDigest(scs[i]) != ScenarioDigest(again[i]) {
 				t.Fatalf("scenario %d digest changed across the round trip:\n%+v\nvs\n%+v", i, scs[i], again[i])
 			}
+		}
+	})
+}
+
+// FuzzLoadJournal: journals are read back after crashes, so the record
+// decoder must survive any payload. Each input is a newline-separated list
+// of record payloads, framed after a valid header. The decoder must not
+// panic; a journal it accepts must restore only indexes inside the set,
+// the same ones through LoadJournal and ScanJournal, and count exactly the
+// lease records it holds.
+func FuzzLoadJournal(f *testing.F) {
+	set := journalSet()[:4]
+	path := filepath.Join(f.TempDir(), "seed.jsonl")
+	writeMixedJournal(f, path, set)
+	payloads := journalPayloads(f, path)
+	f.Add(bytes.Join(payloads, []byte{'\n'}))
+	for _, p := range payloads {
+		f.Add(p)
+	}
+	f.Add([]byte(`{"index":1}`))
+	f.Add([]byte(`{"index":-1,"result":{}}`))
+	f.Add([]byte(`{"lease":{"event":"granted","shard":1,"shard_size":3}}` + "\n" + `{"lease":{"event":"expired","shard_size":2}}`))
+	path = filepath.Join(f.TempDir(), "fuzz.jsonl") // each open truncates it
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := OpenJournal(path, set, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs [][]byte
+		if len(data) > 0 {
+			recs = bytes.Split(data, []byte{'\n'})
+		}
+		for _, rec := range recs {
+			if _, err := j.log.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		restored, lerr := LoadJournal(path, set)
+		st, serr := ScanJournal(path)
+		if (lerr == nil) != (serr == nil) {
+			t.Fatalf("LoadJournal err=%v, ScanJournal err=%v", lerr, serr)
+		}
+		if lerr != nil {
+			return
+		}
+		if len(restored) != len(st.Restored) {
+			t.Fatalf("LoadJournal restored %d, ScanJournal %d", len(restored), len(st.Restored))
+		}
+		for i := range restored {
+			if i < 0 || i >= len(set) || st.Restored[i] == nil {
+				t.Fatalf("restored index %d of a %d-scenario set", i, len(set))
+			}
+		}
+		leases := 0
+		for _, rec := range recs {
+			var r struct{ Lease *json.RawMessage }
+			if json.Unmarshal(rec, &r) == nil && r.Lease != nil && string(*r.Lease) != "null" {
+				leases++
+			}
+		}
+		if got := st.Granted + st.Expired + st.Released; got != leases {
+			t.Fatalf("%d lease events counted, journal holds %d lease records", got, leases)
 		}
 	})
 }

@@ -13,14 +13,19 @@ import (
 
 // Campaign journal: an internal/recordlog log recording each completed
 // scenario so a killed campaign can resume without re-executing finished
-// work. The header binds the journal to its scenario set (a hash over the
-// normalized specs — resuming against a different set is an error); every
-// record is one JSON {index, result}, appended atomically in whatever order
-// workers finish. Because results are deterministic per scenario, replay
-// order never matters: LoadJournal keys records by index, and a resumed
-// run's summary is byte-identical to an uninterrupted run's. A torn final
-// record (the crash case) is ignored on read and truncated away on
-// resume-for-append.
+// work, whether it ran on one node or across a fabric coordinator's
+// workers. The header binds the journal to its scenario set (a hash over
+// the normalized specs — resuming against a different set is an error);
+// every record is one JSON {index, result}, appended atomically in whatever
+// order workers finish. Because results are deterministic per scenario,
+// replay order never matters: LoadJournal keys records by index, and a
+// resumed run's summary is byte-identical to an uninterrupted run's. A
+// torn final record (the crash case) is ignored on read and truncated away
+// on resume-for-append.
+//
+// A fabric coordinator also appends one {lease} record per lease event, so
+// its re-lease counters survive a coordinator kill. Restoring results skips
+// them, so either kind of run can finish the other's journal.
 
 // journalKind is the journal's record-log kind tag.
 const journalKind = "campaign-journal"
@@ -35,9 +40,32 @@ type journalHeader struct {
 	Set []Scenario `json:"set,omitempty"`
 }
 
+// journalRecord is one record past the header: a completed scenario
+// (Result set) or a fabric lease event (Lease set), never both.
 type journalRecord struct {
-	Index  int     `json:"index"`
-	Result *Result `json:"result"`
+	Index  int         `json:"index"`
+	Result *Result     `json:"result"`
+	Lease  *LeaseEvent `json:"lease,omitempty"`
+}
+
+// Lease event names.
+const (
+	LeaseGranted = "granted"
+	LeaseExpired = "expired"
+	// LeaseReleased is a re-lease: the shard going to a new worker after a
+	// failed lease. The grant that follows it is recorded as well.
+	LeaseReleased = "released"
+)
+
+// LeaseEvent is one lease-lifecycle record of a fabric coordinator: which
+// event, which shard under which shard size, which worker, which attempt
+// (0 = first grant; > 0 = a re-lease).
+type LeaseEvent struct {
+	Event     string `json:"event"`
+	Shard     int    `json:"shard"`
+	ShardSize int    `json:"shard_size"`
+	Worker    string `json:"worker"`
+	Attempt   int    `json:"attempt"`
 }
 
 // normalizeSet returns an index-normalized copy of the scenario set.
@@ -51,8 +79,8 @@ func normalizeSet(scs []Scenario) []Scenario {
 }
 
 // SetHash fingerprints a whole normalized scenario set — the identity a
-// campaign journal (and the fabric coordinator's state log) binds itself to,
-// so a journal can only ever resume the campaign it was written for.
+// campaign journal binds itself to, so a journal can only ever resume the
+// campaign it was written for.
 func SetHash(scs []Scenario) string {
 	data, err := json.Marshal(normalizeSet(scs))
 	if err != nil {
@@ -114,9 +142,10 @@ func ScenarioKey(s Scenario) string {
 	return ScenarioDigest(s).Short()
 }
 
-// Journal appends completed-scenario records to an open journal file.
+// Journal appends records to an open journal file.
 type Journal struct {
 	log *recordlog.Log
+	st  *JournalState
 }
 
 // OpenJournal creates (resume=false) or reopens (resume=true) the journal
@@ -124,7 +153,7 @@ type Journal struct {
 // header; a resume validates the header and records against the set,
 // truncates any torn final record, and positions for append. Resuming a
 // path that does not exist falls back to a fresh journal, so `--resume` on
-// a first run just works.
+// a first run just works. State reports what the open restored.
 func OpenJournal(path string, scs []Scenario, resume bool) (*Journal, error) {
 	jr := newJournalReader(scs)
 	hdr, err := json.Marshal(journalHeader{Scenarios: len(scs), Hash: jr.hash, Set: normalizeSet(scs)})
@@ -135,17 +164,34 @@ func OpenJournal(path string, scs []Scenario, resume bool) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	return &Journal{log: l}, nil
+	jr.st.Path = path
+	return &Journal{log: l, st: &jr.st}, nil
 }
+
+// State is what opening the journal restored: nothing for a fresh journal,
+// every intact record of a resumed one. Its Restored map is the value for
+// Engine.Completed.
+func (j *Journal) State() *JournalState { return j.st }
 
 // Record appends one completed scenario. Each record is one append to the
 // record log, so concurrent workers never interleave bytes.
 func (j *Journal) Record(index int, r *Result) error {
-	rec, err := json.Marshal(journalRecord{Index: index, Result: r})
+	return j.append(journalRecord{Index: index, Result: r})
+}
+
+// Lease appends one fabric lease event.
+func (j *Journal) Lease(e LeaseEvent) error {
+	return j.append(struct {
+		Lease *LeaseEvent `json:"lease"`
+	}{&e})
+}
+
+func (j *Journal) append(rec any) error {
+	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	_, err = j.log.Append(rec)
+	_, err = j.log.Append(b)
 	return err
 }
 
@@ -163,21 +209,20 @@ func LoadJournal(path string, scs []Scenario) (map[int]*Result, error) {
 	} else if err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	return jr.restored, nil
+	return jr.st.Restored, nil
 }
 
-// journalReader validates a journal and restores its records by index.
-// Built from a scenario set it checks the header against that set; built
-// empty it adopts the header's embedded set, which must match the header.
+// journalReader validates a journal and restores its records. Built from a
+// scenario set it checks the header against that set; built empty it adopts
+// the header's embedded set, which must match the header.
 type journalReader struct {
-	n        int
-	hash     string
-	set      []Scenario
-	restored map[int]*Result
+	n    int
+	hash string
+	st   JournalState
 }
 
 func newJournalReader(scs []Scenario) *journalReader {
-	return &journalReader{n: len(scs), hash: SetHash(scs), restored: map[int]*Result{}}
+	return &journalReader{n: len(scs), hash: SetHash(scs), st: JournalState{Restored: map[int]*Result{}}}
 }
 
 func (jr *journalReader) header(b []byte) error {
@@ -189,7 +234,7 @@ func (jr *journalReader) header(b []byte) error {
 		if len(hdr.Set) == 0 {
 			return errors.New("no embedded scenario set")
 		}
-		jr.n, jr.hash, jr.set = len(hdr.Set), SetHash(hdr.Set), hdr.Set
+		jr.n, jr.hash, jr.st.Scenarios = len(hdr.Set), SetHash(hdr.Set), hdr.Set
 	}
 	if hdr.Scenarios != jr.n {
 		return fmt.Errorf("%d scenarios, campaign has %d", hdr.Scenarios, jr.n)
@@ -202,23 +247,61 @@ func (jr *journalReader) header(b []byte) error {
 
 func (jr *journalReader) record(_ int64, b []byte) error {
 	var rec journalRecord
-	if err := json.Unmarshal(b, &rec); err != nil || rec.Result == nil {
-		return fmt.Errorf("bad record: %v", err)
+	if err := json.Unmarshal(b, &rec); err != nil {
+		return fmt.Errorf("bad record: %w", err)
+	}
+	switch {
+	case rec.Lease != nil && rec.Result != nil:
+		return errors.New("bad record: both a result and a lease event")
+	case rec.Lease != nil:
+		return jr.lease(rec.Lease)
+	case rec.Result == nil:
+		return errors.New("bad record: neither a result nor a lease event")
 	}
 	if rec.Index < 0 || rec.Index >= jr.n {
 		return fmt.Errorf("record index %d out of range", rec.Index)
 	}
-	jr.restored[rec.Index] = rec.Result
+	jr.st.Restored[rec.Index] = rec.Result
 	return nil
 }
 
-// JournalState is what ScanJournal recovers from a journal file without any
-// out-of-band spec: the scenario set the journal was opened for (from the
-// embedded header copy) and every intact completed-scenario record.
+// lease counts one lease record. Every lease record of a journal must use
+// one shard size and name a shard of the set under it.
+func (jr *journalReader) lease(e *LeaseEvent) error {
+	if e.ShardSize <= 0 || e.Shard < 0 || jr.n == 0 || e.Shard > (jr.n-1)/e.ShardSize || e.Attempt < 0 {
+		return fmt.Errorf("bad lease record: shard %d of size %d, attempt %d, in a set of %d",
+			e.Shard, e.ShardSize, e.Attempt, jr.n)
+	}
+	if jr.st.ShardSize != 0 && e.ShardSize != jr.st.ShardSize {
+		return fmt.Errorf("lease records with shard sizes %d and %d", jr.st.ShardSize, e.ShardSize)
+	}
+	switch e.Event {
+	case LeaseGranted:
+		jr.st.Granted++
+	case LeaseExpired:
+		jr.st.Expired++
+	case LeaseReleased:
+		jr.st.Released++
+	default:
+		return fmt.Errorf("bad lease record: unknown event %q", e.Event)
+	}
+	jr.st.ShardSize = e.ShardSize
+	return nil
+}
+
+// JournalState is what reading a journal recovers: the scenario set it was
+// opened for (from the embedded header copy, when read by ScanJournal),
+// every intact completed-scenario record, and the counts of a fabric
+// coordinator's lease records.
 type JournalState struct {
 	Path      string
 	Scenarios []Scenario
 	Restored  map[int]*Result
+	// Granted, Expired and Released count the lease records by event.
+	Granted, Expired, Released int
+	// ShardSize is the shard size every lease record carries (0: no lease
+	// records, so the journal binds no shard boundaries).
+	ShardSize int
 }
 
 // Unfinished reports whether the journal records fewer completions than the
@@ -232,9 +315,9 @@ func (st *JournalState) Unfinished() bool { return len(st.Restored) < len(st.Sce
 // cannot silently resume); journals without an embedded set return an error
 // and are left for out-of-band resume via LoadJournal.
 func ScanJournal(path string) (*JournalState, error) {
-	jr := &journalReader{restored: map[int]*Result{}}
+	jr := &journalReader{st: JournalState{Path: path, Restored: map[int]*Result{}}}
 	if err := recordlog.Scan(path, journalKind, jr.header, jr.record); err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	return &JournalState{Path: path, Scenarios: jr.set, Restored: jr.restored}, nil
+	return &jr.st, nil
 }

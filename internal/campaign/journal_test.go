@@ -3,11 +3,15 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"dmafault/internal/recordlog"
 )
 
 func journalSet() []Scenario {
@@ -23,20 +27,12 @@ func journalSet() []Scenario {
 // executed (as opposed to being restored).
 func runWithJournal(t *testing.T, path string, set []Scenario, resume bool, workers int) (*Summary, int) {
 	t.Helper()
-	eng := Engine{Workers: workers}
-	if resume {
-		restored, err := LoadJournal(path, set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Completed = restored
-	}
 	j, err := OpenJournal(path, set, resume)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	eng.Journal = j
+	eng := Engine{Workers: workers, Journal: j, Completed: j.State().Restored}
 	var executed atomic.Int64
 	eng.OnResult = func(int, *Result) { executed.Add(1) }
 	sum, err := eng.Run(set)
@@ -207,5 +203,142 @@ func TestCancelledScenariosAreNotJournaled(t *testing.T) {
 		if r.Outcome != "" || r.Err != "" {
 			t.Fatalf("journaled record %d is not a clean completion: outcome=%q err=%q", i, r.Outcome, r.Err)
 		}
+	}
+}
+
+// journalPayloads returns the record payloads of the journal at path.
+func journalPayloads(t testing.TB, path string) [][]byte {
+	t.Helper()
+	var out [][]byte
+	if err := recordlog.Scan(path, journalKind, nil, func(_ int64, rec []byte) error {
+		out = append(out, bytes.Clone(rec))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// writeMixedJournal writes a journal over set holding two results with a
+// lease grant, expiry and re-lease between them — the shape a fabric
+// coordinator leaves.
+func writeMixedJournal(t testing.TB, path string, set []Scenario) *Summary {
+	t.Helper()
+	sum, err := Engine{Workers: 1}.Run(set[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, set, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for _, rec := range []any{
+		LeaseEvent{Event: LeaseGranted, ShardSize: 2, Worker: "http://w1"},
+		0,
+		LeaseEvent{Event: LeaseExpired, Shard: 1, ShardSize: 2, Worker: "http://w1"},
+		LeaseEvent{Event: LeaseReleased, Shard: 1, ShardSize: 2, Worker: "http://w2", Attempt: 1},
+		1,
+	} {
+		switch rec := rec.(type) {
+		case LeaseEvent:
+			err = j.Lease(rec)
+		case int:
+			err = j.Record(rec, sum.Results[rec])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sum
+}
+
+// TestJournalLeaseRecords: lease records are counted, never restored as
+// results, and leave the result records in their pre-lease byte shape.
+func TestJournalLeaseRecords(t *testing.T) {
+	set := journalSet()[:4]
+	path := filepath.Join(t.TempDir(), "mixed.jsonl")
+	sum := writeMixedJournal(t, path, set)
+
+	payloads := journalPayloads(t, path)
+	want, err := json.Marshal(struct {
+		Index  int     `json:"index"`
+		Result *Result `json:"result"`
+	}{1, sum.Results[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payloads[4], want) {
+		t.Fatalf("result record %s, want %s", payloads[4], want)
+	}
+	if got := string(payloads[3]); got != `{"lease":{"event":"released","shard":1,"shard_size":2,"worker":"http://w2","attempt":1}}` {
+		t.Fatalf("lease record %s", got)
+	}
+
+	restored, err := LoadJournal(path, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ScanJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(restored) != 2 || len(st.Restored) != 2 {
+		t.Fatalf("restored %d and %d results, want 2", len(restored), len(st.Restored))
+	}
+	if st.Granted != 1 || st.Expired != 1 || st.Released != 1 || st.ShardSize != 2 {
+		t.Fatalf("lease counts %d/%d/%d at shard size %d, want 1/1/1 at 2",
+			st.Granted, st.Expired, st.Released, st.ShardSize)
+	}
+	j, err := OpenJournal(path, set, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if got := j.State(); len(got.Restored) != 2 || got.Released != 1 {
+		t.Fatalf("resumed open restored %d results and %d re-leases", len(got.Restored), got.Released)
+	}
+}
+
+// TestJournalRejectsBadRecords: a record that is neither a result nor a
+// valid lease event fails the read with an error saying what is wrong.
+func TestJournalRejectsBadRecords(t *testing.T) {
+	set := journalSet()[:4]
+	for rec, want := range map[string]string{
+		`{"index":1}`: "neither a result nor a lease event",
+		`{"index":1,"result":{},"lease":{"event":"granted","shard_size":2}}`: "both a result and a lease event",
+		`{"lease":{"event":"stolen","shard_size":2}}`:                        `unknown event "stolen"`,
+		`{"lease":{"event":"granted","shard":2,"shard_size":2}}`:             "shard 2 of size 2",
+		`{"lease":{"event":"granted","shard_size":0}}`:                       "shard 0 of size 0",
+		`{"index":4,"result":{}}`:                                            "index 4 out of range",
+	} {
+		path := filepath.Join(t.TempDir(), "bad.jsonl")
+		j, err := OpenJournal(path, set, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.log.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if _, err := LoadJournal(path, set); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err=%v, want it to say %q", rec, err, want)
+		}
+	}
+
+	// Lease records of one journal must agree on the shard size.
+	path := filepath.Join(t.TempDir(), "sizes.jsonl")
+	j, err := OpenJournal(path, set, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{2, 4} {
+		if err := j.Lease(LeaseEvent{Event: LeaseGranted, ShardSize: size}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	if _, err := ScanJournal(path); err == nil || !strings.Contains(err.Error(), "shard sizes 2 and 4") {
+		t.Errorf("mixed shard sizes: err=%v", err)
 	}
 }

@@ -25,9 +25,10 @@
 //     mutex; a late delivery from an "expired" lease racing the re-leased
 //     worker's is dropped and counted, and cacheable results are published
 //     to the shared result store under their ScenarioDigest.
-//   - State log: every lease event and delivered result is journaled
-//     (torn-tail tolerant), so a coordinator killed -9 resumes mid-campaign
-//     with its re-lease counters intact.
+//   - Journal: every delivered result and lease event is appended to an
+//     ordinary campaign journal (torn-tail tolerant), so a coordinator
+//     killed -9 resumes mid-campaign with its re-lease counters intact, and
+//     a single-node run can finish what the fabric started, or the reverse.
 //   - Degradation: zero reachable workers means the coordinator runs the
 //     shard itself through the local engine — the fabric never produces
 //     less than a single-node run would.
@@ -114,8 +115,10 @@ type Config struct {
 	// heartbeat probes /readyz?lease=1&need_cache=1 and cache-less nodes
 	// stay down.
 	NeedCache bool
-	// JournalPath, when set, is the coordinator state log; with Resume a
-	// killed coordinator picks the campaign back up from it.
+	// JournalPath, when set, is the campaign journal (campaign.OpenJournal)
+	// the coordinator appends results and lease events to; with Resume a
+	// killed coordinator, or a single-node run, picks the campaign back up
+	// from it.
 	JournalPath string
 	Resume      bool
 	// Store, when set, receives every cacheable delivered result under its
@@ -216,7 +219,7 @@ type Coordinator struct {
 	scs       []campaign.Scenario // globally normalized set
 	results   []*campaign.Result  // index-addressed, exactly-once
 	delivered int
-	state     *StateLog
+	journal   *campaign.Journal
 	status    string // terminal status, recorded by PublishStatus
 
 	localMu sync.Mutex // serializes local-fallback engine runs
@@ -298,13 +301,14 @@ func (c *Coordinator) Run(ctx context.Context, scenarios []campaign.Scenario) (*
 	c.mu.Unlock()
 
 	if c.cfg.JournalPath != "" {
-		state, st, err := OpenStateLog(c.cfg.JournalPath, scs, c.cfg.shardSize(), c.cfg.Resume)
+		j, err := c.openJournal(scs)
 		if err != nil {
 			return nil, err
 		}
-		defer state.Close()
+		defer j.Close()
+		st := j.State()
 		c.mu.Lock()
-		c.state = state
+		c.journal = j
 		for i, r := range st.Restored {
 			c.results[i] = r
 			c.delivered++
@@ -359,8 +363,38 @@ func (c *Coordinator) Run(ctx context.Context, scenarios []campaign.Scenario) (*
 	return campaign.Aggregate(results), nil
 }
 
+// openJournal opens the campaign journal at Config.JournalPath. Shard
+// boundaries must not move under recorded lease events, so a resumed
+// journal whose lease records use another shard size is refused; one with
+// no lease records (a single-node run's) resumes under any shard size.
+func (c *Coordinator) openJournal(scs []campaign.Scenario) (*campaign.Journal, error) {
+	j, err := campaign.OpenJournal(c.cfg.JournalPath, scs, c.cfg.Resume)
+	if err != nil {
+		return nil, err
+	}
+	if got, want := j.State().ShardSize, c.cfg.shardSize(); got != 0 && got != want {
+		j.Close()
+		return nil, fmt.Errorf("fabric: journal %s: lease records use shard size %d, coordinator uses %d",
+			c.cfg.JournalPath, got, want)
+	}
+	return j, nil
+}
+
+// journalLease appends one lease event to the journal, if there is one.
+func (c *Coordinator) journalLease(event string, sh shard, worker string, attempt int) error {
+	if c.journal == nil {
+		return nil
+	}
+	err := c.journal.Lease(campaign.LeaseEvent{Event: event, Shard: sh.Idx,
+		ShardSize: c.cfg.shardSize(), Worker: worker, Attempt: attempt})
+	if err != nil {
+		return fmt.Errorf("fabric: journal: %w", err)
+	}
+	return nil
+}
+
 // partition cuts the set into contiguous shards, skipping none — fully
-// restored shards are detected per-lease (shardComplete) so their leases
+// restored shards are detected per-lease (unfinished) so their leases
 // no-op instantly.
 func (c *Coordinator) partition(n int) []shard {
 	size := c.cfg.shardSize()
@@ -375,16 +409,23 @@ func (c *Coordinator) partition(n int) []shard {
 	return shards
 }
 
-// shardComplete reports whether every slot of the shard is delivered.
-func (c *Coordinator) shardComplete(sh shard) bool {
+// unfinished returns the maximal runs of undelivered slots in the shard's
+// range, each under the shard's index; none once the range is delivered.
+func (c *Coordinator) unfinished(sh shard) []shard {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var runs []shard
 	for i := sh.Start; i < sh.End; i++ {
-		if c.results[i] == nil {
-			return false
+		if c.results[i] != nil {
+			continue
+		}
+		if n := len(runs); n > 0 && runs[n-1].End == i {
+			runs[n-1].End++
+		} else {
+			runs = append(runs, shard{Idx: sh.Idx, Start: i, End: i + 1})
 		}
 	}
-	return true
+	return runs
 }
 
 // runShard drives one shard of the partition to completion and counts it
@@ -421,7 +462,14 @@ var errShardFatal = errors.New("fabric: shard killed its lease")
 // to local execution when no worker is reachable, bisect when the range
 // itself keeps killing leases.
 func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
-	if c.shardComplete(sh) {
+	// A range a resumed journal partly restored leases only its unfinished
+	// runs, so no restored scenario executes again.
+	if runs := c.unfinished(sh); len(runs) != 1 || runs[0] != sh {
+		for _, r := range runs {
+			if err := c.runShardRange(ctx, r); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
 	// The range's backoff curve lives only as long as this call: a range
@@ -471,26 +519,25 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 			// the fabric is unreachable, not merely busy. Degrade.
 			return c.runLocal(ctx, sh)
 		}
-		ev := LeaseEvent{Shard: sh.Idx, Worker: ref.URL, Attempt: attempt}
 		if attempt > 0 {
 			c.m.Releases.Inc()
-			if err := c.state.Released(ev); err != nil {
+			if err := c.journalLease(campaign.LeaseReleased, sh, ref.URL, attempt); err != nil {
 				ref.Release()
-				return fmt.Errorf("fabric: state log: %w", err)
+				return err
 			}
 			c.log.Info("fabric re-lease", "shard", sh.Idx, "worker", ref.URL, "attempt", attempt)
 		}
 		c.m.LeasesGranted.Inc()
-		if err := c.state.Lease(ev); err != nil {
+		if err := c.journalLease(campaign.LeaseGranted, sh, ref.URL, attempt); err != nil {
 			ref.Release()
-			return fmt.Errorf("fabric: state log: %w", err)
+			return err
 		}
 		start := time.Now()
 		err := c.runGrantedLease(ctx, sh, ref)
 		ref.Release()
 		if err == nil {
 			c.m.ShardLatency.Observe(time.Since(start).Seconds())
-			if !c.shardComplete(sh) {
+			if len(c.unfinished(sh)) > 0 {
 				// The delivery skipped the worker's quarantine verdicts.
 				return c.runLocal(ctx, sh)
 			}
@@ -503,8 +550,8 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 			suspect = true
 		}
 		c.m.LeasesExpired.Inc()
-		if serr := c.state.Expired(ev); serr != nil {
-			return fmt.Errorf("fabric: state log: %w", serr)
+		if serr := c.journalLease(campaign.LeaseExpired, sh, ref.URL, attempt); serr != nil {
+			return serr
 		}
 		c.log.Warn("fabric lease expired", "shard", sh.Idx, "worker", ref.URL,
 			"attempt", attempt, "err", err)
@@ -530,7 +577,7 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 // it ends up in is quarantined to local execution, and the innocent
 // scenarios it dragged down re-lease normally from the other halves.
 func (c *Coordinator) bisect(ctx context.Context, sh shard) error {
-	if c.shardComplete(sh) {
+	if len(c.unfinished(sh)) == 0 {
 		return nil
 	}
 	if sh.End-sh.Start <= 1 {
@@ -604,9 +651,9 @@ func (c *Coordinator) runLeaseStealing(ctx context.Context, sh shard, ref *Worke
 	}
 	c.m.Steals.Inc()
 	c.m.LeasesGranted.Inc()
-	if err := c.state.Lease(LeaseEvent{Shard: sh.Idx, Worker: thief.URL}); err != nil {
+	if err := c.journalLease(campaign.LeaseGranted, sh, thief.URL, 0); err != nil {
 		thief.Release()
-		return fmt.Errorf("fabric: state log: %w", err)
+		return err
 	}
 	c.log.Info("fabric steal", "shard", sh.Idx, "primary", ref.URL, "thief", thief.URL)
 	sctx, scancel := context.WithCancel(ctx)
@@ -669,8 +716,8 @@ func (c *Coordinator) runLeaseStealing(ctx context.Context, sh shard, ref *Worke
 // to a delivery or an expiry so resumed counters stay truthful.
 func (c *Coordinator) closeExpired(sh shard, url string, cause error) error {
 	c.m.LeasesExpired.Inc()
-	if err := c.state.Expired(LeaseEvent{Shard: sh.Idx, Worker: url}); err != nil {
-		return fmt.Errorf("fabric: state log: %w", err)
+	if err := c.journalLease(campaign.LeaseExpired, sh, url, 0); err != nil {
+		return err
 	}
 	c.log.Info("fabric lease lost steal race", "shard", sh.Idx, "worker", url, "err", cause)
 	return nil
@@ -804,10 +851,12 @@ func (c *Coordinator) deliver(global int, r *campaign.Result, fromWorker bool) e
 	c.delivered++
 	done, total := c.delivered, len(c.scs)
 	spec := c.scs[global]
-	state := c.state
+	j := c.journal
 	c.mu.Unlock()
-	if err := state.Result(global, r); err != nil {
-		return fmt.Errorf("fabric: state log: %w", err)
+	if j != nil {
+		if err := j.Record(global, r); err != nil {
+			return fmt.Errorf("fabric: journal: %w", err)
+		}
 	}
 	if fromWorker && c.cfg.Store != nil {
 		if err := campaign.PutResult(c.cfg.Store, campaign.ScenarioDigest(spec), r); err != nil {

@@ -8,12 +8,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dmafault/internal/campaign"
 	"dmafault/internal/faultd"
+	"dmafault/internal/recordlog"
 )
 
 // testSet is the campaign every fabric test distributes: big enough to span
@@ -153,7 +155,7 @@ func TestZeroWorkersLocalFallback(t *testing.T) {
 
 // TestResumeAfterCoordinatorDeath kills a campaign partway (context cancel —
 // the orderly stand-in for kill -9, which the fabric soak covers for real)
-// and resumes it from the state log: already-delivered results must not
+// and resumes it from the journal: already-delivered results must not
 // re-execute and the final summary must match the uninterrupted bytes.
 func TestResumeAfterCoordinatorDeath(t *testing.T) {
 	want := referenceJSON(t)
@@ -174,11 +176,11 @@ func TestResumeAfterCoordinatorDeath(t *testing.T) {
 		t.Fatal("cancelled run unexpectedly succeeded")
 	}
 
-	st, err := ReadStateLog(journal, testSet(), 4)
+	restored, err := campaign.LoadJournal(journal, testSet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Restored) == 0 {
+	if len(restored) == 0 {
 		t.Fatal("nothing journaled before the kill")
 	}
 
@@ -200,60 +202,242 @@ func TestResumeAfterCoordinatorDeath(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed summary differs from single-node run")
 	}
-	if int(reExecuted.Load())+len(st.Restored) != len(testSet()) {
+	if int(reExecuted.Load())+len(restored) != len(testSet()) {
 		t.Fatalf("re-executed %d with %d restored, want %d total",
-			reExecuted.Load(), len(st.Restored), len(testSet()))
+			reExecuted.Load(), len(restored), len(testSet()))
 	}
 	if v := c2.Metrics().DedupDropped.Value(); v != 0 {
 		t.Fatalf("restored results hit the dedup gate %d times", v)
 	}
 }
 
-// TestResumeRejectsDifferentSet: a state log is bound to its scenario set and
-// shard size; resuming against anything else must fail loudly, not merge
-// results from a different campaign.
-func TestResumeRejectsDifferentSet(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "state.jsonl")
-	state, _, err := OpenStateLog(journal, testSet(), 4, false)
+// summaryOf renders a finished run's summary JSON.
+func summaryOf(t *testing.T, sum *campaign.Summary, err error) []byte {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
-	state.Close()
+	data, err := sum.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
-	if _, _, err := OpenStateLog(journal, campaign.LadderPreset(16, 7), 4, true); err == nil {
-		t.Fatal("resume with a different scenario set succeeded")
-	}
-	if _, _, err := OpenStateLog(journal, testSet(), 8, true); err == nil {
-		t.Fatal("resume with a different shard size succeeded")
-	}
-	if _, _, err := OpenStateLog(journal, testSet(), 4, true); err != nil {
-		t.Fatalf("resume with the original binding failed: %v", err)
+// restoredGuard counts the results a resumed run delivers, and how many of
+// them belong to scenarios the journal had already restored.
+type restoredGuard struct {
+	restored         map[int]*campaign.Result
+	delivered, rerun atomic.Int32
+}
+
+func (g *restoredGuard) onResult(i int, _ *campaign.Result) {
+	g.delivered.Add(1)
+	if g.restored[i] != nil {
+		g.rerun.Add(1)
 	}
 }
 
-// TestStateLogTornTail: a coordinator killed mid-write leaves a torn final
-// line; reopening must keep every complete record and drop only the tail.
-func TestStateLogTornTail(t *testing.T) {
-	scs := testSet()
-	journal := filepath.Join(t.TempDir(), "state.jsonl")
-	state, _, err := OpenStateLog(journal, scs, 4, false)
+func (g *restoredGuard) check(t *testing.T) {
+	t.Helper()
+	if g.rerun.Load() != 0 {
+		t.Fatalf("%d restored scenarios executed again", g.rerun.Load())
+	}
+	if int(g.delivered.Load())+len(g.restored) != len(testSet()) {
+		t.Fatalf("delivered %d with %d restored, want %d total",
+			g.delivered.Load(), len(g.restored), len(testSet()))
+	}
+}
+
+// TestFabricJournalFinishesOnOneNode: a fabric campaign killed partway leaves
+// an ordinary campaign journal, lease records and all, which the plain
+// single-node engine finishes with the uninterrupted bytes.
+func TestFabricJournalFinishesOnOneNode(t *testing.T) {
+	want := referenceJSON(t)
+	journal := filepath.Join(t.TempDir(), "run.jsonl")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var delivered atomic.Int32
+	c := New(Config{
+		Workers:     []string{newWorker(t).URL},
+		ShardSize:   4,
+		Heartbeat:   25 * time.Millisecond,
+		JournalPath: journal,
+		OnResult: func(int, *campaign.Result) {
+			if delivered.Add(1) == 5 {
+				cancel()
+			}
+		},
+	})
+	if _, err := c.Run(ctx, testSet()); err == nil {
+		t.Fatal("cancelled run unexpectedly succeeded")
+	}
+	st, err := campaign.ScanJournal(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := LeaseEvent{Shard: 0, Worker: "http://w1", Attempt: 0}
-	if err := state.Lease(ev); err != nil {
+	if st.Granted == 0 || st.ShardSize != 4 {
+		t.Fatalf("journal holds %d lease grants at shard size %d, want some at 4", st.Granted, st.ShardSize)
+	}
+
+	restored, err := campaign.LoadJournal(journal, testSet())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := state.Expired(ev); err != nil {
+	if len(restored) == 0 || len(restored) == len(testSet()) {
+		t.Fatalf("restored %d of %d, want a partial campaign", len(restored), len(testSet()))
+	}
+	g := &restoredGuard{restored: restored}
+	eng := campaign.Engine{Workers: 2, Completed: restored, OnResult: g.onResult}
+	sum, err := eng.Run(testSet())
+	if got := summaryOf(t, sum, err); !bytes.Equal(got, want) {
+		t.Fatalf("single-node finish differs from an uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	}
+	g.check(t)
+}
+
+// TestSingleNodeJournalFinishesOnCoordinator: the reverse — a single-node
+// journal, which records no shard size, is finished by a resumed coordinator
+// with the uninterrupted bytes.
+func TestSingleNodeJournalFinishesOnCoordinator(t *testing.T) {
+	want := referenceJSON(t)
+	journal := filepath.Join(t.TempDir(), "run.jsonl")
+
+	j, err := campaign.OpenJournal(journal, testSet(), false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := state.Released(LeaseEvent{Shard: 0, Worker: "http://w2", Attempt: 1}); err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	var done atomic.Int32
+	eng := campaign.Engine{Workers: 2, Journal: j, OnResult: func(int, *campaign.Result) {
+		if done.Add(1) == 5 {
+			cancel()
+		}
+	}}
+	if _, err := eng.RunCtx(ctx, testSet()); err == nil {
+		t.Fatal("cancelled run unexpectedly succeeded")
+	}
+	j.Close()
+	restored, err := campaign.LoadJournal(journal, testSet())
+	if err != nil {
 		t.Fatal(err)
 	}
-	normalized := make([]campaign.Scenario, len(scs))
-	copy(normalized, scs)
-	for i := range normalized {
-		normalized[i].Normalize(i)
+	if len(restored) == 0 || len(restored) == len(testSet()) {
+		t.Fatalf("restored %d of %d, want a partial campaign", len(restored), len(testSet()))
+	}
+
+	g := &restoredGuard{restored: restored}
+	c := New(Config{
+		Workers:     []string{newWorker(t).URL},
+		ShardSize:   8,
+		Heartbeat:   25 * time.Millisecond,
+		JournalPath: journal,
+		Resume:      true,
+		OnResult:    g.onResult,
+	})
+	sum, err := c.Run(context.Background(), testSet())
+	if got := summaryOf(t, sum, err); !bytes.Equal(got, want) {
+		t.Fatalf("coordinator finish differs from an uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	}
+	g.check(t)
+	if v := c.Metrics().DedupDropped.Value(); v != 0 {
+		t.Fatalf("restored results hit the dedup gate %d times", v)
+	}
+	st, err := campaign.ScanJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Restored) != len(testSet()) || st.Granted == 0 {
+		t.Fatalf("finished journal holds %d results and %d lease grants", len(st.Restored), st.Granted)
+	}
+}
+
+// resumeJournal opens journal for append the way a resuming coordinator with
+// the given shard size does.
+func resumeJournal(journal string, scs []campaign.Scenario, shardSize int) error {
+	c := New(Config{ShardSize: shardSize, JournalPath: journal, Resume: true})
+	j, err := c.openJournal(scs)
+	if err == nil {
+		j.Close()
+	}
+	return err
+}
+
+// TestResumeRejectsDifferentSet: a journal is bound to its scenario set, and
+// its lease records to their shard size; resuming against anything else must
+// fail loudly, not merge results from a different campaign.
+func TestResumeRejectsDifferentSet(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "run.jsonl")
+	j, err := campaign.OpenJournal(journal, testSet(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Lease(campaign.LeaseEvent{Event: campaign.LeaseGranted, ShardSize: 4, Worker: "http://w1"}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	if err := resumeJournal(journal, campaign.LadderPreset(16, 7), 4); err == nil {
+		t.Fatal("resume with a different scenario set succeeded")
+	}
+	if err := resumeJournal(journal, testSet(), 8); err == nil {
+		t.Fatal("resume with a different shard size succeeded")
+	}
+	if err := resumeJournal(journal, testSet(), 4); err != nil {
+		t.Fatalf("resume with the original binding failed: %v", err)
+	}
+
+	// A journal without lease records binds no shard boundaries.
+	single := filepath.Join(t.TempDir(), "single.jsonl")
+	j, err = campaign.OpenJournal(single, testSet(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if err := resumeJournal(single, testSet(), 8); err != nil {
+		t.Fatalf("resume of a journal without lease records failed: %v", err)
+	}
+}
+
+// TestResumeRefusesFabricStateLog: the coordinator state logs written before
+// results and lease events shared the campaign journal are refused by their
+// kind tag, with an error naming the file and the kind.
+func TestResumeRefusesFabricStateLog(t *testing.T) {
+	old := filepath.Join(t.TempDir(), "state.jsonl")
+	l, err := recordlog.Open(old, "fabric-state", []byte(`{"scenarios":16,"hash":"x","shard_size":4}`), true, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	err = resumeJournal(old, testSet(), 4)
+	if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), `"fabric-state"`) {
+		t.Fatalf("resuming a fabric-state log: err=%v", err)
+	}
+}
+
+// TestJournalTornTail: a coordinator killed mid-write leaves a torn final
+// record; reading must keep every complete result and lease record and drop
+// only the tail, the lease counters must replay into the metrics, and a
+// resumed coordinator must append after the truncated tail.
+func TestJournalTornTail(t *testing.T) {
+	scs := testSet()
+	journal := filepath.Join(t.TempDir(), "run.jsonl")
+	j, err := campaign.OpenJournal(journal, scs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []campaign.LeaseEvent{
+		{Event: campaign.LeaseGranted, ShardSize: 4, Worker: "http://w1"},
+		{Event: campaign.LeaseExpired, ShardSize: 4, Worker: "http://w1"},
+		{Event: campaign.LeaseReleased, ShardSize: 4, Worker: "http://w2", Attempt: 1},
+	} {
+		if err := j.Lease(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	normalized, err := campaign.NormalizeSet(scs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	eng := campaign.Engine{Workers: 1}
 	sum, err := eng.RunCtx(context.Background(), normalized[:2])
@@ -261,13 +445,13 @@ func TestStateLogTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range sum.Results {
-		if err := state.Result(i, r); err != nil {
+		if err := j.Record(i, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	state.Close()
+	j.Close()
 
-	// The kill lands mid-append: a truncated record with no newline.
+	// The kill lands mid-append: a truncated record.
 	f, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +461,7 @@ func TestStateLogTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	st, err := ReadStateLog(journal, scs, 4)
+	st, err := campaign.ScanJournal(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,18 +482,19 @@ func TestStateLogTornTail(t *testing.T) {
 
 	// And the resumed coordinator can keep appending after the tail is
 	// truncated away.
-	state2, st2, err := OpenStateLog(journal, scs, 4, true)
+	c := New(Config{ShardSize: 4, JournalPath: journal, Resume: true})
+	j2, err := c.openJournal(scs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer state2.Close()
-	if len(st2.Restored) != 2 {
-		t.Fatalf("reopen restored %d results, want 2", len(st2.Restored))
+	defer j2.Close()
+	if n := len(j2.State().Restored); n != 2 {
+		t.Fatalf("reopen restored %d results, want 2", n)
 	}
-	if err := state2.Result(2, sum.Results[0]); err != nil {
+	if err := j2.Record(2, sum.Results[0]); err != nil {
 		t.Fatal(err)
 	}
-	st3, err := ReadStateLog(journal, scs, 4)
+	st3, err := campaign.ScanJournal(journal)
 	if err != nil {
 		t.Fatal(err)
 	}

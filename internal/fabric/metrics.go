@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"dmafault/internal/campaign"
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/metrics"
 )
@@ -19,7 +20,7 @@ var PhaseLatencyBuckets = []float64{0.001, 0.01, 0.05, 0.25, 1, 5, 25, 100}
 
 // Metrics is the coordinator's fabric_* instrument set. Counters whose
 // events are journaled (leases, expiries, re-leases) are campaign-scoped,
-// not process-scoped: Replay restores them from the state log on resume, so
+// not process-scoped: Replay restores them from the journal on resume, so
 // a coordinator killed -9 mid-campaign still reports the re-leases it
 // performed before dying. Everything else (gauges, dedup, latency) is
 // process-local operator data.
@@ -170,12 +171,9 @@ func (m *Metrics) ObservePhases(worker string, t *api.Timing) {
 	m.PhaseLatency.Observe(t.PublishSeconds, "publish", worker)
 }
 
-// Replay restores the journaled lease counters from a resumed state log, so
+// Replay restores the journaled lease counters from a resumed journal, so
 // fabric_releases_total (and friends) survive a coordinator kill.
-func (m *Metrics) Replay(st *JournalState) {
-	if st == nil {
-		return
-	}
+func (m *Metrics) Replay(st *campaign.JournalState) {
 	m.LeasesGranted.Add(uint64(st.Granted))
 	m.LeasesExpired.Add(uint64(st.Expired))
 	m.Releases.Add(uint64(st.Released))

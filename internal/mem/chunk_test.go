@@ -3,6 +3,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dmafault/internal/layout"
@@ -83,7 +84,7 @@ func (pm *pageMachine) drop(i int) {
 func (pm *pageMachine) step(kind, a byte, arg uint16) string {
 	cpu := int(a % 2)
 	pick := func(n int) int { return int(arg) % n }
-	switch kind % 11 {
+	switch kind % 12 {
 	case 0:
 		order := uint(a/2) % (MaxOrder + 1)
 		p, err := pm.m.Pages.AllocPages(cpu, order)
@@ -98,7 +99,7 @@ func (pm *pageMachine) step(kind, a byte, arg uint16) string {
 		i := pick(len(pm.blocks))
 		b := pm.blocks[i]
 		var err error
-		switch kind % 11 {
+		switch kind % 12 {
 		case 1:
 			if err = pm.m.Pages.Free(cpu, b.pfn, b.order); err == nil {
 				pm.drop(i)
@@ -120,6 +121,18 @@ func (pm *pageMachine) step(kind, a byte, arg uint16) string {
 			return "held"
 		}
 		return fmt.Sprint("stray free ", p, pm.m.Pages.Free(cpu, p, 0))
+	case 11:
+		// A free at the wrong order: refused, or the block's neighbours
+		// would be handed out while still held.
+		if len(pm.blocks) == 0 {
+			return "no block"
+		}
+		b := pm.blocks[pick(len(pm.blocks))]
+		wrong := (b.order + 1 + uint(a/2)%MaxOrder) % (MaxOrder + 1)
+		if err := pm.m.Pages.Free(cpu, b.pfn, wrong); err == nil {
+			return fmt.Sprint(mustRefuse, "order-", wrong, " free of order-", b.order, " PFN ", b.pfn, " accepted")
+		}
+		return "wrong order refused"
 	case 5:
 		a, err := pm.m.Slab.Kmalloc(cpu, 1+uint64(arg)%KmallocMax, "fuzz")
 		if err == nil {
@@ -156,6 +169,9 @@ func (pm *pageMachine) step(kind, a byte, arg uint16) string {
 	}
 }
 
+// mustRefuse starts the outcome of an operation that had to fail but did not.
+const mustRefuse = "MUST REFUSE: "
+
 // state renders everything a step may change besides the struct pages.
 func (pm *pageMachine) state() string {
 	return fmt.Sprint(pm.m.Pages.FreePages(), pm.m.Pages.Stats(), pm.m.Slab.Stats(), pm.m.Frag.Stats())
@@ -171,8 +187,9 @@ const fuzzPageMemBytes = 16<<20 + 5*layout.PageSize
 // 4 input bytes: kind, a CPU/order byte and a 16-bit argument that picks a
 // held block, object or fragment, a size, or a stray PFN. Every step must
 // return the same values and errors and leave the same free count and
-// statistics on both; at the end every struct page must match, read on the
-// lazy side without building a chunk.
+// statistics on both, and a free at the wrong order must be refused; at the
+// end every struct page must match, read on the lazy side without building
+// a chunk.
 func FuzzPageAllocator(f *testing.F) {
 	op := func(kind, a byte, arg uint16) []byte {
 		b := []byte{kind, a, 0, 0}
@@ -191,6 +208,7 @@ func FuzzPageAllocator(f *testing.F) {
 	f.Add(seq(op(5, 0, 511), op(5, 1, 4000), op(6, 0, 0), op(5, 0, 100), op(6, 0, 1), op(10, 0, 0)))  // kmalloc, kfree
 	f.Add(seq(op(7, 0, 1500), op(7, 0, 1500), op(9, 0, 0), op(8, 0, 0), op(8, 0, 0), op(0, 4, 0)))    // page_frag
 	f.Add(seq(op(0, 2, 0), op(2, 0, 0), op(1, 0, 0), op(3, 1, 0), op(0, 0, 0), op(1, 0, 0)))          // get/put on a compound block
+	f.Add(seq(op(0, 0, 0), op(0, 0, 0), op(11, 6, 0), op(0, 8, 0), op(11, 0, 2), op(1, 0, 1)))        // wrong-order frees
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		l := layout.New(layout.Config{PhysBytes: fuzzPageMemBytes})
@@ -206,6 +224,9 @@ func FuzzPageAllocator(f *testing.F) {
 		for i := 0; len(in) >= 4 && i < 512; i, in = i+1, in[4:] {
 			arg := binary.LittleEndian.Uint16(in[2:])
 			got, want := lazy.step(in[0], in[1], arg), dense.step(in[0], in[1], arg)
+			if strings.HasPrefix(got, mustRefuse) {
+				t.Fatalf("step %d: %s", i, got)
+			}
 			if got != want {
 				t.Fatalf("step %d: %q, dense reference %q", i, got, want)
 			}

@@ -199,6 +199,9 @@ func (pa *PageAllocator) Free(cpu int, p layout.PFN, order uint) error {
 	if pi.RefCount <= 0 {
 		return fmt.Errorf("mem: free of unallocated PFN %d", p)
 	}
+	if uint(pi.Order) != order {
+		return fmt.Errorf("mem: order-%d free of PFN %d, allocated at order %d", order, p, pi.Order)
+	}
 	if pi.RefCount > 1 {
 		pi.RefCount--
 		return nil

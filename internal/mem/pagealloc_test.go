@@ -288,3 +288,35 @@ func TestFreeRejectsUnallocatedFrame(t *testing.T) {
 		seen[p] = true
 	}
 }
+
+func TestFreeRejectsWrongOrder(t *testing.T) {
+	// An order-4 free of the order-0 page at 1024 would clear frames
+	// 1025..1039 although 1025 is still held, and the next order-4
+	// allocation would hand 1025 out a second time.
+	m := newTestMemory(t, 16<<20, 2)
+	p, err := m.Pages.AllocPages(-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := m.Pages.AllocPages(-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != 1024 || q != 1025 {
+		t.Fatalf("order-0 allocations at %d and %d, want 1024 and 1025", p, q)
+	}
+	before := m.Pages.FreePages()
+	if err := m.Pages.Free(-1, p, 4); err == nil {
+		t.Fatal("order-4 free of an order-0 page accepted")
+	}
+	if got := m.Pages.FreePages(); got != before {
+		t.Fatalf("free pages %d after a refused free, want %d", got, before)
+	}
+	b, err := m.Pages.AllocPages(-1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q >= b && q < b+16 {
+		t.Fatalf("order-4 block at %d covers PFN %d, which is still held", b, q)
+	}
+}

@@ -1,9 +1,9 @@
 // Package recordlog is the one durable append log under every crash-
-// surviving file the repo writes: the campaign journal, the fabric
-// coordinator's state log, the fuzz corpus and the result store. It owns
-// the on-disk framing, the checksums, the torn-tail scan and the
-// truncation; its clients own only their payload schemas and the checks
-// they make against their own header.
+// surviving file the repo writes: the campaign journal (also a fabric
+// coordinator's), the fuzz corpus and the result store. It owns the
+// on-disk framing, the checksums, the torn-tail scan and the truncation;
+// its clients own only their payload schemas and the checks they make
+// against their own header.
 //
 // On-disk format (all integers little-endian):
 //
