@@ -31,9 +31,10 @@ race:
 # the cminor parser, the fault-spec grammar shared by faultinject and
 # netchaos, scenario-set loading with its save/load identity round trip,
 # the campaign journal's record decoder, and the trace JSONL reader with
-# its lossless round trip), and sparse physical memory and the chunked
-# struct pages under the page, slab and page_frag allocators against dense
-# references (internal/mem). Their seed
+# its lossless round trip), sparse physical memory and the chunked struct
+# pages under the page, slab and page_frag allocators against dense
+# references (internal/mem), and the IOMMU, DMA API and device bus against
+# a reference kept in plain maps and lists (internal/dma). Their seed
 # inputs already run under plain `go test`; this target searches past them
 # and stays out of `make check` so CI time does not grow. FuzzLoadJournal's
 # inputs carry results of several KiB, and minimizing each new one for the
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzLoadScenarios$$' -fuzztime 60s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime 60s -fuzzminimizetime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 60s
+	$(GO) test ./internal/dma -run '^$$' -fuzz '^FuzzIOMMU$$' -fuzztime 60s
 
 # One pass over every benchmark, teed through cmd/benchjson into a
 # benchstat-comparable JSON artifact. -benchtime=3x keeps it minutes, not
@@ -56,27 +58,27 @@ fuzz:
 # one-core host swing ±40% on identical code). BENCH_N numbers the
 # committed snapshots: bump it and commit BENCH_N.json when the numbers
 # move for a reason worth recording.
-BENCH_N ?= 20
+BENCH_N ?= 22
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=3x -run=^$$ . | $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_N).json
 
 # Regression gate over the two newest committed BENCH_*.json: >20% ns/op
 # regression on the fabric-throughput or cache-hit benchmarks fails, and so
 # does >10% more B/op or allocs/op on the boot, campaign-throughput, §5.3
-# ring-flood or deferred map/unmap benchmarks. Advisory in CI
+# ring-flood, deferred map/unmap, NIC ring setup or IOTLB benchmarks. Advisory in CI
 # (single-iteration runs are noisy) — a failure means re-run `make bench`
 # and look, not an automatic veto.
 benchgate:
 	$(GO) run ./cmd/benchgate
 
-# Allocation gate on the tree under review: run the four allocation-gated
+# Allocation gate on the tree under review: run the six allocation-gated
 # benchmarks once each and let benchgate compare their B/op and allocs/op
 # against the committed BENCH_$(BENCH_N).json (+10%). Allocation counts are
 # deterministic for a seed, so one iteration suffices; the ns/op families
 # are not run, so only the allocation rows gate. Blocking in `make check`.
 allocgate:
 	@tmp=$$(mktemp -d); \
-	$(GO) test -run '^$$' -bench '^Benchmark(BootOnce|CampaignThroughput|Sec53_RingFlood|MapUnmapDeferred)$$' \
+	$(GO) test -run '^$$' -bench '^Benchmark(BootOnce|CampaignThroughput|Sec53_RingFlood|MapUnmapDeferred|AddNIC|IOTLBInsertInvalidate)$$' \
 		-benchmem -benchtime=1x . > $$tmp/bench.txt && \
 	$(GO) run ./cmd/benchjson -out $$tmp/bench.json < $$tmp/bench.txt && \
 	$(GO) run ./cmd/benchgate BENCH_$(BENCH_N).json $$tmp/bench.json; \

@@ -28,6 +28,7 @@ import (
 	"dmafault/internal/faultd"
 	"dmafault/internal/fuzz"
 	"dmafault/internal/iommu"
+	"dmafault/internal/layout"
 	"dmafault/internal/netstack"
 	"dmafault/internal/obs"
 	"dmafault/internal/resultstore"
@@ -115,6 +116,46 @@ func benchMapUnmap(b *testing.B, mode iommu.Mode) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle()
+	}
+}
+
+// BenchmarkIOTLBInsertInvalidate is the IOTLB's per-domain cost: a fresh
+// IOTLB filled past capacity (evicting in FIFO order), then every page
+// inserted invalidated, as strict mode does on unmap. Allocation-gated:
+// the ring and its index are built once, on the first insert.
+func BenchmarkIOTLBInsertInvalidate(b *testing.B) {
+	b.ReportAllocs()
+	const pages = iommu.DefaultIOTLBCapacity + 64
+	for i := 0; i < b.N; i++ {
+		tlb := iommu.NewIOTLB(0)
+		for p := range pages {
+			tlb.Insert(iommu.IOVABase+iommu.IOVA(p)<<12, layout.PFN(p), iommu.PermWrite)
+		}
+		for p := range pages {
+			tlb.Invalidate(iommu.IOVABase + iommu.IOVA(p)<<12)
+		}
+		if tlb.Len() != 0 || tlb.Evictions != 64 {
+			b.Fatalf("%d entries left, %d evictions", tlb.Len(), tlb.Evictions)
+		}
+	}
+}
+
+// BenchmarkAddNIC is NIC ring setup alone: one mlx5 (Kernel 5.0) RX ring of
+// 512 mapped buffers on a freshly booted machine, the boot untimed.
+// Allocation-gated: every boot study and RingFlood scenario pays it per
+// boot, so it is where the DMA mapping index and the IOMMU domain show.
+func BenchmarkAddNIC(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys, err := core.New(core.WithSeed(int64(i)), core.WithIOMMUMode(iommu.Deferred))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := sys.AddNIC(1, netstack.DriverMlx5, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -9,8 +9,10 @@
 //     bugs rather than simulator noise;
 //   - B/op or allocs/op more than 10% higher on the boot, campaign
 //     throughput and §5.3 ring-flood benchmarks, where a simulated boot's
-//     memory footprint shows first. These counts are deterministic for a
-//     given seed, so their threshold is tight.
+//     memory footprint shows first, and on the per-layer deferred
+//     map/unmap, NIC ring setup and IOTLB benchmarks, which say which layer
+//     moved. These counts are deterministic for a given seed, so their
+//     threshold is tight.
 //
 // The gate is advisory in CI (continue-on-error): single-iteration bench
 // runs are noisy, and the artifact pair may span machines. A failure is a
@@ -51,6 +53,8 @@ var memFamilies = []string{
 	"BenchmarkCampaignThroughput",
 	"BenchmarkSec53_RingFlood",
 	"BenchmarkMapUnmapDeferred",
+	"BenchmarkAddNIC",
+	"BenchmarkIOTLBInsertInvalidate",
 }
 
 // memThreshold is the allocation gates' tolerance.

@@ -57,12 +57,34 @@ const attackerDev iommu.DeviceID = 1
 // ring and where buffers start within them.
 type BootRecord struct {
 	Seed int64
-	// BufStart maps a PFN to the in-page offset of the first RX buffer
-	// starting in that frame.
-	BufStart map[layout.PFN]uint64
+	// Starts lists, in ring order, each frame in which an RX buffer starts,
+	// with the in-page offset of the first buffer starting there.
+	Starts []BufStart
 	// CoveredPages is the total number of frames the ring's buffers span —
 	// the driver memory footprint of §5.3.
 	CoveredPages int
+}
+
+// BufStart is a ring frame and the in-page offset of its first RX buffer.
+type BufStart struct {
+	PFN    layout.PFN
+	Offset uint64
+}
+
+// frameSet is a set of frames of one boot's memory: 128 MiB is 4 KiB of
+// bits.
+type frameSet []uint64
+
+func newFrameSet(frames int) frameSet { return make(frameSet, (frames+63)/64) }
+
+// add inserts the frame and reports whether it was new.
+func (s frameSet) add(p layout.PFN) bool {
+	w, bit := p/64, uint64(1)<<(p%64)
+	if s[w]&bit != 0 {
+		return false
+	}
+	s[w] |= bit
+	return true
 }
 
 // BootOptions bundles the knobs of a single simulated boot. A zero
@@ -124,8 +146,8 @@ func BootOnceOpts(version KernelVersion, seed int64, o BootOptions) (*core.Syste
 			return nil, nil, nil, fmt.Errorf("attacks: boot allocations: %w", err)
 		}
 	}
-	rec := &BootRecord{Seed: seed, BufStart: make(map[layout.PFN]uint64)}
-	covered := make(map[layout.PFN]bool)
+	rec := &BootRecord{Seed: seed}
+	started, covered := newFrameSet(sys.Mem.NumPages()), newFrameSet(sys.Mem.NumPages())
 	var first *netstack.NIC
 	for q := 0; q < queues; q++ {
 		nic, err := sys.AddNIC(attackerDev+iommu.DeviceID(q), model, q)
@@ -143,15 +165,16 @@ func BootOnceOpts(version KernelVersion, seed int64, o BootOptions) (*core.Syste
 			}
 			fp, _ := sys.Layout.KVAToPFN(d.Data)
 			lp, _ := sys.Layout.KVAToPFN(d.Data + layout.Addr(netstack.TruesizeFor(d.Cap)-1))
-			if _, ok := rec.BufStart[fp]; !ok {
-				rec.BufStart[fp] = layout.PageOffsetOf(d.Data)
+			if started.add(fp) {
+				rec.Starts = append(rec.Starts, BufStart{fp, layout.PageOffsetOf(d.Data)})
 			}
 			for p := fp; p <= lp; p++ {
-				covered[p] = true
+				if covered.add(p) {
+					rec.CoveredPages++
+				}
 			}
 		}
 	}
-	rec.CoveredPages = len(covered)
 	return sys, first, rec, nil
 }
 
@@ -203,32 +226,33 @@ func RunBootStudyOpts(version KernelVersion, trials int, seedBase int64, o BootO
 		return nil, err
 	}
 	reference := records[0]
-	if len(reference.BufStart) == 0 {
+	if len(reference.Starts) == 0 {
 		// Possible only under injected RX descriptor loss: the reference
 		// boot posted nothing, so there is no profile to build.
 		return nil, fmt.Errorf("attacks: reference boot posted no RX buffers")
 	}
 	st.FootprintPages = reference.CoveredPages
 	for _, rec := range records {
-		for p := range rec.BufStart {
-			st.Freq[p]++
+		for _, s := range rec.Starts {
+			st.Freq[s.PFN]++
 		}
 	}
 	// Modal frame: prefer frames where a buffer actually starts in the
-	// reference boot (the attacker needs the buffer offset too).
+	// reference boot (the attacker needs the buffer offset too); the lowest
+	// frame wins a tie.
 	bestCount := -1
-	for p, off := range reference.BufStart {
-		c := st.Freq[p]
-		if c > bestCount || (c == bestCount && p < st.ModalPFN) {
+	for _, s := range reference.Starts {
+		c := st.Freq[s.PFN]
+		if c > bestCount || (c == bestCount && s.PFN < st.ModalPFN) {
 			bestCount = c
-			st.ModalPFN = p
-			st.ModalOffset = off
+			st.ModalPFN = s.PFN
+			st.ModalOffset = s.Offset
 		}
 	}
 	st.ModalRate = float64(bestCount) / float64(trials)
-	rates := make([]float64, 0, len(reference.BufStart))
-	for p := range reference.BufStart {
-		rates = append(rates, float64(st.Freq[p])/float64(trials))
+	rates := make([]float64, 0, len(reference.Starts))
+	for _, s := range reference.Starts {
+		rates = append(rates, float64(st.Freq[s.PFN])/float64(trials))
 	}
 	sort.Float64s(rates)
 	st.MedianRate = rates[len(rates)/2]

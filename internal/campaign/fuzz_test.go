@@ -106,8 +106,14 @@ func FuzzLoadJournal(f *testing.F) {
 		if lerr != nil {
 			return
 		}
-		if len(restored) != len(st.Restored) {
-			t.Fatalf("LoadJournal restored %d, ScanJournal %d", len(restored), len(st.Restored))
+		if len(restored) != len(st.Restored) || st.Done != len(st.Restored) {
+			t.Fatalf("LoadJournal restored %d, ScanJournal %d (done %d)", len(restored), len(st.Restored), st.Done)
+		}
+		// The recovery scan decodes no result, so it accepts whatever the
+		// full scan accepts and counts the same completions.
+		if pr, perr := ScanJournalProgress(path); perr != nil || pr.Done != st.Done || len(pr.Restored) != 0 ||
+			len(pr.Scenarios) != len(st.Scenarios) || pr.Granted+pr.Expired+pr.Released != st.Granted+st.Expired+st.Released {
+			t.Fatalf("ScanJournalProgress err=%v, done %d; ScanJournal done %d", perr, pr.Done, st.Done)
 		}
 		for i := range restored {
 			if i < 0 || i >= len(set) || st.Restored[i] == nil {

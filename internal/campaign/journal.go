@@ -219,6 +219,10 @@ type journalReader struct {
 	n    int
 	hash string
 	st   JournalState
+	// countOnly skips decoding results: the reader only counts the
+	// distinct scenario indexes done (ScanJournalProgress).
+	countOnly bool
+	done      []bool
 }
 
 func newJournalReader(scs []Scenario) *journalReader {
@@ -245,21 +249,57 @@ func (jr *journalReader) header(b []byte) error {
 	return nil
 }
 
+// presence decodes a JSON value to whether it is non-null, building
+// nothing.
+type presence bool
+
+func (p *presence) UnmarshalJSON(b []byte) error {
+	*p = string(b) != "null"
+	return nil
+}
+
 func (jr *journalReader) record(_ int64, b []byte) error {
 	var rec journalRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
+	var hasResult bool
+	var err error
+	if jr.countOnly {
+		var shape struct {
+			Index  int         `json:"index"`
+			Result presence    `json:"result"`
+			Lease  *LeaseEvent `json:"lease,omitempty"`
+		}
+		err = json.Unmarshal(b, &shape)
+		rec.Index, rec.Lease, hasResult = shape.Index, shape.Lease, bool(shape.Result)
+	} else {
+		err = json.Unmarshal(b, &rec)
+		hasResult = rec.Result != nil
+	}
+	if err != nil {
 		return fmt.Errorf("bad record: %w", err)
 	}
 	switch {
-	case rec.Lease != nil && rec.Result != nil:
+	case rec.Lease != nil && hasResult:
 		return errors.New("bad record: both a result and a lease event")
 	case rec.Lease != nil:
 		return jr.lease(rec.Lease)
-	case rec.Result == nil:
+	case !hasResult:
 		return errors.New("bad record: neither a result nor a lease event")
 	}
 	if rec.Index < 0 || rec.Index >= jr.n {
 		return fmt.Errorf("record index %d out of range", rec.Index)
+	}
+	if jr.countOnly {
+		if jr.done == nil {
+			jr.done = make([]bool, jr.n)
+		}
+		if !jr.done[rec.Index] {
+			jr.done[rec.Index] = true
+			jr.st.Done++
+		}
+		return nil
+	}
+	if _, ok := jr.st.Restored[rec.Index]; !ok {
+		jr.st.Done++
 	}
 	jr.st.Restored[rec.Index] = rec.Result
 	return nil
@@ -296,7 +336,11 @@ func (jr *journalReader) lease(e *LeaseEvent) error {
 type JournalState struct {
 	Path      string
 	Scenarios []Scenario
-	Restored  map[int]*Result
+	// Restored holds the completed scenarios' results by index (empty
+	// when read by ScanJournalProgress).
+	Restored map[int]*Result
+	// Done counts the scenarios the journal records as completed.
+	Done int
 	// Granted, Expired and Released count the lease records by event.
 	Granted, Expired, Released int
 	// ShardSize is the shard size every lease record carries (0: no lease
@@ -307,7 +351,7 @@ type JournalState struct {
 // Unfinished reports whether the journal records fewer completions than the
 // set has scenarios — the condition under which a service restart resumes
 // the campaign.
-func (st *JournalState) Unfinished() bool { return len(st.Restored) < len(st.Scenarios) }
+func (st *JournalState) Unfinished() bool { return st.Done < len(st.Scenarios) }
 
 // ScanJournal reads a journal knowing nothing but its path — the boot-time
 // crash-recovery primitive. The scenario set comes from the header's
@@ -315,7 +359,19 @@ func (st *JournalState) Unfinished() bool { return len(st.Restored) < len(st.Sce
 // cannot silently resume); journals without an embedded set return an error
 // and are left for out-of-band resume via LoadJournal.
 func ScanJournal(path string) (*JournalState, error) {
-	jr := &journalReader{st: JournalState{Path: path, Restored: map[int]*Result{}}}
+	return scanJournal(path, false)
+}
+
+// ScanJournalProgress is ScanJournal for boot recovery, which needs only
+// the embedded set and how many of its scenarios are done: it validates the
+// same records but decodes no result, so Restored stays empty. The
+// resuming OpenJournal decodes them, once.
+func ScanJournalProgress(path string) (*JournalState, error) {
+	return scanJournal(path, true)
+}
+
+func scanJournal(path string, countOnly bool) (*JournalState, error) {
+	jr := &journalReader{st: JournalState{Path: path, Restored: map[int]*Result{}}, countOnly: countOnly}
 	if err := recordlog.Scan(path, journalKind, jr.header, jr.record); err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}

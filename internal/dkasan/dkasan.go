@@ -15,8 +15,9 @@
 package dkasan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"dmafault/internal/dma"
@@ -94,7 +95,7 @@ type Sanitizer struct {
 	pages map[layout.PFN]*pageState
 	// objects tracks live kmalloc objects: addr -> (size, site).
 	objects map[layout.Addr]objInfo
-	reports map[string]*Report
+	reports map[reportKey]*Report
 	// Enabled gates reporting (the tools is compiled in but switched on for
 	// test runs, like KASAN itself).
 	Enabled bool
@@ -118,7 +119,7 @@ func New() *Sanitizer {
 	return &Sanitizer{
 		pages:   make(map[layout.PFN]*pageState),
 		objects: make(map[layout.Addr]objInfo),
-		reports: make(map[string]*Report),
+		reports: make(map[reportKey]*Report),
 		Enabled: true,
 	}
 }
@@ -132,19 +133,33 @@ func (s *Sanitizer) Attach(m *mem.Memory, mapper *dma.Mapper) {
 // Stats returns raw event counts.
 func (s *Sanitizer) Stats() Stats { return s.stats }
 
-// Reports returns the deduplicated findings, most frequent first.
+// Reports returns the deduplicated findings, most frequent first, then by
+// site, class, size and permissions: every report has its own key, so the
+// order is total and a run prints the same report every time.
 func (s *Sanitizer) Reports() []*Report {
 	out := make([]*Report, 0, len(s.reports))
 	for _, r := range s.reports {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Site < out[j].Site
-	})
+	slices.SortFunc(out, compareReports)
 	return out
+}
+
+func compareReports(a, b *Report) int {
+	bit := func(v bool) int {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	return cmp.Or(
+		cmp.Compare(b.Count, a.Count),
+		strings.Compare(a.Site, b.Site),
+		cmp.Compare(a.Class, b.Class),
+		cmp.Compare(a.Size, b.Size),
+		cmp.Compare(bit(a.Read), bit(b.Read)),
+		cmp.Compare(bit(a.Write), bit(b.Write)),
+	)
 }
 
 // ReportsOf filters by class.
@@ -168,8 +183,16 @@ func (s *Sanitizer) Render() string {
 	return b.String()
 }
 
+// reportKey is what a report deduplicates on.
+type reportKey struct {
+	class       Class
+	size        uint64
+	read, write bool
+	site        string
+}
+
 func (s *Sanitizer) report(c Class, size uint64, read, write bool, site string) {
-	key := fmt.Sprintf("%d|%d|%v|%v|%s", c, size, read, write, site)
+	key := reportKey{c, size, read, write, site}
 	if r, ok := s.reports[key]; ok {
 		r.Count++
 		return
@@ -241,7 +264,7 @@ func (s *Sanitizer) OnCPUAccess(a layout.Addr, n uint64, write bool) {
 	if write {
 		kind = "write"
 	}
-	s.report(AccessAfterMap, n, st.read, st.write, fmt.Sprintf("cpu-%s", kind))
+	s.report(AccessAfterMap, n, st.read, st.write, "cpu-"+kind)
 }
 
 // --- dma.Hook ---

@@ -223,3 +223,49 @@ func TestReportStringsAndClassNames(t *testing.T) {
 		t.Errorf("String = %q", none.String())
 	}
 }
+
+// TestReportOrderIsTotal: reports that tie on count and site (seeds 1–50
+// hold several) come out by class, size, read and write, so every seed
+// renders one report, run after run.
+func TestReportOrderIsTotal(t *testing.T) {
+	less := func(a, b *Report) bool {
+		switch {
+		case a.Count != b.Count:
+			return a.Count > b.Count
+		case a.Site != b.Site:
+			return a.Site < b.Site
+		case a.Class != b.Class:
+			return a.Class < b.Class
+		case a.Size != b.Size:
+			return a.Size < b.Size
+		case a.Read != b.Read:
+			return !a.Read
+		default:
+			return !a.Write && b.Write
+		}
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		dk := New()
+		sys, err := core.New(core.WithSeed(seed), core.WithIOMMUMode(iommu.Deferred), core.WithTracer(dk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dk.Attach(sys.Mem, sys.Mapper)
+		nic, err := sys.AddNIC(nicDev, netstack.DriverI40E, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := workload.Run(sys, nic, workload.Config{Iterations: 2, NICDevice: nicDev}); err != nil {
+			t.Fatal(err)
+		}
+		reps := dk.Reports()
+		for i := 1; i < len(reps); i++ {
+			if !less(reps[i-1], reps[i]) {
+				t.Fatalf("seed %d: report %d (%s) precedes report %d (%s)", seed, i, reps[i-1], i+1, reps[i])
+			}
+		}
+		if a, b := dk.Render(), dk.Render(); a != b {
+			t.Fatalf("seed %d: two renders of one run differ", seed)
+		}
+	}
+}

@@ -22,13 +22,18 @@ type BounceMapper struct {
 	mem   *mem.Memory
 	inner *Mapper
 	// shadows tracks live bounce mappings by their page-aligned IOVA.
-	shadows map[mapKey]*bounce
+	shadows map[bounceKey]*bounce
 	stats   BounceStats
 }
 
 // BounceStats counts bounce activity.
 type BounceStats struct {
 	Maps, Unmaps, BytesCopied uint64
+}
+
+type bounceKey struct {
+	dev  iommu.DeviceID
+	iova iommu.IOVA // page-aligned
 }
 
 type bounce struct {
@@ -42,7 +47,7 @@ type bounce struct {
 
 // NewBounceMapper wraps a Mapper with bounce buffering.
 func NewBounceMapper(m *mem.Memory, inner *Mapper) *BounceMapper {
-	return &BounceMapper{mem: m, inner: inner, shadows: make(map[mapKey]*bounce)}
+	return &BounceMapper{mem: m, inner: inner, shadows: make(map[bounceKey]*bounce)}
 }
 
 // Stats returns a copy of the counters.
@@ -78,7 +83,7 @@ func (b *BounceMapper) MapSingle(dev iommu.DeviceID, kva layout.Addr, n uint64, 
 		_ = b.mem.Pages.Free(0, pfn, order)
 		return 0, err
 	}
-	b.shadows[mapKey{dev, va &^ iommu.IOVA(layout.PageMask)}] = &bounce{
+	b.shadows[bounceKey{dev, va &^ iommu.IOVA(layout.PageMask)}] = &bounce{
 		origKVA: kva, shadowKVA: shadow, n: n, dir: dir, order: order, pfn: pfn,
 	}
 	b.stats.Maps++
@@ -88,7 +93,7 @@ func (b *BounceMapper) MapSingle(dev iommu.DeviceID, kva layout.Addr, n uint64, 
 // UnmapSingle copies device writes back (the n requested bytes only) and
 // releases the shadow.
 func (b *BounceMapper) UnmapSingle(dev iommu.DeviceID, va iommu.IOVA, n uint64, dir Direction) error {
-	k := mapKey{dev, va &^ iommu.IOVA(layout.PageMask)}
+	k := bounceKey{dev, va &^ iommu.IOVA(layout.PageMask)}
 	sh, ok := b.shadows[k]
 	if !ok {
 		return fmt.Errorf("dma: bounce unmap of unknown mapping %#x", uint64(va))

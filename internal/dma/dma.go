@@ -65,30 +65,42 @@ type Hook interface {
 	OnUnmap(dev iommu.DeviceID, kva layout.Addr, n uint64, dir Direction, iova iommu.IOVA)
 }
 
-// mapping records one live DMA mapping.
+// mapping records one live DMA mapping: 16 bytes, no pointers. The device
+// and the page-aligned IOVA are its index (Mapper.devs), and the frames
+// follow from the KVA, which the direct map translates linearly.
 type mapping struct {
-	dev  iommu.DeviceID
-	kva  layout.Addr
-	n    uint64
-	dir  Direction
-	iova iommu.IOVA // page-aligned base
-	// The mapping covers the npages contiguous frames from pfn.
-	pfn    layout.PFN
-	npages uint64
-	owner  Owner // ownership per §2.3: the device owns the buffer while mapped
+	kva   layout.Addr
+	last  uint32 // length - 1; a mapping lies within memory (≤ mem.MaxPhysBytes)
+	dir   uint8  // Direction
+	owner uint8  // Owner, per §2.3: the device owns the buffer while mapped
 }
 
-type mapKey struct {
-	dev  iommu.DeviceID
-	iova iommu.IOVA // page-aligned
+// Every mapping fits mapping.last, and every frame of memory fits a PTE:
+// raising mem.MaxPhysBytes past either fails to compile here.
+const (
+	_ uint32 = mem.MaxPhysBytes - 1
+	_ uint64 = iommu.MaxPTEPFN - (mem.MaxPhysBytes/layout.PageSize - 1)
+)
+
+func (m *mapping) len() uint64 { return uint64(m.last) + 1 }
+
+// pages is the number of frames (and IOVA pages) the mapping spans.
+func (m *mapping) pages() uint64 {
+	return (layout.PageOffsetOf(m.kva) + m.len() + layout.PageMask) / layout.PageSize
 }
 
 // Mapper is the DMA API entry point.
 type Mapper struct {
-	mem    *mem.Memory
-	unit   *iommu.IOMMU
-	active map[mapKey]*mapping
-	hooks  []Hook
+	mem  *mem.Memory
+	unit *iommu.IOMMU
+	// devs indexes live mappings by requester ID, then by the IOVA page of
+	// the mapping's base counted from iommu.IOVABase: a slot holds 1 + the
+	// mapping's index in recs (0: none). Domains hand out IOVA densely from
+	// IOVABase, so the page index stays as small as the address space used.
+	devs  [][]uint32
+	recs  []mapping
+	free  []uint32 // recycled recs slots
+	hooks []Hook
 
 	stats Stats
 }
@@ -102,7 +114,7 @@ type Stats struct {
 
 // NewMapper builds the DMA API over a memory and an IOMMU.
 func NewMapper(m *mem.Memory, u *iommu.IOMMU) *Mapper {
-	return &Mapper{mem: m, unit: u, active: make(map[mapKey]*mapping)}
+	return &Mapper{mem: m, unit: u}
 }
 
 // AddHook registers a map/unmap observer.
@@ -110,6 +122,60 @@ func (mp *Mapper) AddHook(h Hook) { mp.hooks = append(mp.hooks, h) }
 
 // Stats returns a copy of the counters.
 func (mp *Mapper) Stats() Stats { return mp.stats }
+
+// slot returns the index slot of the mapping based at the page of va, or
+// nil when va lies outside the device's index.
+func (mp *Mapper) slot(dev iommu.DeviceID, va iommu.IOVA) *uint32 {
+	base := va &^ iommu.IOVA(layout.PageMask)
+	if int(dev) >= len(mp.devs) || base < iommu.IOVABase {
+		return nil
+	}
+	pages := mp.devs[dev]
+	if i := uint64(base-iommu.IOVABase) >> layout.PageShift; i < uint64(len(pages)) {
+		return &pages[i]
+	}
+	return nil
+}
+
+// lookup returns the live mapping based at the page of va.
+func (mp *Mapper) lookup(dev iommu.DeviceID, va iommu.IOVA) (*mapping, bool) {
+	if s := mp.slot(dev, va); s != nil && *s != 0 {
+		return &mp.recs[*s-1], true
+	}
+	return nil, false
+}
+
+// insert records a mapping based at base, replacing any mapping the index
+// already holds there.
+func (mp *Mapper) insert(dev iommu.DeviceID, base iommu.IOVA, m mapping) {
+	if int(dev) >= len(mp.devs) {
+		mp.devs = append(mp.devs, make([][]uint32, int(dev)+1-len(mp.devs))...)
+	}
+	i := uint64(base-iommu.IOVABase) >> layout.PageShift
+	if pages := mp.devs[dev]; i >= uint64(len(pages)) {
+		mp.devs[dev] = append(pages, make([]uint32, i+1-uint64(len(pages)))...)
+	}
+	s := &mp.devs[dev][i]
+	if *s != 0 {
+		mp.release(s)
+	}
+	var r uint32
+	if n := len(mp.free); n > 0 {
+		r = mp.free[n-1]
+		mp.free = mp.free[:n-1]
+		mp.recs[r] = m
+	} else {
+		r = uint32(len(mp.recs))
+		mp.recs = append(mp.recs, m)
+	}
+	*s = r + 1
+}
+
+// release empties an index slot and recycles its record.
+func (mp *Mapper) release(s *uint32) {
+	mp.free = append(mp.free, *s-1)
+	*s = 0
+}
 
 // MapSingle is dma_map_single: it maps the n bytes at kva for the device and
 // returns the IOVA of the first byte. Every page the range touches is mapped
@@ -131,28 +197,28 @@ func (mp *Mapper) MapSingle(dev iommu.DeviceID, kva layout.Addr, n uint64, dir D
 		return 0, fmt.Errorf("dma: map end beyond memory: %w", err)
 	}
 	offset := layout.PageOffsetOf(kva)
-	span := (uint64(lastPFN-firstPFN) + 1) * layout.PageSize
+	npages := uint64(lastPFN-firstPFN) + 1
+	span := npages * layout.PageSize
 	base, err := dom.AllocIOVA(span)
 	if err != nil {
 		return 0, err
 	}
-	m := &mapping{dev: dev, kva: kva, n: n, dir: dir, iova: base, pfn: firstPFN, npages: uint64(lastPFN-firstPFN) + 1}
-	for i := layout.PFN(0); firstPFN+i <= lastPFN; i++ {
-		v := base + iommu.IOVA(uint64(i)*layout.PageSize)
-		if err := mp.unit.Map(dev, v, firstPFN+i, dir.Perm()); err != nil {
+	for i := range npages {
+		v := base + iommu.IOVA(i*layout.PageSize)
+		if err := dom.Map(v, firstPFN+layout.PFN(i), dir.Perm()); err != nil {
 			// Roll back what we mapped so far.
-			for j := layout.PFN(0); j < i; j++ {
-				_ = mp.unit.Unmap(dev, base+iommu.IOVA(uint64(j)*layout.PageSize))
-				mp.pageInfo(firstPFN + j).ClearDMAMapped()
+			for j := range i {
+				_ = dom.Unmap(base + iommu.IOVA(j*layout.PageSize))
+				mp.pageInfo(firstPFN + layout.PFN(j)).ClearDMAMapped()
 			}
 			_ = dom.FreeIOVA(base, span)
 			return 0, err
 		}
-		mp.pageInfo(firstPFN + i).MarkDMAMapped(dir.Perm().Allows(true))
+		mp.pageInfo(firstPFN + layout.PFN(i)).MarkDMAMapped(dir.Perm().Allows(true))
 	}
-	mp.active[mapKey{dev, base}] = m
+	mp.insert(dev, base, mapping{kva: kva, last: uint32(n - 1), dir: uint8(dir), owner: uint8(OwnerDevice)})
 	mp.stats.MapSingles++
-	mp.stats.PagesMapped += m.npages
+	mp.stats.PagesMapped += npages
 	for _, h := range mp.hooks {
 		h.OnMap(dev, kva, n, dir, base+iommu.IOVA(offset))
 	}
@@ -165,28 +231,33 @@ func (mp *Mapper) MapSingle(dev iommu.DeviceID, kva layout.Addr, n uint64, dir D
 // IOMMU invalidation mode and on other mappings of the same frames.
 func (mp *Mapper) UnmapSingle(dev iommu.DeviceID, va iommu.IOVA, n uint64, dir Direction) error {
 	base := va &^ iommu.IOVA(layout.PageMask)
-	k := mapKey{dev, base}
-	m, ok := mp.active[k]
-	if !ok {
+	s := mp.slot(dev, va)
+	if s == nil || *s == 0 {
 		return fmt.Errorf("dma: unmap of unknown mapping (dev %d, IOVA %#x)", dev, uint64(va))
 	}
-	if m.n != n || m.dir != dir {
-		return fmt.Errorf("dma: unmap arguments (len %d, %v) do not match mapping (len %d, %v)", n, dir, m.n, m.dir)
+	m := mp.recs[*s-1]
+	if m.len() != n || Direction(m.dir) != dir {
+		return fmt.Errorf("dma: unmap arguments (len %d, %v) do not match mapping (len %d, %v)", n, dir, m.len(), Direction(m.dir))
 	}
-	for i := range m.npages {
-		v := base + iommu.IOVA(i*layout.PageSize)
-		if err := mp.unit.Unmap(dev, v); err != nil {
+	dom, err := mp.unit.DomainOf(dev)
+	if err != nil {
+		return err
+	}
+	pfn := mp.pfnOf(m.kva)
+	npages := m.pages()
+	for i := range npages {
+		if err := dom.Unmap(base + iommu.IOVA(i*layout.PageSize)); err != nil {
 			return err
 		}
-		mp.pageInfo(m.pfn + layout.PFN(i)).ClearDMAMapped()
+		mp.pageInfo(pfn + layout.PFN(i)).ClearDMAMapped()
 	}
-	delete(mp.active, k)
-	if err := mp.unit.ReleaseIOVA(dev, base, m.npages*layout.PageSize); err != nil {
+	mp.release(s)
+	if err := dom.ReleaseIOVA(base, npages*layout.PageSize); err != nil {
 		return err
 	}
 	mp.stats.Unmaps++
 	for _, h := range mp.hooks {
-		h.OnUnmap(dev, m.kva, m.n, m.dir, va)
+		h.OnUnmap(dev, m.kva, n, dir, va)
 	}
 	return nil
 }
@@ -198,6 +269,15 @@ func (mp *Mapper) MapPage(dev iommu.DeviceID, pfn layout.PFN, offset, n uint64, 
 	}
 	kva := mp.mem.Layout().PFNToKVA(pfn) + layout.Addr(offset)
 	return mp.MapSingle(dev, kva, n, dir)
+}
+
+// pfnOf translates the KVA of a live mapping, which MapSingle validated.
+func (mp *Mapper) pfnOf(kva layout.Addr) layout.PFN {
+	pfn, err := mp.mem.Layout().KVAToPFN(kva)
+	if err != nil {
+		panic(fmt.Sprintf("dma: internal: %v", err))
+	}
+	return pfn
 }
 
 // pageInfo panics only on internal inconsistency (PFNs come from layout).
@@ -215,13 +295,13 @@ func (mp *Mapper) DomainOf(dev iommu.DeviceID) (*iommu.Domain, error) {
 }
 
 // Live returns the number of active mappings (all devices).
-func (mp *Mapper) Live() int { return len(mp.active) }
+func (mp *Mapper) Live() int { return len(mp.recs) - len(mp.free) }
 
-// MappingAt reports the live mapping covering the IOVA, for tests.
+// MappingAt reports the live mapping based at the IOVA's page, for tests.
 func (mp *Mapper) MappingAt(dev iommu.DeviceID, va iommu.IOVA) (kva layout.Addr, n uint64, dir Direction, ok bool) {
-	m, found := mp.active[mapKey{dev, va &^ iommu.IOVA(layout.PageMask)}]
+	m, found := mp.lookup(dev, va)
 	if !found {
 		return 0, 0, 0, false
 	}
-	return m.kva, m.n, m.dir, true
+	return m.kva, m.len(), Direction(m.dir), true
 }

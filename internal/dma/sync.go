@@ -36,37 +36,37 @@ func (o Owner) String() string {
 // SyncForCPU transfers ownership of a live mapping to the CPU, permitting
 // CPU reads of device-written data before the unmap.
 func (mp *Mapper) SyncForCPU(dev iommu.DeviceID, va iommu.IOVA) error {
-	m, ok := mp.active[mapKey{dev, va &^ iommu.IOVA(4095)}]
+	m, ok := mp.lookup(dev, va)
 	if !ok {
 		return fmt.Errorf("dma: sync_for_cpu on unmapped IOVA %#x", uint64(va))
 	}
-	if m.owner == OwnerCPU {
+	if Owner(m.owner) == OwnerCPU {
 		return fmt.Errorf("dma: double sync_for_cpu on IOVA %#x", uint64(va))
 	}
-	m.owner = OwnerCPU
+	m.owner = uint8(OwnerCPU)
 	mp.stats.Syncs++
 	return nil
 }
 
 // SyncForDevice transfers ownership back to the device.
 func (mp *Mapper) SyncForDevice(dev iommu.DeviceID, va iommu.IOVA) error {
-	m, ok := mp.active[mapKey{dev, va &^ iommu.IOVA(4095)}]
+	m, ok := mp.lookup(dev, va)
 	if !ok {
 		return fmt.Errorf("dma: sync_for_device on unmapped IOVA %#x", uint64(va))
 	}
-	if m.owner == OwnerDevice {
+	if Owner(m.owner) == OwnerDevice {
 		return fmt.Errorf("dma: double sync_for_device on IOVA %#x", uint64(va))
 	}
-	m.owner = OwnerDevice
+	m.owner = uint8(OwnerDevice)
 	mp.stats.Syncs++
 	return nil
 }
 
 // OwnerOf reports the current owner of a live mapping.
 func (mp *Mapper) OwnerOf(dev iommu.DeviceID, va iommu.IOVA) (Owner, error) {
-	m, ok := mp.active[mapKey{dev, va &^ iommu.IOVA(4095)}]
+	m, ok := mp.lookup(dev, va)
 	if !ok {
 		return OwnerDevice, fmt.Errorf("dma: OwnerOf on unmapped IOVA %#x", uint64(va))
 	}
-	return m.owner, nil
+	return Owner(m.owner), nil
 }

@@ -105,8 +105,7 @@ type Job struct {
 	cancel     context.CancelFunc
 	scs        []campaign.Scenario
 	workers    int
-	restored   map[int]*campaign.Result // journal results seeded at recovery
-	resume     bool                     // reopen the journal for append
+	resume     bool // reopen the journal for append and restore its results
 	enqueuedAt time.Time
 	queueWait  time.Duration // admitted → dispatched, set by the dispatcher
 	lastBeat   time.Time     // progress heartbeat, guarded by Server.mu
@@ -502,9 +501,8 @@ func (s *Server) runJob(job *Job) {
 		workers = s.Workers
 	}
 	eng := campaign.Engine{
-		Workers:   workers,
-		Completed: job.restored,
-		Obs:       s.jobTracer(job),
+		Workers: workers,
+		Obs:     s.jobTracer(job),
 		OnClaim: func(i int) {
 			s.beat(job)
 		},
@@ -544,6 +542,9 @@ func (s *Server) runJob(job *Job) {
 		}
 		defer j.Close()
 		eng.Journal = j
+		if job.resume {
+			eng.Completed = j.State().Restored
+		}
 	}
 	execStart := time.Now()
 	sum, err := eng.RunCtx(job.ctx, job.scs)

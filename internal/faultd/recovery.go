@@ -17,10 +17,10 @@ import (
 
 // Crash recovery at boot: the service analogue of `cmd/campaign -resume`.
 // Every job journals to <JournalDir>/job-<id>.jsonl; the journal header
-// embeds the scenario set (campaign.ScanJournal), so a restarted daemon
-// needs nothing but the directory to rediscover interrupted work. Recovered
-// jobs re-enter the ordinary scheduler with their completed scenarios
-// seeded from the journal, and because per-scenario results are
+// embeds the scenario set (campaign.ScanJournalProgress), so a restarted
+// daemon needs nothing but the directory to rediscover interrupted work.
+// Recovered jobs re-enter the ordinary scheduler, and the resuming open of
+// the journal seeds their completed scenarios, and because per-scenario results are
 // deterministic and aggregation is order-stable, a resumed job's final
 // summary is byte-identical to an uninterrupted run's.
 
@@ -69,7 +69,7 @@ func (s *Server) RecoverJobs() (int, error) {
 			errs = append(errs, fmt.Errorf("faultd: recover %s: job %d already registered", ent.Name(), id))
 			continue
 		}
-		st, err := campaign.ScanJournal(filepath.Join(s.JournalDir, ent.Name()))
+		st, err := campaign.ScanJournalProgress(filepath.Join(s.JournalDir, ent.Name()))
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -83,9 +83,9 @@ func (s *Server) RecoverJobs() (int, error) {
 	return recovered, errors.Join(errs...)
 }
 
-// resumeJob registers one unfinished journal as a queued job: the journal's
-// restored results seed Engine.Completed, the journal is reopened for
-// append, and the job flows through the same dispatcher as fresh
+// resumeJob registers one unfinished journal as a queued job: runJob
+// reopens the journal for append, its restored results seed
+// Engine.Completed, and the job flows through the same dispatcher as fresh
 // submissions (admission control does not apply — the work was accepted
 // before the crash; the queue bound may be exceeded).
 func (s *Server) resumeJob(id int, st *campaign.JournalState) {
@@ -94,18 +94,17 @@ func (s *Server) resumeJob(id int, st *campaign.JournalState) {
 		Job: api.Job{
 			ID: id, Status: StatusQueued,
 			ScenariosTotal: len(st.Scenarios),
-			ScenariosDone:  len(st.Restored),
+			ScenariosDone:  st.Done,
 			Recovered:      true,
 		},
 		ctx: ctx, cancel: cancel,
 		scs:        st.Scenarios,
-		restored:   st.Restored,
 		resume:     true,
 		enqueuedAt: time.Now(),
 		hub:        obs.NewHub(),
 	}
 	s.logger().Info("resuming recovered job", "job", id,
-		"restored", len(st.Restored), "total", len(st.Scenarios))
+		"restored", st.Done, "total", len(st.Scenarios))
 	s.mu.Lock()
 	s.register(job)
 	s.mu.Unlock()

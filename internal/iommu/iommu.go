@@ -89,6 +89,7 @@ func (f *Fault) Error() string {
 // allocator. Several devices may share a domain (the paper's FireWire
 // attacker shares the NIC's page table, §6).
 type Domain struct {
+	unit  *IOMMU
 	name  string
 	table *PageTable
 	tlb   *IOTLB
@@ -109,9 +110,12 @@ type pendingRange struct {
 
 // IOMMU is the unit: domains, the invalidation policy, and a clock.
 type IOMMU struct {
-	mode    Mode
-	clock   *sim.Clock
-	domains map[DeviceID]*Domain
+	mode  Mode
+	clock *sim.Clock
+	// domains is indexed by DeviceID (nil: not attached). Requester IDs
+	// are small — the attacker NICs count up from 1, the FireWire device
+	// is 9 — so a slice beats a hash on every translation.
+	domains []*Domain
 	all     []*Domain
 	stats   Stats
 	// flushTimeout and flushQueueLimit are the deferred-mode batching
@@ -141,7 +145,6 @@ func New(mode Mode, clock *sim.Clock) *IOMMU {
 	return &IOMMU{
 		mode:            mode,
 		clock:           clock,
-		domains:         make(map[DeviceID]*Domain),
 		flushTimeout:    DeferredTimeout,
 		flushQueueLimit: DeferredQueueLimit,
 	}
@@ -174,16 +177,16 @@ func (u *IOMMU) Stats() Stats { return u.stats }
 
 // CreateDomain allocates a fresh protection domain and attaches the device.
 func (u *IOMMU) CreateDomain(name string, dev DeviceID) (*Domain, error) {
-	if _, ok := u.domains[dev]; ok {
-		return nil, fmt.Errorf("iommu: device %d already attached", dev)
-	}
 	d := &Domain{
+		unit:  u,
 		name:  name,
 		table: &PageTable{},
 		tlb:   NewIOTLB(0),
 		iova:  newIOVAAllocator(),
 	}
-	u.domains[dev] = d
+	if err := u.AttachDevice(dev, d); err != nil {
+		return nil, err
+	}
 	u.all = append(u.all, d)
 	return d, nil
 }
@@ -192,8 +195,11 @@ func (u *IOMMU) CreateDomain(name string, dev DeviceID) (*Domain, error) {
 // the exact same view of memory (the FireWire-shares-the-NIC's-table setup
 // of §6).
 func (u *IOMMU) AttachDevice(dev DeviceID, d *Domain) error {
-	if _, ok := u.domains[dev]; ok {
+	if int(dev) < len(u.domains) && u.domains[dev] != nil {
 		return fmt.Errorf("iommu: device %d already attached", dev)
+	}
+	if int(dev) >= len(u.domains) {
+		u.domains = append(u.domains, make([]*Domain, int(dev)+1-len(u.domains))...)
 	}
 	u.domains[dev] = d
 	return nil
@@ -201,11 +207,10 @@ func (u *IOMMU) AttachDevice(dev DeviceID, d *Domain) error {
 
 // DomainOf returns the domain a device is attached to.
 func (u *IOMMU) DomainOf(dev DeviceID) (*Domain, error) {
-	d, ok := u.domains[dev]
-	if !ok {
-		return nil, fmt.Errorf("iommu: device %d not attached to any domain", dev)
+	if int(dev) < len(u.domains) && u.domains[dev] != nil {
+		return u.domains[dev], nil
 	}
-	return d, nil
+	return nil, fmt.Errorf("iommu: device %d not attached to any domain", dev)
 }
 
 // Map installs a translation in the device's domain and returns nothing the
@@ -215,10 +220,16 @@ func (u *IOMMU) Map(dev DeviceID, v IOVA, pfn layout.PFN, perm Perm) error {
 	if err != nil {
 		return err
 	}
+	return d.Map(v, pfn, perm)
+}
+
+// Map is IOMMU.Map for a caller that already holds the domain: the DMA API
+// looks a device's domain up once per buffer, not once per page.
+func (d *Domain) Map(v IOVA, pfn layout.PFN, perm Perm) error {
 	if err := d.table.Map(v, pfn, perm); err != nil {
 		return err
 	}
-	u.stats.Maps++
+	d.unit.stats.Maps++
 	return nil
 }
 
@@ -230,6 +241,12 @@ func (u *IOMMU) Unmap(dev DeviceID, v IOVA) error {
 	if err != nil {
 		return err
 	}
+	return d.Unmap(v)
+}
+
+// Unmap is IOMMU.Unmap for a caller that already holds the domain.
+func (d *Domain) Unmap(v IOVA) error {
+	u := d.unit
 	if _, _, err := d.table.Unmap(v); err != nil {
 		return err
 	}
@@ -260,7 +277,13 @@ func (u *IOMMU) ReleaseIOVA(dev DeviceID, v IOVA, n uint64) error {
 	if err != nil {
 		return err
 	}
-	if u.mode == Deferred {
+	return d.ReleaseIOVA(v, n)
+}
+
+// ReleaseIOVA is IOMMU.ReleaseIOVA for a caller that already holds the
+// domain.
+func (d *Domain) ReleaseIOVA(v IOVA, n uint64) error {
+	if d.unit.mode == Deferred {
 		d.pendingIOVA = append(d.pendingIOVA, pendingRange{v, n})
 		return nil
 	}
@@ -375,7 +398,7 @@ func (d *Domain) FreeIOVA(v IOVA, n uint64) error { return d.iova.free(v, n) }
 func (d *Domain) IOVAsFor(pfn layout.PFN) []IOVA {
 	var list []IOVA
 	d.table.each(func(v IOVA, e pte) {
-		if e.pfn == pfn {
+		if layout.PFN(e.pfn) == pfn {
 			list = append(list, v)
 		}
 	})
@@ -399,13 +422,14 @@ type iovaAllocator struct {
 	freed map[uint64][]IOVA // size class (pages) -> freed ranges, LIFO
 }
 
-// iovaBase is where device address space starts; above 4 GiB like Linux's
+// IOVABase is where device address space starts; above 4 GiB like Linux's
 // default DMA window for 64-bit devices, and never 0 so that a nil IOVA is
-// distinguishable.
-const iovaBase IOVA = 1 << 32
+// distinguishable. Every domain's allocator hands out a dense range from
+// here, so a page's distance from IOVABase can index per-mapping state.
+const IOVABase IOVA = 1 << 32
 
 func newIOVAAllocator() *iovaAllocator {
-	return &iovaAllocator{next: iovaBase, freed: make(map[uint64][]IOVA)}
+	return &iovaAllocator{next: IOVABase, freed: make(map[uint64][]IOVA)}
 }
 
 func (a *iovaAllocator) alloc(n uint64) (IOVA, error) {
@@ -427,7 +451,7 @@ func (a *iovaAllocator) alloc(n uint64) (IOVA, error) {
 }
 
 func (a *iovaAllocator) free(v IOVA, n uint64) error {
-	if v < iovaBase || uint64(v)&layout.PageMask != 0 {
+	if v < IOVABase || uint64(v)&layout.PageMask != 0 {
 		return fmt.Errorf("iommu: bad IOVA free %#x", uint64(v))
 	}
 	pages := layout.PageAlignUp(n) / layout.PageSize

@@ -50,7 +50,7 @@ func TestDomainAttachment(t *testing.T) {
 
 func TestTranslatePermissions(t *testing.T) {
 	u, _, _ := newUnit(t, Strict)
-	v := IOVA(iovaBase)
+	v := IOVA(IOVABase)
 	if err := u.Map(nicDev, v, 100, PermWrite); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSharedDomainSharesView(t *testing.T) {
 	if err := u.AttachDevice(firewireDev, d); err != nil {
 		t.Fatal(err)
 	}
-	v := IOVA(iovaBase)
+	v := IOVA(IOVABase)
 	if err := u.Map(nicDev, v, 55, PermBidir); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSharedDomainSharesView(t *testing.T) {
 
 func TestStrictUnmapRevokesImmediately(t *testing.T) {
 	u, _, clk := newUnit(t, Strict)
-	v := IOVA(iovaBase)
+	v := IOVA(IOVABase)
 	if err := u.Map(nicDev, v, 7, PermBidir); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDeferredWindowAllowsStaleAccess(t *testing.T) {
 	// Fig. 6: in deferred mode, between unmap and the periodic flush the
 	// device still translates through the stale IOTLB entry.
 	u, d, clk := newUnit(t, Deferred)
-	v := IOVA(iovaBase)
+	v := IOVA(IOVABase)
 	if err := u.Map(nicDev, v, 7, PermBidir); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDeferredUnprimedTLBFaults(t *testing.T) {
 	// If the device never translated the IOVA before the unmap, there is no
 	// stale entry and deferred mode still faults.
 	u, _, _ := newUnit(t, Deferred)
-	v := IOVA(iovaBase)
+	v := IOVA(IOVABase)
 	if err := u.Map(nicDev, v, 7, PermBidir); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestDeferredUnprimedTLBFaults(t *testing.T) {
 func TestDeferredQueueLimitFlush(t *testing.T) {
 	u, d, _ := newUnit(t, Deferred)
 	for i := 0; i < DeferredQueueLimit; i++ {
-		v := IOVA(iovaBase) + IOVA(i*layout.PageSize)
+		v := IOVA(IOVABase) + IOVA(i*layout.PageSize)
 		if err := u.Map(nicDev, v, layout.PFN(i+1), PermRead); err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestDeferredQueueLimitFlush(t *testing.T) {
 
 func TestSetModeFlushesFirst(t *testing.T) {
 	u, d, _ := newUnit(t, Deferred)
-	v := IOVA(iovaBase)
+	v := IOVA(IOVABase)
 	if err := u.Map(nicDev, v, 7, PermBidir); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSetModeFlushesFirst(t *testing.T) {
 func TestReverseMapTracksMultipleIOVAs(t *testing.T) {
 	// Type (c): one frame mapped by two IOVAs.
 	u, d, _ := newUnit(t, Strict)
-	v1, v2 := IOVA(iovaBase), IOVA(iovaBase+layout.PageSize)
+	v1, v2 := IOVA(IOVABase), IOVA(IOVABase+layout.PageSize)
 	if err := u.Map(nicDev, v1, 33, PermWrite); err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +248,8 @@ func TestReverseMapTracksMultipleIOVAs(t *testing.T) {
 	// ascending order, and the walk visits every present entry once.
 	const mib2, gib = 2 << 20, 1 << 30
 	want := []IOVA{
-		iovaBase + mib2 - layout.PageSize, iovaBase + mib2,
-		iovaBase + gib - layout.PageSize, iovaBase + gib,
+		IOVABase + mib2 - layout.PageSize, IOVABase + mib2,
+		IOVABase + gib - layout.PageSize, IOVABase + gib,
 	}
 	for _, i := range []int{3, 0, 2, 1} {
 		if err := u.Map(nicDev, want[i], 33, PermRead); err != nil {
@@ -305,16 +305,16 @@ func TestIOVAAllocator(t *testing.T) {
 
 func TestUnmapErrors(t *testing.T) {
 	u, _, _ := newUnit(t, Strict)
-	if err := u.Unmap(nicDev, iovaBase); err == nil {
+	if err := u.Unmap(nicDev, IOVABase); err == nil {
 		t.Error("unmap of unmapped IOVA accepted")
 	}
-	if err := u.Unmap(DeviceID(9), iovaBase); err == nil {
+	if err := u.Unmap(DeviceID(9), IOVABase); err == nil {
 		t.Error("unmap on unattached device accepted")
 	}
-	if err := u.Map(DeviceID(9), iovaBase, 1, PermRead); err == nil {
+	if err := u.Map(DeviceID(9), IOVABase, 1, PermRead); err == nil {
 		t.Error("map on unattached device accepted")
 	}
-	if _, err := u.Translate(DeviceID(9), iovaBase, false); err == nil {
+	if _, err := u.Translate(DeviceID(9), IOVABase, false); err == nil {
 		t.Error("translate on unattached device accepted")
 	}
 }

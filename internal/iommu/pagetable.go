@@ -2,6 +2,7 @@ package iommu
 
 import (
 	"fmt"
+	"math"
 
 	"dmafault/internal/layout"
 )
@@ -44,12 +45,18 @@ func (p Perm) String() string {
 	}
 }
 
-// pte is a leaf I/O page table entry.
+// pte is a leaf I/O page table entry. A leaf table holds 512 of them, so
+// the frame number is 32 bits (8 bytes an entry, 4 KiB a leaf table): that
+// addresses 16 TiB of frames, and internal/dma fails to compile if the
+// simulated memory ever outgrows it. Map refuses larger frame numbers.
 type pte struct {
-	pfn     layout.PFN
+	pfn     uint32
 	perm    Perm
 	present bool
 }
+
+// MaxPTEPFN is the largest frame number a PTE holds.
+const MaxPTEPFN = math.MaxUint32
 
 // The 4-level table's nodes, one type per level: each directory holds 512
 // pointers to the level below it, and only a leaf table holds PTEs.
@@ -102,11 +109,14 @@ func (t *PageTable) Map(v IOVA, pfn layout.PFN, perm Perm) error {
 	if v>>48 != 0 {
 		return fmt.Errorf("iommu: IOVA %#x beyond 48-bit space", uint64(v))
 	}
+	if pfn > MaxPTEPFN {
+		return fmt.Errorf("iommu: PFN %#x beyond a PTE's 32 bits", uint64(pfn))
+	}
 	e := t.lookup(v, true)
 	if e.present {
 		return fmt.Errorf("iommu: IOVA page %#x already mapped", uint64(v)&^uint64(layout.PageMask))
 	}
-	*e = pte{pfn: pfn, perm: perm, present: true}
+	*e = pte{pfn: uint32(pfn), perm: perm, present: true}
 	t.entries++
 	return nil
 }
@@ -120,7 +130,7 @@ func (t *PageTable) Unmap(v IOVA) (layout.PFN, Perm, error) {
 	if e == nil || !e.present {
 		return 0, PermNone, fmt.Errorf("iommu: unmap of unmapped IOVA %#x", uint64(v))
 	}
-	pfn, perm := e.pfn, e.perm
+	pfn, perm := layout.PFN(e.pfn), e.perm
 	*e = pte{}
 	t.entries--
 	return pfn, perm, nil
@@ -132,7 +142,7 @@ func (t *PageTable) Walk(v IOVA) (layout.PFN, Perm, bool) {
 	if e == nil || !e.present {
 		return 0, PermNone, false
 	}
-	return e.pfn, e.perm, true
+	return layout.PFN(e.pfn), e.perm, true
 }
 
 // each calls fn on every present entry in ascending IOVA order.

@@ -85,7 +85,7 @@ func TestPropertyPageTableOracle(t *testing.T) {
 		var pt PageTable
 		oracle := make(map[IOVA]pte)
 		for i, op := range ops {
-			v := IOVA(uint64(op)%64*layout.PageSize) + iovaBase
+			v := IOVA(uint64(op)%64*layout.PageSize) + IOVABase
 			if i%2 == 0 {
 				perm := Perm(op%3) + 1
 				err := pt.Map(v, layout.PFN(op), perm)
@@ -94,7 +94,7 @@ func TestPropertyPageTableOracle(t *testing.T) {
 					return false
 				}
 				if err == nil {
-					oracle[v] = pte{pfn: layout.PFN(op), perm: perm, present: true}
+					oracle[v] = pte{pfn: uint32(op), perm: perm, present: true}
 				}
 			} else {
 				_, _, err := pt.Unmap(v)
@@ -106,13 +106,13 @@ func TestPropertyPageTableOracle(t *testing.T) {
 			}
 			// Full agreement sweep.
 			for page := uint64(0); page < 64; page++ {
-				w := IOVA(page*layout.PageSize) + iovaBase
+				w := IOVA(page*layout.PageSize) + IOVABase
 				pfn, perm, ok := pt.Walk(w)
 				want, exists := oracle[w]
 				if ok != exists {
 					return false
 				}
-				if ok && (pfn != want.pfn || perm != want.perm) {
+				if ok && (pfn != layout.PFN(want.pfn) || perm != want.perm) {
 					return false
 				}
 			}

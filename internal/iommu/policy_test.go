@@ -10,7 +10,7 @@ import (
 func TestSetFlushPolicyTimeout(t *testing.T) {
 	u, _, clk := newUnit(t, Deferred)
 	u.SetFlushPolicy(2*sim.Millisecond, 0)
-	v := IOVA(iovaBase)
+	v := IOVA(IOVABase)
 	if err := u.Map(nicDev, v, 7, PermBidir); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestSetFlushPolicyQueueLimit(t *testing.T) {
 	u, d, _ := newUnit(t, Deferred)
 	u.SetFlushPolicy(0, 4)
 	for i := 0; i < 4; i++ {
-		v := IOVA(iovaBase) + IOVA(i*layout.PageSize)
+		v := IOVA(IOVABase) + IOVA(i*layout.PageSize)
 		if err := u.Map(nicDev, v, layout.PFN(i+1), PermRead); err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestOnFaultHook(t *testing.T) {
 	u, _, _ := newUnit(t, Strict)
 	var got *Fault
 	u.OnFault = func(f *Fault) { got = f }
-	if _, err := u.Translate(nicDev, iovaBase, false); err == nil {
+	if _, err := u.Translate(nicDev, IOVABase, false); err == nil {
 		t.Fatal("unmapped translate succeeded")
 	}
 	if got == nil || got.Dev != nicDev || got.Perm != PermNone {

@@ -12,7 +12,7 @@ import (
 // window before the timer fires.
 func TestStaleEntryEvictedUnderIOTLBPressure(t *testing.T) {
 	u, _, _ := newUnit(t, Deferred)
-	target := IOVA(iovaBase)
+	target := IOVA(IOVABase)
 	if err := u.Map(nicDev, target, 7, PermBidir); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestStaleEntryEvictedUnderIOTLBPressure(t *testing.T) {
 	}
 	// Pressure: translate through more distinct pages than the IOTLB holds.
 	for i := 0; i < DefaultIOTLBCapacity+8; i++ {
-		v := IOVA(iovaBase) + IOVA((i+1)*layout.PageSize)
+		v := IOVA(IOVABase) + IOVA((i+1)*layout.PageSize)
 		if err := u.Map(nicDev, v, layout.PFN(100+i), PermRead); err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestStaleEntryEvictedUnderIOTLBPressure(t *testing.T) {
 // the entry survives only while fewer than capacity other entries arrive).
 func TestStaleEntrySurvivesLightTraffic(t *testing.T) {
 	u, _, _ := newUnit(t, Deferred)
-	target := IOVA(iovaBase)
+	target := IOVA(IOVABase)
 	if err := u.Map(nicDev, target, 7, PermBidir); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestStaleEntrySurvivesLightTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < DefaultIOTLBCapacity/2; i++ {
-		v := IOVA(iovaBase) + IOVA((i+1)*layout.PageSize)
+		v := IOVA(IOVABase) + IOVA((i+1)*layout.PageSize)
 		if err := u.Map(nicDev, v, layout.PFN(100+i), PermRead); err != nil {
 			t.Fatal(err)
 		}
