@@ -34,12 +34,14 @@ race:
 # its lossless round trip), sparse physical memory and the chunked struct
 # pages under the page, slab and page_frag allocators against dense
 # references (internal/mem), and the IOMMU, DMA API and device bus against
-# a reference kept in plain maps and lists (internal/dma). Their seed
+# a reference kept in plain maps and lists (internal/dma), and the /v1
+# wire decoders: a submission's decode and resolution (internal/faultd)
+# and a lease delivery's verification (internal/fabric). Their seed
 # inputs already run under plain `go test`; this target searches past them
-# and stays out of `make check` so CI time does not grow. FuzzLoadJournal's
-# inputs carry results of several KiB, and minimizing each new one for the
-# default 60 s would spend the whole run there, so its minimization is
-# capped at 5 s.
+# and stays out of `make check` so CI time does not grow. FuzzLoadJournal's,
+# FuzzSubmit's and FuzzDelivery's inputs carry results or scenario sets of
+# several KiB, and minimizing each new one for the default 60 s would spend
+# the whole run there, so their minimization is capped at 5 s.
 fuzz:
 	$(GO) test ./internal/recordlog -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 60s
 	$(GO) test ./internal/cminor -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s
@@ -50,6 +52,8 @@ fuzz:
 	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime 60s -fuzzminimizetime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 60s
 	$(GO) test ./internal/dma -run '^$$' -fuzz '^FuzzIOMMU$$' -fuzztime 60s
+	$(GO) test ./internal/faultd -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 60s -fuzzminimizetime 5s
+	$(GO) test ./internal/fabric -run '^$$' -fuzz '^FuzzDelivery$$' -fuzztime 60s -fuzzminimizetime 5s
 
 # One pass over every benchmark, teed through cmd/benchjson into a
 # benchstat-comparable JSON artifact. -benchtime=3x keeps it minutes, not

@@ -5,10 +5,10 @@
 // The job plane is supervised: submissions pass admission control into a
 // bounded FIFO queue (-queue-depth; 429 + Retry-After when full) and at
 // most -max-concurrent-campaigns jobs execute at once; a watchdog cancels
-// jobs whose progress stalls past -job-stall-timeout; scenarios that
-// repeatedly panic or blow their deadline across jobs are quarantined by a
-// circuit breaker (-quarantine-threshold / -quarantine-probe-after); and
-// with -journal-dir set, a restart scans the directory and resumes every
+// jobs whose progress stalls past -job-stall-timeout; a scenario that
+// panics or blows its deadline is recorded as such without failing its job,
+// so a job's summary depends only on its scenario set; and with
+// -journal-dir set, a restart scans the directory and resumes every
 // interrupted job with a byte-identical final summary. SIGTERM/SIGINT
 // trigger a graceful shutdown: the listener closes, new submissions get
 // 503, running jobs drain (cancelled if the -shutdown-timeout expires
@@ -67,10 +67,6 @@ func main() {
 		"bound on the pending-job queue; submissions beyond it get 429 with Retry-After")
 	stallTimeout := flag.Duration("job-stall-timeout", 2*time.Minute,
 		"cancel a running job whose progress heartbeat goes quiet for this long (0 disables the watchdog)")
-	quarantineThreshold := flag.Int("quarantine-threshold", 3,
-		"quarantine a scenario after this many panic/timeout outcomes across jobs (0 disables the circuit breaker)")
-	quarantineProbeAfter := flag.Int("quarantine-probe-after", 2,
-		"jobs a quarantined scenario sits out before a half-open probe run")
 	cacheDir := flag.String("cache-dir", "",
 		"directory for the shared content-addressed result cache (results.bin); jobs replay cached scenario results instead of re-executing; empty disables caching")
 	join := flag.String("join", "",
@@ -83,8 +79,8 @@ func main() {
 	cf.Parse()
 
 	// The flight recorder sees every record regardless of console level; its
-	// retained window is what the supervisor dumps on stall, panic,
-	// quarantine trip, and SIGTERM.
+	// retained window is what the supervisor dumps on stall, panic, and
+	// SIGTERM.
 	rec := obs.NewRecorder(0)
 	log := cf.Logger(rec)
 
@@ -96,8 +92,6 @@ func main() {
 	srv.MaxConcurrent = *maxConcurrent
 	srv.QueueDepth = *queueDepth
 	srv.StallTimeout = *stallTimeout
-	srv.QuarantineThreshold = *quarantineThreshold
-	srv.QuarantineProbeAfter = *quarantineProbeAfter
 
 	if *cacheDir != "" {
 		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {

@@ -207,7 +207,6 @@ func startDaemon(log *slog.Logger, r *rig, journalDir string) (*proc, error) {
 		"-max-concurrent-campaigns", "2",
 		"-queue-depth", "32",
 		"-job-stall-timeout", "1m",
-		"-quarantine-threshold", "3",
 	)
 	if err != nil {
 		return nil, err

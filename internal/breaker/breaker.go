@@ -1,16 +1,14 @@
-// Package breaker is the circuit-breaker state machine of the service
-// tier. One State guards one key — a scenario in dmafaultd's quarantine, a
-// worker in the fabric's byzantine quarantine. Strikes accumulate until
-// the policy's threshold opens the breaker; once the half-open wait has
-// elapsed a single probe may run, and its verdict either closes the
+// Package breaker is the circuit-breaker state machine behind the fabric's
+// byzantine quarantine: one State guards one worker. Strikes accumulate
+// until the policy's threshold opens the breaker; once the half-open wait
+// has elapsed a single probe may run, and its verdict either closes the
 // breaker or re-opens it at the verdict's tick.
 //
 // The package reads no clock: every transition that needs time takes the
-// caller's tick. dmafaultd ticks once per job that sits a scenario out, so
-// its breaker stays a pure function of job order; the fabric ticks in
-// wall-clock nanoseconds. Policy differences between the two callers —
-// when strikes reset, when a probe is granted — are decided by which
-// methods they call and when, not by options here (DESIGN.md §7).
+// caller's tick. The fabric ticks in wall-clock nanoseconds; nothing here
+// stops a caller ticking in virtual time instead. When strikes reset
+// and when a probe is granted are decided by which methods the caller
+// calls and when, not by options here (DESIGN.md §7).
 package breaker
 
 // Policy parameterizes every breaker of one caller.

@@ -33,9 +33,6 @@ type Summary struct {
 	Panics   int `json:"panics,omitempty"`
 	Timeouts int `json:"timeouts,omitempty"`
 	Retries  int `json:"retries,omitempty"`
-	// Quarantined counts scenarios a Gate short-circuited (circuit breaker);
-	// omitted when zero so ungated campaigns encode as before.
-	Quarantined int `json:"quarantined,omitempty"`
 	// Escalations is the total privilege escalations across all scenarios.
 	Escalations int `json:"escalations"`
 	// ByKind breaks the campaign down per scenario kind.
@@ -94,8 +91,6 @@ func Aggregate(results []*Result) *Summary {
 			s.Panics++
 		case OutcomeTimeout:
 			s.Timeouts++
-		case OutcomeQuarantined:
-			s.Quarantined++
 		}
 		s.Retries += r.Retries
 		if r.Success {
@@ -194,9 +189,6 @@ func (s *Summary) Render() string {
 	if s.Panics > 0 || s.Timeouts > 0 || s.Retries > 0 {
 		fmt.Fprintf(&b, "hardening: %d panics isolated, %d deadline timeouts, %d transient-fault retries\n",
 			s.Panics, s.Timeouts, s.Retries)
-	}
-	if s.Quarantined > 0 {
-		fmt.Fprintf(&b, "supervision: %d scenarios quarantined by circuit breaker\n", s.Quarantined)
 	}
 	kinds := make([]string, 0, len(s.ByKind))
 	for k := range s.ByKind {

@@ -26,11 +26,10 @@ type Store interface {
 // Cacheable reports whether a result may be recorded in a Store. Only
 // outcomes that are pure functions of the spec qualify: completed runs
 // (ok/miss/error) and panics (stacks are sanitized to be byte-identical)
-// replay faithfully, but a timeout depends on wall-clock machine speed and
-// a quarantined short-circuit on cross-job breaker state, so recording
-// either would replay an accident forever.
+// replay faithfully, but a timeout depends on wall-clock machine speed, so
+// recording one would replay an accident forever.
 func Cacheable(r *Result) bool {
-	return r.Outcome != OutcomeTimeout && r.Outcome != OutcomeQuarantined
+	return r.Outcome != OutcomeTimeout
 }
 
 // cacheReplay builds the replay copy of a stored result for one scheduled

@@ -116,9 +116,6 @@ func TestCacheablePolicy(t *testing.T) {
 	if Cacheable(&Result{Outcome: OutcomeTimeout}) {
 		t.Error("timeout results must not be cached")
 	}
-	if Cacheable(&Result{Outcome: OutcomeQuarantined}) {
-		t.Error("quarantined short-circuits must not be cached")
-	}
 	if !Cacheable(&Result{Outcome: OutcomePanic, Stack: "sanitized"}) {
 		t.Error("panic results are deterministic and should cache")
 	}
@@ -171,34 +168,5 @@ func TestEnginePanicReplaysFromCache(t *testing.T) {
 	b, _ := second.JSON()
 	if !bytes.Equal(a, b) {
 		t.Errorf("replayed panic summary differs:\n%s\nvs\n%s", b, a)
-	}
-}
-
-// The cache is consulted before the Gate: a hit replays even when a gate
-// would have quarantined the scenario, and the gate never sees it.
-func TestEngineCacheBeatsGate(t *testing.T) {
-	scs := Presets["ladder"](4, 3)
-	store := newMapStore()
-	if _, err := (Engine{Workers: 2, Cache: store}).Run(scs); err != nil {
-		t.Fatal(err)
-	}
-	gated := 0
-	warm := Engine{Workers: 2, Cache: store, Gate: func(i int, s *Scenario) *Result {
-		gated++
-		r := s.newResult()
-		r.Outcome = OutcomeQuarantined
-		return r
-	}}
-	sum, err := warm.Run(scs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gated != 0 {
-		t.Fatalf("gate consulted %d times despite warm cache", gated)
-	}
-	for _, r := range sum.Results {
-		if r.Outcome == OutcomeQuarantined {
-			t.Fatalf("cached scenario was quarantined: %+v", r)
-		}
 	}
 }

@@ -47,22 +47,12 @@ type Engine struct {
 	// heartbeat: a supervisor that sees neither callback for longer than its
 	// stall budget knows the job has wedged, not merely slowed.
 	OnClaim func(index int)
-	// Gate, if set, may short-circuit a scenario before it executes by
-	// returning a non-nil Result, which is journaled, counted, and
-	// aggregated exactly like an executed one (a nil return runs the
-	// scenario normally). The scenario passed is the normalized copy. The
-	// service's quarantine circuit breaker is a Gate: tripped scenarios
-	// yield a recorded Outcome "quarantined" result instead of running.
-	// Gates must be deterministic per (index, scenario) for the duration of
-	// one run — the engine may invoke them from any worker.
-	Gate func(index int, s *Scenario) *Result
 	// Cache, if set, is the content-addressed result store consulted before
 	// each scenario executes: a hit replays the recorded result (re-stamped
 	// with the position-derived ID, journaled, counted, and aggregated
 	// exactly like an executed one — the summary is byte-identical at any
 	// worker count), a miss executes normally and appends the result if
-	// Cacheable. The cache is checked before Gate: a hit means nothing
-	// executes, so there is nothing for a circuit breaker to protect.
+	// Cacheable.
 	Cache Store
 	// OnCacheHit, if set, observes each scenario served from Cache (called
 	// from worker goroutines, before OnResult fires for the same index).
@@ -134,12 +124,6 @@ func (e Engine) RunCtx(ctx context.Context, scenarios []Scenario) (*Summary, err
 				}
 			}
 		}
-		if r == nil && e.Gate != nil {
-			r = e.Gate(i, &scs[i])
-			if r != nil {
-				sp.SetAttr("gated", "true")
-			}
-		}
 		if r == nil {
 			r, err = e.execute(ctx, scs[i], sp)
 			if err == nil && r != nil && e.Cache != nil {
@@ -193,7 +177,7 @@ func (e Engine) RunCtx(ctx context.Context, scenarios []Scenario) (*Summary, err
 }
 
 // ResultOutcome labels a result with the result's classification: the
-// explicit Outcome (panic, timeout, quarantined, ...), else error/miss/ok.
+// explicit Outcome (panic, timeout), else error/miss/ok.
 func ResultOutcome(r *Result) string {
 	switch {
 	case r.Outcome != "":

@@ -94,23 +94,23 @@ func SetHash(scs []Scenario) string {
 // ScenarioKeyVersion is the engine-version salt folded into ScenarioKey. It
 // rolls whenever scenario execution semantics change (new kinds, new knobs,
 // altered defaults), so a key means "this spec under this engine" — the one
-// canonical identity shared by fuzz-corpus dedup, the quarantine circuit
-// breaker, and any future result cache. Stale keys from an older engine
-// simply never match, which is the safe failure mode for all three.
+// canonical identity shared by fuzz-corpus dedup and the result cache.
+// Stale keys from an older engine simply never match, which is the safe
+// failure mode for both.
 const ScenarioKeyVersion = "dmafault-engine-v2"
 
 // Digest is the full 32-byte content address of a scenario: SHA-256 over
 // the engine-version salt plus the canonical (normalized, ID-blanked) spec
 // encoding. The persistent result store keys records by the full digest —
-// at store scale the 8-byte truncation that suffices for quarantine display
-// and log lines is too collision-prone to gate result replay.
+// at store scale the 8-byte truncation that suffices for log lines is too
+// collision-prone to gate result replay.
 type Digest [32]byte
 
 // String renders the full 64-hex-char digest.
 func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
-// Short is the 16-hex-char truncation used for logs, quarantine display,
-// and fuzz-corpus dedup keys — human-scale UX, not a persistence identity.
+// Short is the 16-hex-char truncation used for logs and fuzz-corpus dedup
+// keys — human-scale UX, not a persistence identity.
 func (d Digest) Short() string { return hex.EncodeToString(d[:8]) }
 
 // ScenarioDigest fingerprints one scenario independently of its position in
@@ -135,9 +135,8 @@ func ScenarioDigest(s Scenario) Digest {
 }
 
 // ScenarioKey is the short display form of ScenarioDigest — the identity
-// the service's quarantine circuit breaker tracks panicking scenarios by
-// and the fuzzer dedups mutants by, where 64 bits is plenty and log lines
-// stay readable. Anything persistent keys by the full Digest instead.
+// the fuzzer dedups mutants by, where 64 bits is plenty and log lines stay
+// readable. Anything persistent keys by the full Digest instead.
 func ScenarioKey(s Scenario) string {
 	return ScenarioDigest(s).Short()
 }

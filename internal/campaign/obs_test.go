@@ -114,37 +114,3 @@ func TestEngineSpanHierarchy(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineGateSpans pins the gated path: a quarantined scenario still gets
-// a scenario span, labelled gated with the gate result's outcome.
-func TestEngineGateSpans(t *testing.T) {
-	set := []Scenario{{Kind: KindWindowLadder, Seed: 7}}
-	var col obs.Collector
-	eng := Engine{
-		Workers: 1,
-		Obs:     obs.NewTracer(col.Sink()),
-		Gate: func(i int, s *Scenario) *Result {
-			r := s.newResult()
-			r.Outcome = "quarantined"
-			return r
-		},
-	}
-	if _, err := eng.Run(set); err != nil {
-		t.Fatal(err)
-	}
-	var found bool
-	for _, s := range col.Spans() {
-		if s.Name == "scenario" {
-			found = true
-			if s.Attrs["gated"] != "true" || s.Outcome() != "quarantined" {
-				t.Errorf("gated scenario span = %+v", s)
-			}
-		}
-		if s.Name == "attempt" {
-			t.Errorf("gated scenario must not produce attempt spans: %+v", s)
-		}
-	}
-	if !found {
-		t.Error("no scenario span for the gated scenario")
-	}
-}

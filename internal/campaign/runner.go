@@ -76,22 +76,7 @@ const (
 	OutcomePanic = "panic"
 	// OutcomeTimeout: the scenario's TimeoutMS deadline expired.
 	OutcomeTimeout = "timeout"
-	// OutcomeQuarantined: an Engine.Gate short-circuited the scenario (the
-	// service's circuit breaker does this for scenarios that repeatedly
-	// panicked or blew their deadline across jobs); the recorded result
-	// carries this outcome instead of an execution.
-	OutcomeQuarantined = "quarantined"
 )
-
-// QuarantinedResult builds the deterministic short-circuit result a Gate
-// records for a quarantined scenario: no execution, no metrics, a fixed
-// error string, Success false.
-func QuarantinedResult(s *Scenario) *Result {
-	r := s.newResult()
-	r.Outcome = OutcomeQuarantined
-	r.Err = "campaign: scenario quarantined by circuit breaker"
-	return r
-}
 
 // captureMetrics gathers the system registry into the result. A gather
 // failure is a Source contract bug; it surfaces as a scenario error.

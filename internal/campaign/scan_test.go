@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"dmafault/internal/recordlog"
@@ -115,7 +114,7 @@ func TestScanJournalRejectsJournalsWithoutEmbeddedSet(t *testing.T) {
 	}
 }
 
-// TestScenarioKeyIsPositionIndependent: the quarantine breaker's identity —
+// TestScenarioKeyIsPositionIndependent: the fuzz-corpus dedup identity —
 // equal specs share a key no matter where they sit in a set or what ID
 // normalization assigned them; different specs do not.
 func TestScenarioKeyIsPositionIndependent(t *testing.T) {
@@ -132,68 +131,5 @@ func TestScenarioKeyIsPositionIndependent(t *testing.T) {
 	d := Scenario{Kind: KindWindowLadder, Seed: 7, FaultSpec: "scenario-panic@1"}
 	if ScenarioKey(a) == ScenarioKey(d) {
 		t.Error("different fault specs share a key")
-	}
-}
-
-// TestEngineGateShortCircuits: gated scenarios never execute, their recorded
-// results are journaled and aggregated, and the summary is byte-identical at
-// any worker count (the determinism the quarantine layer leans on).
-func TestEngineGateShortCircuits(t *testing.T) {
-	set := journalSet()
-	gate := func(i int, sc *Scenario) *Result {
-		if i%3 == 0 {
-			return QuarantinedResult(sc)
-		}
-		return nil
-	}
-	var ref []byte
-	for _, workers := range []int{1, 4, 7} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "gated.jsonl")
-		j, err := OpenJournal(path, set, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		executed := map[int]bool{}
-		var mu sync.Mutex
-		eng := Engine{Workers: workers, Gate: gate, Journal: j,
-			OnResult: func(i int, r *Result) {
-				mu.Lock()
-				if r.Outcome != OutcomeQuarantined {
-					executed[i] = true
-				}
-				mu.Unlock()
-			}}
-		sum, err := eng.Run(set)
-		j.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range set {
-			if i%3 == 0 && executed[i] {
-				t.Fatalf("workers=%d: gated scenario %d executed", workers, i)
-			}
-		}
-		if sum.Quarantined != 3 {
-			t.Fatalf("workers=%d: summary counted %d quarantined, want 3", workers, sum.Quarantined)
-		}
-		got, err := sum.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = got
-		} else if !bytes.Equal(got, ref) {
-			t.Fatalf("workers=%d: gated summary differs from workers=1", workers)
-		}
-		// The journal carries the quarantined records like executed ones.
-		restored, err := LoadJournal(path, set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(restored) != len(set) || restored[0].Outcome != OutcomeQuarantined {
-			t.Fatalf("workers=%d: journal restored %d records, [0] outcome %q",
-				workers, len(restored), restored[0].Outcome)
-		}
 	}
 }

@@ -348,9 +348,10 @@ type refDomain struct {
 	hits, misses, evictions, invalidations, flushes uint64
 	queue                                           []iommu.IOVA
 	deadline                                        sim.Nanos
-	pending                                         [][2]uint64 // released ranges awaiting a flush
+	pending                                         [][2]uint64 // released ranges (base, pages) awaiting a flush
 	next                                            iommu.IOVA
 	freed                                           map[uint64][]iommu.IOVA
+	live                                            map[iommu.IOVA]uint64 // handed-out ranges: base -> pages
 }
 
 func (d *refDomain) tlbIndex(page iommu.IOVA) int {
@@ -362,24 +363,42 @@ func (d *refDomain) alloc(n uint64) (iommu.IOVA, error) {
 		return 0, fmt.Errorf("iommu: zero-length IOVA allocation")
 	}
 	pages := layout.PageAlignUp(n) / layout.PageSize
+	var v iommu.IOVA
 	if list := d.freed[pages]; len(list) > 0 {
-		v := list[len(list)-1]
+		v = list[len(list)-1]
 		d.freed[pages] = list[:len(list)-1]
-		return v, nil
+	} else {
+		v = d.next
+		next := d.next + iommu.IOVA(pages*layout.PageSize)
+		if pages == 0 || next < d.next || next>>48 != 0 {
+			return 0, fmt.Errorf("iommu: IOVA space exhausted")
+		}
+		d.next = next
 	}
-	v := d.next
-	d.next += iommu.IOVA(pages * layout.PageSize)
-	if d.next>>48 != 0 {
-		return 0, fmt.Errorf("iommu: IOVA space exhausted")
-	}
+	d.live[v] = pages
 	return v, nil
 }
 
-func (d *refDomain) free(v iommu.IOVA, n uint64) error {
+// release forgets [v, v+n) if it is exactly one live range and returns its
+// length in pages; anything else — a double or partial release — is
+// refused.
+func (d *refDomain) release(v iommu.IOVA, n uint64) (uint64, error) {
 	if v < refIOVABase || uint64(v)&layout.PageMask != 0 {
-		return fmt.Errorf("iommu: bad IOVA free %#x", uint64(v))
+		return 0, fmt.Errorf("iommu: bad IOVA free %#x", uint64(v))
 	}
 	pages := layout.PageAlignUp(n) / layout.PageSize
+	if got, ok := d.live[v]; !ok || got != pages {
+		return 0, fmt.Errorf("iommu: IOVA free %#x+%d matches no live allocation", uint64(v), n)
+	}
+	delete(d.live, v)
+	return pages, nil
+}
+
+func (d *refDomain) free(v iommu.IOVA, n uint64) error {
+	pages, err := d.release(v, n)
+	if err != nil {
+		return err
+	}
 	d.freed[pages] = append(d.freed[pages], v)
 	return nil
 }
@@ -429,7 +448,7 @@ func (m *refMachine) createDomain(dev iommu.DeviceID) error {
 		return fmt.Errorf("iommu: device %d already attached", dev)
 	}
 	d := &refDomain{name: fmt.Sprintf("dom%d", dev), table: map[iommu.IOVA]refPTE{},
-		next: refIOVABase, freed: map[uint64][]iommu.IOVA{}}
+		next: refIOVABase, freed: map[uint64][]iommu.IOVA{}, live: map[iommu.IOVA]uint64{}}
 	m.doms[dev] = d
 	m.all = append(m.all, d)
 	return nil
@@ -502,7 +521,7 @@ func (m *refMachine) flush(d *refDomain) {
 	d.tlb, d.queue = nil, nil
 	d.flushes++
 	for _, p := range d.pending {
-		_ = d.free(iommu.IOVA(p[0]), p[1])
+		d.freed[p[1]] = append(d.freed[p[1]], iommu.IOVA(p[0]))
 	}
 	d.pending = nil
 	m.now += iommu.InvalidationCost
@@ -515,11 +534,16 @@ func (m *refMachine) releaseIOVA(dev iommu.DeviceID, v iommu.IOVA, n uint64) err
 	if err != nil {
 		return err
 	}
+	pages, err := d.release(v, n)
+	if err != nil {
+		return err
+	}
 	if m.mode == iommu.Deferred {
-		d.pending = append(d.pending, [2]uint64{uint64(v), n})
+		d.pending = append(d.pending, [2]uint64{uint64(v), pages})
 		return nil
 	}
-	return d.free(v, n)
+	d.freed[pages] = append(d.freed[pages], v)
+	return nil
 }
 
 func (m *refMachine) tickNow() {

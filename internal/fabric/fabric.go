@@ -537,10 +537,6 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 		ref.Release()
 		if err == nil {
 			c.m.ShardLatency.Observe(time.Since(start).Seconds())
-			if len(c.unfinished(sh)) > 0 {
-				// The delivery skipped the worker's quarantine verdicts.
-				return c.runLocal(ctx, sh)
-			}
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -773,7 +769,7 @@ func (c *Coordinator) runLease(ctx context.Context, sh shard, ref *WorkerRef) er
 		return fmt.Errorf("wait: %w", err)
 	}
 	if job.Status != api.StatusDone {
-		// The job ran and died (failed, stalled, quarantined): the strongest
+		// The job ran and died (failed, stalled): the strongest
 		// evidence a scenario in this range kills its host.
 		return fmt.Errorf("%w: job %d finished %s: %s", errShardFatal, acc.ID, job.Status, job.Error)
 	}
@@ -790,13 +786,6 @@ func (c *Coordinator) runLease(ctx context.Context, sh shard, ref *WorkerRef) er
 	c.m.ObservePhases(ref.URL, job.Timing)
 	c.reg.NoteTiming(ref.URL, len(job.Summary.Results), job.CacheHits, job.Timing)
 	for i, r := range job.Summary.Results {
-		if r.Outcome == campaign.OutcomeQuarantined {
-			// The worker's scenario breaker answered from its own cross-job
-			// history instead of running the scenario; a single-node run has
-			// no such history, so the slot stays empty for runShardRange to
-			// fill locally.
-			continue
-		}
 		if err := c.deliver(sh.Start+i, r, true); err != nil {
 			return err
 		}
@@ -876,11 +865,11 @@ func (c *Coordinator) deliver(global int, r *campaign.Result, fromWorker bool) e
 }
 
 // runLocal executes a shard through the local engine — the degradation path
-// when the fabric is empty or unreachable, the filler for slots a worker
-// answered with a quarantine verdict, and the guarantee that a distributed
-// campaign never does worse than a single-node one. Only undelivered slots
-// execute. Runs are serialized: concurrent falling-back shards would each
-// boot a full worker pool and thrash the host.
+// when the fabric is empty or unreachable, and the guarantee that a distributed
+// campaign never does worse than a single-node one. Its ranges hold no
+// delivered slot: runShardRange splits restored slots off first, and a
+// verified delivery fills its whole range. Runs are serialized: concurrent
+// falling-back shards would each boot a full worker pool and thrash the host.
 func (c *Coordinator) runLocal(ctx context.Context, sh shard) error {
 	c.m.LocalFallback.Inc()
 	c.log.Info("fabric local fallback", "shard", sh.Idx)
@@ -889,26 +878,12 @@ func (c *Coordinator) runLocal(ctx context.Context, sh shard) error {
 	c.mu.Lock()
 	specs := make([]campaign.Scenario, sh.End-sh.Start)
 	copy(specs, c.scs[sh.Start:sh.End])
-	completed := map[int]*campaign.Result{}
-	for i := sh.Start; i < sh.End; i++ {
-		if c.results[i] != nil {
-			completed[i-sh.Start] = c.results[i]
-		}
-	}
 	c.mu.Unlock()
-	eng := campaign.Engine{
-		Workers:   c.cfg.LocalWorkers,
-		Cache:     c.cfg.Store,
-		Completed: completed,
-	}
-	sum, err := eng.RunCtx(ctx, specs)
+	sum, err := campaign.Engine{Workers: c.cfg.LocalWorkers, Cache: c.cfg.Store}.RunCtx(ctx, specs)
 	if err != nil {
 		return fmt.Errorf("fabric: local shard %d: %w", sh.Idx, err)
 	}
 	for i, r := range sum.Results {
-		if completed[i] != nil {
-			continue // restored before the fallback, already delivered
-		}
 		if err := c.deliver(sh.Start+i, r, false); err != nil {
 			return err
 		}

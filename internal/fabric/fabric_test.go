@@ -592,45 +592,3 @@ func TestJoinPromotesWorker(t *testing.T) {
 		t.Fatalf("registry snapshot = %+v", snap)
 	}
 }
-
-// TestWorkerQuarantineNotMerged: a worker's scenario breaker trips on
-// cross-job history, so after enough repeats of a panicking scenario its
-// jobs answer that scenario with a recorded "quarantined" result. That is
-// the worker's verdict, not the scenario's result: the coordinator must run
-// such slots itself, and every run of the set through the fabric must stay
-// byte-identical to the single-node run.
-func TestWorkerQuarantineNotMerged(t *testing.T) {
-	set := campaign.LadderPreset(4, 2021)
-	set[1].FaultSpec = "scenario-panic@1"
-	eng := campaign.Engine{Workers: 2}
-	ref, err := eng.RunCtx(context.Background(), set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := faultd.NewServer()
-	srv.Workers = 2
-	srv.QuarantineThreshold = 3
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	c := New(Config{Workers: []string{ts.URL}, ShardSize: 4, Heartbeat: 25 * time.Millisecond})
-	for run := 1; run <= 5; run++ {
-		sum, err := c.Run(context.Background(), set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sum.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("run %d: summary differs from single-node run (%d vs %d bytes)", run, len(got), len(want))
-		}
-	}
-	if v := c.Metrics().LocalFallback.Value(); v == 0 {
-		t.Fatal("no local fallback: the worker never quarantined the panicking scenario")
-	}
-}

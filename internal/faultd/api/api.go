@@ -134,8 +134,8 @@ type Timing struct {
 	// ExecuteSeconds is the campaign engine's wall-clock for the scenario
 	// set, cache replays included.
 	ExecuteSeconds float64 `json:"execute_seconds"`
-	// PublishSeconds covers post-engine finalization: quarantine breaker
-	// bookkeeping, results hashing, and the metrics merge.
+	// PublishSeconds covers post-engine finalization: results hashing and
+	// the metrics merge.
 	PublishSeconds float64 `json:"publish_seconds"`
 	// Attempts is total scenario attempts including transient-fault retries
 	// (Summary.Scenarios + Summary.Retries).

@@ -38,16 +38,17 @@
 // The job plane is supervised (see supervisor.go): submissions pass
 // admission control into a bounded FIFO queue, a dispatcher starts them
 // oldest-first under the MaxConcurrent cap, a watchdog cancels jobs whose
-// progress heartbeat stalls, a circuit breaker quarantines scenarios that
-// repeatedly panic or blow their deadline across jobs (quarantine.go), and
-// on boot the journal directory is scanned so jobs interrupted by a crash
-// resume with byte-identical final summaries (recovery.go).
+// progress heartbeat stalls, and on boot the journal directory is scanned
+// so jobs interrupted by a crash resume with byte-identical final summaries
+// (recovery.go). A scenario that panics or blows its deadline is contained
+// by the engine itself (Outcome "panic" or "timeout"), so a job's summary is
+// a pure function of its scenario set however often it is submitted.
 //
 // Two metric planes coexist deliberately. Service-level counters are atomic
 // instruments (scrapes race with request handling); campaign snapshots come
 // from quiescent machines and are merged under the server mutex, preserving
 // the registry's determinism contract. Supervision families (queue depth
-// and wait, stall cancellations, quarantine trips, recovered jobs) are
+// and wait, stall cancellations, recovered jobs) are
 // registered through metrics.OmitZero, so they are absent from idle
 // expositions — their presence is itself a signal.
 package faultd
@@ -110,8 +111,6 @@ type Job struct {
 	queueWait  time.Duration // admitted → dispatched, set by the dispatcher
 	lastBeat   time.Time     // progress heartbeat, guarded by Server.mu
 	stalled    bool          // set by the watchdog before it cancels
-	adm        *admission
-	keys       []string // per-index scenario keys (breaker identity)
 	// fuzzSpec marks the job as a fuzz campaign (see api.FuzzSpec); scs is
 	// nil and fuzzSeed carries the submission's Seed.
 	fuzzSpec *api.FuzzSpec
@@ -157,21 +156,11 @@ type Server struct {
 	// heartbeat (scenario claims and completions) goes quiet for longer is
 	// cancelled with status "stalled". 0 disables the watchdog.
 	StallTimeout time.Duration
-	// QuarantineThreshold trips the scenario circuit breaker after a
-	// scenario key accumulates this many panic/timeout outcomes across
-	// jobs; tripped scenarios short-circuit to recorded "quarantined"
-	// results. <= 0 disables the breaker.
-	QuarantineThreshold int
-	// QuarantineProbeAfter is how many jobs a tripped scenario sits out
-	// before one job is let through as a half-open probe (a clean probe
-	// resets the breaker, a failing one re-arms the wait). <= 0 means
-	// DefaultProbeAfter.
-	QuarantineProbeAfter int
 	// Log receives the service's structured diagnostics; nil discards them.
 	Log *slog.Logger
 	// Recorder, when set, is the always-on flight recorder: spans and events
 	// land in its ring and the supervisor dumps the retained window to the
-	// journal directory on stall, panic, quarantine trip, and shutdown. Its
+	// journal directory on stall, panic, and shutdown. Its
 	// retention counters are exported (via metrics.OmitZero) once Handler is
 	// built.
 	Recorder *obs.Recorder
@@ -199,7 +188,6 @@ type Server struct {
 	merged       *metrics.Snapshot
 	wg           sync.WaitGroup
 	sem          chan struct{} // MaxConcurrent tokens (nil = unlimited)
-	quarantine   *quarantine
 
 	reg                *metrics.Registry
 	requests           *metrics.Counter
@@ -212,16 +200,13 @@ type Server struct {
 
 	// Supervision families, registered through metrics.OmitZero so an idle
 	// boot's exposition carries none of them.
-	queueDepthG          *metrics.Gauge
-	queueWait            *metrics.Histogram
-	peakRunningG         *metrics.Gauge
-	rejectedFull         *metrics.Counter
-	rejectedDraining     *metrics.Counter
-	jobsStalled          *metrics.Counter
-	jobsRecovered        *metrics.Counter
-	quarantineTrips      *metrics.Counter
-	quarantineProbes     *metrics.Counter
-	scenariosQuarantined *metrics.Counter
+	queueDepthG      *metrics.Gauge
+	queueWait        *metrics.Histogram
+	peakRunningG     *metrics.Gauge
+	rejectedFull     *metrics.Counter
+	rejectedDraining *metrics.Counter
+	jobsStalled      *metrics.Counter
+	jobsRecovered    *metrics.Counter
 
 	// Observability plane (obs.go): spanMetrics summarizes every completed
 	// wall-clock span into obs_span_duration_seconds (absent until one
@@ -250,16 +235,13 @@ func NewServer() *Server {
 		scenariosCompleted: metrics.NewCounter("faultd_scenarios_completed_total", "Scenarios finished across all jobs."),
 		running:            metrics.NewGauge("faultd_campaigns_running", "Campaign jobs currently executing."),
 
-		queueDepthG:          metrics.NewGauge("faultd_queue_depth", "Jobs waiting in the admission queue."),
-		queueWait:            metrics.NewHistogram("faultd_queue_wait_seconds", "Time jobs spent queued before starting.", QueueWaitBuckets),
-		peakRunningG:         metrics.NewGauge("faultd_campaigns_running_peak", "High-water mark of concurrently executing jobs."),
-		rejectedFull:         metrics.NewCounter("faultd_submissions_rejected_full_total", "Submissions rejected with 429 because the queue was full."),
-		rejectedDraining:     metrics.NewCounter("faultd_submissions_rejected_draining_total", "Submissions rejected with 503 after drain began."),
-		jobsStalled:          metrics.NewCounter("faultd_jobs_stalled_total", "Jobs cancelled by the stuck-job watchdog."),
-		jobsRecovered:        metrics.NewCounter("faultd_jobs_recovered_total", "Unfinished journals re-registered as jobs at boot."),
-		quarantineTrips:      metrics.NewCounter("faultd_quarantine_trips_total", "Scenario circuit-breaker trips."),
-		quarantineProbes:     metrics.NewCounter("faultd_quarantine_probes_total", "Half-open probe jobs admitted for tripped scenarios."),
-		scenariosQuarantined: metrics.NewCounter("faultd_scenarios_quarantined_total", "Scenario runs short-circuited by the circuit breaker."),
+		queueDepthG:      metrics.NewGauge("faultd_queue_depth", "Jobs waiting in the admission queue."),
+		queueWait:        metrics.NewHistogram("faultd_queue_wait_seconds", "Time jobs spent queued before starting.", QueueWaitBuckets),
+		peakRunningG:     metrics.NewGauge("faultd_campaigns_running_peak", "High-water mark of concurrently executing jobs."),
+		rejectedFull:     metrics.NewCounter("faultd_submissions_rejected_full_total", "Submissions rejected with 429 because the queue was full."),
+		rejectedDraining: metrics.NewCounter("faultd_submissions_rejected_draining_total", "Submissions rejected with 503 after drain began."),
+		jobsStalled:      metrics.NewCounter("faultd_jobs_stalled_total", "Jobs cancelled by the stuck-job watchdog."),
+		jobsRecovered:    metrics.NewCounter("faultd_jobs_recovered_total", "Unfinished journals re-registered as jobs at boot."),
 
 		spanMetrics: obs.NewSpanMetrics(),
 	}
@@ -270,8 +252,7 @@ func NewServer() *Server {
 		metrics.OmitZero(s.queueDepthG), metrics.OmitZero(s.queueWait),
 		metrics.OmitZero(s.peakRunningG), metrics.OmitZero(s.rejectedFull),
 		metrics.OmitZero(s.rejectedDraining), metrics.OmitZero(s.jobsStalled),
-		metrics.OmitZero(s.jobsRecovered), metrics.OmitZero(s.quarantineTrips),
-		metrics.OmitZero(s.quarantineProbes), metrics.OmitZero(s.scenariosQuarantined))
+		metrics.OmitZero(s.jobsRecovered))
 	s.reg.MustRegister(metrics.OmitZero(s.spanMetrics))
 	return s
 }
@@ -528,7 +509,6 @@ func (s *Server) runJob(job *Job) {
 				s.flightDump("panic", job)
 			}
 		},
-		Gate: s.quarantineGate(job),
 	}
 	if s.Cache != nil {
 		eng.Cache = s.Cache
@@ -550,9 +530,6 @@ func (s *Server) runJob(job *Job) {
 	sum, err := eng.RunCtx(job.ctx, job.scs)
 	execDur := time.Since(execStart)
 	pubStart := time.Now()
-	if err == nil {
-		s.quarantineReport(job, sum.Results)
-	}
 	s.finish(job, err, func() {
 		job.Summary = sum
 		job.ResultsHash = api.HashResults(sum.Results)

@@ -14,7 +14,7 @@ import (
 )
 
 // Flight-recorder dump coverage: each supervisor trigger — stall, panic,
-// quarantine trip, and shutdown (the SIGTERM path drives Drain) — must ship
+// and shutdown (the SIGTERM path drives Drain) — must ship
 // the recorder's retained window to the journal directory as a parseable
 // JSONL file whose trigger event is recorded inside it.
 
@@ -83,22 +83,6 @@ func TestFlightDumpOnPanic(t *testing.T) {
 		t.Fatalf("panic job ended %q (a panicking scenario is a recorded result, not a job failure)", job.Status)
 	}
 	readDump(t, filepath.Join(dir, "flight-panic-job-1.jsonl"), "panic")
-}
-
-func TestFlightDumpOnQuarantineTrip(t *testing.T) {
-	dir := t.TempDir()
-	srv := NewServer()
-	srv.JournalDir = dir
-	srv.Recorder = obs.NewRecorder(0)
-	srv.QuarantineThreshold = 1
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	if job := submitAndFetch(t, ts, submitBody(t, Request{Workers: 1,
-		Scenarios: []campaign.Scenario{panicScenario()}})); job.Status != StatusDone {
-		t.Fatalf("trip job ended %q", job.Status)
-	}
-	readDump(t, filepath.Join(dir, "flight-quarantine-job-1.jsonl"), "quarantine")
 }
 
 func TestFlightDumpOnShutdown(t *testing.T) {

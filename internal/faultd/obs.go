@@ -15,7 +15,7 @@ import (
 // Observability plane of the service: per-job wall-clock spans summarized
 // into the obs_span_duration_seconds family, live event streaming over SSE
 // (GET /v1/campaigns/{id}/events), and flight-recorder dumps shipped to the
-// journal directory on stall, panic, quarantine trip, and shutdown. All of
+// journal directory on stall, panic, and shutdown. All of
 // it is operator data — none of it touches job summaries, journals, or the
 // merged campaign metric plane.
 
@@ -93,8 +93,7 @@ func jobView(job *Job) jobEvent {
 }
 
 // flightDump ships the flight recorder's retained window to the journal
-// directory — the forensic artifact for a stall, panic, quarantine trip, or
-// shutdown. A trigger event is recorded first so the dump is self-labelling.
+// directory — the forensic artifact for a stall, panic, or shutdown. A trigger event is recorded first so the dump is self-labelling.
 // No recorder or no journal directory means no dump.
 func (s *Server) flightDump(trigger string, job *Job) {
 	if s.Recorder == nil || s.JournalDir == "" {

@@ -158,8 +158,8 @@ func (s *Server) dispatch() {
 	}
 }
 
-// runWorker executes one job end to end: admission through the quarantine
-// breaker, watchdog arming, engine execution, terminal bookkeeping. It runs
+// runWorker executes one job end to end: watchdog arming, engine
+// execution, terminal bookkeeping. It runs
 // on its own goroutine with a scheduler slot held — except for a job
 // cancelled before it started (DELETE while queued, or a drain deadline),
 // which the dispatcher retires inline.
@@ -169,7 +169,6 @@ func (s *Server) runWorker(job *Job) {
 		s.finish(job, err, nil)
 		return
 	}
-	s.quarantineAdmit(job)
 	s.mu.Lock()
 	job.Status = StatusRunning
 	job.lastBeat = time.Now()
@@ -198,12 +197,8 @@ func (s *Server) runWorker(job *Job) {
 // event. nil is done (onDone, run under s.mu, records what done means for
 // the runner); context.Canceled on a job the watchdog marked is stalled
 // (with the stall flight dump); any other context.Canceled is cancelled;
-// anything else is failed. A job that ends without results releases its
-// quarantine probe reservations first.
+// anything else is failed.
 func (s *Server) finish(job *Job, err error, onDone func()) {
-	if err != nil {
-		s.quarantineAbort(job)
-	}
 	s.mu.Lock()
 	switch {
 	case err == nil:

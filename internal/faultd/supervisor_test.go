@@ -408,8 +408,6 @@ func TestSupervisionFamiliesAbsentOnIdleBoot(t *testing.T) {
 		"faultd_submissions_rejected_full_total",
 		"faultd_submissions_rejected_draining_total",
 		"faultd_jobs_stalled_total", "faultd_jobs_recovered_total",
-		"faultd_quarantine_trips_total", "faultd_quarantine_probes_total",
-		"faultd_scenarios_quarantined_total",
 	} {
 		if strings.Contains(text, family) {
 			t.Errorf("idle exposition leaks %s", family)

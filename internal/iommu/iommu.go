@@ -271,7 +271,8 @@ func (d *Domain) Unmap(v IOVA) error {
 
 // ReleaseIOVA returns address space to the domain's allocator — immediately
 // under strict mode, or after the next global flush under deferred mode (so
-// a stale IOTLB entry can never alias a recycled IOVA).
+// a stale IOTLB entry can never alias a recycled IOVA). In both modes a
+// range that is not exactly one live allocation is refused at once.
 func (u *IOMMU) ReleaseIOVA(dev DeviceID, v IOVA, n uint64) error {
 	d, err := u.DomainOf(dev)
 	if err != nil {
@@ -283,11 +284,14 @@ func (u *IOMMU) ReleaseIOVA(dev DeviceID, v IOVA, n uint64) error {
 // ReleaseIOVA is IOMMU.ReleaseIOVA for a caller that already holds the
 // domain.
 func (d *Domain) ReleaseIOVA(v IOVA, n uint64) error {
-	if d.unit.mode == Deferred {
-		d.pendingIOVA = append(d.pendingIOVA, pendingRange{v, n})
-		return nil
+	if d.unit.mode != Deferred {
+		return d.iova.free(v, n)
 	}
-	return d.iova.free(v, n)
+	err := d.iova.release(v, n)
+	if err == nil {
+		d.pendingIOVA = append(d.pendingIOVA, pendingRange{v, n})
+	}
+	return err
 }
 
 // flushDomain performs the periodic global invalidation of deferred mode.
@@ -298,7 +302,7 @@ func (u *IOMMU) flushDomain(d *Domain) {
 	d.tlb.FlushAll()
 	d.flushQueue = d.flushQueue[:0]
 	for _, p := range d.pendingIOVA {
-		_ = d.iova.free(p.v, p.n)
+		d.iova.recycle(p.v, p.n)
 	}
 	d.pendingIOVA = d.pendingIOVA[:0]
 	u.clock.Advance(InvalidationCost) // one global invalidation command
@@ -420,7 +424,13 @@ func (d *Domain) Table() *PageTable { return d.table }
 type iovaAllocator struct {
 	next  IOVA
 	freed map[uint64][]IOVA // size class (pages) -> freed ranges, LIFO
+	// bits covers the pages of [IOVABase, next), 64 to an element. live
+	// marks a page handed out and not yet released, head the first page of
+	// each handed-out range: together they pin each live range's extent.
+	bits []iovaBits
 }
+
+type iovaBits struct{ live, head uint64 }
 
 // IOVABase is where device address space starts; above 4 GiB like Linux's
 // default DMA window for 64-bit devices, and never 0 so that a nil IOVA is
@@ -437,24 +447,80 @@ func (a *iovaAllocator) alloc(n uint64) (IOVA, error) {
 		return 0, fmt.Errorf("iommu: zero-length IOVA allocation")
 	}
 	pages := layout.PageAlignUp(n) / layout.PageSize
-	if list := a.freed[pages]; len(list) > 0 {
-		v := list[len(list)-1]
-		a.freed[pages] = list[:len(list)-1]
-		return v, nil
-	}
 	v := a.next
-	a.next += IOVA(pages * layout.PageSize)
-	if a.next>>48 != 0 {
-		return 0, fmt.Errorf("iommu: IOVA space exhausted")
+	if list := a.freed[pages]; len(list) > 0 {
+		v = list[len(list)-1]
+		a.freed[pages] = list[:len(list)-1]
+	} else {
+		// Checked before it is committed: release reads bits up to next.
+		next := a.next + IOVA(pages*layout.PageSize)
+		if pages == 0 || next < a.next || next>>48 != 0 {
+			return 0, fmt.Errorf("iommu: IOVA space exhausted")
+		}
+		a.next = next
+		if a.bits == nil {
+			a.bits = make([]iovaBits, 0, 32) // 2048 pages: a NIC ring
+		}
+		for uint64(len(a.bits))*64 < pageIndex(a.next) {
+			a.bits = append(a.bits, iovaBits{})
+		}
 	}
+	a.mark(pageIndex(v), pageIndex(v)+pages, true)
 	return v, nil
 }
 
 func (a *iovaAllocator) free(v IOVA, n uint64) error {
+	err := a.release(v, n)
+	if err == nil {
+		a.recycle(v, n)
+	}
+	return err
+}
+
+// release checks that [v, v+n) is exactly one live range — a head page,
+// then live pages that are not heads, up to a page that is free or the
+// next range's head — and clears its bits. A refused release changes
+// nothing.
+func (a *iovaAllocator) release(v IOVA, n uint64) error {
 	if v < IOVABase || uint64(v)&layout.PageMask != 0 {
 		return fmt.Errorf("iommu: bad IOVA free %#x", uint64(v))
 	}
-	pages := layout.PageAlignUp(n) / layout.PageSize
-	a.freed[pages] = append(a.freed[pages], v)
+	first, end, span := pageIndex(v), pageIndex(v+IOVA(layout.PageAlignUp(n))), pageIndex(a.next)
+	ok := first < end && end <= span && (end == span || a.head(end) || !a.live(end))
+	for p := first; ok && p < end; p++ {
+		ok = a.live(p) && a.head(p) == (p == first)
+	}
+	if !ok {
+		return fmt.Errorf("iommu: IOVA free %#x+%d matches no live allocation", uint64(v), n)
+	}
+	a.mark(first, end, false)
 	return nil
 }
+
+// recycle hands a released range back to alloc.
+func (a *iovaAllocator) recycle(v IOVA, n uint64) {
+	pages := layout.PageAlignUp(n) / layout.PageSize
+	a.freed[pages] = append(a.freed[pages], v)
+}
+
+// mark sets or clears the live bits of pages [first, end) and the head bit
+// of first.
+func (a *iovaAllocator) mark(first, end uint64, on bool) {
+	for p := first; p < end; p++ {
+		a.bits[p/64].live = setBit(a.bits[p/64].live, p%64, on)
+	}
+	a.bits[first/64].head = setBit(a.bits[first/64].head, first%64, on)
+}
+
+func (a *iovaAllocator) live(p uint64) bool { return a.bits[p/64].live>>(p%64)&1 != 0 }
+func (a *iovaAllocator) head(p uint64) bool { return a.bits[p/64].head>>(p%64)&1 != 0 }
+
+func setBit(w, i uint64, on bool) uint64 {
+	if on {
+		return w | 1<<i
+	}
+	return w &^ (1 << i)
+}
+
+// pageIndex is v's page number counted from IOVABase.
+func pageIndex(v IOVA) uint64 { return uint64(v-IOVABase) >> layout.PageShift }

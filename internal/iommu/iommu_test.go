@@ -301,6 +301,66 @@ func TestIOVAAllocator(t *testing.T) {
 	if err := d.FreeIOVA(IOVA(123), 10); err == nil {
 		t.Error("bogus free accepted")
 	}
+	// An impossible size is refused without moving the allocator.
+	if _, err := d.AllocIOVA(1 << 63); err == nil {
+		t.Error("allocation past the 48-bit space accepted")
+	}
+	if _, err := d.AllocIOVA(^uint64(0)); err == nil {
+		t.Error("allocation whose page count overflows accepted")
+	}
+	if next, _ := d.AllocIOVA(1); next != b+2*layout.PageSize {
+		t.Errorf("allocation after refused ones: %#x, want %#x", uint64(next), uint64(b+2*layout.PageSize))
+	}
+	if err := d.FreeIOVA(b+4*layout.PageSize, layout.PageSize); err == nil {
+		t.Error("free beyond the handed-out space accepted")
+	}
+}
+
+// TestIOVAReleaseRefusesAnythingButOneLiveRange: releasing a range twice,
+// in part, past its end or across two allocations is refused in both
+// invalidation modes, and a refusal leaves the allocator as it was — the
+// next allocations never alias a live range.
+func TestIOVAReleaseRefusesAnythingButOneLiveRange(t *testing.T) {
+	for _, mode := range []Mode{Strict, Deferred} {
+		u, d, _ := newUnit(t, mode)
+		a, _ := d.AllocIOVA(layout.PageSize)
+		b, _ := d.AllocIOVA(2 * layout.PageSize)
+		c, _ := d.AllocIOVA(layout.PageSize)
+		for _, r := range []struct {
+			v IOVA
+			n uint64
+		}{
+			{a, 2 * layout.PageSize},    // runs into b
+			{b, layout.PageSize},        // half of b
+			{b + layout.PageSize, 4096}, // b's tail
+			{b, 3 * layout.PageSize},    // b and c
+			{c + layout.PageSize, 4096}, // never handed out
+			{c, 2 * layout.PageSize},    // past the end of the space
+		} {
+			if err := u.ReleaseIOVA(nicDev, r.v, r.n); err == nil {
+				t.Errorf("%v: release %#x+%#x accepted", mode, uint64(r.v), r.n)
+			}
+		}
+		if err := u.ReleaseIOVA(nicDev, a, layout.PageSize); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if err := u.ReleaseIOVA(nicDev, a, layout.PageSize); err == nil {
+			t.Errorf("%v: double release accepted", mode)
+		}
+		if err := d.FreeIOVA(a, layout.PageSize); err == nil {
+			t.Errorf("%v: FreeIOVA of a released range accepted", mode)
+		}
+		u.FlushSync()
+		x, _ := d.AllocIOVA(layout.PageSize)
+		y, _ := d.AllocIOVA(layout.PageSize)
+		if x != a || y == a || y == b || y == c {
+			t.Errorf("%v: allocations after refused releases: %#x, %#x (a=%#x b=%#x c=%#x)",
+				mode, uint64(x), uint64(y), uint64(a), uint64(b), uint64(c))
+		}
+		if err := u.ReleaseIOVA(nicDev, b, 2*layout.PageSize); err != nil {
+			t.Errorf("%v: exact release of b refused: %v", mode, err)
+		}
+	}
 }
 
 func TestUnmapErrors(t *testing.T) {

@@ -7,7 +7,7 @@ package metrics
 //
 // This is the service-plane analogue of the faultinject_* convention on the
 // campaign plane: families that describe exceptional conditions (stalled
-// jobs, quarantine trips, queue backpressure) stay out of idle expositions,
+// jobs, recovered jobs, queue backpressure) stay out of idle expositions,
 // so "the family exists" is itself a signal and golden idle dumps never
 // churn when new supervision families are added.
 func OmitZero(src Source) Source { return omitZero{src: src} }

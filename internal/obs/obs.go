@@ -23,7 +23,7 @@
 //   - Recorder: the always-on bounded ring of recent spans and log records;
 //     RingHandler tees slog records into it; Dump writes the retained
 //     window as JSONL — the forensic context the dmafaultd supervisor
-//     ships with every stall, panic, quarantine trip, and SIGTERM.
+//     ships with every stall, panic, and SIGTERM.
 //   - Hub: a fan-out of live events backing GET /v1/campaigns/{id}/events.
 //
 // Every method on Tracer, Span, Recorder, and Hub is nil-receiver safe, so

@@ -145,8 +145,7 @@ func (r *Recorder) Dropped() uint64 {
 }
 
 // Dump writes the retained window as JSONL, oldest first — the forensic
-// artifact the supervisor ships on stall, panic, quarantine trip, and
-// SIGTERM.
+// artifact the supervisor ships on stall, panic, and SIGTERM.
 func (r *Recorder) Dump(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
