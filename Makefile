@@ -35,12 +35,13 @@ race:
 # pages under the page, slab and page_frag allocators against dense
 # references (internal/mem), and the IOMMU, DMA API and device bus against
 # a reference kept in plain maps and lists (internal/dma), and the /v1
-# wire decoders: a submission's decode and resolution (internal/faultd)
-# and a lease delivery's verification (internal/fabric). Their seed
+# wire decoders: a submission's decode and resolution (internal/faultd),
+# a lease delivery's verification (internal/fabric) and the fleet scrape's
+# metrics snapshot decode, merge and render (internal/metrics). Their seed
 # inputs already run under plain `go test`; this target searches past them
 # and stays out of `make check` so CI time does not grow. FuzzLoadJournal's,
-# FuzzSubmit's and FuzzDelivery's inputs carry results or scenario sets of
-# several KiB, and minimizing each new one for the default 60 s would spend
+# FuzzSubmit's, FuzzDelivery's and FuzzSnapshotMerge's inputs carry
+# results, scenario sets or metric snapshots of several KiB, and minimizing each new one for the default 60 s would spend
 # the whole run there, so their minimization is capped at 5 s.
 fuzz:
 	$(GO) test ./internal/recordlog -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 60s
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/dma -run '^$$' -fuzz '^FuzzIOMMU$$' -fuzztime 60s
 	$(GO) test ./internal/faultd -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 60s -fuzzminimizetime 5s
 	$(GO) test ./internal/fabric -run '^$$' -fuzz '^FuzzDelivery$$' -fuzztime 60s -fuzzminimizetime 5s
+	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzSnapshotMerge$$' -fuzztime 60s -fuzzminimizetime 5s
 
 # One pass over every benchmark, teed through cmd/benchjson into a
 # benchstat-comparable JSON artifact. -benchtime=3x keeps it minutes, not
@@ -120,8 +122,8 @@ cachesmoke:
 # Daemon phase: fault-injected jobs through dmafaultd's bounded scheduler,
 # random cancels, kill -9 mid-campaign, restart on the same journal dir, and
 # boot recovery finishing the interrupted job. Fabric phase: a coordinator
-# over 3 dmafaultd workers (one joined at runtime) with -fleetobs, stealing,
-# the byzantine quarantine and a mild netchaos plan; kill -9 a leasing
+# over 3 dmafaultd workers (one joined at runtime) with -fleetobs, stealing
+# and a mild netchaos plan; kill -9 a leasing
 # worker, fabrictop -once lists every worker, kill -9 the coordinator after
 # the re-lease is journaled, and -resume must reproduce the single-node
 # summary byte for byte with fabric_releases_total > 0. Integrity rejection,

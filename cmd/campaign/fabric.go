@@ -42,7 +42,7 @@ func runFabric(cf *cliutil.Flags, scenarios []campaign.Scenario, cfg fabric.Conf
 	log := cfg.Log
 	for _, u := range strings.Split(ff.WorkerURLs, ",") {
 		if u = strings.TrimSpace(u); u != "" {
-			cfg.Workers = append(cfg.Workers, strings.TrimRight(u, "/"))
+			cfg.Workers = append(cfg.Workers, u)
 		}
 	}
 	var chaos *netchaos.Transport

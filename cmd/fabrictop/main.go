@@ -3,7 +3,7 @@
 // -fleetobs). It follows the coordinator's SSE stream and redraws one
 // screen per "fleet" event: per-worker lease load, per-phase latency totals,
 // EWMA shard latency and throughput, cache hit rate, registry state
-// (up/quarantined/stale), and campaign progress.
+// (up/down/stale), and campaign progress.
 //
 // When the SSE stream is unavailable (no -coordinator-addr hub, a proxy that
 // buffers streams), fabrictop falls back to polling GET /v1/fleet on
@@ -169,8 +169,6 @@ func render(fs *api.FleetSnapshot, clear bool) string {
 // state condenses the registry flags into one word, worst condition first.
 func state(w api.FleetWorker) string {
 	switch {
-	case w.Quarantined:
-		return "QUAR"
 	case !w.Up:
 		return "down"
 	default:

@@ -10,8 +10,8 @@
 //     on the same journal directory whose recovery finishes the victim, and a
 //     post-restart submission that gets a later ID;
 //   - fabric (fabricsoak.go): a coordinator over three workers (one joined
-//     at runtime) under a mild netchaos plan with the fleet view, stealing
-//     and the byzantine quarantine armed; kill -9 of a leasing worker, then
+//     at runtime) under a mild netchaos plan with the fleet view and
+//     stealing armed; kill -9 of a leasing worker, then
 //     of the coordinator once a re-lease is journaled, and a -resume whose
 //     summary must match the reference byte for byte.
 //

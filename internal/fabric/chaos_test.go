@@ -74,8 +74,8 @@ func chaosPlan(t *testing.T, seed int64) *netchaos.Plan {
 }
 
 // TestByteIdenticalUnderChaos is the tentpole acceptance test: with every
-// worker-bound byte riding a netchaos transport — and stealing, quarantine,
-// and bisection all armed — the merged summary still must not change by a
+// worker-bound byte riding a netchaos transport — and stealing, re-lease
+// exclusion, and bisection all armed — the merged summary still must not change by a
 // byte at one, two, or four workers.
 func TestByteIdenticalUnderChaos(t *testing.T) {
 	want := chaosReferenceJSON(t)
@@ -99,8 +99,7 @@ func TestByteIdenticalUnderChaos(t *testing.T) {
 				// speculatively doubled — constant steals would double the
 				// instrumented compute under -race for no extra coverage
 				// (TestStragglerWorkSteal pins the steal path itself).
-				StealAfter:          2 * time.Second,
-				ByzantineProbeAfter: 100 * time.Millisecond,
+				StealAfter: 2 * time.Second,
 			})
 			sum, err := c.Run(context.Background(), chaosSet())
 			if err != nil {
@@ -141,7 +140,6 @@ func TestByteIdenticalUnderChaos(t *testing.T) {
 func TestChaosFamiliesOmittedWhenClean(t *testing.T) {
 	families := []string{
 		"fabric_integrity_rejected_total",
-		"fabric_byzantine_quarantined_total",
 		"fabric_bisect_rounds_total",
 		"fabric_poison_quarantined_total",
 		"fabric_steals_total",
@@ -155,7 +153,6 @@ func TestChaosFamiliesOmittedWhenClean(t *testing.T) {
 		}
 	}
 	m.IntegrityRejected.Inc()
-	m.ByzantineQuarantined.Inc()
 	m.BisectRounds.Inc()
 	m.PoisonQuarantined.Inc()
 	m.Steals.Inc()
@@ -199,19 +196,27 @@ func corruptingWorker(t *testing.T, corrupt func() bool) *httptest.Server {
 	return ts
 }
 
-// TestByzantineWorkerQuarantined: a worker that corrupts every delivery is
-// struck on each rejection, quarantined at the threshold, and the campaign
-// completes byte-identically on the honest worker — no corrupted byte ever
-// merges.
-func TestByzantineWorkerQuarantined(t *testing.T) {
+// TestCorruptingWorkerNeverMerges: beside an honest worker, one that
+// corrupts every delivery has each delivery rejected, and every re-lease of
+// a range it failed goes to the honest worker — the campaign completes
+// byte-identically on the fabric, with no local fallback and no delivery
+// credited to the corrupting worker. Both workers also announce themselves
+// (a join marks a worker up at once) and every scenario is its own shard,
+// so the first leases split across both and the corrupting worker keeps
+// being handed fresh ranges. (A shard lasts milliseconds; with four
+// shards a loaded host can let the honest worker finish one before the
+// last is acquired, leaving the corrupting worker a single lease.)
+func TestCorruptingWorkerNeverMerges(t *testing.T) {
 	want := chaosReferenceJSON(t)
 	good := newWorker(t)
 	bad := corruptingWorker(t, func() bool { return true })
 	c := New(Config{
 		Workers:   []string{good.URL, bad.URL},
-		ShardSize: 2,
+		ShardSize: 1,
 		Heartbeat: 25 * time.Millisecond,
 	})
+	c.Registry().Join(good.URL)
+	c.Registry().Join(bad.URL)
 	sum, err := c.Run(context.Background(), chaosSet())
 	if err != nil {
 		t.Fatal(err)
@@ -226,34 +231,28 @@ func TestByzantineWorkerQuarantined(t *testing.T) {
 	if v := c.Metrics().IntegrityRejected.Value(); v < 2 {
 		t.Fatalf("fabric_integrity_rejected_total = %d, want >= 2", v)
 	}
-	if v := c.Metrics().ByzantineQuarantined.Value(); v != 1 {
-		t.Fatalf("fabric_byzantine_quarantined_total = %d, want 1", v)
-	}
 	if v := c.Metrics().LocalFallback.Value(); v != 0 {
 		t.Fatalf("local fallback fired %d times with an honest worker available", v)
 	}
-	for _, wi := range c.Registry().Snapshot() {
-		if wi.URL == bad.URL && !wi.Quarantined {
-			t.Fatal("corrupting worker not quarantined in the registry snapshot")
-		}
-		if wi.URL == good.URL && wi.Quarantined {
-			t.Fatal("honest worker quarantined")
+	for _, w := range c.Registry().Fleet().Workers {
+		if w.URL == bad.URL && w.Delivered != 0 {
+			t.Fatalf("corrupting worker credited with %d deliveries", w.Delivered)
 		}
 	}
 }
 
-// TestByzantineQuarantineHeals: a worker that corrupts twice and then
-// behaves is quarantined, wins back admission through a clean half-open
-// probe lease, and finishes the campaign readmitted — the breaker closes.
-func TestByzantineQuarantineHeals(t *testing.T) {
+// TestWorkerRecoversAfterCorruption: the only worker corrupts two deliveries
+// and then behaves. With no other worker up, each re-lease goes back to it,
+// and the campaign completes on the fabric byte-identically — exactly the
+// two corruptions rejected, nothing run locally.
+func TestWorkerRecoversAfterCorruption(t *testing.T) {
 	want := chaosReferenceJSON(t)
 	var corrupted atomic.Int32
 	bad := corruptingWorker(t, func() bool { return corrupted.Add(1) <= 2 })
 	c := New(Config{
-		Workers:             []string{bad.URL},
-		ShardSize:           2,
-		Heartbeat:           25 * time.Millisecond,
-		ByzantineProbeAfter: 50 * time.Millisecond,
+		Workers:   []string{bad.URL},
+		ShardSize: 2,
+		Heartbeat: 25 * time.Millisecond,
 	})
 	sum, err := c.Run(context.Background(), chaosSet())
 	if err != nil {
@@ -264,20 +263,13 @@ func TestByzantineQuarantineHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("summary differs after quarantine-and-heal")
-	}
-	if v := c.Metrics().ByzantineQuarantined.Value(); v != 1 {
-		t.Fatalf("fabric_byzantine_quarantined_total = %d, want 1", v)
+		t.Fatalf("summary differs after the worker recovered")
 	}
 	if v := c.Metrics().IntegrityRejected.Value(); v != 2 {
 		t.Fatalf("fabric_integrity_rejected_total = %d, want exactly the 2 corruptions", v)
 	}
 	if v := c.Metrics().LocalFallback.Value(); v != 0 {
-		t.Fatalf("local fallback fired %d times — the healed worker should have carried the campaign", v)
-	}
-	snap := c.Registry().Snapshot()
-	if len(snap) != 1 || snap[0].Quarantined {
-		t.Fatalf("worker still quarantined after a clean probe: %+v", snap)
+		t.Fatalf("local fallback fired %d times — the recovered worker should have carried the campaign", v)
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"dmafault/internal/breaker"
 	"dmafault/internal/campaign"
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/faultdclient"
@@ -146,13 +145,6 @@ type Config struct {
 	// worker, both leases race, and the exactly-once gate drops the loser's
 	// results (0: disabled).
 	StealAfter time.Duration
-	// ByzantineThreshold is the consecutive integrity-rejected deliveries
-	// that quarantine a worker (0: DefaultByzantineAfter).
-	ByzantineThreshold int
-	// ByzantineProbeAfter is the quarantine half-open window: how long after
-	// the trip the worker may receive one probe lease
-	// (0: DefaultByzantineProbeAfter).
-	ByzantineProbeAfter time.Duration
 	// FleetObs enables the fleet view: every heartbeat round also scrapes
 	// each worker's /v1/metrics, GET /v1/fleet serves the result, and a
 	// "fleet" SSE event goes to the hub after each round. Pure observability
@@ -192,15 +184,6 @@ func (c Config) maxLeasesPerWorker() int {
 	return DefaultMaxLeasesPerWorker
 }
 
-// breaker resolves the byzantine quarantine's policy, its wait in the
-// registry's nanosecond ticks.
-func (c Config) breaker() breaker.Policy {
-	return breaker.Policy{
-		Threshold: orDefault(c.ByzantineThreshold, DefaultByzantineAfter),
-		Wait:      int64(orDefault(c.ByzantineProbeAfter, DefaultByzantineProbeAfter)),
-	}
-}
-
 // shard is one contiguous global-index range [Start, End) of the scenario
 // set.
 type shard struct {
@@ -235,7 +218,6 @@ func New(cfg Config) *Coordinator {
 	}
 	reg := NewRegistry(cfg.Workers, defaultProbe(cfg.NeedCache, cfg.Transport), m, log)
 	reg.MaxLeases = cfg.maxLeasesPerWorker()
-	reg.Breaker = cfg.breaker()
 	if cfg.FleetObs {
 		reg.scrape = defaultScrape(cfg.Transport)
 	}
@@ -460,7 +442,10 @@ var errShardFatal = errors.New("fabric: shard killed its lease")
 // runShardRange drives one index range [Start, End) to completion: lease to
 // a live worker, re-lease on expiry with a capped jittered backoff, degrade
 // to local execution when no worker is reachable, bisect when the range
-// itself keeps killing leases.
+// itself keeps killing leases. A re-lease skips the worker whose lease just
+// failed while any other worker is up (Registry.Acquire), so a worker that
+// corrupts or drops its deliveries cannot eat a range's whole attempt
+// budget while an honest one stands by.
 func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 	// A range a resumed journal partly restored leases only its unfinished
 	// runs, so no restored scenario executes again.
@@ -482,6 +467,7 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 	// failures like TTL expiry, timeouts, or corrupted deliveries, which say
 	// nothing about the scenarios.
 	suspect := false
+	failed := "" // the worker whose lease on this range failed last
 	for attempt := 0; ; attempt++ {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -501,7 +487,7 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 			return c.runLocal(ctx, sh)
 		}
 		acquireCtx, cancel := context.WithTimeout(ctx, c.cfg.acquireTimeout())
-		ref := c.reg.Acquire(acquireCtx)
+		ref := c.reg.Acquire(acquireCtx, failed)
 		cancel()
 		if ref == nil {
 			if ctx.Err() != nil {
@@ -545,6 +531,7 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 		if errors.Is(err, errShardFatal) {
 			suspect = true
 		}
+		failed = ref.URL
 		c.m.LeasesExpired.Inc()
 		if serr := c.journalLease(campaign.LeaseExpired, sh, ref.URL, attempt); serr != nil {
 			return serr
@@ -595,29 +582,9 @@ func (c *Coordinator) bisect(ctx context.Context, sh shard) error {
 // when enabled.
 func (c *Coordinator) runGrantedLease(ctx context.Context, sh shard, ref *WorkerRef) error {
 	if c.cfg.StealAfter <= 0 {
-		return c.runNotedLease(ctx, sh, ref)
+		return c.runLease(ctx, sh, ref)
 	}
 	return c.runLeaseStealing(ctx, sh, ref)
-}
-
-// runNotedLease runs one lease and feeds its verdict to the registry's
-// byzantine accounting: a verified delivery heals, an integrity rejection
-// strikes, and anything else — transport death, TTL expiry, cancellation —
-// is neutral, saying nothing about the worker's honesty. A half-open probe
-// lease ending neutral is withdrawn rather than judged.
-func (c *Coordinator) runNotedLease(ctx context.Context, sh shard, ref *WorkerRef) error {
-	err := c.runLease(ctx, sh, ref)
-	switch {
-	case err == nil:
-		c.reg.NoteGoodDelivery(ref.URL)
-	case errors.Is(err, errIntegrity) && ctx.Err() == nil:
-		c.reg.NoteBadDelivery(ref.URL)
-	default:
-		if ref.Probe {
-			c.reg.AbortProbe(ref.URL)
-		}
-	}
-	return err
 }
 
 // runLeaseStealing waits on the primary lease but, every steal delay it
@@ -632,7 +599,7 @@ func (c *Coordinator) runLeaseStealing(ctx context.Context, sh shard, ref *Worke
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	pdone := make(chan error, 1)
-	go func() { pdone <- c.runNotedLease(pctx, sh, ref) }()
+	go func() { pdone <- c.runLease(pctx, sh, ref) }()
 
 	ticker := time.NewTicker(c.cfg.StealAfter)
 	defer ticker.Stop()
@@ -656,7 +623,7 @@ func (c *Coordinator) runLeaseStealing(ctx context.Context, sh shard, ref *Worke
 	defer scancel()
 	tdone := make(chan error, 1)
 	go func() {
-		err := c.runNotedLease(sctx, sh, thief)
+		err := c.runLease(sctx, sh, thief)
 		thief.Release()
 		tdone <- err
 	}()

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"dmafault/internal/breaker"
 	"dmafault/internal/campaign"
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/metrics"
@@ -435,18 +434,17 @@ func TestHeartbeatTrafficPerRound(t *testing.T) {
 	}
 }
 
-// The golden document (testdata/fleet_snapshot.json): a quarantined worker
-// and a dead (never-scraped) worker, with fixed URLs and a frozen registry
+// The golden document (testdata/fleet_snapshot.json): a stale worker with a
+// lease out and a dead (never-scraped) worker, with fixed URLs and a frozen registry
 // state seeded directly. This is the byte-exact /v1/fleet wire format; a
 // field rename or ordering change fails here before it breaks fabrictop,
 // whose own test renders the same document.
 func TestFleetSnapshotGolden(t *testing.T) {
 	c := New(Config{Workers: []string{"http://w1:8077", "http://w2:8077"}, FleetObs: true})
-	// w1 answered once then went dark (stale, last snapshot retained) while
-	// quarantined with a lease out; w2 never answered at all.
+	// w1 answered once then went dark (stale, last snapshot retained) with
+	// a lease out; w2 never answered at all.
 	w1 := c.reg.workers["http://w1:8077"]
 	w1.up = true
-	w1.Strike(breaker.Policy{Threshold: 1}, 0)
 	w1.leases = 1
 	w1.delivered, w1.scenarios, w1.cacheHits = 2, 8, 3
 	w1.phaseQueue, w1.phaseExec, w1.phasePub = 0.25, 4, 0.5

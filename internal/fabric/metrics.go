@@ -71,9 +71,6 @@ type Metrics struct {
 	// documents (truncated or undecodable bodies) and verification failures
 	// (result identity or digest mismatches against the lease's shard).
 	IntegrityRejected *metrics.Counter
-	// ByzantineQuarantined counts workers quarantined for repeated bad
-	// deliveries.
-	ByzantineQuarantined *metrics.Counter
 	// BisectRounds counts shard splits performed to isolate a poison
 	// scenario after a shard exhausted its lease-attempt budget.
 	BisectRounds *metrics.Counter
@@ -132,8 +129,6 @@ func NewMetrics() *Metrics {
 			PhaseLatencyBuckets, "phase", "worker"),
 		IntegrityRejected: metrics.NewCounter("fabric_integrity_rejected_total",
 			"Deliveries rejected by result integrity verification: torn documents and digest/identity mismatches."),
-		ByzantineQuarantined: metrics.NewCounter("fabric_byzantine_quarantined_total",
-			"Workers quarantined for repeated bad deliveries."),
 		BisectRounds: metrics.NewCounter("fabric_bisect_rounds_total",
 			"Shard splits performed to isolate a poison scenario."),
 		PoisonQuarantined: metrics.NewCounter("fabric_poison_quarantined_total",
@@ -152,9 +147,9 @@ func NewMetrics() *Metrics {
 	m.reg.MustRegister(m.LeasesGranted, m.LeasesExpired, m.Releases,
 		m.ShardsTotal, m.ShardsDone, m.DedupDropped, m.LocalFallback,
 		m.WorkersRegistered, m.WorkersUp, m.WorkerDowns, m.ShardLatency, m.PhaseLatency,
-		metrics.OmitZero(m.IntegrityRejected), metrics.OmitZero(m.ByzantineQuarantined),
-		metrics.OmitZero(m.BisectRounds), metrics.OmitZero(m.PoisonQuarantined),
-		metrics.OmitZero(m.Steals), metrics.OmitZero(m.StealWins),
+		metrics.OmitZero(m.IntegrityRejected), metrics.OmitZero(m.BisectRounds),
+		metrics.OmitZero(m.PoisonQuarantined), metrics.OmitZero(m.Steals),
+		metrics.OmitZero(m.StealWins),
 		metrics.OmitZero(m.FleetScrapes), metrics.OmitZero(m.FleetScrapeErrors),
 		metrics.OmitZero(m.FleetWorkersStale))
 	return m

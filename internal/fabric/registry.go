@@ -6,10 +6,10 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
-	"dmafault/internal/breaker"
 	"dmafault/internal/faultd/api"
 	"dmafault/internal/faultdclient"
 	"dmafault/internal/metrics"
@@ -74,15 +74,6 @@ type worker struct {
 	ready bool              // lease-aware readiness at the last good scrape
 	stale bool              // the latest scrape failed after a success
 	snap  *metrics.Snapshot // last good /v1/metrics snapshot
-
-	// Byzantine quarantine: a worker that repeatedly *delivers* bad results
-	// is a different failure mode from one that stops answering. It stays
-	// up (heartbeats still verify liveness) but Acquire skips it while the
-	// breaker is open, then admits exactly one probe lease once the
-	// half-open wait has elapsed and no healthy worker is free. Strikes
-	// count consecutive bad deliveries: any verified delivery resets them.
-	// Ticks are nanoseconds since the registry was built.
-	breaker.State
 }
 
 // Registry tracks workers and arbitrates lease admission.
@@ -93,15 +84,12 @@ type Registry struct {
 	// runtime join beating the static workers' first heartbeat round —
 	// absorbs every shard.
 	MaxLeases int
-	// Breaker is the byzantine quarantine policy, its wait in nanoseconds.
-	// New sets it from Config; NewRegistry starts from Config's defaults.
-	Breaker breaker.Policy
 
-	start   time.Time // tick origin of the byzantine breakers
 	mu      sync.Mutex
 	workers map[string]*worker
 	// wait is closed and remade whenever a worker becomes acquirable
-	// (join, heartbeat up-transition, lease release), waking Acquire.
+	// (join, heartbeat up-transition, lease release) or goes down (which
+	// can lift an Acquire's exclusion), waking Acquire.
 	wait chan struct{}
 
 	probe ProbeFunc
@@ -115,11 +103,11 @@ type Registry struct {
 // NewRegistry builds a registry over the static worker URLs. Static workers
 // start down — the first heartbeat round promotes the live ones — while
 // joins mark a worker up immediately (a worker announcing itself is alive
-// by definition; the next heartbeat re-verifies).
+// by definition; the next heartbeat re-verifies). URLs are normalized
+// (normURL) on the way in, so a worker named twice — statically and by its
+// own join — is one worker.
 func NewRegistry(static []string, probe ProbeFunc, m *Metrics, log *slog.Logger) *Registry {
 	r := &Registry{
-		Breaker: Config{}.breaker(),
-		start:   time.Now(),
 		workers: map[string]*worker{},
 		wait:    make(chan struct{}),
 		probe:   probe,
@@ -127,7 +115,7 @@ func NewRegistry(static []string, probe ProbeFunc, m *Metrics, log *slog.Logger)
 		log:     log,
 	}
 	for _, url := range static {
-		if url == "" {
+		if url = normURL(url); url == "" {
 			continue
 		}
 		r.workers[url] = &worker{url: url, static: true, down: make(chan struct{})}
@@ -135,6 +123,10 @@ func NewRegistry(static []string, probe ProbeFunc, m *Metrics, log *slog.Logger)
 	r.gaugesLocked()
 	return r
 }
+
+// normURL is the registry's one spelling of a worker base URL: without a
+// trailing slash, the form the /v1 client appends paths to.
+func normURL(url string) string { return strings.TrimRight(url, "/") }
 
 // gaugesLocked refreshes the registered/up gauges. Callers hold r.mu.
 func (r *Registry) gaugesLocked() {
@@ -181,6 +173,7 @@ func (r *Registry) wakeLocked() {
 // Join upserts a worker (self-registration), marking it up, and returns the
 // registry size.
 func (r *Registry) Join(url string) int {
+	url = normURL(url)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	w := r.workers[url]
@@ -261,6 +254,7 @@ func (r *Registry) markDown(url string, err error) {
 	}
 	w.up = false
 	close(w.down)
+	r.wakeLocked() // an Acquire excluding another worker may now take that one
 	if r.m != nil {
 		r.m.WorkerDowns.Inc()
 	}
@@ -366,96 +360,12 @@ func (r *Registry) noteScrape(url string, ready bool, snap *metrics.Snapshot, er
 	w.ready, w.stale, w.snap = ready, false, snap
 }
 
-// Defaults for the byzantine quarantine's breaker policy.
-const (
-	// DefaultByzantineAfter is the bad-delivery strikes that quarantine.
-	DefaultByzantineAfter = 2
-	// DefaultByzantineProbeAfter is the half-open re-probe window.
-	DefaultByzantineProbeAfter = 5 * time.Second
-)
-
-// tick is the byzantine breakers' clock: monotonic nanoseconds since the
-// registry was built.
-func (r *Registry) tick() int64 { return int64(time.Since(r.start)) }
-
-// NoteBadDelivery records one integrity-rejected delivery from a worker. At
-// the breaker threshold the worker is quarantined: still probed for
-// liveness, but skipped by Acquire until the half-open window admits one
-// probe lease. A probe lease failing re-arms the window instead of
-// re-counting strikes.
-func (r *Registry) NoteBadDelivery(url string) {
-	r.mu.Lock()
-	w := r.workers[url]
-	if w == nil {
-		r.mu.Unlock()
-		return
-	}
-	if w.Probing() {
-		// The half-open probe came back bad: back to fully open.
-		w.Resolve(false, r.tick())
-		r.mu.Unlock()
-		if r.log != nil {
-			r.log.Warn("fabric byzantine probe failed", "worker", url)
-		}
-		return
-	}
-	tripped := w.Strike(r.Breaker, r.tick())
-	if tripped && r.m != nil {
-		r.m.ByzantineQuarantined.Inc()
-	}
-	strikes := w.Strikes()
-	r.mu.Unlock()
-	if r.log != nil {
-		if tripped {
-			r.log.Warn("fabric worker quarantined (byzantine)", "worker", url, "strikes", strikes)
-		} else {
-			r.log.Warn("fabric bad delivery", "worker", url, "strikes", strikes)
-		}
-	}
-}
-
-// NoteGoodDelivery records one verified delivery: strikes reset, and a
-// quarantined worker (its half-open probe came back clean) is readmitted.
-func (r *Registry) NoteGoodDelivery(url string) {
-	r.mu.Lock()
-	w := r.workers[url]
-	if w == nil {
-		r.mu.Unlock()
-		return
-	}
-	healed := w.Open()
-	w.Resolve(true, r.tick())
-	if healed {
-		r.wakeLocked() // readmitted capacity: wake Acquire waiters
-	}
-	r.mu.Unlock()
-	if healed && r.log != nil {
-		r.log.Info("fabric worker readmitted", "worker", url)
-	}
-}
-
-// AbortProbe withdraws an in-flight half-open probe without a verdict — the
-// lease failed for reasons that say nothing about the worker's honesty
-// (context cancelled, worker died mid-shard). The quarantine clock is left
-// as it was, so the next Acquire may probe again immediately.
-func (r *Registry) AbortProbe(url string) {
-	r.mu.Lock()
-	if w := r.workers[url]; w != nil && w.Probing() {
-		w.AbortProbe()
-		r.wakeLocked()
-	}
-	r.mu.Unlock()
-}
-
 // WorkerRef is one granted admission slot on a worker: the shard lease's
 // view of it. Down() fires if the worker is declared dead while the lease
 // runs; Release returns the slot (idempotent).
 type WorkerRef struct {
-	URL string
-	// Probe marks a half-open quarantine probe lease: its outcome decides
-	// whether the worker is readmitted or the quarantine re-arms.
-	Probe bool
-	down  <-chan struct{}
+	URL  string
+	down <-chan struct{}
 
 	r    *Registry
 	once sync.Once
@@ -482,38 +392,30 @@ func (ref *WorkerRef) Release() {
 // return means "no reachable worker within the budget" and the shard
 // degrades to local execution.
 //
-// Quarantined workers are skipped while healthy capacity exists. When none
-// does, a quarantined worker whose half-open window has opened may be
-// granted exactly one probe lease (Probe true on the ref): the byzantine
-// breaker's re-probe, fed by real work the fabric needed done anyway.
-func (r *Registry) Acquire(ctx context.Context) *WorkerRef {
+// exclude names the worker whose lease on the range just failed ("" for
+// none). It is skipped while any other worker is up — waiting for a slot
+// there if all of them are saturated — and granted only when no other
+// worker is up, so a re-lease goes to a different node whenever one exists.
+func (r *Registry) Acquire(ctx context.Context, exclude string) *WorkerRef {
 	for {
 		r.mu.Lock()
-		var best, probe *worker
-		minWake := int64(0) // soonest half-open window opening, in ticks
-		now := r.tick()
+		var best, excluded *worker
+		others := false
 		for _, w := range r.sortedLocked() {
-			if !w.up || (r.MaxLeases > 0 && w.leases >= r.MaxLeases) {
+			if !w.up {
 				continue
 			}
-			if w.Open() {
-				if w.Probing() {
-					continue // one probe at a time
-				}
-				if left := w.Remaining(r.Breaker, now); left > 0 {
-					if minWake == 0 || left < minWake {
-						minWake = left
-					}
-					continue
-				}
-				if probe == nil {
-					probe = w
-				}
+			if w.url == exclude {
+				excluded = w
 				continue
 			}
-			if best == nil || w.leases < best.leases {
+			others = true
+			if r.admits(w) && (best == nil || w.leases < best.leases) {
 				best = w
 			}
+		}
+		if !others && excluded != nil && r.admits(excluded) {
+			best = excluded
 		}
 		if best != nil {
 			best.leases++
@@ -521,32 +423,8 @@ func (r *Registry) Acquire(ctx context.Context) *WorkerRef {
 			r.mu.Unlock()
 			return ref
 		}
-		if probe != nil {
-			probe.StartProbe()
-			probe.leases++
-			ref := &WorkerRef{URL: probe.url, Probe: true, down: probe.down, r: r}
-			r.mu.Unlock()
-			if r.log != nil {
-				r.log.Info("fabric byzantine half-open probe", "worker", ref.URL)
-			}
-			return ref
-		}
 		wait := r.wait
 		r.mu.Unlock()
-		if minWake > 0 {
-			// A quarantine window opens before anything else might wake us:
-			// re-scan then, even if no join/release/heartbeat fires.
-			t := time.NewTimer(time.Duration(minWake))
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil
-			case <-wait:
-				t.Stop()
-			case <-t.C:
-			}
-			continue
-		}
 		select {
 		case <-ctx.Done():
 			return nil
@@ -555,15 +433,21 @@ func (r *Registry) Acquire(ctx context.Context) *WorkerRef {
 	}
 }
 
-// AcquireIdle non-blockingly grants a slot on an up, unquarantined worker
-// with zero outstanding leases, excluding one URL — the straggler-stealing
-// path. nil when every worker is busy, down, quarantined, or excluded: a
-// steal must never queue behind the very lease it is trying to outrun.
+// admits reports whether an up worker has a lease slot free. Callers hold
+// r.mu.
+func (r *Registry) admits(w *worker) bool {
+	return r.MaxLeases <= 0 || w.leases < r.MaxLeases
+}
+
+// AcquireIdle non-blockingly grants a slot on an up worker with zero
+// outstanding leases, excluding one URL — the straggler-stealing path. nil
+// when every worker is busy, down, or excluded: a steal must never queue
+// behind the very lease it is trying to outrun.
 func (r *Registry) AcquireIdle(exclude string) *WorkerRef {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, w := range r.sortedLocked() {
-		if w.url == exclude || !w.up || w.Open() || w.leases != 0 {
+		if w.url == exclude || !w.up || w.leases != 0 {
 			continue
 		}
 		w.leases++
@@ -625,14 +509,13 @@ func (r *Registry) Fleet() *api.FleetSnapshot {
 	var mergeErr error
 	r.walk(func(w *worker) {
 		fs.Workers = append(fs.Workers, api.FleetWorker{
-			URL:         w.url,
-			Up:          w.up,
-			Static:      w.static,
-			Quarantined: w.Open(),
-			Leases:      w.leases,
-			Delivered:   w.delivered,
-			Scenarios:   w.scenarios,
-			CacheHits:   w.cacheHits,
+			URL:       w.url,
+			Up:        w.up,
+			Static:    w.static,
+			Leases:    w.leases,
+			Delivered: w.delivered,
+			Scenarios: w.scenarios,
+			CacheHits: w.cacheHits,
 			PhaseTotals: api.PhaseSeconds{
 				QueueWait: w.phaseQueue,
 				Execute:   w.phaseExec,
@@ -665,8 +548,7 @@ func (r *Registry) Fleet() *api.FleetSnapshot {
 func (r *Registry) Snapshot() []api.WorkerInfo {
 	infos := []api.WorkerInfo{}
 	r.walk(func(w *worker) {
-		info := api.WorkerInfo{URL: w.url, Up: w.up, Static: w.static,
-			Leases: w.leases, Quarantined: w.Open()}
+		info := api.WorkerInfo{URL: w.url, Up: w.up, Static: w.static, Leases: w.leases}
 		if !w.lastSeen.IsZero() {
 			info.LastSeenUnix = w.lastSeen.Unix()
 		}

@@ -1,17 +1,19 @@
 package fabric
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dmafault/internal/metrics"
 	"dmafault/internal/obs"
 )
 
 // TestRegistryFlapDampingUnderRace hammers the registry's promote/demote
-// and byzantine note paths from many goroutines (run under -race by make
+// paths from many goroutines (run under -race by make
 // check) and pins the flap-damping invariant: every up→down transition
 // consumes at least DownAfter recorded probe failures since the worker last
 // came up, so a registry can never oscillate a worker faster than the
@@ -38,10 +40,10 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 		t.Fatalf("fabric_worker_down_total = %d after one demotion, want 1", v)
 	}
 
-	// Concurrent hammer: heartbeat verdicts, scrapes, byzantine notes,
-	// admissions, and snapshots all racing on one worker. The race detector
-	// checks the locking; the assertion below checks the damping arithmetic
-	// survives every interleaving.
+	// Concurrent hammer: heartbeat verdicts, scrapes, admissions, and
+	// snapshots all racing on one worker. The race detector checks the
+	// locking; the assertion below checks the damping arithmetic survives
+	// every interleaving.
 	const goroutines = 8
 	const rounds = 400
 	var failures atomic.Int64
@@ -60,8 +62,6 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 						r.markDown(url, errProbe)
 					}
 				case 2:
-					r.NoteBadDelivery(url)
-					r.NoteGoodDelivery(url)
 					r.noteScrape(url, i%2 == 0, &metrics.Snapshot{}, nil)
 				case 3:
 					if ref := r.AcquireIdle(""); ref != nil {
@@ -81,5 +81,63 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 	if max := failures.Load() / DefaultDownAfter; downs > max {
 		t.Fatalf("worker went down %d times on %d failures — faster than the %d-strike rule allows (max %d)",
 			downs, failures.Load(), DefaultDownAfter, max)
+	}
+}
+
+// TestAcquireExcludesFailedWorker pins the re-lease rule: the excluded
+// worker is skipped while another worker is up, even when that other worker
+// is saturated (Acquire waits for it), and is granted once no other worker
+// is up. The excluded URL sorts first, so dropping the exclusion hands it
+// the first grant and fails here.
+func TestAcquireExcludesFailedWorker(t *testing.T) {
+	const failed, other = "http://a-failed", "http://b-other"
+	r := NewRegistry([]string{failed, other}, nil, NewMetrics(), obs.Nop())
+	r.MaxLeases = 1
+	r.markUp(failed)
+	r.markUp(other)
+
+	ref := r.Acquire(context.Background(), failed)
+	if ref == nil || ref.URL != other {
+		t.Fatalf("Acquire excluding %s granted %+v, want %s", failed, ref, other)
+	}
+	// other is saturated: the excluded worker's free slot is still refused.
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	if got := r.Acquire(ctx, failed); got != nil {
+		t.Fatalf("Acquire granted %s while %s was up but saturated", got.URL, other)
+	}
+	cancel()
+
+	// other goes down mid-wait: the waiter wakes and takes the excluded
+	// worker, the only one left up.
+	done := make(chan *WorkerRef, 1)
+	go func() { done <- r.Acquire(context.Background(), failed) }()
+	time.Sleep(10 * time.Millisecond)
+	r.markDown(other, errors.New("probe failed"))
+	select {
+	case got := <-done:
+		if got == nil || got.URL != failed {
+			t.Fatalf("Acquire with no other worker up granted %+v, want %s", got, failed)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Acquire did not wake when the last other worker went down")
+	}
+	ref.Release()
+}
+
+// TestJoinNormalizesURL: a worker listed statically and joining with a
+// trailing slash on its advertised URL is one worker, not two — one fleet
+// row and one per-node lease cap.
+func TestJoinNormalizesURL(t *testing.T) {
+	r := NewRegistry([]string{"http://h:8077"}, nil, NewMetrics(), obs.Nop())
+	if n := r.Join("http://h:8077/"); n != 1 {
+		t.Fatalf("registry holds %d workers after a trailing-slash join, want 1", n)
+	}
+	snap := r.Snapshot()
+	if len(snap) != 1 || snap[0].URL != "http://h:8077" || !snap[0].Static || !snap[0].Up {
+		t.Fatalf("registry = %+v, want one static, up worker http://h:8077", snap)
+	}
+	r = NewRegistry([]string{"http://h:8077/"}, nil, NewMetrics(), obs.Nop())
+	if n := r.Join("http://h:8077"); n != 1 {
+		t.Fatalf("registry holds %d workers after a join beside a trailing-slash static URL, want 1", n)
 	}
 }

@@ -42,8 +42,8 @@ import (
 // campaign are the bytes an honest worker produced, or the shard re-leases.
 
 // errIntegrity marks a delivery rejected by verification (or a lease killed
-// by repeated torn documents). The lease loop counts it, strikes the
-// worker, and re-leases; errors.Is is the classifier.
+// by repeated torn documents). The lease fails and the range re-leases,
+// skipping this worker while another is up; errors.Is is the classifier.
 var errIntegrity = errors.New("fabric: integrity rejected")
 
 // tornPollBudget is how many consecutive torn job documents one lease

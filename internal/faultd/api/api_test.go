@@ -111,8 +111,8 @@ func TestWireFormatGoldens(t *testing.T) {
 		},
 		{
 			"fleet_worker_degraded",
-			FleetWorker{URL: "http://w2:8077", Quarantined: true, Stale: true},
-			`{"url":"http://w2:8077","up":false,"quarantined":true,"leases":0,` +
+			FleetWorker{URL: "http://w2:8077", Stale: true},
+			`{"url":"http://w2:8077","up":false,"leases":0,` +
 				`"delivered_shards":0,"delivered_scenarios":0,` +
 				`"phase_totals":{"queue_wait_seconds":0,"execute_seconds":0,` +
 				`"publish_seconds":0},"ewma_shard_seconds":0,` +

@@ -42,10 +42,6 @@ type WorkerInfo struct {
 	Static bool `json:"static,omitempty"`
 	// Leases is how many shard leases the worker currently holds.
 	Leases int `json:"leases"`
-	// Quarantined marks a worker demoted for repeated bad deliveries: still
-	// probed for liveness, skipped for leases until a half-open probe comes
-	// back clean.
-	Quarantined bool `json:"quarantined,omitempty"`
 	// LastSeenUnix is the Unix-seconds timestamp of the last successful
 	// heartbeat or join (0: never seen up).
 	LastSeenUnix int64 `json:"last_seen_unix,omitempty"`

@@ -22,7 +22,7 @@ type PhaseSeconds struct {
 }
 
 // FleetWorker is one worker's row in the fleet snapshot: the coordinator
-// registry's view (liveness, leases, quarantine, delivery accounting) and
+// registry's view (liveness, leases, delivery accounting) and
 // its heartbeat scrape state (readiness, staleness).
 type FleetWorker struct {
 	URL string `json:"url"`
@@ -30,8 +30,6 @@ type FleetWorker struct {
 	Up bool `json:"up"`
 	// Static marks workers configured at coordinator start (-worker-urls).
 	Static bool `json:"static,omitempty"`
-	// Quarantined marks a worker demoted for repeated bad deliveries.
-	Quarantined bool `json:"quarantined,omitempty"`
 	// Leases is how many shard leases the worker currently holds.
 	Leases int `json:"leases"`
 	// Delivered counts verified shard deliveries credited to this worker.
