@@ -64,7 +64,7 @@ fuzz:
 # one-core host swing ±40% on identical code). BENCH_N numbers the
 # committed snapshots: bump it and commit BENCH_N.json when the numbers
 # move for a reason worth recording.
-BENCH_N ?= 22
+BENCH_N ?= 26
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=3x -run=^$$ . | $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_N).json
 

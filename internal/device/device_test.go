@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"testing"
 
 	"dmafault/internal/core"
@@ -198,6 +199,58 @@ func TestPlantPayloadWritesFig4Structure(t *testing.T) {
 	first, _ := sys.Mem.ReadU64(layout.Addr(darg) + kexec.PivotDisplacement)
 	if layout.Addr(first) != sys.Layout.TextBase+layout.Addr(atk.Build.PopRDI) {
 		t.Fatalf("chain[0] = %#x", first)
+	}
+}
+
+// TestPlantRendersPayloadOncePerTextBase plants into two RX buffers and
+// requires one rendering of the payload for both; a changed text base (a
+// fresh inference) must render it again, with the pivot at the new base.
+func TestPlantRendersPayloadOncePerTextBase(t *testing.T) {
+	sys, nic, atk := newVictim(t, iommu.Strict)
+	initNet, _ := sys.Layout.SymbolKVA("init_net")
+	atk.Infer.ObserveWords([]uint64{uint64(initNet)})
+	ring := nic.RXRing()
+	callback := func(d netstack.RXDesc) layout.Addr {
+		t.Helper()
+		cb, err := sys.Mem.ReadU64(d.Data + UbufPlantOffset + netstack.UbufCallbackOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return layout.Addr(cb)
+	}
+
+	if err := atk.PlantUbufAndChain(ring[0].IOVA); err != nil {
+		t.Fatal(err)
+	}
+	first := &atk.plant[0]
+	if err := atk.PlantUbufAndChain(ring[1].IOVA); err != nil {
+		t.Fatal(err)
+	}
+	if &atk.plant[0] != first {
+		t.Error("the second plant rendered the payload again")
+	}
+	want := sys.Layout.TextBase + layout.Addr(atk.Build.Pivot)
+	for i := range 2 {
+		if got := callback(ring[i]); got != want {
+			t.Errorf("buffer %d: planted callback %#x, want pivot %#x", i, uint64(got), uint64(want))
+		}
+	}
+
+	atk.Infer = layout.NewInferencer(sys.Layout.Symbols())
+	atk.Infer.ObserveWords([]uint64{uint64(initNet + layout.TextAlign)})
+	if err := atk.PlantUbufAndChain(ring[2].IOVA); err != nil {
+		t.Fatal(err)
+	}
+	want += layout.TextAlign
+	if got := callback(ring[2]); got != want {
+		t.Errorf("after a new text base: planted callback %#x, want pivot %#x", uint64(got), uint64(want))
+	}
+	fresh, err := atk.PayloadBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(atk.plant, fresh) {
+		t.Error("the cached payload differs from a fresh rendering at the new text base")
 	}
 }
 

@@ -12,6 +12,7 @@ package dma
 
 import (
 	"fmt"
+	"slices"
 
 	"dmafault/internal/iommu"
 	"dmafault/internal/layout"
@@ -145,15 +146,33 @@ func (mp *Mapper) lookup(dev iommu.DeviceID, va iommu.IOVA) (*mapping, bool) {
 	return nil, false
 }
 
-// insert records a mapping based at base, replacing any mapping the index
-// already holds there.
-func (mp *Mapper) insert(dev iommu.DeviceID, base iommu.IOVA, m mapping) {
+// Reserve makes room in the index for mappings more mappings of dev that
+// span pages more IOVA pages, so a driver about to fill a ring sizes the
+// index once instead of growing it buffer by buffer. Domains hand out IOVA
+// densely, so a ring mapped into a fresh domain lands within the room; a
+// mapping past it grows the index as before.
+func (mp *Mapper) Reserve(dev iommu.DeviceID, mappings int, pages uint64) {
+	mp.grow(dev)
+	mp.devs[dev] = slices.Grow(mp.devs[dev], int(pages))
+	mp.recs = slices.Grow(mp.recs, max(mappings-len(mp.free), 0))
+}
+
+// grow extends the per-device table to cover dev.
+func (mp *Mapper) grow(dev iommu.DeviceID) {
 	if int(dev) >= len(mp.devs) {
 		mp.devs = append(mp.devs, make([][]uint32, int(dev)+1-len(mp.devs))...)
 	}
+}
+
+// insert records a mapping based at base, replacing any mapping the index
+// already holds there.
+func (mp *Mapper) insert(dev iommu.DeviceID, base iommu.IOVA, m mapping) {
+	mp.grow(dev)
 	i := uint64(base-iommu.IOVABase) >> layout.PageShift
 	if pages := mp.devs[dev]; i >= uint64(len(pages)) {
-		mp.devs[dev] = append(pages, make([]uint32, i+1-uint64(len(pages)))...)
+		// The index never shrinks, so the slots past its length, up to the
+		// capacity Reserve or an earlier growth left, were never written.
+		mp.devs[dev] = slices.Grow(pages, int(i+1)-len(pages))[:i+1]
 	}
 	s := &mp.devs[dev][i]
 	if *s != 0 {

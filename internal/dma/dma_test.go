@@ -411,3 +411,55 @@ func TestBusProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReservedRingMapsWithoutGrowth maps an HW-LRO-shaped ring (order-4
+// buffers, 16 IOVA pages each) through a fresh Mapper that was told the
+// ring's span first. The index and the record slice are then allocated
+// once, so mapping a ring of 128 buffers allocates exactly as often as a
+// ring of 8, where growing them buffer by buffer would add a doubling per
+// factor of two. Each run tears the ring down through the domain, so the
+// next run's fresh Mapper sees the same warm page table and recycled IOVA
+// space.
+func TestReservedRingMapsWithoutGrowth(t *testing.T) {
+	const order = 4
+	const bufBytes = layout.PageSize << order
+	ringAllocs := func(ring int) float64 {
+		w := newWorld(t, iommu.Strict)
+		bufs := make([]layout.Addr, ring)
+		for i := range bufs {
+			pfn, err := w.mem.Pages.AllocPages(0, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufs[i] = w.mem.Layout().PFNToKVA(pfn)
+		}
+		vas := make([]iommu.IOVA, ring)
+		return testing.AllocsPerRun(3, func() {
+			mp := NewMapper(w.mem, w.unit)
+			mp.Reserve(nic, ring, uint64(ring)*(bufBytes/layout.PageSize))
+			for i, kva := range bufs {
+				va, err := mp.MapSingle(nic, kva, bufBytes, FromDevice)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vas[i] = va
+			}
+			if mp.Live() != ring {
+				t.Fatalf("%d live mappings, want %d", mp.Live(), ring)
+			}
+			for _, va := range vas {
+				for p := range iommu.IOVA(bufBytes / layout.PageSize) {
+					if err := w.dom.Unmap(va + p*layout.PageSize); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.dom.FreeIOVA(va, bufBytes); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	if small, large := ringAllocs(8), ringAllocs(128); large != small {
+		t.Errorf("mapping a reserved ring allocated %v times for 128 buffers and %v for 8, want equal", large, small)
+	}
+}

@@ -334,6 +334,40 @@ func TestSnapshotDeterministicAcrossScrapes(t *testing.T) {
 	}
 }
 
+// Two workers whose counters sum past float64's range must not take the
+// fleet view down: the overflowing family keeps the first worker's value
+// and GET /v1/fleet still answers 200 with a decodable document.
+func TestFleetServesOverflowingCounters(t *testing.T) {
+	w1 := fixedWorker(t, fixedMetricsBody(t, "faultd_requests_total", 1e308))
+	w2 := fixedWorker(t, fixedMetricsBody(t, "faultd_requests_total", 1e308))
+	c := New(Config{Workers: []string{w1.URL, w2.URL}, FleetObs: true})
+	c.reg.probeAll(context.Background())
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/v1/fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("GET /v1/fleet = %d (%s), want 200", resp.StatusCode, body)
+	}
+	var fs api.FleetSnapshot
+	if err := json.Unmarshal(body, &fs); err != nil {
+		t.Fatalf("/v1/fleet body is not a FleetSnapshot: %v", err)
+	}
+	if len(fs.Workers) != 2 || !fs.Workers[0].Ready || !fs.Workers[1].Ready {
+		t.Fatalf("workers not ready after scrape: %+v", fs.Workers)
+	}
+	if got := fs.Metrics.Total("faultd_requests_total"); got != 1e308 {
+		t.Fatalf("merged faultd_requests_total = %v, want the first worker's 1e308", got)
+	}
+}
+
 // A worker whose scrape starts failing goes stale and keeps serving its last
 // good snapshot; one that never answered contributes nothing and stays
 // unready. The scrape counters follow every round.

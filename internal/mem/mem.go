@@ -12,16 +12,17 @@
 //     compound regions into consecutive buffers and is the root cause of
 //     type (c) vulnerabilities (multiple IOVAs mapping the same page).
 //
-// Physical memory is sparse: page frames are backed on their first write and
-// an unbacked frame reads as zeros, so a boot costs only the frames it
-// touches while every reader sees the bytes a dense array would hold. The
-// struct pages are sparse the same way: they live in chunks of 512 frames,
-// and a chunk is built on its first touch in the state the boot left it in
-// (bootPage), so a machine pays for the metadata its allocations reach, not
-// for its size. Kernel virtual addresses are interpreted through a
-// layout.Layout. CPU-side accesses flow through Memory.Read/Write so that a
-// sanitizer (D-KASAN) can observe them; device-side DMA accesses use the
-// physical Read/WritePhys path via the IOMMU bus.
+// Physical memory is sparse: each page frame is backed in 512-byte sectors,
+// a sector on its first write, and an unbacked sector reads as zeros, so a
+// boot costs only the sectors it touches while every reader sees the bytes a
+// dense array would hold. The struct pages are sparse the same way: they
+// live in chunks of 512 frames, and a chunk is built on its first touch in
+// the state the boot left it in (bootPage), so a machine pays for the
+// metadata its allocations reach, not for its size. Kernel virtual
+// addresses are interpreted through a layout.Layout. CPU-side accesses flow
+// through Memory.Read/Write so that a sanitizer (D-KASAN) can observe them;
+// device-side DMA accesses use the physical Read/WritePhys path via the
+// IOMMU bus.
 package mem
 
 import (
@@ -74,8 +75,17 @@ type AllocInjector interface {
 // at 4 RX queues need 512 MiB) with room to spare.
 const MaxPhysBytes = 4 << 30
 
-// frame is the backing store of one physical page frame.
-type frame [layout.PageSize]byte
+// sectorSize is the granularity at which a frame is backed. RingFlood's
+// device plants 64 bytes in every buffer of an HW-LRO ring; backing those
+// plants a page at a time cost half of all the bytes a campaign allocates.
+const sectorSize = 512
+
+// sector is the backing store of sectorSize bytes of one frame.
+type sector [sectorSize]byte
+
+// frame is the backing store of one physical page frame: its sectors, each
+// nil, and reading as zeros, until its first store.
+type frame [layout.PageSize / sectorSize]*sector
 
 // chunkFrames is the number of page frames one chunk covers.
 const chunkFrames = 512
@@ -87,6 +97,32 @@ type chunk struct {
 	frames [chunkFrames]*frame
 }
 
+// Sectors and frames are carved from blocks whose length doubles from
+// minBlock to maxBlock values, so a backed frame costs about one heap object
+// while a machine that backs little pays for little. A sector per heap
+// object costs 10-20 % more allocations per attack.
+const (
+	minBlock = 4
+	maxBlock = 64
+)
+
+// carver hands out zeroed values carved from blocks. Nothing is returned to
+// it: a backed sector stays backed for the life of its Memory.
+type carver[T any] struct {
+	free []T
+	n    int // length of the last block
+}
+
+func (c *carver[T]) new() *T {
+	if len(c.free) == 0 {
+		c.n = min(max(2*c.n, minBlock), maxBlock)
+		c.free = make([]T, c.n)
+	}
+	v := &c.free[0]
+	c.free = c.free[1:]
+	return v
+}
+
 // Memory is the simulated physical memory plus its allocators.
 type Memory struct {
 	layout *layout.Layout
@@ -94,9 +130,11 @@ type Memory struct {
 	npages int
 	// chunks[pfn/chunkFrames] covers frame pfn; a nil chunk is untouched:
 	// its struct pages are in their boot state and no frame is backed.
-	chunks []*chunk
-	tracer Tracer
-	inject AllocInjector
+	chunks  []*chunk
+	frames  carver[frame]
+	sectors carver[sector]
+	tracer  Tracer
+	inject  AllocInjector
 
 	Pages *PageAllocator
 	Slab  *SlabAllocator
@@ -188,6 +226,30 @@ func (m *Memory) frameAt(p layout.PFN) *frame {
 		return c.frames[p%chunkFrames]
 	}
 	return nil
+}
+
+// sectorAt returns the backing store of the sector holding pa, or nil while
+// it reads as zeros.
+func (m *Memory) sectorAt(pa uint64) *sector {
+	if f := m.frameAt(layout.PFN(pa / layout.PageSize)); f != nil {
+		return f[pa%layout.PageSize/sectorSize]
+	}
+	return nil
+}
+
+// backSector backs the unbacked sector holding pa, and its frame and chunk
+// if they are not built yet.
+func (m *Memory) backSector(pa uint64) *sector {
+	p := layout.PFN(pa / layout.PageSize)
+	c := m.chunkOf(p)
+	f := c.frames[p%chunkFrames]
+	if f == nil {
+		f = m.frames.new()
+		c.frames[p%chunkFrames] = f
+	}
+	s := m.sectors.new()
+	f[pa%layout.PageSize/sectorSize] = s
+	return s
 }
 
 // checkPhys validates a physical range.
@@ -313,14 +375,14 @@ func (m *Memory) Memset(a layout.Addr, v byte, n uint64) error {
 	return nil
 }
 
-// copyOut copies physical memory starting at pa into buf, one page frame at
-// a time; unbacked frames read as zeros. The caller checked the range.
+// copyOut copies physical memory starting at pa into buf, one sector at a
+// time; unbacked sectors read as zeros. The caller checked the range.
 func (m *Memory) copyOut(pa uint64, buf []byte) {
 	for len(buf) > 0 {
-		off := pa % layout.PageSize
-		n := min(uint64(len(buf)), layout.PageSize-off)
-		if f := m.frameAt(layout.PFN(pa / layout.PageSize)); f != nil {
-			copy(buf[:n], f[off:])
+		off := pa % sectorSize
+		n := min(uint64(len(buf)), sectorSize-off)
+		if s := m.sectorAt(pa); s != nil {
+			copy(buf[:n], s[off:])
 		} else {
 			clear(buf[:n])
 		}
@@ -329,27 +391,25 @@ func (m *Memory) copyOut(pa uint64, buf []byte) {
 	}
 }
 
-// copyIn stores n bytes at physical address pa, one page frame at a time:
-// the bytes of src, or n copies of v when src is nil. A frame is backed on
-// its first store, except that filling an unbacked frame with zeros leaves
-// it unbacked, since it already reads as zeros. A chunk is built only to
-// back a frame. The caller checked the range.
+// copyIn stores n bytes at physical address pa, one sector at a time: the
+// bytes of src, or n copies of v when src is nil. A sector is backed on its
+// first store, except that filling an unbacked sector with zeros leaves it
+// unbacked, since it already reads as zeros. A frame and its chunk are built
+// only to back a sector. The caller checked the range.
 func (m *Memory) copyIn(pa, n uint64, src []byte, v byte) {
 	for n > 0 {
-		off := pa % layout.PageSize
-		c := min(n, layout.PageSize-off)
-		p := layout.PFN(pa / layout.PageSize)
-		f := m.frameAt(p)
-		if f == nil && (src != nil || v != 0) {
-			f = new(frame)
-			m.chunkOf(p).frames[p%chunkFrames] = f
+		off := pa % sectorSize
+		c := min(n, sectorSize-off)
+		s := m.sectorAt(pa)
+		if s == nil && (src != nil || v != 0) {
+			s = m.backSector(pa)
 		}
 		switch {
 		case src != nil:
-			copy(f[off:off+c], src)
+			copy(s[off:off+c], src)
 			src = src[c:]
-		case f != nil:
-			dst := f[off : off+c]
+		case s != nil:
+			dst := s[off : off+c]
 			for i := range dst {
 				dst[i] = v
 			}

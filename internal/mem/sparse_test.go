@@ -24,7 +24,8 @@ const fuzzMemBytes = 8 << 20
 // on a dense reference slice, and requires both to hold the same bytes after
 // every step. Each operation is 8 input bytes: op, fill byte, a 16-bit page
 // index, a 16-bit in-page offset and a 16-bit length, so ranges straddle
-// page boundaries whenever offset+length passes a page.
+// sector and page boundaries whenever offset+length passes one. A zero
+// Memset must back no sector that was unbacked.
 func FuzzMemory(f *testing.F) {
 	op := func(kind, v byte, page, off, n uint16) []byte {
 		b := []byte{kind, v, 0, 0, 0, 0, 0, 0}
@@ -39,6 +40,8 @@ func FuzzMemory(f *testing.F) {
 	f.Add(seq(op(2, 0x11, 7, 100, 300), op(4, 0, 7, 0, 4096), op(3, 0, 7, 0, 4096)))     // zero fill over a backed frame
 	f.Add(seq(op(4, 0x5a, 1, 4000, 200), op(4, 0, 1, 4050, 9000), op(1, 0, 1, 0, 9000))) // nonzero then zero fill
 	f.Add(seq(op(0, 0x01, 0, 0, 1), op(2, 0x02, 2047, 4095, 1), op(3, 0, 2047, 4000, 96)))
+	f.Add(seq(op(2, 0x33, 9, 510, 4), op(4, 0, 9, 500, 30), op(3, 0, 9, 0, 1024)))            // straddling a sector boundary
+	f.Add(seq(op(0, 0x44, 11, 3900, 400), op(4, 0, 11, 3800, 700), op(1, 0, 11, 3584, 1024))) // a frame boundary, mid-sector either side
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		l := layout.New(layout.Config{PhysBytes: fuzzMemBytes})
@@ -53,10 +56,10 @@ func FuzzMemory(f *testing.F) {
 				uint64(binary.LittleEndian.Uint16(in[4:])%layout.PageSize)
 			n := min(uint64(binary.LittleEndian.Uint16(in[6:])), fuzzMemBytes-pa)
 			kva := l.PhysToKVA(pa)
-			unbacked := map[uint64]bool{}
-			for p := pa / layout.PageSize; p*layout.PageSize < pa+n; p++ {
-				if m.frameAt(layout.PFN(p)) == nil {
-					unbacked[p] = true
+			var unbacked []uint64 // sector start addresses
+			for sa := pa &^ (sectorSize - 1); sa < pa+n; sa += sectorSize {
+				if m.sectorAt(sa) == nil {
+					unbacked = append(unbacked, sa)
 				}
 			}
 			buf := make([]byte, n)
@@ -87,9 +90,9 @@ func FuzzMemory(f *testing.F) {
 				t.Fatalf("op %d at %#x+%d read bytes that differ from the dense reference", kind, pa, n)
 			}
 			if kind == 4 && v == 0 {
-				for p := range unbacked {
-					if m.frameAt(layout.PFN(p)) != nil {
-						t.Fatalf("zero Memset at %#x+%d backed frame %d", pa, n, p)
+				for _, sa := range unbacked {
+					if m.sectorAt(sa) != nil {
+						t.Fatalf("zero Memset at %#x+%d backed the sector at %#x", pa, n, sa)
 					}
 				}
 			}
@@ -101,6 +104,50 @@ func FuzzMemory(f *testing.F) {
 		}
 		equalToReference(t, m, ref, 0, fuzzMemBytes)
 	})
+}
+
+// TestPlantBacksOneSector: RingFlood's plant, 64 bytes at offset 256 of an
+// unbacked frame, backs exactly one sector, and the rest of the frame reads
+// as zeros.
+func TestPlantBacksOneSector(t *testing.T) {
+	l := layout.New(layout.Config{PhysBytes: 16 << 20})
+	m, err := New(Config{Layout: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pfn = 1000
+	base := uint64(pfn) * layout.PageSize
+	plant := bytes.Repeat([]byte{0xcc}, 64)
+	if err := m.WritePhys(base+256, plant); err != nil {
+		t.Fatal(err)
+	}
+	f := m.frameAt(pfn)
+	if f == nil {
+		t.Fatal("the plant backed no frame")
+	}
+	backed := 0
+	for i, s := range f {
+		if s != nil {
+			backed++
+			if i != 256/sectorSize {
+				t.Errorf("sector %d backed, want only sector %d", i, 256/sectorSize)
+			}
+		}
+	}
+	if backed != 1 {
+		t.Errorf("%d sectors backed, want 1", backed)
+	}
+	page := make([]byte, layout.PageSize)
+	if err := m.ReadPhys(base, page); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(page[256:320], plant) {
+		t.Error("the plant did not read back")
+	}
+	zeros := append(page[:256:256], page[320:]...)
+	if len(zeros) != layout.PageSize-64 || !bytes.Equal(zeros, make([]byte, len(zeros))) {
+		t.Errorf("the %d bytes around the plant do not all read as zeros", len(zeros))
+	}
 }
 
 // equalToReference fails the test unless physical memory [lo, hi) holds

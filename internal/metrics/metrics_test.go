@@ -208,6 +208,35 @@ func TestMergeIsOrderStableAndSums(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesOverflow: a family whose merged value would overflow to
+// +Inf keeps its value before the merge, the other families still merge,
+// and the result still encodes as JSON.
+func TestMergeRefusesOverflow(t *testing.T) {
+	worker := func(g float64) *Snapshot {
+		return &Snapshot{Families: []Family{
+			{Name: "big_total", Kind: KindCounter, Samples: []Sample{
+				{Labels: L("dev", "a"), Value: 1}, {Labels: L("dev", "b"), Value: 1e308}}},
+			{Name: "g", Kind: KindGauge, Samples: []Sample{{Value: g}}},
+		}}
+	}
+	agg := &Snapshot{}
+	if err := agg.Merge(worker(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.Merge(worker(2)); err == nil {
+		t.Error("overflowing merge accepted, want error")
+	}
+	if got := agg.Total("big_total"); got != 1+1e308 {
+		t.Errorf("refused family changed: total %v, want %v", got, 1+1e308)
+	}
+	if got := agg.Total("g"); got != 3 {
+		t.Errorf("other family: total %v, want 3", got)
+	}
+	if _, err := agg.JSON(); err != nil {
+		t.Errorf("merged snapshot does not encode: %v", err)
+	}
+}
+
 func TestInstrumentsConcurrent(t *testing.T) {
 	c := NewCounter("c_total", "")
 	g := NewGauge("g", "")

@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,6 +47,11 @@ func (s *Snapshot) normalize() {
 // "total across scenarios"). Merging is associative over float64 addition
 // in a fixed order, so merging per-scenario snapshots in input order yields
 // byte-identical aggregates at any worker count.
+//
+// A family whose merge would hold a non-finite value (two worker counters
+// near the float64 limit overflow to +Inf, which JSON cannot encode) is
+// refused: s keeps that family as it was, the other families still merge,
+// and the first such refusal is returned.
 func (s *Snapshot) Merge(other *Snapshot) error {
 	if other == nil {
 		return nil
@@ -53,9 +60,14 @@ func (s *Snapshot) Merge(other *Snapshot) error {
 	for i := range s.Families {
 		byName[s.Families[i].Name] = i
 	}
+	var refused error
 	for _, of := range other.Families {
 		fi, ok := byName[of.Name]
 		if !ok {
+			if !finiteFamily(&of) {
+				refused = cmp.Or(refused, fmt.Errorf("metrics: merge of %q: non-finite value", of.Name))
+				continue
+			}
 			byName[of.Name] = len(s.Families)
 			s.Families = append(s.Families, cloneFamily(of))
 			continue
@@ -67,31 +79,75 @@ func (s *Snapshot) Merge(other *Snapshot) error {
 		if f.Kind == KindHistogram && !equalBuckets(f.Buckets, of.Buckets) {
 			return fmt.Errorf("metrics: merge of %q: bucket layouts differ", of.Name)
 		}
-		bySig := make(map[string]int, len(f.Samples))
-		for i := range f.Samples {
-			bySig[labelKey(f.Samples[i].Labels)] = i
+		if magnitude(f)+magnitude(&of) < overflowGuard {
+			mergeSamples(f, &of)
+			continue
 		}
-		for _, os := range of.Samples {
-			sig := labelKey(os.Labels)
-			si, ok := bySig[sig]
-			if !ok {
-				bySig[sig] = len(f.Samples)
-				f.Samples = append(f.Samples, cloneSample(os))
-				continue
-			}
-			sm := &f.Samples[si]
-			sm.Value += os.Value
-			sm.Sum += os.Sum
-			sm.Count += os.Count
-			for i := range os.BucketCounts {
-				if i < len(sm.BucketCounts) {
-					sm.BucketCounts[i] += os.BucketCounts[i]
-				}
+		// Values this large may overflow: merge into a copy and keep it only
+		// if every value stayed finite.
+		c := cloneFamily(*f)
+		mergeSamples(&c, &of)
+		if !finiteFamily(&c) {
+			refused = cmp.Or(refused, fmt.Errorf("metrics: merge of %q overflows float64", of.Name))
+			continue
+		}
+		*f = c
+	}
+	s.normalize()
+	return refused
+}
+
+// overflowGuard bounds the summed magnitudes of two families below which
+// merging them cannot overflow: half of math.MaxFloat64 leaves room for the
+// rounding of every partial sum.
+const overflowGuard = math.MaxFloat64 / 2
+
+// magnitude adds up the magnitudes of every Value and Sum of f, a bound on
+// any value merging f can contribute. It is NaN if any value is, and NaN
+// fails the guard's comparison.
+func magnitude(f *Family) float64 {
+	var total float64
+	for _, sm := range f.Samples {
+		total += math.Abs(sm.Value) + math.Abs(sm.Sum)
+	}
+	return total
+}
+
+// finiteFamily reports whether every Value and Sum of f is finite.
+func finiteFamily(f *Family) bool {
+	for _, sm := range f.Samples {
+		if math.IsInf(sm.Value, 0) || math.IsNaN(sm.Value) || math.IsInf(sm.Sum, 0) || math.IsNaN(sm.Sum) {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeSamples folds of's samples into f, which has the same kind and
+// buckets.
+func mergeSamples(f, of *Family) {
+	bySig := make(map[string]int, len(f.Samples))
+	for i := range f.Samples {
+		bySig[labelKey(f.Samples[i].Labels)] = i
+	}
+	for _, os := range of.Samples {
+		sig := labelKey(os.Labels)
+		si, ok := bySig[sig]
+		if !ok {
+			bySig[sig] = len(f.Samples)
+			f.Samples = append(f.Samples, cloneSample(os))
+			continue
+		}
+		sm := &f.Samples[si]
+		sm.Value += os.Value
+		sm.Sum += os.Sum
+		sm.Count += os.Count
+		for i := range os.BucketCounts {
+			if i < len(sm.BucketCounts) {
+				sm.BucketCounts[i] += os.BucketCounts[i]
 			}
 		}
 	}
-	s.normalize()
-	return nil
 }
 
 func cloneFamily(f Family) Family {

@@ -127,6 +127,21 @@ func (ns *Stack) AddNIC(dev iommu.DeviceID, model DriverModel, cpu int) (*NIC, e
 // netdev_alloc_skb/page_frag path that makes successive descriptors map the
 // same pages (§5.2.2 path iii).
 func (n *NIC) FillRX() error {
+	truesize := TruesizeFor(n.Model.RXBufferSize)
+	paged := truesize > mem.FragRegionBytes
+	// A paged buffer is page aligned; a page_frag buffer may straddle one
+	// more page than its length needs.
+	span := layout.PageAlignUp(truesize) / layout.PageSize
+	if !paged {
+		span++
+	}
+	empty := 0
+	for i := range n.rx {
+		if !n.rx[i].Ready {
+			empty++
+		}
+	}
+	n.ns.mapper.Reserve(n.Dev, empty, uint64(empty)*span)
 	for i := range n.rx {
 		if n.rx[i].Ready {
 			continue
@@ -134,9 +149,8 @@ func (n *NIC) FillRX() error {
 		if n.ns.inject != nil && n.ns.inject.InjectRXRefillDrop(n.Dev, i) {
 			continue // injected descriptor loss: the slot stays unposted
 		}
-		truesize := TruesizeFor(n.Model.RXBufferSize)
 		var data layout.Addr
-		if truesize > mem.FragRegionBytes {
+		if paged {
 			// HW-LRO style: the buffer is a compound page allocation.
 			order := uint(0)
 			for (uint64(layout.PageSize) << order) < truesize {
@@ -158,7 +172,7 @@ func (n *NIC) FillRX() error {
 		if err != nil {
 			return fmt.Errorf("netstack: rx map: %w", err)
 		}
-		n.rx[i] = RXDesc{Data: data, IOVA: va, Cap: n.Model.RXBufferSize, Ready: true, paged: truesize > mem.FragRegionBytes}
+		n.rx[i] = RXDesc{Data: data, IOVA: va, Cap: n.Model.RXBufferSize, Ready: true, paged: paged}
 	}
 	return nil
 }
