@@ -122,14 +122,14 @@ cachesmoke:
 # Daemon phase: fault-injected jobs through dmafaultd's bounded scheduler,
 # random cancels, kill -9 mid-campaign, restart on the same journal dir, and
 # boot recovery finishing the interrupted job. Fabric phase: a coordinator
-# over 3 dmafaultd workers (one joined at runtime) with -fleetobs, stealing
-# and a mild netchaos plan; kill -9 a leasing
-# worker, fabrictop -once lists every worker, kill -9 the coordinator after
-# the re-lease is journaled, and -resume must reproduce the single-node
-# summary byte for byte with fabric_releases_total > 0. Integrity rejection,
-# stealing, per-phase fleet attribution and fabrictop's rendering need no
-# process and are pinned by tier-1 tests instead (internal/fabric's
-# TestByteIdenticalUnderChaos, TestStragglerWorkSteal and
+# over 3 dmafaultd workers (one joined at runtime) with -fleetobs and a mild
+# netchaos plan; kill -9 a leasing worker, fabrictop -once lists every
+# worker, kill -9 the coordinator after the re-lease is journaled, and
+# -resume must reproduce the single-node summary byte for byte with
+# fabric_releases_total > 0. Integrity rejection, torn event streams,
+# per-phase fleet attribution and fabrictop's rendering need no process and
+# are pinned by tier-1 tests instead (internal/fabric's
+# TestByteIdenticalUnderChaos, TestTornEventStreamResubscribes and
 # TestByteIdenticalWithFleetObs; cmd/fabrictop's TestRenderFleetGolden).
 soaksmoke:
 	$(GO) run ./cmd/soaksmoke

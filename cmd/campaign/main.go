@@ -87,7 +87,6 @@ func main() {
 	flag.BoolVar(&fabricCfg.NeedCache, "need-worker-cache", false, "refuse to lease shards to workers running without a shared result cache")
 	flag.StringVar(&coordOpts.Netchaos, "netchaos", "", "with -coordinator: deterministic network-chaos plan applied to every worker-bound request (e.g. \"bitflip:0.3,truncate:0.1,partition:0.01\")")
 	flag.Int64Var(&coordOpts.NetchaosSeed, "netchaos-seed", 0, "decision seed for the -netchaos plan")
-	flag.DurationVar(&fabricCfg.StealAfter, "steal-after", 0, "with -coordinator: speculatively re-lease a shard still outstanding after this long to an idle worker; first valid delivery wins (0: disabled)")
 	flag.BoolVar(&fabricCfg.FleetObs, "fleetobs", false, "with -coordinator: scrape every worker's metrics in each heartbeat round, serve GET /v1/fleet and publish \"fleet\" SSE events (see fabrictop)")
 	cachePath := flag.String("cache", "", "content-addressed result cache file: scenarios already recorded replay instead of executing; new results are appended")
 	cacheCompact := flag.Bool("cache-compact", false, "with -cache: rewrite the cache log dropping superseded and stale-engine records, print stats, and exit")

@@ -75,7 +75,7 @@ func fabricPhase(log *slog.Logger, r *rig) error {
 			"-shard-size", "4", "-lease-ttl", "20s", "-lease-attempts", "6",
 			"-fabric-heartbeat", "200ms",
 			"-netchaos", netchaosPlan, "-netchaos-seed", netchaosSeed,
-			"-fleetobs", "-steal-after", "300ms",
+			"-fleetobs",
 			"-journal", journalPath, "-fabric-metrics", metricsPath,
 			"-out", fabricPath,
 		}

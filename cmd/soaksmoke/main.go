@@ -10,14 +10,14 @@
 //     on the same journal directory whose recovery finishes the victim, and a
 //     post-restart submission that gets a later ID;
 //   - fabric (fabricsoak.go): a coordinator over three workers (one joined
-//     at runtime) under a mild netchaos plan with the fleet view and
-//     stealing armed; kill -9 of a leasing worker, then
-//     of the coordinator once a re-lease is journaled, and a -resume whose
-//     summary must match the reference byte for byte.
+//     at runtime) under a mild netchaos plan with the fleet view armed;
+//     kill -9 of a leasing worker, then of the coordinator once a re-lease
+//     is journaled, and a -resume whose summary must match the reference
+//     byte for byte.
 //
-// Everything that needs no process — integrity rejection under chaos, work
-// stealing, per-phase fleet attribution, fabrictop's rendering — is pinned
-// by tier-1 tests instead. All daemon traffic goes through the typed /v1
+// Everything that needs no process — integrity rejection under chaos, torn
+// event streams, per-phase fleet attribution, fabrictop's rendering — is
+// pinned by tier-1 tests instead. All daemon traffic goes through the typed /v1
 // client (internal/faultdclient).
 //
 // Usage:

@@ -219,15 +219,19 @@ func (p *proc) waitProgress(id, n int, budget time.Duration) error {
 	return fmt.Errorf("job %d never reached %d completions", id, n)
 }
 
-// waitTerminal polls until the job leaves the queued/running states.
+// waitTerminal follows the job's event stream to its terminal status, then
+// fetches the job document.
 func (p *proc) waitTerminal(id int, budget time.Duration) (*api.Job, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
-	job, err := p.c.WaitTerminal(ctx, id, 0)
-	if err != nil && job != nil {
-		return job, fmt.Errorf("job %d still %s after %s", id, job.Status, budget)
+	status, err := p.c.Watch(ctx, id, nil)
+	if err != nil {
+		return nil, fmt.Errorf("job %d: %w", id, err)
 	}
-	return job, err
+	if status == "" {
+		return nil, fmt.Errorf("job %d: event stream ended without a status", id)
+	}
+	return p.c.Get(ctx, id)
 }
 
 // preflightWorkers verifies every worker URL answers /healthz before the

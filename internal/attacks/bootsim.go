@@ -3,6 +3,7 @@ package attacks
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dmafault/internal/core"
@@ -157,25 +158,33 @@ func BootOnceOpts(version KernelVersion, seed int64, o BootOptions) (*core.Syste
 		if first == nil {
 			first = nic
 		}
-		for _, d := range nic.RXRing() {
-			if !d.Ready {
-				// Injected RX descriptor loss leaves slots unposted; an
-				// empty descriptor has no frame to record.
-				continue
-			}
-			fp, _ := sys.Layout.KVAToPFN(d.Data)
-			lp, _ := sys.Layout.KVAToPFN(d.Data + layout.Addr(netstack.TruesizeFor(d.Cap)-1))
-			if started.add(fp) {
-				rec.Starts = append(rec.Starts, BufStart{fp, layout.PageOffsetOf(d.Data)})
-			}
-			for p := fp; p <= lp; p++ {
-				if covered.add(p) {
-					rec.CoveredPages++
-				}
+		rec.addRing(sys.Layout, nic.RXRing(), started, covered)
+	}
+	return sys, first, rec, nil
+}
+
+// addRing records one RX ring's buffers: the frames they start in, in ring
+// order, and the frames they cover. Starts is sized once for the whole ring
+// rather than regrown as descriptors append.
+func (rec *BootRecord) addRing(l *layout.Layout, ring []netstack.RXDesc, started, covered frameSet) {
+	rec.Starts = slices.Grow(rec.Starts, len(ring))
+	for _, d := range ring {
+		if !d.Ready {
+			// Injected RX descriptor loss leaves slots unposted; an empty
+			// descriptor has no frame to record.
+			continue
+		}
+		fp, _ := l.KVAToPFN(d.Data)
+		lp, _ := l.KVAToPFN(d.Data + layout.Addr(netstack.TruesizeFor(d.Cap)-1))
+		if started.add(fp) {
+			rec.Starts = append(rec.Starts, BufStart{fp, layout.PageOffsetOf(d.Data)})
+		}
+		for p := fp; p <= lp; p++ {
+			if covered.add(p) {
+				rec.CoveredPages++
 			}
 		}
 	}
-	return sys, first, rec, nil
 }
 
 // BootStudy aggregates many boots.

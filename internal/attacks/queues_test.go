@@ -1,9 +1,11 @@
 package attacks
 
 import (
+	"reflect"
 	"testing"
 
 	"dmafault/internal/mem"
+	"dmafault/internal/netstack"
 )
 
 // §5.3: "The memory footprint ... depends on the NIC capabilities and the
@@ -71,5 +73,33 @@ func TestBootBuildsFewChunks(t *testing.T) {
 	}
 	if n := sys.Mem.ChunksBuilt(); n > 4 {
 		t.Errorf("one Kernel 5.0 boot built %d chunks of struct pages, want at most 4", n)
+	}
+}
+
+// TestRingRecordSizedOnce: recording a ring allocates the same whatever its
+// length — Starts is sized once per ring, not regrown per descriptor — and
+// records exactly what the boot recorded.
+func TestRingRecordSizedOnce(t *testing.T) {
+	sys, nic, want, err := BootOnceOpts(Kernel415, 9, BootOptions{JitterPages: BootJitterPages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := nic.RXRing()
+	record := func(ring []netstack.RXDesc) *BootRecord {
+		rec := &BootRecord{Seed: 9}
+		n := sys.Mem.NumPages()
+		rec.addRing(sys.Layout, ring, newFrameSet(n), newFrameSet(n))
+		return rec
+	}
+	if got := record(ring); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ring record differs from the boot's: %d starts, %d pages against %d, %d",
+			len(got.Starts), got.CoveredPages, len(want.Starts), want.CoveredPages)
+	}
+	allocs := func(ring []netstack.RXDesc) float64 {
+		return testing.AllocsPerRun(20, func() { record(ring) })
+	}
+	if short, full := allocs(ring[:8]), allocs(ring); full != short {
+		t.Fatalf("recording %d descriptors allocates %v times, %d descriptors %v: Starts regrows with the ring",
+			len(ring), full, 8, short)
 	}
 }

@@ -22,12 +22,12 @@ import (
 // workers. The invariant everything here defends is the same one
 // fabric_test.go pins for the happy path — the merged summary is
 // byte-identical to a single-node run — but now with a chaos transport
-// tearing deliveries, proxies corrupting results, poison shards killing
-// leases, and stragglers being raced by speculative steals.
+// tearing deliveries, proxies corrupting results, and poison shards killing
+// leases.
 
 // chaosSet is a half-size ladder set for the byzantine tests: chaos
-// re-executes shards many times over (re-leases, steal races, bisection
-// halves, orphaned jobs running to completion server-side), so the per-pass
+// re-executes shards many times over (re-leases, bisection halves, orphaned
+// jobs running to completion server-side), so the per-pass
 // compute is kept small — under -race a full 16-scenario pass alone costs
 // tens of seconds of instrumented CPU.
 func chaosSet() []campaign.Scenario { return campaign.LadderPreset(8, 2021) }
@@ -74,9 +74,9 @@ func chaosPlan(t *testing.T, seed int64) *netchaos.Plan {
 }
 
 // TestByteIdenticalUnderChaos is the tentpole acceptance test: with every
-// worker-bound byte riding a netchaos transport — and stealing, re-lease
-// exclusion, and bisection all armed — the merged summary still must not change by a
-// byte at one, two, or four workers.
+// worker-bound byte riding a netchaos transport — and re-lease exclusion
+// and bisection armed — the merged summary still must not change by a byte
+// at one, two, or four workers.
 func TestByteIdenticalUnderChaos(t *testing.T) {
 	want := chaosReferenceJSON(t)
 	var rejected uint64
@@ -94,12 +94,6 @@ func TestByteIdenticalUnderChaos(t *testing.T) {
 				LeaseTTL:       10 * time.Second,
 				AcquireTimeout: 2 * time.Second,
 				Transport:      ch,
-				// Armed but lazy: fast enough to fire on a chaos-delayed
-				// tail shard, slow enough that healthy shards are not all
-				// speculatively doubled — constant steals would double the
-				// instrumented compute under -race for no extra coverage
-				// (TestStragglerWorkSteal pins the steal path itself).
-				StealAfter: 2 * time.Second,
 			})
 			sum, err := c.Run(context.Background(), chaosSet())
 			if err != nil {
@@ -114,8 +108,8 @@ func TestByteIdenticalUnderChaos(t *testing.T) {
 					len(got), len(want))
 			}
 			if v := c.Metrics().ShardsDone.Value(); v != 4 {
-				t.Fatalf("fabric_shards_completed_total = %d, want 4 — bisection or "+
-					"stealing double-counted shard completions", v)
+				t.Fatalf("fabric_shards_completed_total = %d, want 4 — bisection "+
+					"double-counted shard completions", v)
 			}
 			t.Logf("chaos: %s", ch.CountsText())
 			v := c.Metrics().IntegrityRejected.Value()
@@ -142,8 +136,6 @@ func TestChaosFamiliesOmittedWhenClean(t *testing.T) {
 		"fabric_integrity_rejected_total",
 		"fabric_bisect_rounds_total",
 		"fabric_poison_quarantined_total",
-		"fabric_steals_total",
-		"fabric_steal_wins_total",
 	}
 	m := NewMetrics()
 	text := string(m.Text())
@@ -155,8 +147,6 @@ func TestChaosFamiliesOmittedWhenClean(t *testing.T) {
 	m.IntegrityRejected.Inc()
 	m.BisectRounds.Inc()
 	m.PoisonQuarantined.Inc()
-	m.Steals.Inc()
-	m.StealWins.Inc()
 	text = string(m.Text())
 	for _, fam := range families {
 		if !strings.Contains(text, fam) {
@@ -339,64 +329,6 @@ func TestPoisonShardBisection(t *testing.T) {
 	}
 	if v := c.Metrics().ShardsDone.Value(); v != 2 {
 		t.Fatalf("fabric_shards_completed_total = %d, want 2 — bisection double-counted", v)
-	}
-}
-
-// stallSet builds scenarios that each hang 250ms wall-clock (the injected
-// scenario-stall fault) — slow enough to make a shard a straggler, finite
-// enough to keep the test quick (the steal doubles every execution, so the
-// set stays small).
-func stallSet() []campaign.Scenario {
-	set := make([]campaign.Scenario, 4)
-	for i := range set {
-		set[i] = campaign.Scenario{
-			Kind: campaign.KindWindowLadder, Seed: int64(3000 + i),
-			FaultSpec: "scenario-stall@1",
-		}
-	}
-	return set
-}
-
-// TestStragglerWorkSteal: with one slow shard leased and a second worker
-// idle, the steal timer must speculatively re-lease it; whichever delivery
-// lands first wins and the bytes stay identical to a single-node run.
-func TestStragglerWorkSteal(t *testing.T) {
-	eng := campaign.Engine{Workers: 2}
-	ref, err := eng.RunCtx(context.Background(), stallSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a, b := newWorker(t), newWorker(t)
-	c := New(Config{
-		Workers:    []string{a.URL, b.URL},
-		ShardSize:  4, // one shard: one primary lease, one idle worker
-		Heartbeat:  25 * time.Millisecond,
-		StealAfter: 100 * time.Millisecond,
-	})
-	sum, err := c.Run(context.Background(), stallSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sum.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("summary differs under work stealing (%d vs %d bytes)", len(got), len(want))
-	}
-	if v := c.Metrics().Steals.Value(); v != 1 {
-		t.Fatalf("fabric_steals_total = %d, want 1", v)
-	}
-	if v := c.Metrics().LeasesGranted.Value(); v < 2 {
-		t.Fatalf("fabric_leases_granted_total = %d, want >= 2 (primary + thief)", v)
-	}
-	if v := c.Metrics().ShardsDone.Value(); v != 1 {
-		t.Fatalf("fabric_shards_completed_total = %d, want 1", v)
 	}
 }
 

@@ -17,10 +17,11 @@
 //     scenario set, so per-position IDs are stamped once by the coordinator
 //     and survive the trip through a worker untouched.
 //   - Leases: a shard is handed to a worker as an ordinary /v1 campaign job
-//     and the coordinator waits at most the lease TTL; TTL expiry, worker
-//     death (heartbeat loss cancels the wait immediately), and transport
-//     errors all end the lease, and the shard is re-leased to another live
-//     worker with capped jittered backoff.
+//     whose event stream the coordinator follows to its terminal status,
+//     for at most the lease TTL; TTL expiry, worker death (heartbeat loss
+//     cancels the wait immediately), and transport errors all end the
+//     lease, and the shard is re-leased to another live worker with capped
+//     jittered backoff.
 //   - Exactly-once: results land in index-addressed slots guarded by a
 //     mutex; a late delivery from an "expired" lease racing the re-leased
 //     worker's is dropped and counted, and cacheable results are published
@@ -135,16 +136,11 @@ type Config struct {
 	// OnResult, if set, observes each delivered result (any goroutine).
 	OnResult func(index int, r *campaign.Result)
 	// Transport, when set, underlies every worker-bound HTTP exchange —
-	// leases, polls, heartbeat probes. This is the injection point for a
-	// netchaos fault plan: one deterministic transport, and every byte the
-	// coordinator exchanges with the fleet rides through it. nil uses the
-	// default transport. Ignored by NewClient/Probe overrides.
+	// leases, event streams, heartbeat probes. This is the injection point
+	// for a netchaos fault plan: one deterministic transport, and every byte
+	// the coordinator exchanges with the fleet rides through it. nil uses
+	// the default transport. Ignored by NewClient/Probe overrides.
 	Transport http.RoundTripper
-	// StealAfter enables straggler work stealing: a shard lease still
-	// outstanding after this long is speculatively re-leased to an idle
-	// worker, both leases race, and the exactly-once gate drops the loser's
-	// results (0: disabled).
-	StealAfter time.Duration
 	// FleetObs enables the fleet view: every heartbeat round also scrapes
 	// each worker's /v1/metrics, GET /v1/fleet serves the result, and a
 	// "fleet" SSE event goes to the hub after each round. Pure observability
@@ -519,7 +515,7 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 			return err
 		}
 		start := time.Now()
-		err := c.runGrantedLease(ctx, sh, ref)
+		err := c.runLease(ctx, sh, ref)
 		ref.Release()
 		if err == nil {
 			c.m.ShardLatency.Observe(time.Since(start).Seconds())
@@ -578,114 +574,6 @@ func (c *Coordinator) bisect(ctx context.Context, sh shard) error {
 	return c.runShardRange(ctx, shard{Idx: sh.Idx, Start: mid, End: sh.End})
 }
 
-// runGrantedLease runs one granted lease, layering straggler stealing on
-// when enabled.
-func (c *Coordinator) runGrantedLease(ctx context.Context, sh shard, ref *WorkerRef) error {
-	if c.cfg.StealAfter <= 0 {
-		return c.runLease(ctx, sh, ref)
-	}
-	return c.runLeaseStealing(ctx, sh, ref)
-}
-
-// runLeaseStealing waits on the primary lease but, every steal delay it
-// stays outstanding, looks for an idle worker to speculatively re-lease the
-// range to. Both leases then race; the exactly-once deliver gate silently
-// drops the loser's results, so whichever valid delivery lands first wins
-// and byte-identity is untouched. The thief is acquired non-blocking and
-// only when fully idle — stealing spends spare capacity on tail latency and
-// must never delay another shard's primary lease — so a fleet that is busy
-// at one check is asked again at the next, until the primary resolves.
-func (c *Coordinator) runLeaseStealing(ctx context.Context, sh shard, ref *WorkerRef) error {
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	pdone := make(chan error, 1)
-	go func() { pdone <- c.runLease(pctx, sh, ref) }()
-
-	ticker := time.NewTicker(c.cfg.StealAfter)
-	defer ticker.Stop()
-	var thief *WorkerRef
-	for thief == nil {
-		select {
-		case err := <-pdone:
-			return err
-		case <-ticker.C:
-		}
-		thief = c.reg.AcquireIdle(ref.URL)
-	}
-	c.m.Steals.Inc()
-	c.m.LeasesGranted.Inc()
-	if err := c.journalLease(campaign.LeaseGranted, sh, thief.URL, 0); err != nil {
-		thief.Release()
-		return err
-	}
-	c.log.Info("fabric steal", "shard", sh.Idx, "primary", ref.URL, "thief", thief.URL)
-	sctx, scancel := context.WithCancel(ctx)
-	defer scancel()
-	tdone := make(chan error, 1)
-	go func() {
-		err := c.runLease(sctx, sh, thief)
-		thief.Release()
-		tdone <- err
-	}()
-
-	// First resolution wins; the loser is cancelled only when the winner
-	// actually delivered — a failed lease leaves the other as the range's
-	// only hope and must not take it down too.
-	var perr, terr error
-	stealWon := false
-	select {
-	case perr = <-pdone:
-		if perr == nil {
-			scancel()
-		}
-		terr = <-tdone
-		stealWon = terr == nil && perr != nil
-	case terr = <-tdone:
-		stealWon = terr == nil
-		if stealWon {
-			pcancel()
-		}
-		perr = <-pdone
-	}
-	if stealWon {
-		c.m.StealWins.Inc()
-		c.log.Info("fabric steal won", "shard", sh.Idx, "thief", thief.URL)
-	}
-	if perr != nil && terr != nil {
-		// Both died; close out the thief's grant here, the caller closes the
-		// primary's when it sees the returned error.
-		if err := c.closeExpired(sh, thief.URL, terr); err != nil {
-			return err
-		}
-		return perr
-	}
-	// Delivered. Close out the losing grant's ledger entry so every grant
-	// still resolves to exactly one delivery or expiry.
-	if perr != nil {
-		if err := c.closeExpired(sh, ref.URL, perr); err != nil {
-			return err
-		}
-	}
-	if terr != nil {
-		if err := c.closeExpired(sh, thief.URL, terr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// closeExpired ends one lease's ledger entry without triggering a re-lease:
-// the range was handled by the racing lease, but every grant must resolve
-// to a delivery or an expiry so resumed counters stay truthful.
-func (c *Coordinator) closeExpired(sh shard, url string, cause error) error {
-	c.m.LeasesExpired.Inc()
-	if err := c.journalLease(campaign.LeaseExpired, sh, url, 0); err != nil {
-		return err
-	}
-	c.log.Info("fabric lease lost steal race", "shard", sh.Idx, "worker", url, "err", cause)
-	return nil
-}
-
 // runLease executes one shard lease: submit the shard as an ordinary /v1
 // campaign job, wait at most the lease TTL (cancelled early if the worker
 // goes down), and deliver the results. Any error means the lease failed and
@@ -727,10 +615,7 @@ func (c *Coordinator) runLease(ctx context.Context, sh shard, ref *WorkerRef) er
 		}
 		return fmt.Errorf("submit: %w", err)
 	}
-	if c.cfg.Hub != nil {
-		go c.forwardEvents(leaseCtx, cl, acc.ID, sh, ref.URL)
-	}
-	job, err := c.pollTerminal(leaseCtx, cl, acc.ID)
+	job, err := c.awaitJob(leaseCtx, cl, acc.ID, sh, ref.URL)
 	if err != nil {
 		c.cancelAbandoned(cl, acc.ID, sh)
 		return fmt.Errorf("wait: %w", err)
@@ -779,16 +664,57 @@ type shardStreamEvent struct {
 	Data   any    `json:"data,omitempty"`
 }
 
-// forwardEvents re-publishes one leased job's SSE stream into the
-// coordinator hub. Purely operator data: a broken stream is dropped, never
-// retried — the lease's own WaitTerminal is the control path.
-func (c *Coordinator) forwardEvents(ctx context.Context, cl *faultdclient.Client, id int, sh shard, worker string) {
-	_, _ = cl.Watch(ctx, id, func(ev faultdclient.Event) error {
-		c.cfg.Hub.Publish(obs.StreamEvent{Type: "shard", Data: shardStreamEvent{
-			Shard: sh.Idx, Worker: worker, Event: ev.Type, Data: ev.Data,
-		}})
-		return nil
-	})
+// awaitJob follows one leased job's event stream to its terminal status —
+// re-publishing each event to the hub, when one is set, from the same
+// callback — then fetches the job document once. A stream that fails or
+// ends without a decodable status, and a torn document, are the network's
+// fault: each is counted as an integrity rejection and retried, until the
+// lease has spent tornBudget of them. A resubscribe loses nothing: the
+// worker replays a finished job's status to a late subscriber.
+func (c *Coordinator) awaitJob(ctx context.Context, cl *faultdclient.Client, id int, sh shard, worker string) (*api.Job, error) {
+	var forward func(faultdclient.Event) error
+	if c.cfg.Hub != nil {
+		forward = func(ev faultdclient.Event) error {
+			c.cfg.Hub.Publish(obs.StreamEvent{Type: "shard", Data: shardStreamEvent{
+				Shard: sh.Idx, Worker: worker, Event: ev.Type, Data: ev.Data,
+			}})
+			return nil
+		}
+	}
+	torn := 0
+	tear := func(what string, err error) error {
+		torn++
+		c.m.IntegrityRejected.Inc()
+		c.log.Warn("fabric torn "+what, "job", id, "torn", torn, "err", err)
+		if torn < tornBudget {
+			return nil
+		}
+		return fmt.Errorf("%w: %d torn streams or documents for job %d: %v", errIntegrity, torn, id, err)
+	}
+	for {
+		status, err := cl.Watch(ctx, id, forward)
+		if err == nil && status != "" {
+			break
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if err == nil {
+			err = errStreamEnded
+		}
+		if err := tear("job stream", err); err != nil {
+			return nil, err
+		}
+	}
+	for {
+		job, err := cl.Get(ctx, id)
+		if err == nil || !isTornBody(err) || ctx.Err() != nil {
+			return job, err
+		}
+		if err := tear("job document", err); err != nil {
+			return nil, err
+		}
+	}
 }
 
 // deliver lands one result in its global slot, exactly once. A duplicate —

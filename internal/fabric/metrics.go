@@ -68,8 +68,9 @@ type Metrics struct {
 	// same convention the faultd supervision plane uses.
 
 	// IntegrityRejected counts deliveries the coordinator refused: torn job
-	// documents (truncated or undecodable bodies) and verification failures
-	// (result identity or digest mismatches against the lease's shard).
+	// event streams and documents (failed, truncated or undecodable bodies)
+	// and verification failures (result identity or digest mismatches
+	// against the lease's shard).
 	IntegrityRejected *metrics.Counter
 	// BisectRounds counts shard splits performed to isolate a poison
 	// scenario after a shard exhausted its lease-attempt budget.
@@ -77,11 +78,6 @@ type Metrics struct {
 	// PoisonQuarantined counts scenarios isolated by bisection and pulled
 	// from fabric leasing into local execution.
 	PoisonQuarantined *metrics.Counter
-	// Steals counts speculative straggler re-leases: a tail shard handed to
-	// an idle worker before the primary lease's TTL expired.
-	Steals *metrics.Counter
-	// StealWins counts steals whose delivery landed before the primary's.
-	StealWins *metrics.Counter
 
 	// The fleet-view families count the heartbeat's metrics scrapes
 	// (Config.FleetObs). They are telemetry about the view itself and stay
@@ -128,15 +124,11 @@ func NewMetrics() *Metrics {
 			"Delivered-shard wall-clock split by worker-reported phase (queue_wait, execute, publish).",
 			PhaseLatencyBuckets, "phase", "worker"),
 		IntegrityRejected: metrics.NewCounter("fabric_integrity_rejected_total",
-			"Deliveries rejected by result integrity verification: torn documents and digest/identity mismatches."),
+			"Deliveries rejected by result integrity verification: torn streams or documents and digest/identity mismatches."),
 		BisectRounds: metrics.NewCounter("fabric_bisect_rounds_total",
 			"Shard splits performed to isolate a poison scenario."),
 		PoisonQuarantined: metrics.NewCounter("fabric_poison_quarantined_total",
 			"Scenarios isolated by bisection and quarantined to local execution."),
-		Steals: metrics.NewCounter("fabric_steals_total",
-			"Speculative straggler re-leases to idle workers."),
-		StealWins: metrics.NewCounter("fabric_steal_wins_total",
-			"Steals whose delivery beat the primary lease."),
 		FleetScrapes: metrics.NewCounter("fleet_scrapes_total",
 			"Worker scrapes attempted by the fleet plane."),
 		FleetScrapeErrors: metrics.NewCounter("fleet_scrape_errors_total",
@@ -148,8 +140,7 @@ func NewMetrics() *Metrics {
 		m.ShardsTotal, m.ShardsDone, m.DedupDropped, m.LocalFallback,
 		m.WorkersRegistered, m.WorkersUp, m.WorkerDowns, m.ShardLatency, m.PhaseLatency,
 		metrics.OmitZero(m.IntegrityRejected), metrics.OmitZero(m.BisectRounds),
-		metrics.OmitZero(m.PoisonQuarantined), metrics.OmitZero(m.Steals),
-		metrics.OmitZero(m.StealWins),
+		metrics.OmitZero(m.PoisonQuarantined),
 		metrics.OmitZero(m.FleetScrapes), metrics.OmitZero(m.FleetScrapeErrors),
 		metrics.OmitZero(m.FleetWorkersStale))
 	return m

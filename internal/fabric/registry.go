@@ -439,23 +439,6 @@ func (r *Registry) admits(w *worker) bool {
 	return r.MaxLeases <= 0 || w.leases < r.MaxLeases
 }
 
-// AcquireIdle non-blockingly grants a slot on an up worker with zero
-// outstanding leases, excluding one URL — the straggler-stealing path. nil
-// when every worker is busy, down, or excluded: a steal must never queue
-// behind the very lease it is trying to outrun.
-func (r *Registry) AcquireIdle(exclude string) *WorkerRef {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, w := range r.sortedLocked() {
-		if w.url == exclude || !w.up || w.leases != 0 {
-			continue
-		}
-		w.leases++
-		return &WorkerRef{URL: w.url, down: w.down, r: r}
-	}
-	return nil
-}
-
 // EWMAAlpha weights the registry's latency/throughput moving averages: each
 // delivery moves the average a quarter of the way to its own value, so the
 // estimate tracks a drifting worker within a few shards without whipsawing

@@ -46,6 +46,10 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 	// every interleaving.
 	const goroutines = 8
 	const rounds = 400
+	// A cancelled context makes Acquire non-blocking: a grant if a slot is
+	// free, nil at once otherwise.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	var failures atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -64,7 +68,7 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 				case 2:
 					r.noteScrape(url, i%2 == 0, &metrics.Snapshot{}, nil)
 				case 3:
-					if ref := r.AcquireIdle(""); ref != nil {
+					if ref := r.Acquire(cancelled, ""); ref != nil {
 						ref.Release()
 					}
 					r.noteScrape(url, false, nil, errProbe)

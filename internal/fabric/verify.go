@@ -1,14 +1,12 @@
 package fabric
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 
 	"dmafault/internal/faultd/api"
-	"dmafault/internal/faultdclient"
 )
 
 // Result integrity verification: the fabric's trust boundary. A worker is a
@@ -42,15 +40,21 @@ import (
 // campaign are the bytes an honest worker produced, or the shard re-leases.
 
 // errIntegrity marks a delivery rejected by verification (or a lease killed
-// by repeated torn documents). The lease fails and the range re-leases,
-// skipping this worker while another is up; errors.Is is the classifier.
+// by repeated torn streams or documents). The lease fails and the range
+// re-leases, skipping this worker while another is up; errors.Is is the
+// classifier.
 var errIntegrity = errors.New("fabric: integrity rejected")
 
-// tornPollBudget is how many consecutive torn job documents one lease
-// tolerates before giving up. Each torn body is counted and logged; the
-// budget keeps a lease from spinning forever against a hopeless transport
-// while letting it ride out a burst of chaos.
-const tornPollBudget = 8
+// tornBudget is how many torn job streams and documents one lease
+// tolerates before giving up. Each is counted and logged; the budget keeps a
+// lease from spinning forever against a hopeless transport while letting it
+// ride out a burst of chaos.
+const tornBudget = 8
+
+// errStreamEnded marks a job event stream that closed before its terminal
+// status event — cut in transit, since the worker always ends a job's
+// stream with one.
+var errStreamEnded = errors.New("fabric: job event stream ended without a status")
 
 // isTornBody reports whether a client error is a torn response body — a
 // document the transport truncated or corrupted past JSON validity —
@@ -59,37 +63,6 @@ func isTornBody(err error) bool {
 	var syn *json.SyntaxError
 	var typ *json.UnmarshalTypeError
 	return errors.As(err, &syn) || errors.As(err, &typ) || errors.Is(err, io.ErrUnexpectedEOF)
-}
-
-// pollTerminal polls one leased job to a terminal status, tolerating torn
-// documents: each is counted as an integrity rejection and retried on the
-// normal poll cadence instead of failing the lease outright — a truncated
-// poll is the network's fault, and the next poll usually reads clean.
-func (c *Coordinator) pollTerminal(ctx context.Context, cl *faultdclient.Client, id int) (*api.Job, error) {
-	torn := 0
-	for {
-		job, err := cl.Get(ctx, id)
-		switch {
-		case err == nil:
-			torn = 0
-			if job.Status.Terminal() {
-				return job, nil
-			}
-		case isTornBody(err) && ctx.Err() == nil:
-			torn++
-			c.m.IntegrityRejected.Inc()
-			c.log.Warn("fabric torn job document", "job", id, "consecutive", torn, "err", err)
-			if torn >= tornPollBudget {
-				return nil, fmt.Errorf("%w: %d consecutive torn documents for job %d: %v",
-					errIntegrity, torn, id, err)
-			}
-		default:
-			return nil, err
-		}
-		if err := faultdclient.Sleep(ctx, faultdclient.DefaultPollInterval); err != nil {
-			return nil, err
-		}
-	}
 }
 
 // verifyShard checks one delivered terminal job against the lease's

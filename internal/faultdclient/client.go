@@ -7,7 +7,8 @@
 //
 //	c := faultdclient.New("http://127.0.0.1:8077")
 //	acc, err := c.Submit(ctx, api.SubmitRequest{Preset: "ladder", N: 8, Seed: 2021})
-//	job, err := c.WaitTerminal(ctx, acc.ID, 0)
+//	status, err := c.Watch(ctx, acc.ID, nil) // follow the events to the terminal status
+//	job, err := c.Get(ctx, acc.ID)
 //
 // Retry policy: idempotent calls (GET, DELETE of a job, cache admin) retry
 // on network errors and 502/503/504; Submit additionally retries 429,
@@ -44,8 +45,6 @@ const (
 	// longer than the cap is still honored verbatim — the server knows its
 	// own drain schedule better than the client's curve does.
 	DefaultMaxRetryWait = 2 * time.Second
-	// DefaultPollInterval paces WaitTerminal's job polling.
-	DefaultPollInterval = 25 * time.Millisecond
 )
 
 // Client calls one dmafaultd instance. The zero value is unusable; construct
@@ -170,7 +169,7 @@ func transient(status int) bool {
 }
 
 // Sleep waits d or until ctx is done, returning ctx's error in that case.
-// The fabric paces its re-leases and polls with it.
+// The fabric paces its re-leases with it.
 func Sleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -276,8 +275,8 @@ func (c *Client) List(ctx context.Context) (*api.JobList, error) {
 }
 
 // Cancel aborts a queued or running job. A finished job returns a 409
-// *APIError (see IsConflict); the engine winds down asynchronously, so poll
-// Get or WaitTerminal for the terminal status.
+// *APIError (see IsConflict); the engine winds down asynchronously, so Watch
+// the job for its terminal status.
 func (c *Client) Cancel(ctx context.Context, id int) (*api.CancelResponse, error) {
 	var cr api.CancelResponse
 	if err := c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/campaigns/%d", id), nil, &cr, transient); err != nil {
@@ -407,24 +406,4 @@ func (c *Client) FabricWorkers(ctx context.Context) (*api.WorkerList, error) {
 		return nil, err
 	}
 	return &wl, nil
-}
-
-// WaitTerminal polls the job until it leaves the queued/running states and
-// returns its final document. interval <= 0 means DefaultPollInterval.
-func (c *Client) WaitTerminal(ctx context.Context, id int, interval time.Duration) (*api.Job, error) {
-	if interval <= 0 {
-		interval = DefaultPollInterval
-	}
-	for {
-		job, err := c.Get(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if job.Status.Terminal() {
-			return job, nil
-		}
-		if err := Sleep(ctx, interval); err != nil {
-			return job, err
-		}
-	}
 }

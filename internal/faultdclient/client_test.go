@@ -2,6 +2,7 @@ package faultdclient
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -44,7 +45,11 @@ func TestClientAgainstRealService(t *testing.T) {
 		t.Fatalf("submit: %+v", acc)
 	}
 
-	job, err := c.WaitTerminal(ctx, acc.ID, time.Millisecond)
+	// Follow the live stream to the terminal status, then fetch the document.
+	if status, err := c.Watch(ctx, acc.ID, nil); err != nil || status != string(api.StatusDone) {
+		t.Fatalf("watch: %q, %v", status, err)
+	}
+	job, err := c.Get(ctx, acc.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,6 +412,22 @@ func TestMetricsTornBody(t *testing.T) {
 	c.Retries = -1
 	if snap, err := c.Metrics(context.Background()); err == nil {
 		t.Fatalf("torn metrics body decoded: %+v", snap)
+	}
+}
+
+// A status event torn mid-line — the stream cut inside its JSON — is an
+// error a caller can classify as a torn body, not a clean end of stream.
+func TestStreamTornStatus(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprint(w, "event: progress\ndata: {\"id\":1}\n\nevent: status\ndata: {\"id\":1,\"status\":\"do")
+	}))
+	defer ts.Close()
+
+	status, err := New(ts.URL).Watch(context.Background(), 1, nil)
+	var syn *json.SyntaxError
+	if !errors.As(err, &syn) {
+		t.Fatalf("torn status event: status %q, err %v; want a JSON syntax error", status, err)
 	}
 }
 

@@ -34,9 +34,12 @@ func (c *Client) Watch(ctx context.Context, id int, fn func(Event) error) (strin
 // Stream subscribes to the SSE endpoint at path and calls fn for every
 // event until the terminal "status" event (whose status string it returns),
 // the stream ends (status "", nil error), fn returns an error (aborts the
-// stream with that error), or ctx is cancelled. Stream does not retry: a
-// broken stream is surfaced to the caller, who can re-subscribe — progress
-// and heartbeat events are cumulative, so nothing is lost.
+// stream with that error), or ctx is cancelled. A status event whose data
+// does not decode is a torn stream, not an end: its JSON error is returned.
+// Stream does not retry: a broken stream is surfaced to the caller, who can
+// re-subscribe — progress and heartbeat events are cumulative, and the
+// service replays a finished job's status to a late subscriber, so nothing
+// is lost.
 func (c *Client) Stream(ctx context.Context, path string, fn func(Event) error) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 	if err != nil {
@@ -52,7 +55,9 @@ func (c *Client) Stream(ctx context.Context, path string, fn func(Event) error) 
 		return "", &APIError{StatusCode: resp.StatusCode, Body: strings.TrimSpace(string(data))}
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	// Start at bufio's 4 KiB, enough for a job's events; a longer line (a
+	// fleet snapshot) grows the buffer up to the 1 MiB cap.
+	sc.Buffer(nil, 1<<20)
 	var event string
 	for sc.Scan() {
 		line := sc.Text()
@@ -70,7 +75,9 @@ func (c *Client) Stream(ctx context.Context, path string, fn func(Event) error) 
 				var st struct {
 					Status string `json:"status"`
 				}
-				_ = json.Unmarshal([]byte(data), &st)
+				if err := json.Unmarshal([]byte(data), &st); err != nil {
+					return "", fmt.Errorf("GET %s: status event: %w", path, err)
+				}
 				return st.Status, nil
 			}
 		}

@@ -5,8 +5,9 @@
 // makes the *network* misbehave at its own — added latency, dropped
 // connections, injected 5xx/429 storms, truncated and bit-flipped response
 // bodies, and full worker partitions — so the coordinator's recovery
-// machinery (re-lease, integrity verification, work stealing) can be
-// exercised repeatably instead of waiting for a flaky switch.
+// machinery (re-lease, integrity verification, resubscribing a torn event
+// stream) can be exercised repeatably instead of waiting for a flaky
+// switch.
 //
 // It uses faultinject's plan engine: the spec grammar, validation, the
 // decision stream and its counters are faultinject's, bound to this
