@@ -122,8 +122,9 @@ cachesmoke:
 # Daemon phase: fault-injected jobs through dmafaultd's bounded scheduler,
 # random cancels, kill -9 mid-campaign, restart on the same journal dir, and
 # boot recovery finishing the interrupted job. Fabric phase: a coordinator
-# over 3 dmafaultd workers (one joined at runtime) with -fleetobs and a mild
-# netchaos plan; kill -9 a leasing worker, fabrictop -once lists every
+# over 3 dmafaultd workers (one joined at runtime; GET /v1/fleet must then
+# list 3 rows) with -fleetobs and a mild netchaos plan; kill -9 a worker
+# once /v1/fleet shows it holding a lease, fabrictop -once lists every
 # worker, kill -9 the coordinator after the re-lease is journaled, and
 # -resume must reproduce the single-node summary byte for byte with
 # fabric_releases_total > 0. Integrity rejection, torn event streams,

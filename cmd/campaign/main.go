@@ -31,8 +31,8 @@
 //
 //	campaign -coordinator -worker-urls http://w1:8077,http://w2:8077 \
 //	    -preset mixed -n 200 -out summary.json
-//	campaign -coordinator -coordinator-addr :9100 ...   # + join/SSE surface
-//	campaign -coordinator -coordinator-addr :9100 -fleetobs ...  # + /v1/fleet (fabrictop)
+//	campaign -coordinator -coordinator-addr :9100 ...   # + join, /v1/fleet, SSE (fabrictop)
+//	campaign -coordinator -coordinator-addr :9100 -fleetobs ...  # + worker metrics in /v1/fleet
 //	campaign -coordinator -journal run.jsonl ...   # journal the run
 //	campaign -coordinator -journal run.jsonl -resume ...  # pick it back up
 package main
@@ -82,12 +82,12 @@ func main() {
 	flag.DurationVar(&fabricCfg.LeaseTTL, "lease-ttl", 0, "shard lease time budget; an expired lease re-leases the shard to another worker (0: default)")
 	flag.IntVar(&fabricCfg.MaxLeaseAttempts, "lease-attempts", 0, "lease grants per shard before giving up on the fabric (evidence of a killed job bisects; anything else runs the shard locally) (0: default)")
 	flag.IntVar(&fabricCfg.ShardSize, "shard-size", 0, "scenarios per shard lease (0: default)")
-	flag.DurationVar(&fabricCfg.Heartbeat, "fabric-heartbeat", 0, "worker readiness probe cadence, and the -fleetobs scrape cadence (0: default)")
+	flag.DurationVar(&fabricCfg.Heartbeat, "fabric-heartbeat", 0, "worker readiness probe cadence, which also paces the \"fleet\" SSE beat and the -fleetobs scrape (0: default)")
 	flag.StringVar(&coordOpts.MetricsOut, "fabric-metrics", "", "write the final fabric_* metric families (Prometheus text) to this file")
 	flag.BoolVar(&fabricCfg.NeedCache, "need-worker-cache", false, "refuse to lease shards to workers running without a shared result cache")
 	flag.StringVar(&coordOpts.Netchaos, "netchaos", "", "with -coordinator: deterministic network-chaos plan applied to every worker-bound request (e.g. \"bitflip:0.3,truncate:0.1,partition:0.01\")")
 	flag.Int64Var(&coordOpts.NetchaosSeed, "netchaos-seed", 0, "decision seed for the -netchaos plan")
-	flag.BoolVar(&fabricCfg.FleetObs, "fleetobs", false, "with -coordinator: scrape every worker's metrics in each heartbeat round, serve GET /v1/fleet and publish \"fleet\" SSE events (see fabrictop)")
+	flag.BoolVar(&fabricCfg.FleetObs, "fleetobs", false, "with -coordinator: also scrape every worker's /v1/metrics in each heartbeat round, filling the metrics, ready and stale fields of GET /v1/fleet (see fabrictop)")
 	cachePath := flag.String("cache", "", "content-addressed result cache file: scenarios already recorded replay instead of executing; new results are appended")
 	cacheCompact := flag.Bool("cache-compact", false, "with -cache: rewrite the cache log dropping superseded and stale-engine records, print stats, and exit")
 	requireCached := flag.Bool("require-cached", false, "with -cache: exit nonzero unless every scenario was served from the cache (proves a warm cache executes nothing)")

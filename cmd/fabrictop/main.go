@@ -1,9 +1,11 @@
 // Command fabrictop is a live terminal dashboard for a fabric coordinator
-// with the fleet view on (campaign -coordinator -coordinator-addr ...
-// -fleetobs). It follows the coordinator's SSE stream and redraws one
-// screen per "fleet" event: per-worker lease load, per-phase latency totals,
-// EWMA shard latency and throughput, cache hit rate, registry state
-// (up/down/stale), and campaign progress.
+// (campaign -coordinator -coordinator-addr ...). It follows the
+// coordinator's SSE stream and redraws one screen per "fleet" event — the
+// /v1/fleet document, sent on every heartbeat beat: per-worker lease load,
+// per-phase latency totals, EWMA shard latency and throughput, cache hit
+// rate, registry state (up/down), and campaign progress. The READY column
+// and the fleet totals come from the coordinator's -fleetobs scrape and read
+// "no" and nothing without it.
 //
 // When the SSE stream is unavailable (no -coordinator-addr hub, a proxy that
 // buffers streams), fabrictop falls back to polling GET /v1/fleet on
@@ -52,7 +54,7 @@ func main() {
 		return
 	}
 
-	// Live mode: prefer the SSE stream (one redraw per scrape round, no
+	// Live mode: prefer the SSE stream (one redraw per heartbeat beat, no
 	// polling drift); fall back to /v1/fleet polling if the stream cannot be
 	// established or breaks.
 	for ctx.Err() == nil {
@@ -79,7 +81,6 @@ func fatal(err error) {
 // "fleet" event and exiting cleanly on the terminal "status" event. Returns
 // nil when the campaign ended, an error when the stream could not be used.
 func followSSE(ctx context.Context, base string) error {
-	sawFleet := false
 	status, err := faultdclient.New(base).Stream(ctx, "/v1/fabric/events", func(e faultdclient.Event) error {
 		if e.Type != "fleet" {
 			return nil
@@ -88,18 +89,15 @@ func followSSE(ctx context.Context, base string) error {
 		if json.Unmarshal(e.Data, &fs) != nil {
 			return nil // a torn event is not worth a redraw
 		}
-		sawFleet = true
 		os.Stdout.WriteString(render(&fs, true))
 		return nil
 	})
-	switch {
-	case err != nil:
+	if err != nil {
 		return err
-	case status != "":
+	}
+	if status != "" {
 		fmt.Printf("\ncampaign %s\n", status)
 		os.Exit(0)
-	case !sawFleet:
-		return fmt.Errorf("stream carried no fleet events (coordinator running without -fleetobs?)")
 	}
 	return fmt.Errorf("stream ended")
 }
@@ -145,12 +143,16 @@ func render(fs *api.FleetSnapshot, clear bool) string {
 		"WORKER", "STATE", "LEASES", "SHARDS", "SCENES", "CACHE%",
 		"QWAIT(s)", "EXEC(s)", "PUB(s)", "EWMA(s)", "SCEN/S", "READY")
 	for _, w := range fs.Workers {
+		state := "down"
+		if w.Up {
+			state = "up"
+		}
 		cachePct := "-"
 		if w.Scenarios > 0 {
 			cachePct = fmt.Sprintf("%.0f%%", 100*float64(w.CacheHits)/float64(w.Scenarios))
 		}
 		fmt.Fprintf(&b, "%-28s %-6s %-6d %6d %7d %7s  %9.3f %9.3f %9.3f  %8.3f %9.1f %6s\n",
-			trimURL(w.URL), state(w), w.Leases, w.Delivered, w.Scenarios, cachePct,
+			trimURL(w.URL), state, w.Leases, w.Delivered, w.Scenarios, cachePct,
 			w.PhaseTotals.QueueWait, w.PhaseTotals.Execute, w.PhaseTotals.Publish,
 			w.EWMAShardSeconds, w.EWMAScenariosPerSec, ready(w))
 	}
@@ -164,16 +166,6 @@ func render(fs *api.FleetSnapshot, clear bool) string {
 		}
 	}
 	return b.String()
-}
-
-// state condenses the registry flags into one word, worst condition first.
-func state(w api.FleetWorker) string {
-	switch {
-	case !w.Up:
-		return "down"
-	default:
-		return "up"
-	}
 }
 
 // ready condenses the scrape-derived freshness flags.

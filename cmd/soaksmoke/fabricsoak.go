@@ -91,8 +91,8 @@ func fabricPhase(log *slog.Logger, r *rig) error {
 	if _, err := cc.JoinFabric(ctx, api.JoinRequest{URL: w3.url}); err != nil {
 		return fmt.Errorf("join w3: %w", err)
 	}
-	if wl, err := cc.FabricWorkers(ctx); err != nil || len(wl.Workers) != 3 {
-		return fmt.Errorf("worker registry after join: %+v, %v", wl, err)
+	if fs, err := cc.Fleet(ctx); err != nil || len(fs.Workers) != 3 {
+		return fmt.Errorf("fleet rows after join: %+v, %v", fs, err)
 	}
 
 	// Kill w1 the moment it holds shard leases — its in-flight shards must
@@ -105,7 +105,7 @@ func fabricPhase(log *slog.Logger, r *rig) error {
 	}
 	log.Info("worker killed", "worker", w1.url)
 
-	// The fleet view keeps a row per registered worker, the dead one too.
+	// The fleet document keeps a row per registered worker, the dead one too.
 	out, err := exec.Command(r.topBin, "-coordinator", coord.url, "-once").CombinedOutput()
 	if err != nil {
 		return fmt.Errorf("fabrictop -once: %v\n%s", err, out)
@@ -165,16 +165,16 @@ func fabricPhase(log *slog.Logger, r *rig) error {
 	return nil
 }
 
-// waitForLease polls the coordinator's worker registry until the worker
+// waitForLease polls the coordinator's fleet document until the worker
 // holds at least one shard lease.
 func waitForLease(ctx context.Context, cc *faultdclient.Client, worker string, budget time.Duration) error {
 	deadline := time.Now().Add(budget)
 	for time.Now().Before(deadline) {
-		wl, err := cc.FabricWorkers(ctx)
+		fs, err := cc.Fleet(ctx)
 		if err != nil {
 			return err
 		}
-		for _, w := range wl.Workers {
+		for _, w := range fs.Workers {
 			if w.URL == worker && w.Leases > 0 {
 				return nil
 			}

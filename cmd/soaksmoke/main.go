@@ -10,7 +10,7 @@
 //     on the same journal directory whose recovery finishes the victim, and a
 //     post-restart submission that gets a later ID;
 //   - fabric (fabricsoak.go): a coordinator over three workers (one joined
-//     at runtime) under a mild netchaos plan with the fleet view armed;
+//     at runtime) under a mild netchaos plan with the -fleetobs scrape on;
 //     kill -9 of a leasing worker, then of the coordinator once a re-lease
 //     is journaled, and a -resume whose summary must match the reference
 //     byte for byte.

@@ -190,10 +190,10 @@ func corruptingWorker(t *testing.T, corrupt func() bool) *httptest.Server {
 // corrupts every delivery has each delivery rejected, and every re-lease of
 // a range it failed goes to the honest worker — the campaign completes
 // byte-identically on the fabric, with no local fallback and no delivery
-// credited to the corrupting worker. Both workers also announce themselves
-// (a join marks a worker up at once) and every scenario is its own shard,
-// so the first leases split across both and the corrupting worker keeps
-// being handed fresh ranges. (A shard lasts milliseconds; with four
+// credited to the corrupting worker. Both workers also announce themselves,
+// as dmafaultd -join would (the joins leave them one worker each, down until
+// the first heartbeat round), and every scenario is its own shard, so the
+// corrupting worker keeps being handed fresh ranges. (A shard lasts milliseconds; with four
 // shards a loaded host can let the honest worker finish one before the
 // last is acquired, leaving the corrupting worker a single lease.)
 func TestCorruptingWorkerNeverMerges(t *testing.T) {

@@ -33,8 +33,8 @@ func TestEventsLateSubscriberGetsStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := string(body)
-	if !strings.HasPrefix(got, "event: workers\n") {
-		t.Errorf("stream does not open with the registry snapshot:\n%s", got)
+	if !strings.HasPrefix(got, "event: fleet\n") {
+		t.Errorf("stream does not open with the fleet document:\n%s", got)
 	}
 	if !strings.HasSuffix(got, "event: status\ndata: {\"status\":\"done\"}\n\n") {
 		t.Fatalf("late subscriber got no terminal status:\n%s", got)

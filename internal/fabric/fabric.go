@@ -10,9 +10,9 @@
 // The moving parts:
 //
 //   - Registry: static -worker-urls plus POST /v1/fabric/join
-//     self-registrations, kept honest by lease-aware /readyz heartbeats
-//     that, with FleetObs, also scrape each worker's metrics for
-//     GET /v1/fleet.
+//     self-registrations, promoted and demoted only by lease-aware /readyz
+//     heartbeats, and rendered only as the GET /v1/fleet document (with
+//     FleetObs, each round also scrapes the workers' metrics into it).
 //   - Shards: contiguous global-index ranges of the (globally normalized)
 //     scenario set, so per-position IDs are stamped once by the coordinator
 //     and survive the trip through a worker untouched.
@@ -58,8 +58,8 @@ const (
 	// DefaultLeaseTTL bounds one lease: submit + worker queue wait +
 	// execution + result fetch.
 	DefaultLeaseTTL = 2 * time.Minute
-	// DefaultHeartbeat paces the registry's readiness probes (and, with
-	// FleetObs, the metrics scrapes and "fleet" SSE events).
+	// DefaultHeartbeat paces the registry's readiness probes, the "fleet"
+	// SSE beat and, with FleetObs, the metrics scrapes.
 	DefaultHeartbeat = time.Second
 	// DefaultProbeTimeout bounds one worker's heartbeat round: the readiness
 	// probe plus, with FleetObs, the metrics scrape. Deliberately decoupled
@@ -100,7 +100,8 @@ type Config struct {
 	ShardSize int
 	// LeaseTTL bounds one lease's wall clock (0: DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// Heartbeat paces readiness probes (0: DefaultHeartbeat).
+	// Heartbeat paces readiness probes and the "fleet" SSE beat
+	// (0: DefaultHeartbeat).
 	Heartbeat time.Duration
 	// AcquireTimeout bounds the wait for an up worker before a shard runs
 	// locally (0: DefaultAcquireTimeout).
@@ -109,7 +110,7 @@ type Config struct {
 	// (0: DefaultMaxLeaseAttempts).
 	MaxLeaseAttempts int
 	// MaxLeasesPerWorker caps concurrent leases per worker
-	// (0: DefaultMaxLeasesPerWorker, <0: unlimited).
+	// (0: DefaultMaxLeasesPerWorker).
 	MaxLeasesPerWorker int
 	// NeedCache requires workers to run a shared result cache: the
 	// heartbeat probes /readyz?lease=1&need_cache=1 and cache-less nodes
@@ -141,10 +142,11 @@ type Config struct {
 	// the coordinator exchanges with the fleet rides through it. nil uses
 	// the default transport. Ignored by NewClient/Probe overrides.
 	Transport http.RoundTripper
-	// FleetObs enables the fleet view: every heartbeat round also scrapes
-	// each worker's /v1/metrics, GET /v1/fleet serves the result, and a
-	// "fleet" SSE event goes to the hub after each round. Pure observability
-	// — summary bytes are identical with it on or off (test-enforced).
+	// FleetObs makes every heartbeat round also scrape each worker's
+	// /v1/metrics, filling the metrics, ready and stale fields of the
+	// /v1/fleet document. Opt-in because the scrape costs every round an
+	// extra request per worker; pure observability — summary bytes are
+	// identical with it on or off (test-enforced).
 	FleetObs bool
 }
 
@@ -171,13 +173,7 @@ func (c Config) maxLeaseAttempts() int {
 }
 
 func (c Config) maxLeasesPerWorker() int {
-	switch {
-	case c.MaxLeasesPerWorker > 0:
-		return c.MaxLeasesPerWorker
-	case c.MaxLeasesPerWorker < 0:
-		return 0 // unlimited
-	}
-	return DefaultMaxLeasesPerWorker
+	return orDefault(c.MaxLeasesPerWorker, DefaultMaxLeasesPerWorker)
 }
 
 // shard is one contiguous global-index range [Start, End) of the scenario
@@ -238,12 +234,8 @@ func (c *Coordinator) campaignState() *api.FleetCampaign {
 }
 
 // Fleet renders the GET /v1/fleet document: the registry's worker rows and
-// merged worker metrics plus the campaign progress (nil unless
-// Config.FleetObs).
+// merged worker metrics plus the campaign progress.
 func (c *Coordinator) Fleet() *api.FleetSnapshot {
-	if !c.cfg.FleetObs {
-		return nil
-	}
 	fs := c.reg.Fleet()
 	fs.Campaign = c.campaignState()
 	return fs
@@ -304,10 +296,6 @@ func (c *Coordinator) Run(ctx context.Context, scenarios []campaign.Scenario) (*
 
 	// The heartbeat stops with the run and is waited for, so nothing touches
 	// registry state after Run returns.
-	var onRound func()
-	if c.cfg.FleetObs && c.cfg.Hub != nil {
-		onRound = func() { c.cfg.Hub.Publish(obs.StreamEvent{Type: "fleet", Data: c.Fleet()}) }
-	}
 	hbCtx, stopHB := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
 	defer func() {
@@ -316,7 +304,7 @@ func (c *Coordinator) Run(ctx context.Context, scenarios []campaign.Scenario) (*
 	}()
 	go func() {
 		defer close(hbDone)
-		c.reg.Heartbeat(hbCtx, c.cfg.heartbeat(), onRound)
+		c.reg.Heartbeat(hbCtx, c.cfg.heartbeat())
 	}()
 
 	err = par.ForEachCtx(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
@@ -784,8 +772,8 @@ func (c *Coordinator) runLocal(ctx context.Context, sh shard) error {
 	return nil
 }
 
-// Handler serves the coordinator's supervision surface: join, worker
-// listing, merged SSE stream, fabric metrics, liveness.
+// Handler serves the coordinator's supervision surface: join, the fleet
+// document, merged SSE stream, fabric metrics, liveness.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -794,7 +782,6 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("POST /v1/fabric/join", c.handleJoin)
-	mux.HandleFunc("GET /v1/fabric/workers", c.handleWorkers)
 	mux.HandleFunc("GET /v1/fabric/events", c.handleEvents)
 	mux.HandleFunc("GET /v1/fleet", c.handleFleet)
 	return mux

@@ -563,8 +563,9 @@ func TestSaturatedFabricWaitsInsteadOfDegrading(t *testing.T) {
 }
 
 // TestJoinPromotesWorker: a registry with no static members accepts a runtime
-// join (the dmafaultd -join path) and leases every shard to the joined
-// worker instead of falling back to local execution.
+// join (the dmafaultd -join path); the heartbeat round at Run start promotes
+// the joined worker, which then receives every shard instead of the
+// campaign falling back to local execution.
 func TestJoinPromotesWorker(t *testing.T) {
 	want := referenceJSON(t)
 	w := newWorker(t)
@@ -587,8 +588,60 @@ func TestJoinPromotesWorker(t *testing.T) {
 	if v := c.Metrics().LocalFallback.Value(); v != 0 {
 		t.Fatalf("local fallback fired %d times with a joined worker", v)
 	}
-	snap := c.Registry().Snapshot()
-	if len(snap) != 1 || snap[0].URL != w.URL || !snap[0].Up {
-		t.Fatalf("registry snapshot = %+v", snap)
+	rows := c.Registry().Fleet().Workers
+	if len(rows) != 1 || rows[0].URL != w.URL || !rows[0].Up {
+		t.Fatalf("fleet rows = %+v", rows)
+	}
+}
+
+// TestRejoinDoesNotBypassProbe: a worker that keeps re-announcing itself
+// (dmafaultd -join) while its lease-aware probe refuses — here a cache-less
+// node under NeedCache — is never granted a lease. Only the probe verdict
+// promotes a worker; a join that marked it up would hand it shards between
+// heartbeat rounds. With no worker up the campaign degrades to local
+// execution and still matches the single-node summary byte for byte.
+func TestRejoinDoesNotBypassProbe(t *testing.T) {
+	want := referenceJSON(t)
+	w := newWorker(t) // no result cache: /readyz?lease=1&need_cache=1 answers 503
+	c := New(Config{
+		ShardSize:      4,
+		NeedCache:      true,
+		Heartbeat:      10 * time.Millisecond,
+		AcquireTimeout: 100 * time.Millisecond,
+	})
+	c.Registry().Join(w.URL)
+	stop := make(chan struct{})
+	rejoined := make(chan struct{})
+	go func() {
+		defer close(rejoined)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				c.Registry().Join(w.URL)
+			}
+		}
+	}()
+	sum, err := c.Run(context.Background(), testSet())
+	close(stop)
+	<-rejoined
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sum.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("summary differs from single-node run")
+	}
+	if v := c.Metrics().LeasesGranted.Value(); v != 0 {
+		t.Fatalf("worker refused by every lease probe was granted %d leases", v)
+	}
+	if rows := c.Registry().Fleet().Workers; len(rows) != 1 || rows[0].Up {
+		t.Fatalf("fleet rows = %+v, want one down worker", rows)
 	}
 }

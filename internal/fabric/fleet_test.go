@@ -131,38 +131,26 @@ func TestByteIdenticalWithFleetObsUnderChaos(t *testing.T) {
 	t.Logf("chaos: %s", ch.CountsText())
 }
 
-// TestFleetEndpoint pins the HTTP surface: 404 when the view is disabled,
-// typed JSON when enabled, and byte-identical bodies across two requests
-// against unchanged fleet state.
+// TestFleetEndpoint pins the HTTP surface: GET /v1/fleet is always served
+// as typed JSON, with byte-identical bodies across two requests against
+// unchanged fleet state; the metrics scrape (FleetObs) only adds the merged
+// worker metrics.
 func TestFleetEndpoint(t *testing.T) {
-	t.Run("disabled", func(t *testing.T) {
-		c := New(Config{})
-		ts := httptest.NewServer(c.Handler())
-		defer ts.Close()
-		resp, err := ts.Client().Get(ts.URL + "/v1/fleet")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 404 {
-			t.Fatalf("GET /v1/fleet with fleetobs disabled = %d, want 404", resp.StatusCode)
-		}
-	})
-
-	t.Run("enabled", func(t *testing.T) {
+	// run drives a campaign through one worker and returns the /v1/fleet
+	// document, fetched twice. Run has returned and waited for the
+	// heartbeat by then, so the registry is frozen and both requests must
+	// return identical bytes.
+	run := func(t *testing.T, fleetObs bool) (fs api.FleetSnapshot) {
 		w := newWorker(t)
 		c := New(Config{
 			Workers:   []string{w.URL},
 			ShardSize: 4,
 			Heartbeat: 2 * time.Millisecond,
-			FleetObs:  true,
+			FleetObs:  fleetObs,
 		})
 		if _, err := c.Run(context.Background(), testSet()); err != nil {
 			t.Fatal(err)
 		}
-		// Run has returned and waited for the heartbeat, so the registry's
-		// scrape state is frozen and two requests must return identical
-		// bytes.
 		ts := httptest.NewServer(c.Handler())
 		defer ts.Close()
 		get := func() []byte {
@@ -187,7 +175,6 @@ func TestFleetEndpoint(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("two /v1/fleet requests against frozen state differ:\n%s\nvs\n%s", a, b)
 		}
-		var fs api.FleetSnapshot
 		if err := json.Unmarshal(a, &fs); err != nil {
 			t.Fatalf("/v1/fleet body is not a FleetSnapshot: %v", err)
 		}
@@ -196,6 +183,21 @@ func TestFleetEndpoint(t *testing.T) {
 		}
 		if fs.Workers[0].PhaseTotals.Execute <= 0 {
 			t.Fatalf("no execute time attributed: %+v", fs.Workers[0])
+		}
+		return fs
+	}
+
+	t.Run("without the scrape", func(t *testing.T) {
+		fs := run(t, false)
+		if fs.Metrics != nil {
+			t.Fatalf("fleet document carries metrics without the scrape: %+v", fs.Metrics)
+		}
+	})
+
+	t.Run("enabled", func(t *testing.T) {
+		fs := run(t, true)
+		if fs.Metrics == nil {
+			t.Fatal("fleet document carries no metrics with the scrape on")
 		}
 	})
 }

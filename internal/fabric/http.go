@@ -12,11 +12,11 @@ import (
 )
 
 // Coordinator HTTP surface: the routes behind Handler. Workers register
-// through POST /v1/fabric/join, operators inspect the registry and follow
-// the merged shard stream. All of it is supervision-plane — none of it can
-// change a campaign's results.
+// through POST /v1/fabric/join, operators read the registry through
+// GET /v1/fleet and follow the merged shard stream. All of it is
+// supervision-plane — none of it can change a campaign's results.
 
-// handleJoin upserts a worker registration.
+// handleJoin registers a worker URL; the heartbeat decides when it is up.
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
@@ -38,11 +38,6 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.JoinResponse{Accepted: true, Workers: n})
 }
 
-// handleWorkers renders the registry snapshot.
-func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.WorkerList{Workers: c.reg.Snapshot()})
-}
-
 // handleMetrics renders the fabric families (the fleet view's scrape
 // counters among them).
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -59,12 +54,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // document the golden tests pin; two requests against identical fleet state
 // return byte-identical bodies.
 func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
-	fs := c.Fleet()
-	if fs == nil {
-		http.Error(w, "fabric: fleet plane disabled", http.StatusNotFound)
-		return
-	}
-	data, err := json.MarshalIndent(fs, "", "  ")
+	data, err := json.MarshalIndent(c.Fleet(), "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -75,16 +65,17 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the merged fabric event stream as Server-Sent
 // Events: re-published worker job events with shard context, coordinator
-// result events, periodic "workers" heartbeats carrying the registry
-// snapshot (cumulative, so a dropped event costs nothing), and the terminal
-// "status" — also to subscribers that arrive after the campaign ended.
+// result events, a "fleet" beat carrying the /v1/fleet document on every
+// heartbeat interval (cumulative, so a dropped event costs nothing), and
+// the terminal "status" — also to subscribers that arrive after the
+// campaign ended.
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if c.cfg.Hub == nil {
 		http.Error(w, "fabric: event streaming disabled (no hub)", http.StatusNotFound)
 		return
 	}
 	c.cfg.Hub.Serve(w, r, c.cfg.heartbeat(),
-		func() obs.StreamEvent { return obs.StreamEvent{Type: "workers", Data: c.reg.Snapshot()} },
+		func() obs.StreamEvent { return obs.StreamEvent{Type: "fleet", Data: c.Fleet()} },
 		func() obs.StreamEvent {
 			c.mu.Lock()
 			defer c.mu.Unlock()

@@ -10,9 +10,10 @@ import (
 )
 
 // DefaultJoinInterval paces a worker's re-registration with its
-// coordinator. Re-joins are upserts, so the interval is a liveness refresh,
-// not a correctness knob — it just bounds how long a restarted coordinator
-// waits before rediscovering the worker.
+// coordinator. Re-joins are upserts that only register the URL — the
+// coordinator's heartbeat decides liveness — so the interval is not a
+// correctness knob: it just bounds how long a restarted coordinator waits
+// before rediscovering the worker.
 const DefaultJoinInterval = 2 * time.Second
 
 // JoinLoop announces a worker to a fabric coordinator until ctx ends —

@@ -80,9 +80,9 @@ type Metrics struct {
 	PoisonQuarantined *metrics.Counter
 
 	// The fleet-view families count the heartbeat's metrics scrapes
-	// (Config.FleetObs). They are telemetry about the view itself and stay
+	// (Config.FleetObs). They are telemetry about the scrape itself and stay
 	// out of the /v1/fleet document, which must remain a pure function of
-	// fleet state; OmitZero keeps them absent while the view is off.
+	// fleet state; OmitZero keeps them absent while the scrape is off.
 
 	// FleetScrapes counts worker /v1/metrics scrapes attempted.
 	FleetScrapes *metrics.Counter

@@ -17,20 +17,22 @@ import (
 
 // Worker registry: the coordinator's view of the fabric. Workers arrive two
 // ways — static URLs configured at start, and self-registrations through
-// POST /v1/fabric/join — and are kept honest by a heartbeat loop probing
-// each one's lease-aware /readyz. A worker that stops answering (killed,
+// POST /v1/fabric/join — and both arrive down. Nothing a worker says about
+// itself moves it: only the heartbeat's lease-aware /readyz verdict
+// promotes a worker or demotes it. A worker that stops answering (killed,
 // draining, saturated, cache-less) goes down: its in-flight leases are
 // cancelled through the per-up-epoch down channel, and Acquire stops
 // handing it new shards until a heartbeat brings it back.
 //
-// The heartbeat is also the fleet view (Config.FleetObs): with a scrape set,
-// each worker's round fetches its /v1/metrics after the readiness verdict
-// is applied, and the registry keeps the last good snapshot for GET
-// /v1/fleet. Two planes, one determinism contract: the campaign's control
-// path never reads the scrape state, so scrape jitter, worker restarts and
-// scrape failures change the fleet document but never a byte of the merged
-// summary. The document itself carries no timestamps or scrape counters, so
-// two renderings of identical fleet state are byte-identical.
+// Fleet renders the registry, for GET /v1/fleet and the "fleet" SSE beat.
+// With a scrape set (Config.FleetObs), each worker's heartbeat round also
+// fetches its /v1/metrics after the readiness verdict is applied, and the
+// registry keeps the last good snapshot for the document. Two planes, one
+// determinism contract: the campaign's control path never reads the scrape
+// state, so scrape jitter, worker restarts and scrape failures change the
+// fleet document but never a byte of the merged summary. The document
+// itself carries no timestamps or scrape counters, so two renderings of
+// identical fleet state are byte-identical.
 
 // ProbeFunc asks one worker whether it should receive a new shard lease.
 // nil = ready; anything else = not ready (an *faultdclient.APIError carries
@@ -41,12 +43,11 @@ type ProbeFunc func(ctx context.Context, url string) error
 type scrapeFunc func(ctx context.Context, url string) (*metrics.Snapshot, error)
 
 type worker struct {
-	url      string
-	static   bool
-	up       bool
-	leases   int
-	fails    int // consecutive probe failures; reset by any success or join
-	lastSeen time.Time
+	url    string
+	static bool
+	up     bool
+	leases int
+	fails  int // consecutive probe failures; reset by any success
 	// down is closed on the up→down transition of the current up-epoch, so
 	// every lease granted during that epoch can cancel immediately on
 	// heartbeat loss instead of waiting out its TTL. Remade on each return
@@ -80,32 +81,30 @@ type worker struct {
 type Registry struct {
 	// MaxLeases caps concurrent leases per worker (0 = unlimited). Set
 	// before Acquire is first called. The cap is what spreads a campaign's
-	// shards across the fleet: without it, the first worker marked up — a
-	// runtime join beating the static workers' first heartbeat round —
-	// absorbs every shard.
+	// shards across the fleet: without it, the first worker the heartbeat
+	// promotes — its probe answering before the others' — absorbs every
+	// shard.
 	MaxLeases int
 
 	mu      sync.Mutex
 	workers map[string]*worker
 	// wait is closed and remade whenever a worker becomes acquirable
-	// (join, heartbeat up-transition, lease release) or goes down (which
-	// can lift an Acquire's exclusion), waking Acquire.
+	// (heartbeat up-transition, lease release) or goes down (which can lift
+	// an Acquire's exclusion), waking Acquire.
 	wait chan struct{}
 
 	probe ProbeFunc
-	// scrape, when set (Config.FleetObs), turns the heartbeat into the
-	// fleet view: each worker's round also fetches its metrics.
+	// scrape, when set (Config.FleetObs), makes each worker's heartbeat
+	// round also fetch its metrics for the fleet document.
 	scrape scrapeFunc
 	m      *Metrics
 	log    *slog.Logger
 }
 
-// NewRegistry builds a registry over the static worker URLs. Static workers
-// start down — the first heartbeat round promotes the live ones — while
-// joins mark a worker up immediately (a worker announcing itself is alive
-// by definition; the next heartbeat re-verifies). URLs are normalized
-// (normURL) on the way in, so a worker named twice — statically and by its
-// own join — is one worker.
+// NewRegistry builds a registry over the static worker URLs. Every worker
+// starts down, static or joined; the first heartbeat round promotes the
+// live ones. URLs are normalized (normURL) on the way in, so a worker named
+// twice — statically and by its own join — is one worker.
 func NewRegistry(static []string, probe ProbeFunc, m *Metrics, log *slog.Logger) *Registry {
 	r := &Registry{
 		workers: map[string]*worker{},
@@ -170,25 +169,18 @@ func (r *Registry) wakeLocked() {
 	r.wait = make(chan struct{})
 }
 
-// Join upserts a worker (self-registration), marking it up, and returns the
-// registry size.
+// Join registers a worker URL (self-registration) and returns the registry
+// size. A join changes no worker's state: a new worker starts down, like a
+// static one, and only the heartbeat's probe verdict promotes it — a worker
+// announcing itself is not evidence that it should receive a lease.
 func (r *Registry) Join(url string) int {
 	url = normURL(url)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w := r.workers[url]
-	if w == nil {
-		w = &worker{url: url, down: make(chan struct{})}
-		r.workers[url] = w
+	if r.workers[url] == nil {
+		r.workers[url] = &worker{url: url, down: make(chan struct{})}
+		r.gaugesLocked()
 	}
-	if !w.up {
-		w.up = true
-		w.down = make(chan struct{})
-		r.wakeLocked()
-	}
-	w.fails = 0
-	w.lastSeen = time.Now()
-	r.gaugesLocked()
 	return len(r.workers)
 }
 
@@ -214,69 +206,53 @@ func (r *Registry) AnyUp() bool {
 	return false
 }
 
-// markUp / markDown apply one heartbeat verdict.
-func (r *Registry) markUp(url string) {
+// apply records one probe verdict (err nil: ready) — the only path that
+// moves a worker up or down. One success promotes and clears the failure
+// streak; DefaultDownAfter consecutive failures demote, closing the
+// up-epoch's down channel so the worker's in-flight leases cancel.
+func (r *Registry) apply(url string, err error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	w := r.workers[url]
 	if w == nil {
-		return
-	}
-	if !w.up {
-		w.up = true
-		w.down = make(chan struct{})
-		r.wakeLocked()
-	}
-	w.fails = 0
-	w.lastSeen = time.Now()
-	r.gaugesLocked()
-}
-
-// noteFailure records one probe failure and reports whether the streak has
-// reached the demotion threshold.
-func (r *Registry) noteFailure(url string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := r.workers[url]
-	if w == nil {
-		return false
-	}
-	w.fails++
-	return w.fails >= DefaultDownAfter
-}
-
-func (r *Registry) markDown(url string, err error) {
-	r.mu.Lock()
-	w := r.workers[url]
-	if w == nil || !w.up {
 		r.mu.Unlock()
 		return
 	}
-	w.up = false
-	close(w.down)
-	r.wakeLocked() // an Acquire excluding another worker may now take that one
-	if r.m != nil {
-		r.m.WorkerDowns.Inc()
+	if err == nil {
+		w.fails = 0
+		if !w.up {
+			w.up = true
+			w.down = make(chan struct{})
+			r.wakeLocked()
+			r.gaugesLocked()
+		}
+		r.mu.Unlock()
+		return
 	}
-	r.gaugesLocked()
+	w.fails++
+	demote := w.up && w.fails >= DefaultDownAfter
+	if demote {
+		w.up = false
+		close(w.down)
+		r.wakeLocked() // an Acquire excluding another worker may now take that one
+		if r.m != nil {
+			r.m.WorkerDowns.Inc()
+		}
+		r.gaugesLocked()
+	}
 	r.mu.Unlock()
-	if r.log != nil {
+	if demote && r.log != nil {
 		r.log.Warn("fabric worker down", "worker", url, "err", err)
 	}
 }
 
-// Heartbeat probes every registered worker on the interval until ctx ends,
-// calling onRound (if set) after each round. The first round runs
-// immediately, so static workers become acquirable without waiting a full
-// interval.
-func (r *Registry) Heartbeat(ctx context.Context, interval time.Duration, onRound func()) {
+// Heartbeat probes every registered worker on the interval until ctx ends.
+// The first round runs immediately, so workers registered before it —
+// static or joined — become acquirable without waiting a full interval.
+func (r *Registry) Heartbeat(ctx context.Context, interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		r.probeAll(ctx)
-		if onRound != nil {
-			onRound()
-		}
 		select {
 		case <-ctx.Done():
 			return
@@ -318,13 +294,7 @@ func (r *Registry) probeWorker(ctx context.Context, url string) {
 	ctx, cancel := context.WithTimeout(ctx, DefaultProbeTimeout)
 	defer cancel()
 	err := r.probe(ctx, url)
-	if err != nil {
-		if r.noteFailure(url) {
-			r.markDown(url, err)
-		}
-	} else {
-		r.markUp(url)
-	}
+	r.apply(url, err)
 	if r.scrape == nil {
 		return
 	}
@@ -482,11 +452,12 @@ func (r *Registry) NoteTiming(url string, scenarios, cacheHits int, t *api.Timin
 	}
 }
 
-// Fleet renders the registry's share of the /v1/fleet document: one
-// URL-sorted row per worker, and the order-stable merge of every retained
-// metrics snapshot in the same order (nil before any scrape). A pure
-// function of registry state, so two renderings without an intervening
-// delivery or heartbeat round are byte-identical.
+// Fleet is the registry's one rendering — its share of the /v1/fleet
+// document and the "fleet" SSE beat: one URL-sorted row per worker, and the
+// order-stable merge of every retained metrics snapshot in the same order
+// (nil before any scrape). A pure function of registry state, so two
+// renderings without an intervening delivery or heartbeat round are
+// byte-identical.
 func (r *Registry) Fleet() *api.FleetSnapshot {
 	fs := &api.FleetSnapshot{Workers: []api.FleetWorker{}}
 	var mergeErr error
@@ -525,19 +496,6 @@ func (r *Registry) Fleet() *api.FleetSnapshot {
 		r.log.Warn("fleet metrics merge failed", "err", mergeErr)
 	}
 	return fs
-}
-
-// Snapshot renders the registry for GET /v1/fabric/workers, URL-sorted.
-func (r *Registry) Snapshot() []api.WorkerInfo {
-	infos := []api.WorkerInfo{}
-	r.walk(func(w *worker) {
-		info := api.WorkerInfo{URL: w.url, Up: w.up, Static: w.static, Leases: w.leases}
-		if !w.lastSeen.IsZero() {
-			info.LastSeenUnix = w.lastSeen.Unix()
-		}
-		infos = append(infos, info)
-	})
-	return infos
 }
 
 // defaultProbe is the production ProbeFunc: a lease-aware /readyz probe

@@ -12,36 +12,35 @@ import (
 	"dmafault/internal/obs"
 )
 
-// TestRegistryFlapDampingUnderRace hammers the registry's promote/demote
-// paths from many goroutines (run under -race by make
-// check) and pins the flap-damping invariant: every up→down transition
-// consumes at least DownAfter recorded probe failures since the worker last
-// came up, so a registry can never oscillate a worker faster than the
-// 2-strike rule no matter how verdicts interleave.
+// TestRegistryFlapDampingUnderRace hammers the registry's probe-verdict
+// path from many goroutines (run under -race by make check) and pins the
+// flap-damping invariant: every up→down transition consumes at least
+// DownAfter recorded probe failures since the worker last came up, so a
+// registry can never oscillate a worker faster than the 2-strike rule no
+// matter how verdicts interleave.
 func TestRegistryFlapDampingUnderRace(t *testing.T) {
 	const url = "http://worker"
 	errProbe := errors.New("probe failed")
 	r := NewRegistry([]string{url}, nil, NewMetrics(), obs.Nop())
 
 	// Serialized phase first: the rule itself, with no concurrency noise.
-	r.markUp(url)
-	if r.noteFailure(url) {
+	r.apply(url, nil)
+	if r.apply(url, errProbe); !r.AnyUp() {
 		t.Fatal("one strike demoted the worker")
 	}
-	r.markUp(url) // success resets the streak
-	if r.noteFailure(url) {
+	r.apply(url, nil) // success resets the streak
+	if r.apply(url, errProbe); !r.AnyUp() {
 		t.Fatal("one strike after a reset demoted the worker")
 	}
-	if !r.noteFailure(url) {
+	if r.apply(url, errProbe); r.AnyUp() {
 		t.Fatal("two consecutive strikes did not demote")
 	}
-	r.markDown(url, errProbe)
 	if v := r.m.WorkerDowns.Value(); v != 1 {
 		t.Fatalf("fabric_worker_down_total = %d after one demotion, want 1", v)
 	}
 
-	// Concurrent hammer: heartbeat verdicts, scrapes, admissions, and
-	// snapshots all racing on one worker. The race detector checks the
+	// Concurrent hammer: heartbeat verdicts, joins, scrapes, admissions, and
+	// renderings all racing on one worker. The race detector checks the
 	// locking; the assertion below checks the damping arithmetic survives
 	// every interleaving.
 	const goroutines = 8
@@ -59,12 +58,11 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				switch (g + i) % 4 {
 				case 0:
-					r.markUp(url)
+					r.apply(url, nil)
 				case 1:
 					failures.Add(1)
-					if r.noteFailure(url) {
-						r.markDown(url, errProbe)
-					}
+					r.apply(url, errProbe)
+					r.Join(url)
 				case 2:
 					r.noteScrape(url, i%2 == 0, &metrics.Snapshot{}, nil)
 				case 3:
@@ -72,7 +70,6 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 						ref.Release()
 					}
 					r.noteScrape(url, false, nil, errProbe)
-					_ = r.Snapshot()
 					_ = r.Fleet()
 					_ = r.AnyUp()
 				}
@@ -97,8 +94,8 @@ func TestAcquireExcludesFailedWorker(t *testing.T) {
 	const failed, other = "http://a-failed", "http://b-other"
 	r := NewRegistry([]string{failed, other}, nil, NewMetrics(), obs.Nop())
 	r.MaxLeases = 1
-	r.markUp(failed)
-	r.markUp(other)
+	r.apply(failed, nil)
+	r.apply(other, nil)
 
 	ref := r.Acquire(context.Background(), failed)
 	if ref == nil || ref.URL != other {
@@ -116,7 +113,9 @@ func TestAcquireExcludesFailedWorker(t *testing.T) {
 	done := make(chan *WorkerRef, 1)
 	go func() { done <- r.Acquire(context.Background(), failed) }()
 	time.Sleep(10 * time.Millisecond)
-	r.markDown(other, errors.New("probe failed"))
+	for i := 0; i < DefaultDownAfter; i++ {
+		r.apply(other, errors.New("probe failed"))
+	}
 	select {
 	case got := <-done:
 		if got == nil || got.URL != failed {
@@ -136,9 +135,9 @@ func TestJoinNormalizesURL(t *testing.T) {
 	if n := r.Join("http://h:8077/"); n != 1 {
 		t.Fatalf("registry holds %d workers after a trailing-slash join, want 1", n)
 	}
-	snap := r.Snapshot()
-	if len(snap) != 1 || snap[0].URL != "http://h:8077" || !snap[0].Static || !snap[0].Up {
-		t.Fatalf("registry = %+v, want one static, up worker http://h:8077", snap)
+	rows := r.Fleet().Workers
+	if len(rows) != 1 || rows[0].URL != "http://h:8077" || !rows[0].Static {
+		t.Fatalf("registry = %+v, want one static worker http://h:8077", rows)
 	}
 	r = NewRegistry([]string{"http://h:8077/"}, nil, NewMetrics(), obs.Nop())
 	if n := r.Join("http://h:8077"); n != 1 {

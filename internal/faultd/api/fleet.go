@@ -2,16 +2,18 @@ package api
 
 import "dmafault/internal/metrics"
 
-// Fleet wire types: the coordinator's fleet-observability surface (the
-// fabric registry builds these from its heartbeat state; GET /v1/fleet on
-// the coordinator serves them and fabrictop renders them). A snapshot is a
+// Fleet wire types: the coordinator's one rendering of its worker registry
+// (the fabric registry builds these from its heartbeat state; GET /v1/fleet
+// and the "fleet" SSE beat on the coordinator serve them and fabrictop
+// renders them). A snapshot is a
 // pure function of registry + scrape state — no timestamps, no scrape
 // counters — so two snapshots of identical fleet state marshal to identical
 // bytes, the same determinism discipline the campaign summaries live under.
 //
 // Additional coordinator route:
 //
-//	GET /v1/fleet  FleetSnapshot (404 when the fleet view is disabled)
+//	GET /v1/fleet  FleetSnapshot (always served; metrics, ready and stale
+//	               need the -fleetobs scrape)
 
 // PhaseSeconds is a cumulative per-phase wall-clock total, summed over every
 // verified delivery a worker has made.
@@ -49,9 +51,9 @@ type FleetWorker struct {
 	// (scenarios / execute-seconds per delivery).
 	EWMAScenariosPerSec float64 `json:"ewma_scenarios_per_sec"`
 	// Ready is the lease-aware /readyz verdict (the heartbeat's own probe)
-	// at the last successful scrape; false until the first one. A worker
-	// that can never receive a lease — no cache under NeedCache — reads
-	// false.
+	// at the last successful scrape; false until the first one, so always
+	// false without the -fleetobs scrape. A worker that can never receive a
+	// lease — no cache under NeedCache — reads false.
 	Ready bool `json:"ready"`
 	// Stale marks a worker whose last scrape failed after earlier successes;
 	// its metrics contribution is the last good snapshot.
@@ -73,6 +75,7 @@ type FleetSnapshot struct {
 	// Campaign is the coordinator's progress (absent outside a run).
 	Campaign *FleetCampaign `json:"campaign,omitempty"`
 	// Metrics is the order-stable merge of every scraped worker's
-	// /v1/metrics snapshot, in worker-URL order (absent before any scrape).
+	// /v1/metrics snapshot, in worker-URL order (absent before any scrape,
+	// so always absent without -fleetobs).
 	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
 }

@@ -305,9 +305,9 @@ func (c *Client) ClearCache(ctx context.Context) (*api.ClearCacheResponse, error
 }
 
 // Metrics fetches the node's merged metric snapshot from GET /v1/metrics —
-// the JSON twin of the Prometheus /metrics exposition. With the fleet view
-// on, the fabric heartbeat calls this per worker per round; a torn or truncated body surfaces as a
-// decode error, never a partial snapshot.
+// the JSON twin of the Prometheus /metrics exposition. With -fleetobs, the
+// fabric heartbeat calls this per worker per round; a torn or truncated
+// body surfaces as a decode error, never a partial snapshot.
 func (c *Client) Metrics(ctx context.Context) (*metrics.Snapshot, error) {
 	var snap metrics.Snapshot
 	if err := c.do(ctx, http.MethodGet, "/v1/metrics", nil, &snap, transient); err != nil {
@@ -317,8 +317,7 @@ func (c *Client) Metrics(ctx context.Context) (*metrics.Snapshot, error) {
 }
 
 // Fleet fetches a coordinator's fleet snapshot (the client's Base is the
-// coordinator). 404 *APIError when the coordinator runs without the fleet
-// view (-fleetobs off).
+// coordinator) — the one rendering of its worker registry.
 func (c *Client) Fleet(ctx context.Context) (*api.FleetSnapshot, error) {
 	var fs api.FleetSnapshot
 	if err := c.do(ctx, http.MethodGet, "/v1/fleet", nil, &fs, transient); err != nil {
@@ -397,13 +396,4 @@ func (c *Client) JoinFabric(ctx context.Context, req api.JoinRequest) (*api.Join
 		return nil, err
 	}
 	return &jr, nil
-}
-
-// FabricWorkers fetches a coordinator's worker registry snapshot.
-func (c *Client) FabricWorkers(ctx context.Context) (*api.WorkerList, error) {
-	var wl api.WorkerList
-	if err := c.do(ctx, http.MethodGet, "/v1/fabric/workers", nil, &wl, transient); err != nil {
-		return nil, err
-	}
-	return &wl, nil
 }

@@ -456,8 +456,8 @@ func TestMetricsRetriesTransient(t *testing.T) {
 	}
 }
 
-// Fleet decodes a coordinator's typed snapshot; a coordinator without the
-// fleet plane answers 404, surfaced as an *APIError.
+// Fleet decodes a coordinator's typed snapshot; a server without the route
+// answers 404, surfaced as an *APIError.
 func TestFleetTyped(t *testing.T) {
 	body := `{"workers":[{"url":"http://w1","up":true,"leases":1,` +
 		`"delivered_shards":2,"delivered_scenarios":8,` +
@@ -491,6 +491,6 @@ func TestFleetTyped(t *testing.T) {
 	_, err = New(off.URL).Fleet(context.Background())
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled fleet plane: %v", err)
+		t.Fatalf("server without /v1/fleet: %v", err)
 	}
 }

@@ -14,9 +14,9 @@ import (
 // GET /v1/campaigns/{id}/events and a fabric coordinator's
 // GET /v1/fabric/events. The stream is decoded into Events — the raw JSON
 // data is handed to the callback, not parsed into a union type, because the
-// event vocabulary ("progress", "span", "result", "fuzz", "workers",
-// "fleet", "shard", "status") grows with the server and a typed client
-// should not reject events it predates.
+// event vocabulary ("progress", "span", "result", "fuzz", "fleet", "shard",
+// "status") grows with the server and a typed client should not reject
+// events it predates.
 
 // Event is one decoded Server-Sent Event from a live stream.
 type Event struct {

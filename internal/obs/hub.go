@@ -11,9 +11,9 @@ import (
 
 // StreamEvent is one live event on a Hub: a typed JSON-encodable payload.
 // Types the service emits: "progress" (heartbeat), "span", "result",
-// "status" (terminal); the fabric coordinator adds "workers" (registry
-// heartbeat) and, with the fleet plane armed, "fleet" (an api.FleetSnapshot
-// per scrape round — what fabrictop follows).
+// "status" (terminal); the fabric coordinator adds "shard" (a worker job's
+// event with shard context) and "fleet" (an api.FleetSnapshot on every
+// heartbeat beat — what fabrictop follows).
 type StreamEvent struct {
 	Type string `json:"type"`
 	Data any    `json:"data,omitempty"`
