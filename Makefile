@@ -37,11 +37,14 @@ race:
 # a reference kept in plain maps and lists (internal/dma), and the /v1
 # wire decoders: a submission's decode and resolution (internal/faultd),
 # a lease delivery's verification (internal/fabric) and the fleet scrape's
-# metrics snapshot decode, merge and render (internal/metrics). Their seed
+# metrics snapshot decode, merge and render (internal/metrics), and the
+# exact indented length Summary.JSON sizes its buffer by (internal/campaign,
+# against json.Indent). Their seed
 # inputs already run under plain `go test`; this target searches past them
 # and stays out of `make check` so CI time does not grow. FuzzLoadJournal's,
-# FuzzSubmit's, FuzzDelivery's and FuzzSnapshotMerge's inputs carry
-# results, scenario sets or metric snapshots of several KiB, and minimizing each new one for the default 60 s would spend
+# FuzzIndentedLen's, FuzzSubmit's, FuzzDelivery's and FuzzSnapshotMerge's
+# inputs carry results, summaries, scenario sets or metric snapshots of
+# several KiB, and minimizing each new one for the default 60 s would spend
 # the whole run there, so their minimization is capped at 5 s.
 fuzz:
 	$(GO) test ./internal/recordlog -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 60s
@@ -51,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/faultinject -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 60s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzLoadScenarios$$' -fuzztime 60s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime 60s -fuzzminimizetime 5s
+	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzIndentedLen$$' -fuzztime 60s -fuzzminimizetime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 60s
 	$(GO) test ./internal/dma -run '^$$' -fuzz '^FuzzIOMMU$$' -fuzztime 60s
 	$(GO) test ./internal/faultd -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 60s -fuzzminimizetime 5s
@@ -64,27 +68,28 @@ fuzz:
 # one-core host swing ±40% on identical code). BENCH_N numbers the
 # committed snapshots: bump it and commit BENCH_N.json when the numbers
 # move for a reason worth recording.
-BENCH_N ?= 26
+BENCH_N ?= 29
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=3x -run=^$$ . | $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_N).json
 
 # Regression gate over the two newest committed BENCH_*.json: >20% ns/op
 # regression on the fabric-throughput or cache-hit benchmarks fails, and so
 # does >10% more B/op or allocs/op on the boot, campaign-throughput, §5.3
-# ring-flood, deferred map/unmap, NIC ring setup or IOTLB benchmarks. Advisory in CI
+# ring-flood, deferred map/unmap, NIC ring setup, IOTLB or summary-encode
+# benchmarks. Advisory in CI
 # (single-iteration runs are noisy) — a failure means re-run `make bench`
 # and look, not an automatic veto.
 benchgate:
 	$(GO) run ./cmd/benchgate
 
-# Allocation gate on the tree under review: run the six allocation-gated
+# Allocation gate on the tree under review: run the seven allocation-gated
 # benchmarks once each and let benchgate compare their B/op and allocs/op
 # against the committed BENCH_$(BENCH_N).json (+10%). Allocation counts are
 # deterministic for a seed, so one iteration suffices; the ns/op families
 # are not run, so only the allocation rows gate. Blocking in `make check`.
 allocgate:
 	@tmp=$$(mktemp -d); \
-	$(GO) test -run '^$$' -bench '^Benchmark(BootOnce|CampaignThroughput|Sec53_RingFlood|MapUnmapDeferred|AddNIC|IOTLBInsertInvalidate)$$' \
+	$(GO) test -run '^$$' -bench '^Benchmark(BootOnce|CampaignThroughput|Sec53_RingFlood|MapUnmapDeferred|AddNIC|IOTLBInsertInvalidate|SummaryJSON)$$' \
 		-benchmem -benchtime=1x . > $$tmp/bench.txt && \
 	$(GO) run ./cmd/benchjson -out $$tmp/bench.json < $$tmp/bench.txt && \
 	$(GO) run ./cmd/benchgate BENCH_$(BENCH_N).json $$tmp/bench.json; \

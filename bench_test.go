@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -505,6 +506,29 @@ func BenchmarkFuzzSignature(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if fuzz.Signature(r) == "" {
 			b.Fatal("empty signature")
+		}
+	}
+}
+
+// BenchmarkSummaryJSON is the cost of encoding one finished campaign's
+// summary, the bytes every fabric run checks and every -out writes: a fixed
+// 16-scenario ladder summary, so B/op and allocs/op are deterministic.
+func BenchmarkSummaryJSON(b *testing.B) {
+	sum, err := campaign.Engine{Workers: 2}.Run(campaign.LadderPreset(16, 2021))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Collect the engine's garbage first, so no GC inside the timed loop
+	// empties the encode-state pool the warm-up call fills (a refilled
+	// pool re-grows its buffer by doubling, adding ~256 KB to one op).
+	runtime.GC()
+	if _, err := sum.JSON(); err != nil { // warm encoding/json's caches
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sum.JSON(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -9,10 +9,10 @@
 //     bugs rather than simulator noise;
 //   - B/op or allocs/op more than 10% higher on the boot, campaign
 //     throughput and §5.3 ring-flood benchmarks, where a simulated boot's
-//     memory footprint shows first, and on the per-layer deferred
-//     map/unmap, NIC ring setup and IOTLB benchmarks, which say which layer
-//     moved. These counts are deterministic for a given seed, so their
-//     threshold is tight.
+//     memory footprint shows first, on the per-layer deferred map/unmap,
+//     NIC ring setup and IOTLB benchmarks, which say which layer moved, and
+//     on the summary encode every campaign ends with. These counts are
+//     deterministic for a given seed, so their threshold is tight.
 //
 // The gate is advisory in CI (continue-on-error): single-iteration bench
 // runs are noisy, and the artifact pair may span machines. A failure is a
@@ -55,6 +55,7 @@ var memFamilies = []string{
 	"BenchmarkMapUnmapDeferred",
 	"BenchmarkAddNIC",
 	"BenchmarkIOTLBInsertInvalidate",
+	"BenchmarkSummaryJSON",
 }
 
 // memThreshold is the allocation gates' tolerance.

@@ -87,7 +87,7 @@ func main() {
 	flag.BoolVar(&fabricCfg.NeedCache, "need-worker-cache", false, "refuse to lease shards to workers running without a shared result cache")
 	flag.StringVar(&coordOpts.Netchaos, "netchaos", "", "with -coordinator: deterministic network-chaos plan applied to every worker-bound request (e.g. \"bitflip:0.3,truncate:0.1,partition:0.01\")")
 	flag.Int64Var(&coordOpts.NetchaosSeed, "netchaos-seed", 0, "decision seed for the -netchaos plan")
-	flag.BoolVar(&fabricCfg.FleetObs, "fleetobs", false, "with -coordinator: also scrape every worker's /v1/metrics in each heartbeat round, filling the metrics, ready and stale fields of GET /v1/fleet (see fabrictop)")
+	flag.BoolVar(&fabricCfg.FleetObs, "fleetobs", false, "with -coordinator: also scrape every worker's /v1/metrics in each heartbeat round, filling the metrics and stale fields of GET /v1/fleet (see fabrictop)")
 	cachePath := flag.String("cache", "", "content-addressed result cache file: scenarios already recorded replay instead of executing; new results are appended")
 	cacheCompact := flag.Bool("cache-compact", false, "with -cache: rewrite the cache log dropping superseded and stale-engine records, print stats, and exit")
 	requireCached := flag.Bool("require-cached", false, "with -cache: exit nonzero unless every scenario was served from the cache (proves a warm cache executes nothing)")

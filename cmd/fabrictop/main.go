@@ -3,9 +3,10 @@
 // coordinator's SSE stream and redraws one screen per "fleet" event — the
 // /v1/fleet document, sent on every heartbeat beat: per-worker lease load,
 // per-phase latency totals, EWMA shard latency and throughput, cache hit
-// rate, registry state (up/down), and campaign progress. The READY column
-// and the fleet totals come from the coordinator's -fleetobs scrape and read
-// "no" and nothing without it.
+// rate, registry state (up/down), readiness, and campaign progress. READY is
+// the heartbeat's last lease-aware probe verdict ("stale" marks a refused
+// worker whose -fleetobs scrape failed after a success); the fleet totals
+// come from the -fleetobs scrape and are absent without it.
 //
 // When the SSE stream is unavailable (no -coordinator-addr hub, a proxy that
 // buffers streams), fabrictop falls back to polling GET /v1/fleet on
@@ -168,7 +169,7 @@ func render(fs *api.FleetSnapshot, clear bool) string {
 	return b.String()
 }
 
-// ready condenses the scrape-derived freshness flags.
+// ready condenses the probe verdict and the scrape's freshness flag.
 func ready(w api.FleetWorker) string {
 	switch {
 	case w.Ready:

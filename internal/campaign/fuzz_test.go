@@ -132,3 +132,44 @@ func FuzzLoadJournal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIndentedLen: Summary.JSON sizes its output buffer by indentedLen, so
+// for any valid document the computed length must be exactly what
+// json.Indent writes, and indentJSON's bytes must be json.Indent's.
+func FuzzIndentedLen(f *testing.F) {
+	golden, err := os.ReadFile("testdata/summary.golden.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, s := range []string{
+		`{}`, `[]`, `[{},[],{"a":[]}]`, `"x"`, `-1.5e3`, `null`,
+		`{"a":"b\"c,{[:","d\\":[1,2,{"e":{}}],"f":true}`,
+		`[[[[["deep"]]]],"é\\"]`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !json.Valid(data) {
+			return
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, data); err != nil {
+			t.Fatalf("Compact of valid JSON: %v", err)
+		}
+		var want bytes.Buffer
+		if err := json.Indent(&want, compact.Bytes(), "", jsonIndent); err != nil {
+			t.Fatalf("Indent of valid JSON: %v", err)
+		}
+		if n := indentedLen(compact.Bytes()); n != want.Len() {
+			t.Fatalf("indentedLen = %d, json.Indent wrote %d bytes for %q", n, want.Len(), compact.Bytes())
+		}
+		got, err := indentJSON(compact.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("indentJSON differs from json.Indent:\n%s\nvs\n%s", got, want.Bytes())
+		}
+	})
+}

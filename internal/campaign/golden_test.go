@@ -60,6 +60,33 @@ func TestGoldenSummaryWireFormat(t *testing.T) {
 	checkGolden(t, "metrics.golden.prom", sum.MetricsText())
 }
 
+// TestSummaryJSONIndentsOnce: Summary.JSON is json.MarshalIndent's bytes,
+// written into one output buffer sized by indentedLen: its capacity is the
+// document's length up to the allocator's size-class rounding, where a
+// buffer that had to grow would have doubled. (Allocation counts are pinned
+// by BenchmarkSummaryJSON under make allocgate; the race detector's
+// sync.Pool drops make them vary here.)
+func TestSummaryJSONIndentsOnce(t *testing.T) {
+	sum, err := Engine{Workers: 2}.Run(LadderPreset(8, 2021))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sum.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(sum, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Summary.JSON differs from json.MarshalIndent (%d vs %d bytes)", len(got), len(want))
+	}
+	if slack := cap(got) - len(got); slack > len(got)/8 {
+		t.Fatalf("output buffer cap %d for %d bytes: it was not sized once", cap(got), len(got))
+	}
+}
+
 // TestGoldenAttackResultJSON pins attacks.Result's snake_case field names
 // with a hand-built value, so a tag typo cannot slip through as "both sides
 // drifted together".

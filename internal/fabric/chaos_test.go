@@ -158,9 +158,12 @@ func TestChaosFamiliesOmittedWhenClean(t *testing.T) {
 // corruptingWorker proxies a real in-process worker but rewrites delivered
 // terminal job documents when corrupt() says so: the first result seed
 // gains a leading digit, leaving the JSON well-formed — silent result
-// corruption only the integrity layer can see.
-func corruptingWorker(t *testing.T, corrupt func() bool) *httptest.Server {
+// corruption only the integrity layer can see. The returned counter is the
+// number of documents actually rewritten, so a test asserting on rejections
+// fails loudly if a wire-format change stops the rewrite from matching.
+func corruptingWorker(t *testing.T, corrupt func() bool) (*httptest.Server, *atomic.Int32) {
 	t.Helper()
+	var rewritten atomic.Int32
 	inner := faultd.NewServer()
 	inner.Workers = 2
 	h := inner.Handler()
@@ -169,7 +172,10 @@ func corruptingWorker(t *testing.T, corrupt func() bool) *httptest.Server {
 		h.ServeHTTP(rec, r)
 		body := rec.Body.Bytes()
 		if r.Method == http.MethodGet && bytes.Contains(body, []byte(`"results_sha256"`)) && corrupt() {
-			body = bytes.Replace(body, []byte(`"seed": `), []byte(`"seed": 9`), 1)
+			if seed := []byte(`"seed":`); bytes.Contains(body, seed) {
+				body = bytes.Replace(body, seed, []byte(`"seed":9`), 1)
+				rewritten.Add(1)
+			}
 		}
 		for k, vs := range rec.Header() {
 			if k == "Content-Length" {
@@ -183,7 +189,7 @@ func corruptingWorker(t *testing.T, corrupt func() bool) *httptest.Server {
 		w.Write(body)
 	}))
 	t.Cleanup(ts.Close)
-	return ts
+	return ts, &rewritten
 }
 
 // TestCorruptingWorkerNeverMerges: beside an honest worker, one that
@@ -199,7 +205,7 @@ func corruptingWorker(t *testing.T, corrupt func() bool) *httptest.Server {
 func TestCorruptingWorkerNeverMerges(t *testing.T) {
 	want := chaosReferenceJSON(t)
 	good := newWorker(t)
-	bad := corruptingWorker(t, func() bool { return true })
+	bad, rewritten := corruptingWorker(t, func() bool { return true })
 	c := New(Config{
 		Workers:   []string{good.URL, bad.URL},
 		ShardSize: 1,
@@ -218,8 +224,12 @@ func TestCorruptingWorkerNeverMerges(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("corrupted deliveries changed the merged summary")
 	}
-	if v := c.Metrics().IntegrityRejected.Value(); v < 2 {
-		t.Fatalf("fabric_integrity_rejected_total = %d, want >= 2", v)
+	n := int(rewritten.Load())
+	if n < 2 {
+		t.Fatalf("corrupting worker rewrote %d documents, want >= 2", n)
+	}
+	if v := c.Metrics().IntegrityRejected.Value(); int(v) != n {
+		t.Fatalf("fabric_integrity_rejected_total = %d, want the %d rewritten documents", v, n)
 	}
 	if v := c.Metrics().LocalFallback.Value(); v != 0 {
 		t.Fatalf("local fallback fired %d times with an honest worker available", v)
@@ -238,7 +248,7 @@ func TestCorruptingWorkerNeverMerges(t *testing.T) {
 func TestWorkerRecoversAfterCorruption(t *testing.T) {
 	want := chaosReferenceJSON(t)
 	var corrupted atomic.Int32
-	bad := corruptingWorker(t, func() bool { return corrupted.Add(1) <= 2 })
+	bad, rewritten := corruptingWorker(t, func() bool { return corrupted.Add(1) <= 2 })
 	c := New(Config{
 		Workers:   []string{bad.URL},
 		ShardSize: 2,
@@ -254,6 +264,9 @@ func TestWorkerRecoversAfterCorruption(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("summary differs after the worker recovered")
+	}
+	if n := rewritten.Load(); n != 2 {
+		t.Fatalf("corrupting worker rewrote %d documents, want 2", n)
 	}
 	if v := c.Metrics().IntegrityRejected.Value(); v != 2 {
 		t.Fatalf("fabric_integrity_rejected_total = %d, want exactly the 2 corruptions", v)

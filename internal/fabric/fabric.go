@@ -143,7 +143,7 @@ type Config struct {
 	// the default transport. Ignored by NewClient/Probe overrides.
 	Transport http.RoundTripper
 	// FleetObs makes every heartbeat round also scrape each worker's
-	// /v1/metrics, filling the metrics, ready and stale fields of the
+	// /v1/metrics, filling the metrics and stale fields of the
 	// /v1/fleet document. Opt-in because the scrape costs every round an
 	// extra request per worker; pure observability — summary bytes are
 	// identical with it on or off (test-enforced).

@@ -433,6 +433,56 @@ func TestStalenessSemantics(t *testing.T) {
 	}
 }
 
+// TestFleetReadyFollowsProbe: a row's ready flag is the heartbeat's last
+// lease-aware probe verdict, with the metrics scrape on or off. A promoted
+// worker reads ready; one refusing its probe reads not ready at once, while
+// up rides out the failures short of a demotion, and stays so once demoted.
+func TestFleetReadyFollowsProbe(t *testing.T) {
+	for _, fleetObs := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fleetobs=%v", fleetObs), func(t *testing.T) {
+			var refusing atomic.Bool
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/readyz":
+					if refusing.Load() {
+						http.Error(w, "saturated", http.StatusServiceUnavailable)
+						return
+					}
+					fmt.Fprintln(w, "ready")
+				case "/v1/metrics":
+					fmt.Fprint(w, fixedMetricsBody(t, "faultd_requests_total", 1))
+				default:
+					http.NotFound(w, r)
+				}
+			}))
+			defer ts.Close()
+			c := New(Config{Workers: []string{ts.URL}, FleetObs: fleetObs})
+			ctx := context.Background()
+			row := func() api.FleetWorker { return c.Fleet().Workers[0] }
+
+			if w := row(); w.Up || w.Ready {
+				t.Fatalf("before any probe: %+v", w)
+			}
+			c.reg.probeAll(ctx)
+			if w := row(); !w.Up || !w.Ready || w.Stale {
+				t.Fatalf("promoted worker: %+v", w)
+			}
+			refusing.Store(true)
+			for i := 1; i <= DefaultDownAfter; i++ {
+				c.reg.probeAll(ctx)
+				if w := row(); w.Ready || w.Up != (i < DefaultDownAfter) {
+					t.Fatalf("after %d refused probes: %+v", i, w)
+				}
+			}
+			refusing.Store(false)
+			c.reg.probeAll(ctx)
+			if w := row(); !w.Up || !w.Ready {
+				t.Fatalf("re-promoted worker: %+v", w)
+			}
+		})
+	}
+}
+
 // countingTransport counts the requests a heartbeat round sends, by path.
 type countingTransport struct {
 	mu     sync.Mutex

@@ -67,12 +67,16 @@ type worker struct {
 	ewmaShard  float64 // EWMA of per-delivery execute seconds
 	ewmaRate   float64 // EWMA of per-delivery scenarios/execute-second
 
+	// ready is the last lease-aware probe verdict, set by apply. Unlike up,
+	// which rides out DefaultDownAfter-1 failures, it reads false after any
+	// refused probe.
+	ready bool
+
 	// Fleet scrape state (scrape set). A worker that never answered a scrape
-	// has no snapshot and reads not ready, not stale. One whose scrape fails
-	// after a success goes stale and keeps its last good snapshot, so
-	// operators see the freshest truth available, flagged as aging, rather
-	// than a row flickering empty on every network blip.
-	ready bool              // lease-aware readiness at the last good scrape
+	// has no snapshot and is not stale. One whose scrape fails after a
+	// success goes stale and keeps its last good snapshot, so operators see
+	// the freshest truth available, flagged as aging, rather than a row
+	// flickering empty on every network blip.
 	stale bool              // the latest scrape failed after a success
 	snap  *metrics.Snapshot // last good /v1/metrics snapshot
 }
@@ -207,9 +211,10 @@ func (r *Registry) AnyUp() bool {
 }
 
 // apply records one probe verdict (err nil: ready) — the only path that
-// moves a worker up or down. One success promotes and clears the failure
-// streak; DefaultDownAfter consecutive failures demote, closing the
-// up-epoch's down channel so the worker's in-flight leases cancel.
+// moves a worker up or down, and the only writer of its ready flag. One
+// success promotes and clears the failure streak; DefaultDownAfter
+// consecutive failures demote, closing the up-epoch's down channel so the
+// worker's in-flight leases cancel.
 func (r *Registry) apply(url string, err error) {
 	r.mu.Lock()
 	w := r.workers[url]
@@ -217,6 +222,7 @@ func (r *Registry) apply(url string, err error) {
 		r.mu.Unlock()
 		return
 	}
+	w.ready = err == nil
 	if err == nil {
 		w.fails = 0
 		if !w.up {
@@ -299,13 +305,13 @@ func (r *Registry) probeWorker(ctx context.Context, url string) {
 		return
 	}
 	snap, serr := r.scrape(ctx, url)
-	r.noteScrape(url, err == nil, snap, serr)
+	r.noteScrape(url, snap, serr)
 }
 
 // noteScrape folds one scrape into the worker's fleet row: a success records
-// the readiness verdict and the fresh snapshot, a failure after a success
-// marks the row stale and keeps the last good snapshot.
-func (r *Registry) noteScrape(url string, ready bool, snap *metrics.Snapshot, err error) {
+// the fresh snapshot, a failure after a success marks the row stale and
+// keeps the last good snapshot.
+func (r *Registry) noteScrape(url string, snap *metrics.Snapshot, err error) {
 	if r.m != nil {
 		r.m.FleetScrapes.Inc()
 		if err != nil {
@@ -320,14 +326,14 @@ func (r *Registry) noteScrape(url string, ready bool, snap *metrics.Snapshot, er
 	}
 	if err != nil {
 		if w.snap != nil {
-			w.ready, w.stale = false, true
+			w.stale = true
 		}
 		if r.log != nil {
 			r.log.Debug("fleet scrape failed", "worker", url, "err", err)
 		}
 		return
 	}
-	w.ready, w.stale, w.snap = ready, false, snap
+	w.stale, w.snap = false, snap
 }
 
 // WorkerRef is one granted admission slot on a worker: the shard lease's

@@ -64,12 +64,12 @@ func TestRegistryFlapDampingUnderRace(t *testing.T) {
 					r.apply(url, errProbe)
 					r.Join(url)
 				case 2:
-					r.noteScrape(url, i%2 == 0, &metrics.Snapshot{}, nil)
+					r.noteScrape(url, &metrics.Snapshot{}, nil)
 				case 3:
 					if ref := r.Acquire(cancelled, ""); ref != nil {
 						ref.Release()
 					}
-					r.noteScrape(url, false, nil, errProbe)
+					r.noteScrape(url, nil, errProbe)
 					_ = r.Fleet()
 					_ = r.AnyUp()
 				}

@@ -12,8 +12,8 @@ import "dmafault/internal/metrics"
 //
 // Additional coordinator route:
 //
-//	GET /v1/fleet  FleetSnapshot (always served; metrics, ready and stale
-//	               need the -fleetobs scrape)
+//	GET /v1/fleet  FleetSnapshot (always served; metrics and stale need
+//	               the -fleetobs scrape)
 
 // PhaseSeconds is a cumulative per-phase wall-clock total, summed over every
 // verified delivery a worker has made.
@@ -24,8 +24,8 @@ type PhaseSeconds struct {
 }
 
 // FleetWorker is one worker's row in the fleet snapshot: the coordinator
-// registry's view (liveness, leases, delivery accounting) and
-// its heartbeat scrape state (readiness, staleness).
+// registry's view (liveness, readiness, leases, delivery accounting) and
+// its heartbeat scrape state (staleness).
 type FleetWorker struct {
 	URL string `json:"url"`
 	// Up is the registry's heartbeat verdict (lease-aware /readyz probe).
@@ -50,10 +50,10 @@ type FleetWorker struct {
 	// EWMAScenariosPerSec is the matching throughput EWMA
 	// (scenarios / execute-seconds per delivery).
 	EWMAScenariosPerSec float64 `json:"ewma_scenarios_per_sec"`
-	// Ready is the lease-aware /readyz verdict (the heartbeat's own probe)
-	// at the last successful scrape; false until the first one, so always
-	// false without the -fleetobs scrape. A worker that can never receive a
-	// lease — no cache under NeedCache — reads false.
+	// Ready is the heartbeat's last lease-aware /readyz verdict: false
+	// before the first probe and after any refused one, even while Up rides
+	// out the failures short of a demotion. A worker that can never receive
+	// a lease — no cache under NeedCache — reads false.
 	Ready bool `json:"ready"`
 	// Stale marks a worker whose last scrape failed after earlier successes;
 	// its metrics contribution is the last good snapshot.

@@ -22,10 +22,7 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 			out.HitRate = float64(out.Hits) / float64(n)
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(&out)
+	writeJSON(w, &out)
 }
 
 // handleCacheClear serves DELETE /v1/cache: truncate the shared log and

@@ -571,10 +571,25 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		list.Jobs[i].Fuzz = nil
 	}
 	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(&list)
+	writeJSON(w, &list)
+}
+
+// writeJSON is the one writer of faultd's JSON documents (a job, the job
+// table, the cache counters): compact, newline-terminated, and sized, so a
+// client reads the body into one buffer of exactly Content-Length bytes.
+// Nothing is cached — a worker keeps every finished job, and a second,
+// encoded copy of each would double what it holds.
+func writeJSON(w http.ResponseWriter, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, "encode: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	data = append(data, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(data)))
+	_, _ = w.Write(data)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -592,10 +607,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	job := jp.Job // the wire view; scheduling state stays server-side
 	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(&job)
+	writeJSON(w, &job)
 }
 
 // handleCancel aborts a queued or running job. The response is 202 (the

@@ -1,6 +1,7 @@
 package faultd
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -215,5 +216,53 @@ func TestMetricsAccumulateAcrossJobs(t *testing.T) {
 	}
 	if !strings.Contains(string(text), "faultd_campaigns_completed_total 2") {
 		t.Error("service counter wrong")
+	}
+}
+
+// TestDocumentsCompactAndSized: every JSON document faultd serves — a job,
+// the job table, the cache counters — is compact, newline-terminated, and
+// sized, so a client reads it into one buffer of exactly Content-Length.
+func TestDocumentsCompactAndSized(t *testing.T) {
+	srv := NewServer()
+	srv.Workers = 2
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if code, body := post(t, ts.URL+"/v1/campaigns", `{"preset":"ladder","n":2,"seed":2021}`); code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	srv.Wait()
+	for _, path := range []string{"/v1/campaigns/1", "/v1/campaigns", "/v1/cache/stats"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("GET %s: %d %q", path, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Fatalf("GET %s: Content-Length %d, body %d bytes", path, resp.ContentLength, len(body))
+		}
+		doc, ok := bytes.CutSuffix(body, []byte("\n"))
+		if !ok {
+			t.Fatalf("GET %s: document not newline-terminated", path)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, doc); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		if !bytes.Equal(compact.Bytes(), doc) {
+			t.Fatalf("GET %s: document is not compact (%d bytes, %d compacted)", path, len(doc), compact.Len())
+		}
+	}
+	var job Job
+	if _, body := get(t, ts.URL+"/v1/campaigns/1"); json.Unmarshal(body, &job) != nil ||
+		job.Status != StatusDone || job.Summary == nil || job.ResultsHash == "" {
+		t.Fatalf("job document: %+v", job)
 	}
 }

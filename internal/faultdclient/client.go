@@ -208,7 +208,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		if err != nil {
 			lastErr = err
 		} else {
-			data, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+			data, rerr := readBody(resp)
 			resp.Body.Close()
 			if rerr != nil {
 				lastErr = rerr
@@ -237,6 +237,25 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		}
 		wait = min(2*wait, DefaultMaxRetryWait)
 	}
+}
+
+// maxBody caps what one response may make the client buffer.
+const maxBody = 64 << 20
+
+// readBody reads a response body in one read when the server sized it: one
+// exact buffer, so a multi-megabyte job document is never grown by doubling.
+// A body shorter than its Content-Length is io.ErrUnexpectedEOF — a torn
+// body, as the fabric classifies it. An unsized body (chunked, or a proxy
+// that dropped the header) or one declaring more than maxBody takes the
+// capped incremental read, so a lying header cannot make the client
+// preallocate past the cap.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxBody {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxBody))
 }
 
 // Submit posts a campaign. Queue-full rejections (429) are retried with the

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -494,3 +497,90 @@ func TestFleetTyped(t *testing.T) {
 		t.Fatalf("server without /v1/fleet: %v", err)
 	}
 }
+
+// A body cut short of its Content-Length — a connection dropped mid-document
+// — is io.ErrUnexpectedEOF, which the fabric counts as a torn body, never a
+// decoded partial document.
+func TestShortSizedBodyIsTorn(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "4096")
+		fmt.Fprint(w, `{"id":1,"status":"do`)
+	}))
+	defer ts.Close()
+
+	c := New(ts.URL)
+	c.Retries = -1
+	job, err := c.Get(context.Background(), 1)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short sized body: job %+v, err %v; want io.ErrUnexpectedEOF", job, err)
+	}
+}
+
+// stubTransport answers every request with one canned 200 response.
+type stubTransport struct {
+	contentLength int64
+	body          string
+}
+
+func (st stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK, Header: http.Header{}, Request: req,
+		ContentLength: st.contentLength, Body: io.NopCloser(strings.NewReader(st.body)),
+	}, nil
+}
+
+// A Content-Length above the 64 MiB body cap is not trusted with a buffer:
+// the body takes the capped incremental read, so a lying header costs no
+// preallocation (and here, where the body is honest but the header is not,
+// the document still decodes).
+func TestOversizedContentLengthNotPreallocated(t *testing.T) {
+	c := New("http://worker").WithTransport(stubTransport{
+		contentLength: maxBody + 1, body: `{"id":7,"status":"done"}`})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	job, err := c.Get(context.Background(), 7)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.ID != 7 || job.Status != api.StatusDone {
+		t.Fatalf("job: %+v", job)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxBody/8 {
+		t.Fatalf("Get allocated %d bytes for a %d-byte body", alloc, len(`{"id":7,"status":"done"}`))
+	}
+}
+
+// An unsized body — chunked, or a proxy that dropped Content-Length — takes
+// the capped read and still decodes.
+func TestChunkedBodyDecodes(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"id":3,`)
+		w.(http.Flusher).Flush() // headers go out without a length: chunked
+		fmt.Fprint(w, `"status":"done"}`)
+	}))
+	defer ts.Close()
+
+	var sized int64
+	c := New(ts.URL).WithTransport(roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		if err == nil {
+			sized = resp.ContentLength
+		}
+		return resp, err
+	}))
+	job, err := c.Get(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sized != -1 {
+		t.Fatalf("response Content-Length %d: the body was not chunked", sized)
+	}
+	if job.ID != 3 || job.Status != api.StatusDone {
+		t.Fatalf("job: %+v", job)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
