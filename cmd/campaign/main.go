@@ -80,7 +80,7 @@ func main() {
 	flag.StringVar(&coordOpts.WorkerURLs, "worker-urls", "", "comma-separated dmafaultd worker base URLs for -coordinator (more may join at runtime via -coordinator-addr)")
 	flag.StringVar(&coordOpts.Addr, "coordinator-addr", "", "serve the fabric supervision surface (join, workers, SSE events, metrics) on this address")
 	flag.DurationVar(&fabricCfg.LeaseTTL, "lease-ttl", 0, "shard lease time budget; an expired lease re-leases the shard to another worker (0: default)")
-	flag.IntVar(&fabricCfg.MaxLeaseAttempts, "lease-attempts", 0, "lease grants per shard before giving up on the fabric (evidence of a killed job bisects; anything else runs the shard locally) (0: default)")
+	flag.IntVar(&fabricCfg.MaxLeaseAttempts, "lease-attempts", 0, "lease grants per shard before it runs on the coordinator's local engine, whatever made its leases fail (0: default)")
 	flag.IntVar(&fabricCfg.ShardSize, "shard-size", 0, "scenarios per shard lease (0: default)")
 	flag.DurationVar(&fabricCfg.Heartbeat, "fabric-heartbeat", 0, "worker readiness probe cadence, which also paces the \"fleet\" SSE beat and the -fleetobs scrape (0: default)")
 	flag.StringVar(&coordOpts.MetricsOut, "fabric-metrics", "", "write the final fabric_* metric families (Prometheus text) to this file")

@@ -180,6 +180,5 @@ func RunPageSpray(sys *core.System, nic *netstack.NIC, cfg SprayConfig) *Result 
 	} else {
 		r.logf("sprayed object completed benignly: no escalation")
 	}
-	r.CaptureMetrics(sys)
 	return r
 }

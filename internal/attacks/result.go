@@ -55,8 +55,9 @@ type Result struct {
 	DroppedSteps uint64 `json:"dropped_steps,omitempty"`
 	// Detail carries attack-specific numbers (hit rates, leaked bytes...).
 	Detail map[string]string `json:"detail,omitempty"`
-	// Snapshot, when the attacked machine carried a metrics registry, is its
-	// full metric dump gathered after the attack finished.
+	// Snapshot, set by RunRingFlood when the attacked machine carried a
+	// metrics registry, is its full metric dump gathered after the attack
+	// finished.
 	Snapshot *metrics.Snapshot `json:"snapshot,omitempty"`
 }
 

@@ -22,11 +22,11 @@ import (
 // workers. The invariant everything here defends is the same one
 // fabric_test.go pins for the happy path — the merged summary is
 // byte-identical to a single-node run — but now with a chaos transport
-// tearing deliveries, proxies corrupting results, and poison shards killing
-// leases.
+// tearing deliveries, proxies corrupting results, and workers refusing a
+// range until it runs locally.
 
 // chaosSet is a half-size ladder set for the byzantine tests: chaos
-// re-executes shards many times over (re-leases, bisection halves, orphaned
+// re-executes shards many times over (re-leases, local fallbacks, orphaned
 // jobs running to completion server-side), so the per-pass
 // compute is kept small — under -race a full 16-scenario pass alone costs
 // tens of seconds of instrumented CPU.
@@ -75,8 +75,8 @@ func chaosPlan(t *testing.T, seed int64) *netchaos.Plan {
 
 // TestByteIdenticalUnderChaos is the tentpole acceptance test: with every
 // worker-bound byte riding a netchaos transport — and re-lease exclusion
-// and bisection armed — the merged summary still must not change by a byte
-// at one, two, or four workers.
+// armed — the merged summary still must not change by a byte at one, two,
+// or four workers.
 func TestByteIdenticalUnderChaos(t *testing.T) {
 	want := chaosReferenceJSON(t)
 	var rejected uint64
@@ -108,8 +108,8 @@ func TestByteIdenticalUnderChaos(t *testing.T) {
 					len(got), len(want))
 			}
 			if v := c.Metrics().ShardsDone.Value(); v != 4 {
-				t.Fatalf("fabric_shards_completed_total = %d, want 4 — bisection "+
-					"double-counted shard completions", v)
+				t.Fatalf("fabric_shards_completed_total = %d, want 4 — shard "+
+					"completions double-counted", v)
 			}
 			t.Logf("chaos: %s", ch.CountsText())
 			v := c.Metrics().IntegrityRejected.Value()
@@ -128,30 +128,18 @@ func TestByteIdenticalUnderChaos(t *testing.T) {
 	}
 }
 
-// TestChaosFamiliesOmittedWhenClean: the byzantine-tolerance families are
-// exceptional-condition counters and must be absent from a clean exposition
-// (OmitZero), appearing the moment their condition fires.
+// TestChaosFamiliesOmittedWhenClean: the byzantine-tolerance family is an
+// exceptional-condition counter and must be absent from a clean exposition
+// (OmitZero), appearing the moment its condition fires.
 func TestChaosFamiliesOmittedWhenClean(t *testing.T) {
-	families := []string{
-		"fabric_integrity_rejected_total",
-		"fabric_bisect_rounds_total",
-		"fabric_poison_quarantined_total",
-	}
+	const fam = "fabric_integrity_rejected_total"
 	m := NewMetrics()
-	text := string(m.Text())
-	for _, fam := range families {
-		if strings.Contains(text, fam) {
-			t.Errorf("clean exposition contains %s", fam)
-		}
+	if strings.Contains(string(m.Text()), fam) {
+		t.Errorf("clean exposition contains %s", fam)
 	}
 	m.IntegrityRejected.Inc()
-	m.BisectRounds.Inc()
-	m.PoisonQuarantined.Inc()
-	text = string(m.Text())
-	for _, fam := range families {
-		if !strings.Contains(text, fam) {
-			t.Errorf("fired family %s absent from the exposition", fam)
-		}
+	if !strings.Contains(string(m.Text()), fam) {
+		t.Errorf("fired family %s absent from the exposition", fam)
 	}
 }
 
@@ -277,8 +265,7 @@ func TestWorkerRecoversAfterCorruption(t *testing.T) {
 }
 
 // poisonRejectingWorker proxies a real worker but refuses (500) any shard
-// submission whose scenario set contains the poison marker — the HTTP
-// stand-in for a scenario that crashes whatever node executes it.
+// submission whose scenario set contains the poison marker.
 func poisonRejectingWorker(t *testing.T, poison string) *httptest.Server {
 	t.Helper()
 	inner := faultd.NewServer()
@@ -305,11 +292,13 @@ func poisonRejectingWorker(t *testing.T, poison string) *httptest.Server {
 	return ts
 }
 
-// TestPoisonShardBisection: a scenario that kills every lease it rides in
-// must be cornered by bisection — two rounds for a 4-scenario shard — and
-// quarantined to local execution, while the innocent scenarios it dragged
-// down re-lease normally. Shard accounting must not double-count the splits.
-func TestPoisonShardBisection(t *testing.T) {
+// TestFailingRangeRunsLocally: a range whose every lease fails — here the
+// only worker answers 500 to any submission holding one seed — re-leases
+// until MaxLeaseAttempts and then runs on the coordinator's local engine,
+// once and whole, while the other shard delivers from the worker. The
+// summary matches a single-node run, and the range's local run ends its
+// partition shard exactly once.
+func TestFailingRangeRunsLocally(t *testing.T) {
 	want := chaosReferenceJSON(t)
 	// Global index 4 (shard [4,8) at ShardSize 4): seeds stride by 10007
 	// from 2021, so index 4 is uniquely "seed":42049.
@@ -329,19 +318,16 @@ func TestPoisonShardBisection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("summary differs after bisection")
-	}
-	if v := c.Metrics().BisectRounds.Value(); v != 2 {
-		t.Fatalf("fabric_bisect_rounds_total = %d, want 2 ([4,8) then [4,6))", v)
-	}
-	if v := c.Metrics().PoisonQuarantined.Value(); v != 1 {
-		t.Fatalf("fabric_poison_quarantined_total = %d, want 1", v)
+		t.Fatalf("summary differs after the local fallback")
 	}
 	if v := c.Metrics().LocalFallback.Value(); v != 1 {
-		t.Fatalf("fabric_local_fallback_total = %d, want exactly the quarantined scenario", v)
+		t.Fatalf("fabric_local_fallback_total = %d, want exactly the failing range", v)
 	}
 	if v := c.Metrics().ShardsDone.Value(); v != 2 {
-		t.Fatalf("fabric_shards_completed_total = %d, want 2 — bisection double-counted", v)
+		t.Fatalf("fabric_shards_completed_total = %d, want 2", v)
+	}
+	if v := c.Metrics().LeasesExpired.Value(); v != 2 {
+		t.Fatalf("fabric_leases_expired_total = %d, want MaxLeaseAttempts (2)", v)
 	}
 }
 

@@ -30,8 +30,9 @@
 //     ordinary campaign journal (torn-tail tolerant), so a coordinator
 //     killed -9 resumes mid-campaign with its re-lease counters intact, and
 //     a single-node run can finish what the fabric started, or the reverse.
-//   - Degradation: zero reachable workers means the coordinator runs the
-//     shard itself through the local engine — the fabric never produces
+//   - Degradation: zero reachable workers, or a range whose leases failed
+//     MaxLeaseAttempts times for any reason, means the coordinator runs the
+//     range itself through the local engine — the fabric never produces
 //     less than a single-node run would.
 package fabric
 
@@ -395,9 +396,9 @@ func (c *Coordinator) unfinished(sh shard) []shard {
 }
 
 // runShard drives one shard of the partition to completion and counts it
-// done exactly once — bisection may split the range into sub-ranges with
+// done once: a resumed journal may split the range into unfinished runs with
 // their own lease histories, but fabric_shards_completed_total tracks the
-// partition's shards, not the splits.
+// partition's shards.
 func (c *Coordinator) runShard(ctx context.Context, sh shard) error {
 	if err := c.runShardRange(ctx, sh); err != nil {
 		return err
@@ -416,20 +417,15 @@ func nextBackoff(d time.Duration) time.Duration {
 	return min(2*d, MaxReleaseBackoff)
 }
 
-// errShardFatal marks a lease failure where the shard's own content is the
-// prime suspect: the worker rejected the submission outright or the job
-// executed and died. Only this class of failure arms bisection — expiry,
-// timeouts, and corrupted deliveries are the fleet's problem, not the
-// range's.
-var errShardFatal = errors.New("fabric: shard killed its lease")
-
 // runShardRange drives one index range [Start, End) to completion: lease to
-// a live worker, re-lease on expiry with a capped jittered backoff, degrade
-// to local execution when no worker is reachable, bisect when the range
-// itself keeps killing leases. A re-lease skips the worker whose lease just
-// failed while any other worker is up (Registry.Acquire), so a worker that
-// corrupts or drops its deliveries cannot eat a range's whole attempt
-// budget while an honest one stands by.
+// a live worker, re-lease a failed lease with a capped jittered backoff, and
+// run the range on the local engine when no worker is reachable or its
+// leases have failed MaxLeaseAttempts times, whatever the cause. A scenario
+// that kills or hangs its host reaches the local engine that way, where the
+// engine contains it as a panic or timeout result. A re-lease skips the
+// worker whose lease just failed while any other worker is up
+// (Registry.Acquire), so a worker that corrupts or drops its deliveries
+// cannot eat a range's whole attempt budget while an honest one stands by.
 func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 	// A range a resumed journal partly restored leases only its unfinished
 	// runs, so no restored scenario executes again.
@@ -442,32 +438,14 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 		return nil
 	}
 	// The range's backoff curve lives only as long as this call: a range
-	// ends at its first delivery, so a later failure — bisected halves
-	// included — starts again from the base.
+	// ends at its first delivery.
 	var backoff time.Duration
-	// suspect records whether any failed lease showed evidence that the
-	// range itself kills its host (the job executed and died, or the worker
-	// rejected the submission outright) — as opposed to infrastructure
-	// failures like TTL expiry, timeouts, or corrupted deliveries, which say
-	// nothing about the scenarios.
-	suspect := false
 	failed := "" // the worker whose lease on this range failed last
 	for attempt := 0; ; attempt++ {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if c.reg.Empty() {
-			return c.runLocal(ctx, sh)
-		}
-		if attempt >= c.cfg.maxLeaseAttempts() {
-			if suspect {
-				// Workers exist and at least one lease died executing this
-				// range: suspect the range, not the fleet. Bisect to corner
-				// the scenario that keeps killing its hosts.
-				return c.bisect(ctx, sh)
-			}
-			// Every failure was infrastructure (dead workers, expiries):
-			// splitting the range would just re-lease into the same weather.
+		if c.reg.Empty() || attempt >= c.cfg.maxLeaseAttempts() {
 			return c.runLocal(ctx, sh)
 		}
 		acquireCtx, cancel := context.WithTimeout(ctx, c.cfg.acquireTimeout())
@@ -512,9 +490,6 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if errors.Is(err, errShardFatal) {
-			suspect = true
-		}
 		failed = ref.URL
 		c.m.LeasesExpired.Inc()
 		if serr := c.journalLease(campaign.LeaseExpired, sh, ref.URL, attempt); serr != nil {
@@ -522,6 +497,9 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 		}
 		c.log.Warn("fabric lease expired", "shard", sh.Idx, "worker", ref.URL,
 			"attempt", attempt, "err", err)
+		if attempt+1 >= c.cfg.maxLeaseAttempts() {
+			continue // the budget is spent: run locally without waiting
+		}
 		// Back off before the re-lease, jittered so failed shards do not
 		// stampede the survivors, honoring a worker's Retry-After when the
 		// failure carried one (the server knows its drain schedule).
@@ -535,31 +513,6 @@ func (c *Coordinator) runShardRange(ctx context.Context, sh shard) error {
 			return err
 		}
 	}
-}
-
-// bisect splits a lease-exhausted range in half and drives each half with a
-// fresh attempt budget. A poison scenario — one that reliably kills or
-// stalls whatever worker executes its shard — fails every lease it rides
-// in; halving per round corners it in log₂(size) rounds, the size-1 range
-// it ends up in is quarantined to local execution, and the innocent
-// scenarios it dragged down re-lease normally from the other halves.
-func (c *Coordinator) bisect(ctx context.Context, sh shard) error {
-	if len(c.unfinished(sh)) == 0 {
-		return nil
-	}
-	if sh.End-sh.Start <= 1 {
-		c.m.PoisonQuarantined.Inc()
-		c.log.Warn("fabric poison scenario quarantined", "shard", sh.Idx, "index", sh.Start)
-		return c.runLocal(ctx, sh)
-	}
-	c.m.BisectRounds.Inc()
-	mid := sh.Start + (sh.End-sh.Start)/2
-	c.log.Info("fabric bisect", "shard", sh.Idx,
-		"range", fmt.Sprintf("[%d,%d)", sh.Start, sh.End), "mid", mid)
-	if err := c.runShardRange(ctx, shard{Idx: sh.Idx, Start: sh.Start, End: mid}); err != nil {
-		return err
-	}
-	return c.runShardRange(ctx, shard{Idx: sh.Idx, Start: mid, End: sh.End})
 }
 
 // runLease executes one shard lease: submit the shard as an ordinary /v1
@@ -595,12 +548,6 @@ func (c *Coordinator) runLease(ctx context.Context, sh shard, ref *WorkerRef) er
 			c.m.IntegrityRejected.Inc()
 			return fmt.Errorf("%w: submit: %v", errIntegrity, err)
 		}
-		var ae *faultdclient.APIError
-		if errors.As(err, &ae) && ae.StatusCode == http.StatusInternalServerError {
-			// The worker looked at this shard and died on the spot — that is
-			// evidence against the range, not the weather.
-			return fmt.Errorf("%w: submit: %w", errShardFatal, err)
-		}
 		return fmt.Errorf("submit: %w", err)
 	}
 	job, err := c.awaitJob(leaseCtx, cl, acc.ID, sh, ref.URL)
@@ -609,9 +556,7 @@ func (c *Coordinator) runLease(ctx context.Context, sh shard, ref *WorkerRef) er
 		return fmt.Errorf("wait: %w", err)
 	}
 	if job.Status != api.StatusDone {
-		// The job ran and died (failed, stalled): the strongest
-		// evidence a scenario in this range kills its host.
-		return fmt.Errorf("%w: job %d finished %s: %s", errShardFatal, acc.ID, job.Status, job.Error)
+		return fmt.Errorf("job %d finished %s: %s", acc.ID, job.Status, job.Error)
 	}
 	if err := c.verifyShard(sh, acc.ID, job); err != nil {
 		c.m.IntegrityRejected.Inc()

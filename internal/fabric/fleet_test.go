@@ -138,7 +138,9 @@ func TestByteIdenticalWithFleetObsUnderChaos(t *testing.T) {
 func TestFleetEndpoint(t *testing.T) {
 	// run drives a campaign through one worker and returns the /v1/fleet
 	// document, fetched twice. Run has returned and waited for the
-	// heartbeat by then, so the registry is frozen and both requests must
+	// heartbeat by then; the test then drives one heartbeat round itself,
+	// so a scrape has landed even when none did before Run stopped the
+	// heartbeat, and after it the registry is frozen and both requests must
 	// return identical bytes.
 	run := func(t *testing.T, fleetObs bool) (fs api.FleetSnapshot) {
 		w := newWorker(t)
@@ -151,6 +153,7 @@ func TestFleetEndpoint(t *testing.T) {
 		if _, err := c.Run(context.Background(), testSet()); err != nil {
 			t.Fatal(err)
 		}
+		c.reg.probeAll(context.Background())
 		ts := httptest.NewServer(c.Handler())
 		defer ts.Close()
 		get := func() []byte {

@@ -44,8 +44,8 @@ type Metrics struct {
 	// exactly-once gate — an expired lease's late results racing the
 	// re-leased worker's.
 	DedupDropped *metrics.Counter
-	// LocalFallback counts shards the coordinator executed itself because
-	// no worker was reachable.
+	// LocalFallback counts ranges the coordinator executed itself because no
+	// worker was reachable or their leases failed MaxLeaseAttempts times.
 	LocalFallback *metrics.Counter
 	// WorkersRegistered / WorkersUp gauge the registry: how many workers
 	// the fabric knows about and how many answered the last heartbeat.
@@ -72,12 +72,6 @@ type Metrics struct {
 	// and verification failures (result identity or digest mismatches
 	// against the lease's shard).
 	IntegrityRejected *metrics.Counter
-	// BisectRounds counts shard splits performed to isolate a poison
-	// scenario after a shard exhausted its lease-attempt budget.
-	BisectRounds *metrics.Counter
-	// PoisonQuarantined counts scenarios isolated by bisection and pulled
-	// from fabric leasing into local execution.
-	PoisonQuarantined *metrics.Counter
 
 	// The fleet-view families count the heartbeat's metrics scrapes
 	// (Config.FleetObs). They are telemetry about the scrape itself and stay
@@ -111,7 +105,7 @@ func NewMetrics() *Metrics {
 		DedupDropped: metrics.NewCounter("fabric_dedup_dropped_total",
 			"Duplicate result deliveries suppressed by the exactly-once gate."),
 		LocalFallback: metrics.NewCounter("fabric_local_fallback_total",
-			"Shards executed locally because no worker was reachable."),
+			"Shard ranges executed locally because no worker was reachable or their leases kept failing."),
 		WorkersRegistered: metrics.NewGauge("fabric_workers_registered",
 			"Workers known to the registry (static + joined)."),
 		WorkersUp: metrics.NewGauge("fabric_workers_up",
@@ -125,10 +119,6 @@ func NewMetrics() *Metrics {
 			PhaseLatencyBuckets, "phase", "worker"),
 		IntegrityRejected: metrics.NewCounter("fabric_integrity_rejected_total",
 			"Deliveries rejected by result integrity verification: torn streams or documents and digest/identity mismatches."),
-		BisectRounds: metrics.NewCounter("fabric_bisect_rounds_total",
-			"Shard splits performed to isolate a poison scenario."),
-		PoisonQuarantined: metrics.NewCounter("fabric_poison_quarantined_total",
-			"Scenarios isolated by bisection and quarantined to local execution."),
 		FleetScrapes: metrics.NewCounter("fleet_scrapes_total",
 			"Worker scrapes attempted by the fleet plane."),
 		FleetScrapeErrors: metrics.NewCounter("fleet_scrape_errors_total",
@@ -139,9 +129,7 @@ func NewMetrics() *Metrics {
 	m.reg.MustRegister(m.LeasesGranted, m.LeasesExpired, m.Releases,
 		m.ShardsTotal, m.ShardsDone, m.DedupDropped, m.LocalFallback,
 		m.WorkersRegistered, m.WorkersUp, m.WorkerDowns, m.ShardLatency, m.PhaseLatency,
-		metrics.OmitZero(m.IntegrityRejected), metrics.OmitZero(m.BisectRounds),
-		metrics.OmitZero(m.PoisonQuarantined),
-		metrics.OmitZero(m.FleetScrapes), metrics.OmitZero(m.FleetScrapeErrors),
+		metrics.OmitZero(m.IntegrityRejected), metrics.OmitZero(m.FleetScrapes), metrics.OmitZero(m.FleetScrapeErrors),
 		metrics.OmitZero(m.FleetWorkersStale))
 	return m
 }

@@ -26,8 +26,8 @@ import (
 //     that ScenarioDigest is keyed on. This catches cross-shard mixups and
 //     a worker answering with some *other* campaign's results.
 //  3. Digest: the worker stamps api.HashResults over its results the moment
-//     the job completes; the coordinator recomputes the digest from the
-//     results it decoded. Canonical-JSON determinism makes the recompute
+//     the job completes; the coordinator refuses a document without the
+//     stamp and recomputes the digest from the results it decoded. Canonical-JSON determinism makes the recompute
 //     byte-faithful, so a single flipped bit anywhere in the results —
 //     including fields no identity check looks at, like a window path or a
 //     metrics string — surfaces as a mismatch.
@@ -89,11 +89,14 @@ func (c *Coordinator) verifyShard(sh shard, jobID int, job *api.Job) error {
 				errIntegrity, jobID, i, r.ID, r.Kind, r.Seed, sc.ID, sc.Kind, sc.Seed)
 		}
 	}
-	if job.ResultsHash != "" {
-		if got := api.HashResults(res); got != job.ResultsHash {
-			return fmt.Errorf("%w: job %d results digest %.12s, worker stamped %.12s",
-				errIntegrity, jobID, got, job.ResultsHash)
-		}
+	// Every done fixed-set job a worker serves is stamped, so a missing
+	// stamp is a document something rewrote on the way, not an old worker.
+	if job.ResultsHash == "" {
+		return fmt.Errorf("%w: job %d carries no results digest", errIntegrity, jobID)
+	}
+	if got := api.HashResults(res); got != job.ResultsHash {
+		return fmt.Errorf("%w: job %d results digest %.12s, worker stamped %.12s",
+			errIntegrity, jobID, got, job.ResultsHash)
 	}
 	return nil
 }

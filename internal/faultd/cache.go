@@ -1,7 +1,6 @@
 package faultd
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"dmafault/internal/faultd/api"
@@ -22,7 +21,7 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 			out.HitRate = float64(out.Hits) / float64(n)
 		}
 	}
-	writeJSON(w, &out)
+	writeJSON(w, http.StatusOK, &out)
 }
 
 // handleCacheClear serves DELETE /v1/cache: truncate the shared log and
@@ -39,6 +38,5 @@ func (s *Server) handleCacheClear(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.logger().Info("result cache cleared", "records_dropped", dropped)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(api.ClearCacheResponse{Cleared: true, RecordsDropped: dropped})
+	writeJSON(w, http.StatusOK, &api.ClearCacheResponse{Cleared: true, RecordsDropped: dropped})
 }

@@ -381,13 +381,7 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	data, err := snap.JSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(data, '\n'))
+	writeJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -421,9 +415,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logger().Info("job accepted", "job", job.ID, "name", job.Name,
 		"scenarios", job.ScenariosTotal, "workers", req.Workers)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(api.SubmitResponse{
+	writeJSON(w, http.StatusAccepted, &api.SubmitResponse{
 		ID: job.ID, URL: fmt.Sprintf("/v1/campaigns/%d", job.ID),
 		ScenariosTotal: job.ScenariosTotal,
 	})
@@ -571,15 +563,16 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		list.Jobs[i].Fuzz = nil
 	}
 	s.mu.Unlock()
-	writeJSON(w, &list)
+	writeJSON(w, http.StatusOK, &list)
 }
 
-// writeJSON is the one writer of faultd's JSON documents (a job, the job
-// table, the cache counters): compact, newline-terminated, and sized, so a
+// writeJSON is the one writer of faultd's JSON responses (a job, the job
+// table, the cache counters, the metrics snapshot, and the submit, cancel
+// and cache-clear answers): compact, newline-terminated, and sized, so a
 // client reads the body into one buffer of exactly Content-Length bytes.
 // Nothing is cached — a worker keeps every finished job, and a second,
 // encoded copy of each would double what it holds.
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, "encode: "+err.Error(), http.StatusInternalServerError)
@@ -589,6 +582,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(data)))
+	w.WriteHeader(status)
 	_, _ = w.Write(data)
 }
 
@@ -607,7 +601,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	job := jp.Job // the wire view; scheduling state stays server-side
 	s.mu.Unlock()
-	writeJSON(w, &job)
+	writeJSON(w, http.StatusOK, &job)
 }
 
 // handleCancel aborts a queued or running job. The response is 202 (the
@@ -637,7 +631,5 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if cancel != nil {
 		cancel()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(api.CancelResponse{ID: id, Status: "cancelling"})
+	writeJSON(w, http.StatusAccepted, &api.CancelResponse{ID: id, Status: "cancelling"})
 }

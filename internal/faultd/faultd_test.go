@@ -7,9 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"dmafault/internal/resultstore"
 )
 
 func get(t *testing.T, url string) (int, []byte) {
@@ -219,47 +222,66 @@ func TestMetricsAccumulateAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestDocumentsCompactAndSized: every JSON document faultd serves — a job,
-// the job table, the cache counters — is compact, newline-terminated, and
+// TestDocumentsCompactAndSized: every JSON response faultd serves — a job,
+// the job table, the cache counters, the metrics snapshot, and the submit,
+// cancel and cache-clear answers — is compact, newline-terminated, and
 // sized, so a client reads it into one buffer of exactly Content-Length.
 func TestDocumentsCompactAndSized(t *testing.T) {
+	store, err := resultstore.Open(filepath.Join(t.TempDir(), "results.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	srv := NewServer()
 	srv.Workers = 2
+	srv.Cache = store
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, body := post(t, ts.URL+"/v1/campaigns", `{"preset":"ladder","n":2,"seed":2021}`); code != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", code, body)
-	}
-	srv.Wait()
-	for _, path := range []string{"/v1/campaigns/1", "/v1/campaigns", "/v1/cache/stats"} {
-		resp, err := http.Get(ts.URL + path)
+	check := func(method, path, body string, want int) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := io.ReadAll(resp.Body)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
-			t.Fatalf("GET %s: %d %q", path, resp.StatusCode, resp.Header.Get("Content-Type"))
+		if resp.StatusCode != want || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s %s: %d %q, want %d", method, path, resp.StatusCode, resp.Header.Get("Content-Type"), want)
 		}
-		if resp.ContentLength != int64(len(body)) {
-			t.Fatalf("GET %s: Content-Length %d, body %d bytes", path, resp.ContentLength, len(body))
+		if resp.ContentLength != int64(len(data)) {
+			t.Fatalf("%s %s: Content-Length %d, body %d bytes", method, path, resp.ContentLength, len(data))
 		}
-		doc, ok := bytes.CutSuffix(body, []byte("\n"))
+		doc, ok := bytes.CutSuffix(data, []byte("\n"))
 		if !ok {
-			t.Fatalf("GET %s: document not newline-terminated", path)
+			t.Fatalf("%s %s: document not newline-terminated", method, path)
 		}
 		var compact bytes.Buffer
 		if err := json.Compact(&compact, doc); err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+			t.Fatalf("%s %s: %v", method, path, err)
 		}
 		if !bytes.Equal(compact.Bytes(), doc) {
-			t.Fatalf("GET %s: document is not compact (%d bytes, %d compacted)", path, len(doc), compact.Len())
+			t.Fatalf("%s %s: document is not compact (%d bytes, %d compacted)", method, path, len(doc), compact.Len())
 		}
 	}
+
+	check(http.MethodPost, "/v1/campaigns", `{"preset":"ladder","n":2,"seed":2021}`, http.StatusAccepted)
+	srv.Wait()
+	for _, path := range []string{"/v1/campaigns/1", "/v1/campaigns", "/v1/cache/stats", "/v1/metrics"} {
+		check(http.MethodGet, path, "", http.StatusOK)
+	}
+	// Four 250 ms stalls on one engine worker keep job 2 cancellable.
+	check(http.MethodPost, "/v1/campaigns", stallBody(4), http.StatusAccepted)
+	check(http.MethodDelete, "/v1/campaigns/2", "", http.StatusAccepted)
+	srv.Wait()
+	check(http.MethodDelete, "/v1/cache", "", http.StatusOK)
 	var job Job
 	if _, body := get(t, ts.URL+"/v1/campaigns/1"); json.Unmarshal(body, &job) != nil ||
 		job.Status != StatusDone || job.Summary == nil || job.ResultsHash == "" {
