@@ -72,28 +72,28 @@ fuzz:
 # one-core host swing ±40% on identical code). BENCH_N numbers the
 # committed snapshots: bump it and commit BENCH_N.json when the numbers
 # move for a reason worth recording.
-BENCH_N ?= 29
+BENCH_N ?= 31
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=3x -run=^$$ . | $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_N).json
 
 # Regression gate over the two newest committed BENCH_*.json: >20% ns/op
 # regression on the fabric-throughput or cache-hit benchmarks fails, and so
 # does >10% more B/op or allocs/op on the boot, campaign-throughput, §5.3
-# ring-flood, deferred map/unmap, NIC ring setup, IOTLB or summary-encode
-# benchmarks. Advisory in CI
+# ring-flood, deferred map/unmap, NIC ring setup, IOTLB, summary-encode,
+# snapshot-merge or warm-replay benchmarks. Advisory in CI
 # (single-iteration runs are noisy) — a failure means re-run `make bench`
 # and look, not an automatic veto.
 benchgate:
 	$(GO) run ./cmd/benchgate
 
-# Allocation gate on the tree under review: run the seven allocation-gated
+# Allocation gate on the tree under review: run the nine allocation-gated
 # benchmarks once each and let benchgate compare their B/op and allocs/op
 # against the committed BENCH_$(BENCH_N).json (+10%). Allocation counts are
 # deterministic for a seed, so one iteration suffices; the ns/op families
 # are not run, so only the allocation rows gate. Blocking in `make check`.
 allocgate:
 	@tmp=$$(mktemp -d); \
-	$(GO) test -run '^$$' -bench '^Benchmark(BootOnce|CampaignThroughput|Sec53_RingFlood|MapUnmapDeferred|AddNIC|IOTLBInsertInvalidate|SummaryJSON)$$' \
+	$(GO) test -run '^$$' -bench '^Benchmark(BootOnce|CampaignThroughput|Sec53_RingFlood|MapUnmapDeferred|AddNIC|IOTLBInsertInvalidate|SummaryJSON|SnapshotMerge|CampaignWarmReplay)$$' \
 		-benchmem -benchtime=1x . > $$tmp/bench.txt && \
 	$(GO) run ./cmd/benchjson -out $$tmp/bench.json < $$tmp/bench.txt && \
 	$(GO) run ./cmd/benchgate BENCH_$(BENCH_N).json $$tmp/bench.json; \

@@ -30,6 +30,7 @@ import (
 	"dmafault/internal/fuzz"
 	"dmafault/internal/iommu"
 	"dmafault/internal/layout"
+	"dmafault/internal/metrics"
 	"dmafault/internal/netstack"
 	"dmafault/internal/obs"
 	"dmafault/internal/resultstore"
@@ -530,6 +531,71 @@ func BenchmarkSummaryJSON(b *testing.B) {
 		if _, err := sum.JSON(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSnapshotMerge is the metrics merge of one campaign aggregate:
+// the per-scenario machine snapshots of a LadderPreset(16, 2021) run merged,
+// in order, into a fresh snapshot. The first merge inserts every family;
+// the other fifteen walk the accumulator in step and allocate nothing.
+func BenchmarkSnapshotMerge(b *testing.B) {
+	sum, err := campaign.Engine{Workers: 2}.Run(campaign.LadderPreset(16, 2021))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var acc metrics.Snapshot
+		for _, r := range sum.Results {
+			if err := acc.Merge(r.Snapshot); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkCampaignWarmReplay is campaign-replay's pass in miniature:
+// BenchmarkCampaignCacheHit/warm's set replayed from a warm result store
+// into a fresh journal, then the summary encoded. One engine worker and a
+// collection before the timed loop keep B/op deterministic (pooled encode
+// and frame buffers survive the op).
+func BenchmarkCampaignWarmReplay(b *testing.B) {
+	set := campaign.LadderPreset(16, 2021)
+	dir := b.TempDir()
+	st, err := resultstore.Open(filepath.Join(dir, "results.bin"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	pass := func(i int) {
+		j, err := campaign.OpenJournal(filepath.Join(dir, fmt.Sprintf("j%d.jsonl", i)), set, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sum, err := campaign.Engine{Workers: 1, Cache: st, Journal: j}.Run(set)
+		if cerr := j.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sum.JSON(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pass(-2) // fills the store
+	pass(-1) // warms the pools on the replay path
+	if stats := st.Stats(); stats.Hits != uint64(len(set)) {
+		b.Fatalf("warm-up replayed %d of %d scenarios", stats.Hits, len(set))
+	}
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass(i)
+	}
+	b.StopTimer()
+	if stats := st.Stats(); stats.Misses != uint64(len(set)) {
+		b.Fatalf("replay executed scenarios: %+v", stats)
 	}
 }
 

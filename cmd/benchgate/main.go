@@ -10,9 +10,11 @@
 //   - B/op or allocs/op more than 10% higher on the boot, campaign
 //     throughput and §5.3 ring-flood benchmarks, where a simulated boot's
 //     memory footprint shows first, on the per-layer deferred map/unmap,
-//     NIC ring setup and IOTLB benchmarks, which say which layer moved, and
-//     on the summary encode every campaign ends with. These counts are
-//     deterministic for a given seed, so their threshold is tight.
+//     NIC ring setup and IOTLB benchmarks, which say which layer moved, on
+//     the summary encode every campaign ends with, and on the snapshot
+//     merge and warm result-store replay every cached campaign runs. These
+//     counts are deterministic for a given seed, so their threshold is
+//     tight.
 //
 // The gate is advisory in CI (continue-on-error): single-iteration bench
 // runs are noisy, and the artifact pair may span machines. A failure is a
@@ -56,6 +58,8 @@ var memFamilies = []string{
 	"BenchmarkAddNIC",
 	"BenchmarkIOTLBInsertInvalidate",
 	"BenchmarkSummaryJSON",
+	"BenchmarkSnapshotMerge",
+	"BenchmarkCampaignWarmReplay",
 }
 
 // memThreshold is the allocation gates' tolerance.

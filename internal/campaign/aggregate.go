@@ -1,9 +1,9 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -77,6 +77,11 @@ func Aggregate(results []*Result) *Summary {
 		Results:     results,
 	}
 	for _, r := range results {
+		if r.rest == nil {
+			// Executed with no store or journal to write it to, or built
+			// by hand: encoded once, here, for the summary and the digest.
+			r.Encode()
+		}
 		ks := s.ByKind[r.Kind]
 		if ks == nil {
 			ks = &KindSummary{}
@@ -163,6 +168,7 @@ func (s *Summary) buildMetrics(results []*Result) {
 		if err := snap.Merge(r.Snapshot); err != nil {
 			s.Errors++
 			r.Err = "metrics merge: " + err.Error()
+			r.Encode()
 		}
 	}
 	s.Metrics = snap
@@ -178,86 +184,26 @@ func (s *Summary) MetricsText() []byte {
 }
 
 // JSON encodes the summary deterministically (indented, sorted map keys).
-// The bytes are json.MarshalIndent's; the output buffer is allocated once.
+// The bytes are json.MarshalIndent's. Each result is indented from the
+// encoding it holds, and the output buffer is allocated once, at its exact
+// length.
 func (s *Summary) JSON() ([]byte, error) {
-	compact, err := json.Marshal(s)
+	h := *s
+	h.Results = nil
+	head, err := json.Marshal(&h)
 	if err != nil {
 		return nil, err
 	}
-	return indentJSON(compact)
-}
-
-// jsonIndent is the summary's indent unit.
-const jsonIndent = "  "
-
-// indentJSON indents compact JSON as json.MarshalIndent(v, "", jsonIndent)
-// would, into one buffer sized by indentedLen. MarshalIndent reserves twice
-// the compact length; a summary indents to more than that (its metric
-// snapshots nest deep), so the reservation overflows and the buffer doubles.
-// json.Indent reserves the same 2x itself, so the buffer takes the larger
-// of the two and Indent never grows it.
-func indentJSON(compact []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(max(indentedLen(compact), 2*len(compact)))
-	if err := json.Indent(&buf, compact, "", jsonIndent); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// indentedLen is the exact length of json.Indent(compact, "", jsonIndent)
-// for valid compact JSON, from one scan: a newline and depth indents before
-// each element and each closing bracket, a space after each colon, and
-// nothing inside an empty {} or []. Strings are skipped whole.
-func indentedLen(compact []byte) int {
-	n, depth, opened := len(compact), 0, false
-	for i := 0; i < len(compact); i++ {
-		c := compact[i]
-		if opened && c != '}' && c != ']' {
-			opened = false
-			depth++
-			n += 1 + depth*len(jsonIndent)
+	// head ends `"results":null}`: the results go in place of the null.
+	head = head[:len(head)-len("null}")]
+	return indentDoc(func(w io.Writer) error {
+		w.Write(head)
+		if err := WriteResults(w, s.Results); err != nil {
+			return err
 		}
-		switch c {
-		case '"':
-			i = closingQuote(compact, i+1)
-		case '{', '[':
-			opened = true
-		case ',':
-			n += 1 + depth*len(jsonIndent)
-		case ':':
-			n++
-		case '}', ']':
-			if opened {
-				opened = false
-			} else {
-				depth--
-				n += 1 + depth*len(jsonIndent)
-			}
-		}
-	}
-	return n
-}
-
-// closingQuote returns the index of the quote that ends the string whose
-// body starts at i: the first quote behind an even run of backslashes. The
-// opening quote at i-1 bounds every backslash run.
-func closingQuote(b []byte, i int) int {
-	for {
-		j := bytes.IndexByte(b[i:], '"')
-		if j < 0 {
-			return len(b)
-		}
-		i += j
-		k := i
-		for b[k-1] == '\\' {
-			k--
-		}
-		if (i-k)%2 == 0 {
-			return i
-		}
-		i++
-	}
+		_, err := io.WriteString(w, "}")
+		return err
+	})
 }
 
 // Render prints the human-readable report.

@@ -15,9 +15,13 @@ import "fmt"
 // before executing a scenario. Get returns the recorded result for a digest
 // (the stored copy must not be mutated by callers other than the engine's
 // replay, which only re-stamps the position-derived ID on a shallow copy);
-// Put records a freshly executed result under its digest, overwriting any
-// previous record for the same digest. Implementations must be safe for
-// concurrent use — engine workers call both from every goroutine.
+// a result Get decodes from bytes should keep them as its encoding
+// (DecodeResult), so the replay writes what was read. Put records a freshly
+// executed result under its digest, overwriting any previous record for the
+// same digest; it is handed an ID-blanked copy that holds its encoding
+// (JSONParts), so a Put that stores bytes stores those, not a second
+// encoding. Implementations must be safe for concurrent use — engine
+// workers call both from every goroutine.
 type Store interface {
 	Get(d Digest) (*Result, bool)
 	Put(d Digest, r *Result) error
@@ -36,8 +40,9 @@ func Cacheable(r *Result) bool {
 // scenario: a shallow copy with the position-derived ID re-stamped, so the
 // aggregated summary is byte-identical to an executed run's even when the
 // spec sits at a different index than it did when recorded. Only ID is
-// written; every shared field (metrics map, snapshot) stays aliased to the
-// stored copy, which the engine never mutates.
+// written; every shared field (metrics map, snapshot, held encoding) stays
+// aliased to the stored copy, which the engine never mutates. The held
+// encoding starts after the ID, so it is right under the new one too.
 func cacheReplay(r *Result, s *Scenario) *Result {
 	rr := *r
 	rr.ID = s.ID

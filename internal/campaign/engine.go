@@ -126,11 +126,18 @@ func (e Engine) RunCtx(ctx context.Context, scenarios []Scenario) (*Summary, err
 		}
 		if r == nil {
 			r, err = e.execute(ctx, scs[i], sp)
-			if err == nil && r != nil && e.Cache != nil {
-				// A failing store is a real error (disk full, torn file),
-				// surfaced like a journal failure rather than silently
-				// degrading into a cache that loses records.
-				err = PutResult(e.Cache, digest, r)
+			if err == nil && r != nil && (e.Cache != nil || e.Journal != nil) {
+				// The one encoding of an executed result, made here when
+				// the store or the journal writes it; the summary writes
+				// the same bytes. With neither, Aggregate makes it, off
+				// the scenario's path.
+				r.Encode()
+				if e.Cache != nil {
+					// A failing store is a real error (disk full, torn
+					// file), surfaced like a journal failure rather than
+					// silently degrading into a cache that loses records.
+					err = PutResult(e.Cache, digest, r)
+				}
 			}
 		}
 		if err != nil {

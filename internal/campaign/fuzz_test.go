@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -133,9 +134,12 @@ func FuzzLoadJournal(f *testing.F) {
 	})
 }
 
-// FuzzIndentedLen: Summary.JSON sizes its output buffer by indentedLen, so
-// for any valid document the computed length must be exactly what
-// json.Indent writes, and indentJSON's bytes must be json.Indent's.
+// FuzzIndentedLen: Summary.JSON sizes its output buffer by a counting pass
+// of indentWriter, so for any valid document the counted length must be
+// exactly what json.Indent writes, and the writing pass's bytes must be
+// json.Indent's — also when the document arrives in pieces, as a summary
+// does (its fields, then each result's ID and held bytes), split anywhere,
+// inside strings and escapes included.
 func FuzzIndentedLen(f *testing.F) {
 	golden, err := os.ReadFile("testdata/summary.golden.json")
 	if err != nil {
@@ -161,15 +165,36 @@ func FuzzIndentedLen(f *testing.F) {
 		if err := json.Indent(&want, compact.Bytes(), "", jsonIndent); err != nil {
 			t.Fatalf("Indent of valid JSON: %v", err)
 		}
-		if n := indentedLen(compact.Bytes()); n != want.Len() {
-			t.Fatalf("indentedLen = %d, json.Indent wrote %d bytes for %q", n, want.Len(), compact.Bytes())
+		doc := compact.Bytes()
+		count := &indentWriter{}
+		count.Write(doc)
+		if count.n != want.Len() {
+			t.Fatalf("counted %d bytes, json.Indent wrote %d for %q", count.n, want.Len(), doc)
 		}
-		got, err := indentJSON(compact.Bytes())
+		got, err := indentDoc(func(w io.Writer) error {
+			_, err := w.Write(doc)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("indentJSON differs from json.Indent:\n%s\nvs\n%s", got, want.Bytes())
+			t.Fatalf("indentation differs from json.Indent:\n%s\nvs\n%s", got, want.Bytes())
+		}
+		// The same document in three pieces, cut where its length says.
+		a, b := len(doc)/3, len(doc)*2/3+len(doc)%7
+		b = min(b, len(doc))
+		got, err = indentDoc(func(w io.Writer) error {
+			w.Write(doc[:a])
+			w.Write(doc[a:b])
+			w.Write(doc[b:])
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("cut at %d and %d, indentation differs from json.Indent:\n%s\nvs\n%s", a, b, got, want.Bytes())
 		}
 	})
 }

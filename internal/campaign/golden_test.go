@@ -61,7 +61,7 @@ func TestGoldenSummaryWireFormat(t *testing.T) {
 }
 
 // TestSummaryJSONIndentsOnce: Summary.JSON is json.MarshalIndent's bytes,
-// written into one output buffer sized by indentedLen: its capacity is the
+// written into one output buffer sized by a counting pass: its capacity is the
 // document's length up to the allocator's size-class rounding, where a
 // buffer that had to grow would have doubled. (Allocation counts are pinned
 // by BenchmarkSummaryJSON under make allocgate; the race detector's

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"strconv"
 
 	"dmafault/internal/recordlog"
 )
@@ -172,10 +173,18 @@ func OpenJournal(path string, scs []Scenario, resume bool) (*Journal, error) {
 // Engine.Completed.
 func (j *Journal) State() *JournalState { return j.st }
 
-// Record appends one completed scenario. Each record is one append to the
-// record log, so concurrent workers never interleave bytes.
+// Record appends one completed scenario, written from the encoding the
+// result holds. Each record is one append to the record log, so concurrent
+// workers never interleave bytes.
 func (j *Journal) Record(index int, r *Result) error {
-	return j.append(journalRecord{Index: index, Result: r})
+	var buf [128]byte
+	head := strconv.AppendInt(append(buf[:0], `{"index":`...), int64(index), 10)
+	head, rest, err := r.JSONParts(append(head, `,"result":`...))
+	if err != nil {
+		return err
+	}
+	_, err = j.log.Append(head, rest, []byte("}"))
+	return err
 }
 
 // Lease appends one fabric lease event.
@@ -300,6 +309,8 @@ func (jr *journalReader) record(_ int64, b []byte) error {
 	if _, ok := jr.st.Restored[rec.Index]; !ok {
 		jr.st.Done++
 	}
+	// A journal is read, not trusted: its result is encoded anew.
+	rec.Result.Encode()
 	jr.st.Restored[rec.Index] = rec.Result
 	return nil
 }

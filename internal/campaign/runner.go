@@ -67,6 +67,9 @@ type Result struct {
 	// transient marks Err as wrapping faultinject.ErrTransient — the class
 	// of failure the engine's retry loop re-attempts.
 	transient bool
+	// rest is the result's canonical compact JSON after its ID, made once
+	// (see Encode); nil until then.
+	rest []byte
 }
 
 // Abnormal-termination outcomes the engine records in Result.Outcome.

@@ -27,10 +27,13 @@ import (
 //     a worker answering with some *other* campaign's results.
 //  3. Digest: the worker stamps api.HashResults over its results the moment
 //     the job completes; the coordinator refuses a document without the
-//     stamp and recomputes the digest from the results it decoded. Canonical-JSON determinism makes the recompute
+//     stamp and recomputes the digest over its own encoding of the results
+//     it decoded (a worker's bytes are never adopted: a dishonest worker
+//     stamps its own). Canonical-JSON determinism makes the recompute
 //     byte-faithful, so a single flipped bit anywhere in the results —
 //     including fields no identity check looks at, like a window path or a
-//     metrics string — surfaces as a mismatch.
+//     metrics string — surfaces as a mismatch, while whitespace or key order
+//     on the wire does not.
 //
 // What this deliberately cannot catch: a byzantine worker that *executes*
 // dishonestly and hashes its own lies consistently. Detecting that would
@@ -88,6 +91,10 @@ func (c *Coordinator) verifyShard(sh shard, jobID int, job *api.Job) error {
 			return fmt.Errorf("%w: job %d result %d is %s/%s/%d, lease expected %s/%s/%d",
 				errIntegrity, jobID, i, r.ID, r.Kind, r.Seed, sc.ID, sc.Kind, sc.Seed)
 		}
+		// The coordinator's canonical bytes are its own encoding of what it
+		// decoded, never the worker's: the digest below and every later
+		// write (journal, store, summary) use them.
+		r.Encode()
 	}
 	// Every done fixed-set job a worker serves is stamped, so a missing
 	// stamp is a document something rewrote on the way, not an old worker.

@@ -19,7 +19,6 @@ package api
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 
 	"dmafault/internal/campaign"
 	"dmafault/internal/fuzz"
@@ -143,19 +142,19 @@ type Timing struct {
 }
 
 // HashResults is the canonical results digest carried in Job.ResultsHash:
-// sha256 over the compact JSON encoding of the results slice. Producer and
-// verifier both call this — the worker over the results it executed, the
-// coordinator over the results it decoded off the wire — and the engine's
-// canonical-JSON determinism (stable field order, round-trip-exact floats)
-// is what makes the recomputation byte-faithful.
+// sha256 over the compact JSON encoding of the results slice, streamed from
+// the encoding each result holds. Producer and verifier both call this —
+// the worker over the results it executed, the coordinator over the results
+// it decoded off the wire and encoded anew — and the engine's canonical-JSON
+// determinism (stable field order, round-trip-exact floats) is what makes
+// the recomputation byte-faithful.
 func HashResults(results []*campaign.Result) string {
-	data, err := json.Marshal(results)
-	if err != nil {
+	h := sha256.New()
+	if err := campaign.WriteResults(h, results); err != nil {
 		// Engine results are plain data; they cannot fail to marshal.
 		return ""
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // JobList is the GET /v1/campaigns body. Summaries and fuzz reports are

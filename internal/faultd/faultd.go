@@ -96,8 +96,8 @@ const (
 
 // Job is one submitted campaign: the public wire state (api.Job, embedded —
 // progress fields are updated by worker goroutines under the server mutex;
-// Summary appears when the job finishes) plus the supervisor's scheduling
-// state.
+// once the job finishes, its encoded document replaces the Summary) plus
+// the supervisor's scheduling state.
 type Job struct {
 	api.Job
 
@@ -121,6 +121,9 @@ type Job struct {
 	// panicDumped limits the panic-triggered flight dump to once per job,
 	// guarded by Server.mu.
 	panicDumped bool
+	// doc is the finished job's wire document, encoded once by finish
+	// (which then drops Summary) and served as it is; guarded by Server.mu.
+	doc []byte
 }
 
 // Request is the POST /v1/campaigns body (wire type in api). Exactly one of
@@ -558,9 +561,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	list := api.JobList{Jobs: make([]api.Job, len(s.jobs))}
 	for i, j := range s.jobs {
-		list.Jobs[i] = j.Job
-		list.Jobs[i].Summary = nil // keep the listing lightweight
-		list.Jobs[i].Fuzz = nil
+		list.Jobs[i] = j.Job    // a finished job's Summary is already dropped
+		list.Jobs[i].Fuzz = nil // keep the listing lightweight
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, &list)
@@ -570,15 +572,25 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // table, the cache counters, the metrics snapshot, and the submit, cancel
 // and cache-clear answers): compact, newline-terminated, and sized, so a
 // client reads the body into one buffer of exactly Content-Length bytes.
-// Nothing is cached — a worker keeps every finished job, and a second,
-// encoded copy of each would double what it holds.
+// Only a finished job's document is kept encoded (see finish); everything
+// else is encoded per request.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
+	data, err := encodeDoc(v)
 	if err != nil {
 		http.Error(w, "encode: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	data = append(data, '\n')
+	writeDoc(w, status, data)
+}
+
+// encodeDoc is a response document's bytes: compact, newline-terminated.
+func encodeDoc(v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	return append(data, '\n'), err
+}
+
+// writeDoc writes an encoded document with its Content-Length.
+func writeDoc(w http.ResponseWriter, status int, data []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(data)))
@@ -599,8 +611,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("no job %d", id), http.StatusNotFound)
 		return
 	}
-	job := jp.Job // the wire view; scheduling state stays server-side
+	job, doc := jp.Job, jp.doc // the wire view; scheduling state stays server-side
 	s.mu.Unlock()
+	if doc != nil {
+		writeDoc(w, http.StatusOK, doc)
+		return
+	}
 	writeJSON(w, http.StatusOK, &job)
 }
 

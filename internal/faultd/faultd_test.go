@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"dmafault/internal/campaign"
+	"dmafault/internal/faultd/api"
 	"dmafault/internal/resultstore"
 )
 
@@ -286,5 +288,48 @@ func TestDocumentsCompactAndSized(t *testing.T) {
 	if _, body := get(t, ts.URL+"/v1/campaigns/1"); json.Unmarshal(body, &job) != nil ||
 		job.Status != StatusDone || job.Summary == nil || job.ResultsHash == "" {
 		t.Fatalf("job document: %+v", job)
+	}
+}
+
+// TestFinishedJobServedFromDocument: finish encodes a done job's document
+// once and drops the decoded summary; GET /v1/campaigns/{id} writes those
+// bytes as they are, and they carry the summary and a stamp that hashes
+// the results they hold.
+func TestFinishedJobServedFromDocument(t *testing.T) {
+	srv := NewServer()
+	srv.Workers = 2
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if code, body := post(t, ts.URL+"/v1/campaigns", `{"preset":"ladder","n":4,"seed":2021}`); code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	srv.Wait()
+	srv.mu.Lock()
+	doc, summary := srv.jobsByID[1].doc, srv.jobsByID[1].Summary
+	srv.mu.Unlock()
+	if doc == nil || summary != nil {
+		t.Fatalf("finished job keeps document %t and decoded summary %t", doc != nil, summary != nil)
+	}
+	for i := 0; i < 2; i++ {
+		if _, body := get(t, ts.URL+"/v1/campaigns/1"); !bytes.Equal(body, doc) {
+			t.Fatalf("GET %d does not serve the document as encoded", i)
+		}
+	}
+	var job Job
+	if err := json.Unmarshal(doc, &job); err != nil {
+		t.Fatal(err)
+	}
+	if job.Status != StatusDone || job.Summary == nil || job.Summary.Scenarios != 4 ||
+		job.ResultsHash != api.HashResults(job.Summary.Results) {
+		t.Fatalf("document: %.300s", doc)
+	}
+	want, err := (campaign.Engine{Workers: 2}).Run(campaign.LadderPreset(4, 2021))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := want.JSON()
+	b, _ := job.Summary.JSON()
+	if !bytes.Equal(a, b) {
+		t.Fatal("the document's summary differs from the local engine's")
 	}
 }

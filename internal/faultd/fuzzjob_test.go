@@ -87,19 +87,25 @@ func TestFuzzJobEndToEnd(t *testing.T) {
 }
 
 // The SSE stream of a fuzz job carries per-round "fuzz" coverage events
-// alongside per-execution "result" events.
+// alongside per-execution "result" events. The fuzz job waits in the queue
+// behind a 250 ms stall, so the stream is attached before it starts (a
+// late subscriber gets only the progress snapshot and the status).
 func TestFuzzJobEventStream(t *testing.T) {
 	srv := NewServer()
 	srv.Workers = 4
+	srv.MaxConcurrent = 1
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	if code, body := post(t, ts.URL+"/v1/campaigns", stallBody(1)); code != http.StatusAccepted {
+		t.Fatalf("submit stall: %d %s", code, body)
+	}
 	code, body := post(t, ts.URL+"/v1/campaigns",
 		`{"name":"fuzz-sse","seed":11,"fuzz":{"attempts":8,"batch":4,"minimize":-1}}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, body)
 	}
-	resp, err := http.Get(ts.URL + "/v1/campaigns/1/events")
+	resp, err := http.Get(ts.URL + "/v1/campaigns/2/events")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,29 @@ import (
 	"testing"
 
 	"dmafault/internal/campaign"
+	"dmafault/internal/faultd/api"
 )
+
+// docSummaryJSON decodes the document a finished job keeps, the bytes GET
+// /v1/campaigns/{id} serves, and returns its summary's JSON.
+func docSummaryJSON(t *testing.T, srv *Server, job *Job) []byte {
+	t.Helper()
+	srv.mu.Lock()
+	data, summary := job.doc, job.Summary
+	srv.mu.Unlock()
+	if summary != nil {
+		t.Fatalf("job %d kept its decoded summary beside its document", job.ID)
+	}
+	var doc api.Job
+	if err := json.Unmarshal(data, &doc); err != nil || doc.Summary == nil {
+		t.Fatalf("job %d document (err %v): %.300s", job.ID, err, data)
+	}
+	js, err := doc.Summary.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
+}
 
 // recoverySet is the scenario set used by the crash-recovery tests.
 func recoverySet() []campaign.Scenario {
@@ -211,8 +233,7 @@ func TestRecoveryReportsBrokenJournalsAndContinues(t *testing.T) {
 		t.Fatalf("job 2 not recovered cleanly: %+v", job)
 	}
 	want, _ := ref.JSON()
-	got, _ := job.Summary.JSON()
-	if !bytes.Equal(got, want) {
+	if got := docSummaryJSON(t, srv, job); !bytes.Equal(got, want) {
 		t.Fatal("summary resumed next to a broken journal differs")
 	}
 	// The broken journal stayed on disk for the operator.
@@ -254,8 +275,7 @@ func TestRecoveredJobsFlowThroughScheduler(t *testing.T) {
 		if job.Status != StatusDone {
 			t.Fatalf("recovered job %d: %+v", id, job)
 		}
-		got, _ := job.Summary.JSON()
-		if !bytes.Equal(got, want) {
+		if got := docSummaryJSON(t, srv, job); !bytes.Equal(got, want) {
 			t.Errorf("recovered job %d summary differs", id)
 		}
 	}

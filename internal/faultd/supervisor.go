@@ -193,11 +193,11 @@ func (s *Server) runWorker(job *Job) {
 }
 
 // finish is the job plane's one way out: it maps the runner's error to the
-// job's terminal status and service counters, then publishes the terminal
-// event. nil is done (onDone, run under s.mu, records what done means for
-// the runner); context.Canceled on a job the watchdog marked is stalled
-// (with the stall flight dump); any other context.Canceled is cancelled;
-// anything else is failed.
+// job's terminal status and service counters, encodes the finished job's
+// document, then publishes the terminal event. nil is done (onDone, run
+// under s.mu, records what done means for the runner); context.Canceled on
+// a job the watchdog marked is stalled (with the stall flight dump); any
+// other context.Canceled is cancelled; anything else is failed.
 func (s *Server) finish(job *Job, err error, onDone func()) {
 	s.mu.Lock()
 	switch {
@@ -221,6 +221,12 @@ func (s *Server) finish(job *Job, err error, onDone func()) {
 		job.Status = StatusFailed
 		job.Error = err.Error()
 		s.campaignsFailed.Inc()
+	}
+	// A finished job never changes again: its document is encoded once,
+	// here, and GET serves those bytes. The decoded summary is dropped;
+	// the document holds it.
+	if doc, err := encodeDoc(&job.Job); err == nil {
+		job.doc, job.Summary = doc, nil
 	}
 	view := jobView(job)
 	s.mu.Unlock()

@@ -162,6 +162,59 @@ func labelKey(labels []Label) string {
 	return b.String()
 }
 
+// compareLabels orders two label sets as labelKey's strings compare,
+// byte by byte, without building either string.
+func compareLabels(a, b []Label) int {
+	ca, cb := labelCursor{labels: a}, labelCursor{labels: b}
+	for {
+		moreA, moreB := ca.next(), cb.next()
+		switch {
+		case !moreA && !moreB:
+			return 0
+		case !moreA:
+			return -1
+		case !moreB:
+			return 1
+		}
+		n := min(len(ca.rest), len(cb.rest))
+		if c := strings.Compare(ca.rest[:n], cb.rest[:n]); c != 0 {
+			return c
+		}
+		ca.rest, cb.rest = ca.rest[n:], cb.rest[n:]
+	}
+}
+
+// labelCursor walks labelKey(labels) part by part: each label's key, "=",
+// value and ",".
+type labelCursor struct {
+	labels []Label
+	part   int    // next part to load, four per label
+	rest   string // unread bytes of the current part
+}
+
+// next loads the next non-empty part into rest unless rest still holds
+// bytes, and reports whether any byte is left.
+func (c *labelCursor) next() bool {
+	for c.rest == "" {
+		if c.part == 4*len(c.labels) {
+			return false
+		}
+		l := &c.labels[c.part/4]
+		switch c.part % 4 {
+		case 0:
+			c.rest = l.Key
+		case 1:
+			c.rest = "="
+		case 2:
+			c.rest = l.Value
+		default:
+			c.rest = ","
+		}
+		c.part++
+	}
+	return true
+}
+
 // sortLabels orders a label set by key (canonical form). Duplicate keys are
 // the caller's bug; they sort stably by value.
 func sortLabels(labels []Label) {

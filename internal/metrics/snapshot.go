@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -28,17 +28,48 @@ type Snapshot struct {
 	Families []Family `json:"families"`
 }
 
-// normalize sorts families by name and samples by label signature.
+// normalize sorts families by name and samples by label signature, both
+// stably, so equal names and signatures keep their order.
 func (s *Snapshot) normalize() {
 	for i := range s.Families {
-		f := &s.Families[i]
-		sort.SliceStable(f.Samples, func(a, b int) bool {
-			return labelKey(f.Samples[a].Labels) < labelKey(f.Samples[b].Labels)
-		})
+		slices.SortStableFunc(s.Families[i].Samples, compareSamples)
 	}
-	sort.Slice(s.Families, func(i, j int) bool {
-		return s.Families[i].Name < s.Families[j].Name
-	})
+	slices.SortStableFunc(s.Families, compareFamilies)
+}
+
+func compareFamilies(a, b Family) int { return strings.Compare(a.Name, b.Name) }
+
+func compareSamples(a, b Sample) int { return compareLabels(a.Labels, b.Labels) }
+
+// canonical reports whether families are sorted by name and every family's
+// samples by label signature (equal neighbours allowed).
+func (s *Snapshot) canonical() bool {
+	for i := range s.Families {
+		if i > 0 && s.Families[i-1].Name > s.Families[i].Name {
+			return false
+		}
+		sm := s.Families[i].Samples
+		for j := 1; j < len(sm); j++ {
+			if compareLabels(sm[j-1].Labels, sm[j].Labels) > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sortedFamilies returns s's families in canonical order: s's own slice
+// when it is canonical, else a sorted copy that leaves s as it was.
+func (s *Snapshot) sortedFamilies() []Family {
+	if s.canonical() {
+		return s.Families
+	}
+	fams := slices.Clone(s.Families)
+	for i := range fams {
+		fams[i].Samples = slices.Clone(fams[i].Samples)
+	}
+	(&Snapshot{Families: fams}).normalize()
+	return fams
 }
 
 // Merge folds other into s, summing samples that share a family and label
@@ -48,52 +79,67 @@ func (s *Snapshot) normalize() {
 // in a fixed order, so merging per-scenario snapshots in input order yields
 // byte-identical aggregates at any worker count.
 //
+// Both snapshots are walked once, in canonical order: families by name,
+// samples by label signature. A family or sample s has not seen is
+// inserted in place, so s stays canonical, even when Merge returns an
+// error; once s holds every family and sample of other, a merge allocates
+// nothing. A non-canonical s (built by hand) is sorted first; a
+// non-canonical other (a foreign scrape) is merged from a sorted copy and
+// never altered. A family or sample of other merges into the last one of s
+// with its name or signature; duplicates already in s stay apart.
+//
 // A family whose merge would hold a non-finite value (two worker counters
 // near the float64 limit overflow to +Inf, which JSON cannot encode) is
 // refused: s keeps that family as it was, the other families still merge,
-// and the first such refusal is returned.
+// and the first such refusal is returned. A kind or bucket-layout clash
+// stops the merge there and is returned; the families before it stay
+// merged.
 func (s *Snapshot) Merge(other *Snapshot) error {
 	if other == nil {
 		return nil
 	}
-	byName := make(map[string]int, len(s.Families))
-	for i := range s.Families {
-		byName[s.Families[i].Name] = i
+	if !s.canonical() {
+		s.normalize()
 	}
 	var refused error
-	for _, of := range other.Families {
-		fi, ok := byName[of.Name]
-		if !ok {
-			if !finiteFamily(&of) {
+	fams, i := other.sortedFamilies(), 0
+	for j := range fams {
+		of := &fams[j]
+		for i < len(s.Families) && s.Families[i].Name < of.Name {
+			i++
+		}
+		for i+1 < len(s.Families) && s.Families[i+1].Name == of.Name {
+			i++
+		}
+		if i == len(s.Families) || s.Families[i].Name != of.Name {
+			if !finiteFamily(of) {
 				refused = cmp.Or(refused, fmt.Errorf("metrics: merge of %q: non-finite value", of.Name))
 				continue
 			}
-			byName[of.Name] = len(s.Families)
-			s.Families = append(s.Families, cloneFamily(of))
+			s.Families = slices.Insert(s.Families, i, cloneFamily(*of))
 			continue
 		}
-		f := &s.Families[fi]
+		f := &s.Families[i]
 		if f.Kind != of.Kind {
 			return fmt.Errorf("metrics: merge of %q: kind %s vs %s", of.Name, f.Kind, of.Kind)
 		}
 		if f.Kind == KindHistogram && !equalBuckets(f.Buckets, of.Buckets) {
 			return fmt.Errorf("metrics: merge of %q: bucket layouts differ", of.Name)
 		}
-		if magnitude(f)+magnitude(&of) < overflowGuard {
-			mergeSamples(f, &of)
+		if magnitude(f)+magnitude(of) < overflowGuard {
+			mergeSamples(f, of)
 			continue
 		}
 		// Values this large may overflow: merge into a copy and keep it only
 		// if every value stayed finite.
 		c := cloneFamily(*f)
-		mergeSamples(&c, &of)
+		mergeSamples(&c, of)
 		if !finiteFamily(&c) {
 			refused = cmp.Or(refused, fmt.Errorf("metrics: merge of %q overflows float64", of.Name))
 			continue
 		}
 		*f = c
 	}
-	s.normalize()
 	return refused
 }
 
@@ -124,27 +170,31 @@ func finiteFamily(f *Family) bool {
 }
 
 // mergeSamples folds of's samples into f, which has the same kind and
-// buckets.
+// buckets; both hold their samples in canonical order, and f keeps it.
 func mergeSamples(f, of *Family) {
-	bySig := make(map[string]int, len(f.Samples))
-	for i := range f.Samples {
-		bySig[labelKey(f.Samples[i].Labels)] = i
-	}
-	for _, os := range of.Samples {
-		sig := labelKey(os.Labels)
-		si, ok := bySig[sig]
-		if !ok {
-			bySig[sig] = len(f.Samples)
-			f.Samples = append(f.Samples, cloneSample(os))
+	i := 0
+	for k := range of.Samples {
+		os := &of.Samples[k]
+		c := 1 // f.Samples[i] against os
+		for ; i < len(f.Samples); i++ {
+			if c = compareLabels(f.Samples[i].Labels, os.Labels); c >= 0 {
+				break
+			}
+		}
+		if c != 0 {
+			f.Samples = slices.Insert(f.Samples, i, cloneSample(*os))
 			continue
 		}
-		sm := &f.Samples[si]
+		for i+1 < len(f.Samples) && compareLabels(f.Samples[i+1].Labels, os.Labels) == 0 {
+			i++
+		}
+		sm := &f.Samples[i]
 		sm.Value += os.Value
 		sm.Sum += os.Sum
 		sm.Count += os.Count
-		for i := range os.BucketCounts {
-			if i < len(sm.BucketCounts) {
-				sm.BucketCounts[i] += os.BucketCounts[i]
+		for b := range os.BucketCounts {
+			if b < len(sm.BucketCounts) {
+				sm.BucketCounts[b] += os.BucketCounts[b]
 			}
 		}
 	}

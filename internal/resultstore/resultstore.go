@@ -18,6 +18,14 @@
 // demand, so a warm store holds one map entry per record, not one decoded
 // Result.
 //
+// Records are written from a result's own canonical encoding (Put writes
+// the bytes the result holds, never a second encoding), and Get hands the
+// bytes it read to the result it decodes, which keeps them as its encoding:
+// a replayed result is journaled, hashed and summarized from the record
+// itself. Those bytes are trusted as this build's canonical encoding, so a
+// change to Result's JSON shape must roll campaign.ScenarioKeyVersion,
+// which turns every older record stale.
+//
 // Engine-version invalidation is belt and braces: the salt folded into
 // every digest means a stale-engine record can never be looked up, and the
 // per-record salt lets Compact *identify* and drop those unreachable
@@ -26,7 +34,6 @@ package resultstore
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -125,29 +132,37 @@ func (st *Store) Get(d campaign.Digest) (*campaign.Result, bool) {
 		ok = st.log.ReadAt(buf, e.off) == nil
 	}
 	st.mu.RUnlock()
-	var r campaign.Result
-	if !ok || json.Unmarshal(buf, &r) != nil {
+	var r *campaign.Result
+	if ok {
+		// The result keeps buf as its encoding: a replay writes the bytes
+		// just read.
+		var err error
+		r, err = campaign.DecodeResult(buf)
+		ok = err == nil
+	}
+	if !ok {
 		st.misses.Add(1)
 		return nil, false
 	}
 	st.hits.Add(1)
-	return &r, true
+	return r, true
 }
 
 // Put implements campaign.Store: append one record and point the index at
 // it. The last record for a digest wins, so overwriting is append-only too.
 func (st *Store) Put(d campaign.Digest, r *campaign.Result) error {
-	payload, err := json.Marshal(r)
+	var buf [64]byte
+	head, rest, err := r.JSONParts(buf[:0])
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	off, err := st.log.Append(currentSalt[:], d[:], payload)
+	off, err := st.log.Append(currentSalt[:], d[:], head, rest)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	st.note(d, entry{off: off + recordFixed, n: len(payload)})
+	st.note(d, entry{off: off + recordFixed, n: len(head) + len(rest)})
 	st.stores.Add(1)
 	return nil
 }

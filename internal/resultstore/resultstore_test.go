@@ -402,3 +402,54 @@ func TestWarmCacheOrderIndependent(t *testing.T) {
 		t.Fatalf("permuted warm run hit %d times, want %d", stats.Hits, len(scenarios))
 	}
 }
+
+// plainResult is campaign.Result without methods: json.Marshal of it is the
+// reflection encoding a result's held bytes must equal.
+type plainResult campaign.Result
+
+// TestReplayHoldsRecordBytes: a hit keeps the record bytes Get read as the
+// result's encoding, equal to the reflection encoding of what it decoded,
+// and a replay under a position-derived ID writes them under that ID.
+func TestReplayHoldsRecordBytes(t *testing.T) {
+	st := mustOpen(t, filepath.Join(t.TempDir(), "results.bin"))
+	set := append(campaign.MixedPreset(4, 2021), campaign.LadderPreset(4, 2021)...)
+	set[1].FaultSpec = "scenario-panic@1"
+	cold, err := campaign.Engine{Workers: 2, Cache: st}.Run(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := campaign.Engine{Workers: 2, Cache: st}.Run(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := st.Stats().Hits; hits != uint64(len(set)) {
+		t.Fatalf("%d hits for %d scenarios", hits, len(set))
+	}
+	for i, r := range warm.Results {
+		head, rest, err := r.JSONParts(nil)
+		if err != nil || rest == nil {
+			t.Fatalf("replayed %s holds no encoding (err %v)", r.ID, err)
+		}
+		want, err := json.Marshal((*plainResult)(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := append(head, rest...); !bytes.Equal(got, want) {
+			t.Fatalf("replayed %s held bytes differ from reflection:\n%.300s\n---\n%.300s", r.ID, got, want)
+		}
+		if r.ID != cold.Results[i].ID {
+			t.Fatalf("replay %d has ID %q, want %q", i, r.ID, cold.Results[i].ID)
+		}
+	}
+	a, err := cold.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := warm.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("warm summary differs from the cold one")
+	}
+}
